@@ -10,23 +10,13 @@ Times the same seeded workloads on ``backend="trajectory"`` and
 * a cold-vs-warm plan-cache sweep (the same deterministic-pipeline grid
   compiled twice) measuring the compile-stage speedup of the
   content-addressed cache — the plan/execute split's acceptance workload;
-* a cold-disk vs warm-disk sweep: the same grid compiled with the
-  persistent plan store, clearing the in-memory layer between runs so the
-  warm pass measures exactly what a *new process* (a second CLI
-  invocation) gets from disk;
-* a thread-vs-process compile fan-out comparison on a grid of distinct
-  circuits (informational: the ratio is machine-dependent, so it is
-  recorded but not regression-gated);
 * a distributed-vs-in-process scaling entry: a realization-heavy twirled
   batch sharded across ``backend="distributed"`` worker processes,
   cross-checked bit-identical against both in-process engines
-  (informational ratios, gated bit-identity);
-* two real ``python -m repro.experiments fig3 --quick`` subprocess
-  invocations sharing a ``--plan-cache`` directory — the end-to-end
-  warm-start scenario, cross-checked bit-identical.
+  (informational ratios, gated bit-identity).
 
 Every run also cross-checks bit-identity (trajectory vs vectorized, cold
-vs warm cache, thread vs process compile), so the benchmark doubles as an
+vs warm cache, in-process vs distributed), so the benchmark doubles as an
 end-to-end parity check. ``--check-against BASELINE`` compares the
 measured speedups to a previously committed JSON and fails on a >25%
 regression — speedups are ratios of timings on the same machine, so the
@@ -50,15 +40,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
-import tempfile
 import time
-from pathlib import Path
 from typing import Dict, List
 
-import repro
-from repro import Circuit, SimOptions, Sweep, Task, compile_tasks, configure, run
+from repro import Circuit, SimOptions, Sweep, Task, run
 from repro.benchmarking.ramsey import CASE_I, ramsey_task
 from repro.device.calibration import synthetic_device
 from repro.device.topology import linear_chain
@@ -190,97 +176,6 @@ def bench_compile_cache() -> Dict:
     }
 
 
-def bench_disk_cache() -> Dict:
-    """Cold-disk vs warm-disk compile across a simulated process boundary.
-
-    Same grid as ``compile_cache``, but with the persistent store attached
-    and the in-memory layer cleared between the two passes — exactly what a
-    new process (a second CLI invocation of the same figure) sees: memory
-    cold, disk warm. The warm compile stage is pure store reads.
-    """
-    device = synthetic_device(
-        linear_chain(CASE_I.num_qubits), name="bench_cache", seed=1007
-    )
-    options = SimOptions(shots=8)
-    values = lambda swept: [dict(r.values) for _c, r in swept]  # noqa: E731
-    cold_s = warm_s = float("inf")
-    bit_identical = True
-    with tempfile.TemporaryDirectory() as tmpdir:
-        configure(plan_cache="disk", plan_cache_dir=tmpdir)
-        try:
-            for _ in range(3):
-                PLAN_CACHE.store.clear()
-                PLAN_CACHE.clear()
-                cold = _cache_sweep_batch(device, options)
-                PLAN_CACHE.clear()  # "new process": memory cold, disk warm
-                warm = _cache_sweep_batch(device, options)
-                cold_s = min(cold_s, cold.compile_time)
-                warm_s = min(warm_s, warm.compile_time)
-                bit_identical = bit_identical and values(cold) == values(warm)
-            stats = dict(PLAN_CACHE.stats)
-        finally:
-            # Restore the directory default too: leaving the deleted
-            # tmpdir in process-wide config would silently re-root a later
-            # configure(plan_cache="disk") at a stale path.
-            configure(plan_cache="memory", plan_cache_dir=None)
-    return {
-        "workload": "disk_cache",
-        "points": len(cold),
-        "compile_seconds": {
-            "cold_disk": round(cold_s, 4),
-            "warm_disk": round(warm_s, 4),
-        },
-        "speedup": round(cold_s / warm_s, 2),
-        "cache": stats,
-        "bit_identical": bit_identical,
-    }
-
-
-def bench_compile_modes(workers: int = 2) -> Dict:
-    """Thread-vs-process compile fan-out over distinct circuits.
-
-    Caching is disabled so every point really compiles; the grid uses
-    distinct depths so there is nothing to share. The ratio is recorded as
-    ``process_vs_thread`` (not ``speedup``): it depends on core count and
-    fork cost, so it is informational, never regression-gated. Bit-identity
-    of the executed plans IS gated — that is the correctness claim.
-    """
-    device = synthetic_device(
-        linear_chain(CASE_I.num_qubits), name="bench_modes", seed=1009
-    )
-    options = SimOptions(shots=4)
-
-    def tasks():
-        return [
-            ramsey_task(CASE_I, device, depth, strategy, twirl=False, seed=1)
-            for strategy in ("dd", "staggered_dd", "ca_ec", "ca_ec+dd")
-            for depth in (8, 16, 24, 32, 40)
-        ]
-
-    timings = {"thread": float("inf"), "process": float("inf")}
-    plans_by_mode = {}
-    for _ in range(2):
-        for mode in ("thread", "process"):
-            start = time.perf_counter()
-            plans = compile_tasks(
-                tasks(), options=options, workers=workers, cache=None, mode=mode
-            )
-            timings[mode] = min(timings[mode], time.perf_counter() - start)
-            plans_by_mode[mode] = plans
-    results = {
-        mode: [dict(r.values) for r in run(plans, backend="vectorized")]
-        for mode, plans in plans_by_mode.items()
-    }
-    return {
-        "workload": "compile_modes",
-        "points": len(plans_by_mode["thread"]),
-        "workers": workers,
-        "compile_seconds": {m: round(t, 4) for m, t in timings.items()},
-        "process_vs_thread": round(timings["thread"] / timings["process"], 2),
-        "bit_identical": results["thread"] == results["process"],
-    }
-
-
 def bench_distributed(workers: int = 2) -> Dict:
     """Distributed-vs-in-process scaling on a realization-heavy batch.
 
@@ -338,91 +233,12 @@ def bench_distributed(workers: int = 2) -> Dict:
     }
 
 
-def _strip_timing(obj):
-    """Drop wall-time fields so two JSON payloads compare by value only."""
-    if isinstance(obj, dict):
-        return {k: _strip_timing(v) for k, v in obj.items() if "time" not in k}
-    if isinstance(obj, list):
-        return [_strip_timing(v) for v in obj]
-    return obj
-
-
-def _sum_compile_time(obj) -> float:
-    if isinstance(obj, dict):
-        return sum(
-            v if k == "compile_time" else _sum_compile_time(v)
-            for k, v in obj.items()
-        )
-    if isinstance(obj, list):
-        return sum(_sum_compile_time(v) for v in obj)
-    return 0.0
-
-
-def bench_cli_warm_start(cycles: int = 2) -> Dict:
-    """Real CLI invocations of fig3 sharing one disk plan cache.
-
-    The end-to-end acceptance scenario: the second
-    ``python -m repro.experiments fig3`` process finds the first one's
-    schedules on disk and warm-starts its compile stage, with bit-identical
-    results. The speedup is partial by design — fig3's twirled cases
-    (II-IV) are uncacheable, so only case I's plans persist — and the
-    ratio is informational, not regression-gated; each cold/warm cycle
-    wipes the cache directory and the best of ``cycles`` is kept.
-    """
-    env = dict(os.environ)
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
-
-    def invoke(plans_dir: Path, out: Path) -> Dict:
-        subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.experiments",
-                "fig3",
-                "--quick",
-                "--plan-cache",
-                str(plans_dir),
-                "--json",
-                str(out),
-            ],
-            check=True,
-            env=env,
-            stdout=subprocess.DEVNULL,
-        )
-        with open(out) as handle:
-            return json.load(handle)
-
-    cold_s = warm_s = float("inf")
-    bit_identical = True
-    with tempfile.TemporaryDirectory() as tmpdir:
-        for cycle in range(cycles):
-            plans_dir = Path(tmpdir) / f"plans{cycle}"  # fresh dir: cold start
-            cold = invoke(plans_dir, Path(tmpdir) / "cold.json")
-            warm = invoke(plans_dir, Path(tmpdir) / "warm.json")
-            cold_s = min(cold_s, _sum_compile_time(cold))
-            warm_s = min(warm_s, _sum_compile_time(warm))
-            bit_identical = bit_identical and (
-                _strip_timing(cold) == _strip_timing(warm)
-            )
-    return {
-        "workload": "cli_warm_start",
-        "figure": "fig3 --quick",
-        "compile_seconds": {"cold": round(cold_s, 4), "warm": round(warm_s, 4)},
-        "compile_speedup": round(cold_s / warm_s, 2),
-        "bit_identical": bit_identical,
-    }
-
-
 def _print_entry(entry: Dict) -> None:
-    if entry["workload"] in ("compile_cache", "disk_cache", "cli_warm_start"):
+    if entry["workload"] == "compile_cache":
         seconds = entry["compile_seconds"]
-        (cold_key, cold_s), (warm_key, warm_s) = seconds.items()
-        ratio = entry.get("speedup", entry.get("compile_speedup"))
         print(
-            f"{entry['workload']:>22s}: {ratio}x compile-stage speedup "
-            f"({cold_s:.3f}s {cold_key} vs {warm_s:.3f}s {warm_key}, "
+            f"{entry['workload']:>22s}: {entry['speedup']}x compile-stage speedup "
+            f"({seconds['cold']:.3f}s cold vs {seconds['warm']:.3f}s warm, "
             f"bit_identical={entry['bit_identical']})"
         )
         return
@@ -434,16 +250,6 @@ def _print_entry(entry: Dict) -> None:
             f"dist/traj = {entry['dist_vs_trajectory']}x, "
             f"dist/vec = {entry['dist_vs_vectorized']}x "
             f"({seconds['distributed']:.3f}s dist vs {seconds['trajectory']:.3f}s traj, "
-            f"bit_identical={entry['bit_identical']})"
-        )
-        return
-    if entry["workload"] == "compile_modes":
-        seconds = entry["compile_seconds"]
-        print(
-            f"{entry['workload']:>22s} {entry['points']} points, "
-            f"{entry['workers']} workers: process/thread = "
-            f"{entry['process_vs_thread']}x ({seconds['thread']:.3f}s thread vs "
-            f"{seconds['process']:.3f}s process, "
             f"bit_identical={entry['bit_identical']})"
         )
         return
@@ -467,8 +273,8 @@ def check_regression(results: List[Dict], baseline: Dict[str, float]) -> bool:
     Only workloads present in both files are compared (the quick sweep is a
     subset of the full one), and each must retain at least
     ``1 - REGRESSION_TOLERANCE`` of its baseline speedup. Entries without a
-    ``speedup`` field (machine-dependent ratios like thread-vs-process) are
-    informational and skipped.
+    ``speedup`` field (machine-dependent ratios like distributed-vs-local)
+    are informational and skipped.
     """
     healthy = True
     compared = 0
@@ -539,13 +345,7 @@ def main(argv=None) -> int:
         entry = bench_layered(num_qubits, shots)
         results.append(entry)
         _print_entry(entry)
-    for bench in (
-        bench_compile_cache,
-        bench_disk_cache,
-        bench_compile_modes,
-        bench_distributed,
-        bench_cli_warm_start,
-    ):
+    for bench in (bench_compile_cache, bench_distributed):
         entry = bench()
         results.append(entry)
         _print_entry(entry)

@@ -88,7 +88,6 @@ from .runtime import (
     PassContext,
     Pipeline,
     PlanCache,
-    PlanStore,
     StaggeredDD,
     Sweep,
     SweepResult,
@@ -154,7 +153,6 @@ __all__ = [
     "PassContext",
     "Pipeline",
     "PlanCache",
-    "PlanStore",
     "Sweep",
     "SweepResult",
     "Task",

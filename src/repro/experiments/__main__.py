@@ -26,14 +26,8 @@ HOST:PORT``), and ``--dist-connect HOST:PORT`` dials out to workers
 started with ``worker --listen``. Results are bit-for-bit identical to
 ``trajectory`` for every worker count, shard size, and transport.
 
-Compile-stage knobs (none of them changes a value, only wall time):
-``--plan-cache off|memory|disk`` selects the plan-cache mode — ``disk``
-persists compiled schedules under ``~/.cache/repro-plans`` (or a directory
-given directly: ``--plan-cache /path/to/cache``) so a second invocation of
-the same figure warm-starts its compile stage; ``--compile-mode process``
-fans compilation out over a process pool instead of threads;
-``--compile-workers N`` sets the compile-stage parallelism (default: the
-simulation ``--workers``).
+The compile stage has no flags of its own: it fans out over the same
+``--workers`` threads and caches deterministic pipelines in memory.
 """
 
 from __future__ import annotations
@@ -174,7 +168,8 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="simulation threads per batched run (deterministic for any N)",
+        help="compile and simulation threads per batched run "
+        "(deterministic for any N)",
     )
     parser.add_argument(
         "--backend",
@@ -198,28 +193,6 @@ def main(argv=None) -> int:
         default=None,
         metavar="PATH",
         help="write the full results (per-point Sweep serialization) as JSON",
-    )
-    parser.add_argument(
-        "--plan-cache",
-        default=None,
-        metavar="MODE",
-        help="plan-cache mode: off, memory (default), or disk (persist "
-        "compiled schedules so a repeated figure warm-starts); any other "
-        "value is taken as a disk-cache directory",
-    )
-    parser.add_argument(
-        "--compile-mode",
-        default=None,
-        choices=("thread", "process"),
-        help="compile-stage fan-out: thread (default) or process "
-        "(sidesteps the GIL; results are identical either way)",
-    )
-    parser.add_argument(
-        "--compile-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="compile-stage parallelism (default: the simulation --workers)",
     )
     parser.add_argument(
         "--dist-workers",
@@ -260,31 +233,18 @@ def main(argv=None) -> int:
         parser.error("--workers must be >= 1")
     if args.chunk_shots is not None and args.chunk_shots < 0:
         parser.error("--chunk-shots must be >= 1 (or 0 for auto)")
-    if args.compile_workers is not None and args.compile_workers < 1:
-        parser.error("--compile-workers must be >= 1")
     if args.dist_workers is not None and args.dist_workers < 1:
         parser.error("--dist-workers must be >= 1")
     if args.dist_shard_size is not None and args.dist_shard_size < 1:
         parser.error("--dist-shard-size must be >= 1")
-    plan_cache_mode = plan_cache_dir = None
-    if args.plan_cache is not None:
-        if args.plan_cache in ("off", "memory", "disk"):
-            plan_cache_mode = args.plan_cache
-        else:
-            # A path selects disk mode rooted there — the one-flag spelling
-            # for "cache this run's plans in that directory".
-            plan_cache_mode, plan_cache_dir = "disk", args.plan_cache
     if (
         args.workers is not None
         or args.backend is not None
         or args.chunk_shots is not None
-        or args.compile_mode is not None
-        or args.compile_workers is not None
         or args.dist_workers is not None
         or args.dist_shard_size is not None
         or args.dist_serve is not None
         or args.dist_connect is not None
-        or plan_cache_mode is not None
     ):
         from ..runtime import configure
 
@@ -292,10 +252,6 @@ def main(argv=None) -> int:
             configure(workers=args.workers, backend=args.backend)
             if args.chunk_shots is not None:
                 configure(chunk_shots=args.chunk_shots or None)
-            if args.compile_mode is not None:
-                configure(compile_mode=args.compile_mode)
-            if args.compile_workers is not None:
-                configure(compile_workers=args.compile_workers)
             if args.dist_workers is not None:
                 configure(dist_workers=args.dist_workers)
             if args.dist_shard_size is not None:
@@ -304,13 +260,6 @@ def main(argv=None) -> int:
                 configure(dist_serve=args.dist_serve)
             if args.dist_connect is not None:
                 configure(dist_connect=tuple(args.dist_connect))
-            if plan_cache_mode is not None:
-                if plan_cache_dir is not None:
-                    configure(
-                        plan_cache=plan_cache_mode, plan_cache_dir=plan_cache_dir
-                    )
-                else:
-                    configure(plan_cache=plan_cache_mode)
         except ValueError as exc:
             parser.error(str(exc))
 

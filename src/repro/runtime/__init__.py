@@ -20,8 +20,8 @@ The pieces fit together like this::
 Under the hood ``run()`` is a plan/execute split: a shared
 :func:`~repro.runtime.plan.compile_tasks` stage produces frozen
 :class:`~repro.runtime.plan.ExecutionPlan` artifacts (parallel across
-tasks, content-cached for deterministic pipelines), and every backend
-consumes the same plans. Grid-shaped experiments declare a
+tasks, content-cached in memory for deterministic pipelines), and every
+backend consumes the same plans. Grid-shaped experiments declare a
 :class:`~repro.runtime.sweep.Sweep` instead of hand-rolling task lists.
 
 See :mod:`repro.runtime.task` for the seed semantics that make the batched
@@ -45,19 +45,14 @@ from .distributed import (
 from .passes import CADD, CAEC, AlignedDD, Orient, Pass, PassContext, StaggeredDD, Twirl
 from .pipeline import IDENTITY, Pipeline, as_pipeline, pipeline_for
 from .plan import (
-    COMPILE_MODES,
     PLAN_CACHE,
-    PLAN_CACHE_MODES,
     ExecutionPlan,
     PlanCache,
     PlanShard,
     PlanUnit,
     circuit_fingerprint,
     compile_tasks,
-    configure_plan_cache,
-    default_plan_cache,
     device_fingerprint,
-    plan_cache_mode,
     plan_options,
     shard_plans,
 )
@@ -73,9 +68,9 @@ from .run import (
     default_dist_shard_size,
     default_dist_workers,
     default_workers,
+    plan_cache_mode,
     run,
 )
-from .store import PlanStore
 from .sweep import Sweep, SweepResult
 from .task import BatchResult, Task, TaskResult
 
@@ -102,20 +97,14 @@ __all__ = [
     "Pipeline",
     "as_pipeline",
     "pipeline_for",
-    "COMPILE_MODES",
     "PLAN_CACHE",
-    "PLAN_CACHE_MODES",
     "ExecutionPlan",
     "PlanCache",
     "PlanShard",
-    "PlanStore",
     "PlanUnit",
     "circuit_fingerprint",
     "compile_tasks",
-    "configure_plan_cache",
-    "default_plan_cache",
     "device_fingerprint",
-    "plan_cache_mode",
     "plan_options",
     "shard_plans",
     "configure",
@@ -129,6 +118,7 @@ __all__ = [
     "default_dist_shard_size",
     "default_dist_workers",
     "default_workers",
+    "plan_cache_mode",
     "run",
     "Sweep",
     "SweepResult",

@@ -37,7 +37,6 @@ cached static coherent accumulation.
 
 from __future__ import annotations
 
-import inspect
 import math
 import time
 from abc import ABC, abstractmethod
@@ -52,7 +51,7 @@ from ..sim.density import DensityExecutor
 from ..sim.executor import Executor, SimOptions, SimResult
 from ..sim.vectorized import VectorizedExecutor
 from ..utils.rng import SeedLike
-from .plan import USE_DEFAULT_CACHE, ExecutionPlan, PlanCache, PlanUnit, compile_tasks, plan_options
+from .plan import PLAN_CACHE, ExecutionPlan, PlanCache, PlanUnit, compile_tasks, plan_options
 from .task import Task, TaskResult
 
 
@@ -85,36 +84,27 @@ class Backend(ABC):
         device: Optional[Device] = None,
         options: Optional[SimOptions] = None,
         workers: int = 1,
-        compile_workers: Optional[int] = None,
-        cache: Optional[PlanCache] = USE_DEFAULT_CACHE,
-        compile_mode: Optional[str] = None,
+        cache: Optional[PlanCache] = PLAN_CACHE,
     ) -> List[TaskResult]:
         """Compile every task, then execute the plans; results keep order.
 
         Args:
             tasks: the tasks to compile and execute.
             device: default device for tasks without their own.
-            workers: simulation thread-pool bound.
-            compile_workers: compilation fan-out (default: ``workers``).
-            cache: plan cache override; defaults to the configured
-                process-wide cache (pass ``None`` to bypass caching).
-            compile_mode: ``"thread"``/``"process"`` compile fan-out;
-                ``None`` uses the configured default.
+            workers: compile and simulation thread-pool bound.
+            cache: plan cache override; defaults to the process-wide
+                :data:`~repro.runtime.plan.PLAN_CACHE` (pass ``None`` to
+                bypass caching).
 
         Returns:
             One :class:`~repro.runtime.task.TaskResult` per task, in
             order. Tasks compile on their own RNG streams and simulate
-            from derived seeds, so results are invariant under both worker
-            counts and the compile mode.
+            from derived seeds, so results are invariant under the worker
+            count.
         """
         options = options or SimOptions()
         plans = compile_tasks(
-            tasks,
-            device=device,
-            options=options,
-            workers=compile_workers if compile_workers is not None else workers,
-            cache=cache,
-            mode=compile_mode,
+            tasks, device=device, options=options, workers=workers, cache=cache
         )
         return self.execute_plans(plans, options=options, workers=workers)
 
@@ -160,11 +150,7 @@ class Backend(ABC):
 
         # One job: backends that can shard *within* a simulation (the
         # vectorized engine's chunked shot axis) get the whole budget.
-        # Backends written against the pre-1.2 _execute signature (no
-        # ``workers``) keep working: the keyword is only passed when the
-        # implementation accepts it.
         unit_workers = workers if len(jobs) == 1 else 1
-        takes_workers = "workers" in inspect.signature(self._execute).parameters
 
         def job(entry: Tuple[int, PlanUnit]) -> Tuple[SimResult, float]:
             index, unit = entry
@@ -173,14 +159,10 @@ class Backend(ABC):
             if engine is None:
                 engine = self._make_engine(unit.scheduled, unit.device, options)
             plan = plans[index]
-            shots = plan.task.shots
-            if takes_workers:
-                result = self._execute(
-                    engine, plan.kind, plan.payload, shots, unit.seed,
-                    workers=unit_workers,
-                )
-            else:
-                result = self._execute(engine, plan.kind, plan.payload, shots, unit.seed)
+            result = self._execute(
+                engine, plan.kind, plan.payload, plan.task.shots, unit.seed,
+                workers=unit_workers,
+            )
             return result, time.perf_counter() - start
 
         if workers > 1 and len(jobs) > 1:

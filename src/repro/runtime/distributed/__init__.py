@@ -190,6 +190,10 @@ class LocalShardExecutor:
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct(">Q")
+#: Largest frame a peer may announce. Real frames (a shard of scheduled
+#: circuits, or its results) stay far below this; a larger header is treated
+#: as a torn frame instead of buffering until the peer hangs up.
+MAX_FRAME_BYTES = 1 << 30
 
 
 def _send_msg(sock: socket.socket, message: Dict) -> None:
@@ -209,11 +213,14 @@ def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
 
 
 def _recv_msg(sock: socket.socket) -> Optional[Dict]:
-    """One framed message, or ``None`` on EOF / a torn frame."""
+    """One framed message, or ``None`` on EOF / a torn or oversized frame."""
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
-    payload = _recv_exact(sock, _HEADER.unpack(header)[0])
+    (length,) = _HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        return None
+    payload = _recv_exact(sock, length)
     if payload is None:
         return None
     return pickle.loads(payload)

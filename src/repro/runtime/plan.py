@@ -8,33 +8,21 @@ stage out into a shared, backend-agnostic artifact:
   objects into :class:`ExecutionPlan` artifacts — the scheduled circuit of
   every realization, the normalized measurement payload, and the derived
   per-realization seeds. Every backend (``trajectory``, ``vectorized``,
-  ``density``) consumes the same plans.
+  ``density``, ``distributed``) consumes the same plans.
 * Because each task owns its RNG stream (seeded from ``task.seed``),
   compilation is embarrassingly parallel **across** tasks: ``workers > 1``
   fans tasks out over a thread pool while each task's in-order realization
   loop stays sequential, so plans are bit-for-bit identical for any worker
   count.
-* :class:`PlanCache` is a content-addressed cache keyed on (circuit
-  fingerprint, pipeline fingerprint, device fingerprint). Deterministic
-  pipelines compile and schedule once per distinct content key — across
-  tasks and across ``run()`` calls, not just within one task — and because
-  cache hits return the *same* scheduled-circuit object, backends also share
-  one engine (and, for the trajectory engines, the cached static coherent
-  accumulation) for every realization that hits the same key. Simulation
-  options never enter the key: they do not affect compilation or
-  scheduling; they are applied at engine-construction time.
-* The cache optionally persists through a disk-backed
-  :class:`~repro.runtime.store.PlanStore`, so the warm start survives
-  process boundaries: a second CLI invocation of the same figure loads its
-  schedules instead of recompiling them. Select with
-  ``configure(plan_cache="off" | "memory" | "disk")`` (or
-  :func:`configure_plan_cache` directly); ``plan_cache_dir`` overrides the
-  default ``~/.cache/repro-plans`` location.
-* ``compile_tasks(..., mode="process")`` fans the compile stage out over a
-  ``ProcessPoolExecutor`` instead of threads — plans are frozen and
-  picklable by design, so pure-Python pass pipelines scale with cores
-  instead of fighting the GIL. Results stay bit-for-bit identical for
-  every (mode × workers) combination.
+* :class:`PlanCache` is an in-memory, content-addressed cache keyed on
+  (circuit fingerprint, pipeline fingerprint, device fingerprint).
+  Deterministic pipelines compile and schedule once per distinct content
+  key — across tasks and across ``run()`` calls, not just within one task —
+  and because cache hits return the *same* scheduled-circuit object,
+  backends also share one engine (and, for the trajectory engines, the
+  cached static coherent accumulation) for every realization that hits the
+  same key. Simulation options never enter the key: they do not affect
+  compilation or scheduling; they are applied at engine-construction time.
 
 Caching never changes results: only pipelines whose passes consume no
 randomness are cacheable, and the per-realization sub-seeds are always
@@ -44,17 +32,13 @@ but wall time.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.schedule import ScheduledCircuit, schedule
 from ..device.calibration import Device
@@ -62,7 +46,6 @@ from ..pauli.pauli import Pauli
 from ..sim.executor import SimOptions
 from ..utils.rng import SeedLike, as_generator
 from .pipeline import as_pipeline
-from .store import DEFAULT_MAX_BYTES, PlanStore
 from .task import CircuitLike, Task
 
 
@@ -147,17 +130,13 @@ class PlanUnit:
 
     Units of a deterministic-pipeline task share one ``scheduled`` object
     (possibly shared further across tasks via the plan cache); backends key
-    engine reuse on that identity. ``cache_key`` records the plan-cache
-    content key the unit's artifact lives under (``None`` when uncached) —
-    process-parallel compilation uses it to re-intern units produced in
-    worker processes so engine sharing survives the pickle round-trip.
+    engine reuse on that identity.
     """
 
     circuit: CircuitLike
     scheduled: ScheduledCircuit
     device: Device
     seed: SeedLike
-    cache_key: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -323,7 +302,7 @@ def _as_scheduled(circuit: CircuitLike, device: Device) -> ScheduledCircuit:
 
 
 class PlanCache:
-    """Content-addressed LRU cache of compiled + scheduled circuits.
+    """In-memory, content-addressed LRU cache of compiled + scheduled circuits.
 
     Keys are ``(circuit fingerprint, pipeline fingerprint, device
     fingerprint)`` strings; values are the ``(compiled, scheduled)`` pair a
@@ -332,12 +311,7 @@ class PlanCache:
     stored value wins so every caller shares one scheduled object.
 
     Args:
-        maxsize: in-memory entry bound (LRU eviction beyond it).
-        store: optional :class:`~repro.runtime.store.PlanStore` persisting
-            entries across processes. A memory miss falls through to the
-            store before compiling; compiled entries are written back. The
-            store only ever changes wall time: corrupt or stale files are
-            treated as misses and recompiled.
+        maxsize: entry bound (LRU eviction beyond it).
 
     Example:
         >>> cache = PlanCache(maxsize=64)
@@ -350,234 +324,60 @@ class PlanCache:
         {'hits': 1, 'misses': 1, 'entries': 1}
     """
 
-    def __init__(self, maxsize: int = 256, store: Optional[PlanStore] = None):
+    def __init__(self, maxsize: int = 256):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
-        self._store = store
         self._entries: "OrderedDict[str, Tuple[CircuitLike, ScheduledCircuit]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
-        # Keys known to live in (or have been offered to) the current
-        # store, so memory hits don't re-probe the disk on every lookup.
-        self._persisted: set = set()
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
-
-    @property
-    def store(self) -> Optional[PlanStore]:
-        """The disk layer (``None`` when memory-only).
-
-        Assigning a new store resets the persisted-key bookkeeping so
-        memory-cache hits write through to the *new* store: a long-lived
-        process that enables disk mode mid-flight (``configure(
-        plan_cache="disk")``) persists its already-hot plans on their next
-        hit, not only newly compiled ones.
-        """
-        return self._store
-
-    @store.setter
-    def store(self, store: Optional[PlanStore]) -> None:
-        with self._lock:
-            self._store = store
-            self._persisted = set()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Empty the in-memory layer and reset counters.
-
-        The disk layer (if any) is left untouched — clear it explicitly
-        with ``cache.store.clear()``; a persistent store outliving process
-        state is its entire point.
-        """
+        """Drop every entry and reset the counters."""
         with self._lock:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
-            self.disk_hits = 0
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/size counters; disk-layer counters when a store is set."""
-        base = {"hits": self.hits, "misses": self.misses, "entries": len(self)}
-        if self.store is not None:
-            base["disk_hits"] = self.disk_hits
-            base["store"] = self.store.stats
-        return base
-
-    def _insert(self, key: str, built: Tuple[CircuitLike, ScheduledCircuit]):
-        """Store ``built`` under ``key`` unless a racer beat us (it wins)."""
-        entry = self._entries.setdefault(key, built)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return entry
-
-    def intern(
-        self, key: str, entry: Tuple[CircuitLike, ScheduledCircuit]
-    ) -> Tuple[CircuitLike, ScheduledCircuit]:
-        """Adopt an externally compiled entry; returns the canonical one.
-
-        Used by process-parallel compilation: artifacts built in worker
-        processes come back as pickled copies, and re-interning them makes
-        every unit with the same content key share one object again (and
-        therefore one engine at execution time). Does not touch hit/miss
-        counters or the disk layer.
-        """
-        with self._lock:
-            return self._insert(key, entry)
-
-    def _write_through(
-        self, key: str, entry: Tuple[CircuitLike, ScheduledCircuit]
-    ) -> None:
-        """Persist a memory hit to a store that missed its compilation.
-
-        This closes the warm-start gap for long-lived processes: plans
-        compiled while the cache was memory-only reach a store attached
-        *later* (``configure(plan_cache="disk")``) on their next hit, so
-        the disk ends up as warm as memory. Best-effort like every store
-        write; each (key, store) pair is offered at most once.
-        """
-        with self._lock:
-            store = self._store
-            if store is None or key in self._persisted:
-                return
-            self._persisted.add(key)  # claim before the I/O so racers skip
-        if not store.contains(key):
-            store.put(key, entry)
+        """Hit/miss/size counters."""
+        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
 
     def get_or_compile(
         self, key: str, build: Callable[[], Tuple[CircuitLike, ScheduledCircuit]]
     ) -> Tuple[Tuple[CircuitLike, ScheduledCircuit], bool]:
         """Return ``((compiled, scheduled), hit)`` for ``key``.
 
-        Lookup order: memory, then the disk store (a disk hit populates
-        memory so later lookups share the same object), then ``build()``.
-        Freshly built entries are persisted when a store is attached, and
-        memory hits write through to a store attached after they were
-        compiled.
+        A miss calls ``build()`` outside the lock; if a racer stored the
+        same key meanwhile, its entry wins so every caller shares one
+        scheduled object.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-        if entry is not None:
-            self._write_through(key, entry)
-            return entry, True
-        store = self.store
-        if store is not None:
-            loaded = store.get(key)
-            if loaded is not None:
-                with self._lock:
-                    entry = self._insert(key, loaded)
-                    self.hits += 1
-                    self.disk_hits += 1
-                    self._persisted.add(key)
                 return entry, True
-        with self._lock:
             self.misses += 1
         built = build()
-        if store is not None:
-            store.put(key, built)
-            with self._lock:
-                self._persisted.add(key)
         with self._lock:
-            entry = self._insert(key, built)
+            entry = self._entries.setdefault(key, built)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
         return entry, False
 
 
 #: Process-wide default cache used by :func:`compile_tasks` (and therefore
-#: by ``run()``). Cleared with ``PLAN_CACHE.clear()``; its disk layer is
-#: controlled by :func:`configure_plan_cache` /
-#: ``repro.runtime.configure(plan_cache=...)``.
+#: by ``run()``). Cleared with ``PLAN_CACHE.clear()``.
 PLAN_CACHE = PlanCache()
-
-
-# ---------------------------------------------------------------------------
-# Cache-mode configuration (off / memory / disk)
-# ---------------------------------------------------------------------------
-
-_UNSET = object()
-
-#: ``compile_tasks``/``Backend.run`` default sentinel: "use the configured
-#: process-wide cache" (which ``plan_cache="off"`` resolves to ``None``).
-USE_DEFAULT_CACHE = _USE_DEFAULT = object()
-
-PLAN_CACHE_MODES = ("off", "memory", "disk")
-
-_CACHE_CONFIG: Dict[str, Any] = {
-    "mode": "memory",
-    "dir": None,  # None -> repro.utils.paths.default_plan_cache_dir()
-    "max_bytes": DEFAULT_MAX_BYTES,
-}
-
-
-def configure_plan_cache(
-    mode: Optional[str] = None,
-    directory: Union[str, Path, None] = _UNSET,
-    max_bytes: Optional[int] = _UNSET,
-) -> None:
-    """Configure the process-wide plan cache (mode, location, size bound).
-
-    Args:
-        mode: ``"off"`` disables plan caching entirely, ``"memory"`` (the
-            initial default) caches within this process only, ``"disk"``
-            additionally persists entries through a
-            :class:`~repro.runtime.store.PlanStore` so later processes
-            warm-start. ``None`` leaves the mode unchanged.
-        directory: root of the disk store; ``None`` restores the default
-            (``$REPRO_PLAN_CACHE_DIR``, ``$XDG_CACHE_HOME/repro-plans``, or
-            ``~/.cache/repro-plans``). Takes effect when mode is (or
-            becomes) ``"disk"``.
-        max_bytes: disk-store size bound; least-recently-used entries are
-            evicted beyond it. ``None`` restores the default bound,
-            mirroring ``directory=None``.
-
-    Example:
-        >>> configure_plan_cache("disk", directory="/tmp/my-plans")
-        >>> plan_cache_mode()
-        'disk'
-        >>> configure_plan_cache("memory")
-    """
-    if mode is not None and mode not in PLAN_CACHE_MODES:
-        raise ValueError(
-            f"plan cache mode must be one of {PLAN_CACHE_MODES}, got {mode!r}"
-        )
-    if max_bytes is not _UNSET and max_bytes is not None and max_bytes < 1:
-        raise ValueError("max_bytes must be >= 1")
-    if directory is not _UNSET:
-        _CACHE_CONFIG["dir"] = None if directory is None else str(directory)
-    if max_bytes is not _UNSET:
-        _CACHE_CONFIG["max_bytes"] = (
-            DEFAULT_MAX_BYTES if max_bytes is None else int(max_bytes)
-        )
-    if mode is not None:
-        _CACHE_CONFIG["mode"] = mode
-    if _CACHE_CONFIG["mode"] == "disk":
-        PLAN_CACHE.store = PlanStore(
-            _CACHE_CONFIG["dir"], max_bytes=_CACHE_CONFIG["max_bytes"]
-        )
-    else:
-        PLAN_CACHE.store = None
-
-
-def plan_cache_mode() -> str:
-    """The configured plan-cache mode: ``"off"``, ``"memory"``, or ``"disk"``."""
-    return _CACHE_CONFIG["mode"]
-
-
-def default_plan_cache() -> Optional[PlanCache]:
-    """The cache ``compile_tasks`` uses by default (``None`` when off)."""
-    return None if _CACHE_CONFIG["mode"] == "off" else PLAN_CACHE
-
-
-def _resolve_cache(cache) -> Optional[PlanCache]:
-    return default_plan_cache() if cache is _USE_DEFAULT else cache
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +450,6 @@ def _compile_one(
 
         dev_fp = device_fp(task_device) if cache is not None else None
         pipe_fp = pipeline.fingerprint if cache is not None else None
-        key = None
         if cache is not None and pipe_fp is not None and dev_fp is not None:
             key = f"{circuit_fingerprint(task.circuit)}:{pipe_fp}:{dev_fp}"
             (compiled, scheduled), hit = cache.get_or_compile(key, build)
@@ -662,9 +461,7 @@ def _compile_one(
             compiled, scheduled = build()
         for _ in range(task.realizations):
             sub_seed = int(rng.integers(0, 2**63 - 1))
-            units.append(
-                PlanUnit(compiled, scheduled, task_device, sub_seed, cache_key=key)
-            )
+            units.append(PlanUnit(compiled, scheduled, task_device, sub_seed))
         return finish(units, collapsible=True)
 
     for _ in range(task.realizations):
@@ -678,111 +475,19 @@ def _compile_one(
     return finish(units)
 
 
-COMPILE_MODES = ("thread", "process")
-
-# -- process-pool worker state ----------------------------------------------
-#
-# Each worker process owns a private PlanCache (re-created by the pool
-# initializer from a picklable spec). A memory-only worker cache dedupes
-# within that worker; a disk-backed one shares the persistent store with
-# the parent and every sibling, which is what makes warm disk starts work
-# in process mode too.
-
-_WORKER_CACHE: Optional[PlanCache] = None
-
-
-def _cache_spec(cache: Optional[PlanCache]):
-    """A picklable description of ``cache`` for worker processes."""
-    if cache is None:
-        return None
-    if cache.store is not None:
-        return ("disk", str(cache.store.root), cache.store.max_bytes)
-    return ("memory", None, None)
-
-
-def _worker_init(spec) -> None:
-    global _WORKER_CACHE
-    if spec is None:
-        _WORKER_CACHE = None
-    elif spec[0] == "disk":
-        _WORKER_CACHE = PlanCache(store=PlanStore(spec[1], max_bytes=spec[2]))
-    else:
-        _WORKER_CACHE = PlanCache()
-
-
-def _worker_compile(payload) -> ExecutionPlan:
-    task, device, options, index = payload
-    # No cross-task fingerprint memo here: jobs arrive one task at a time,
-    # and an id()-keyed memo could alias a recycled address to a stale hash.
-    return _compile_one(
-        task, device, options, _WORKER_CACHE, device_fingerprint, index
-    )
-
-
-def _portable(task: Task, options: SimOptions, device: Optional[Device]) -> bool:
-    """Can this task compile in a worker process bit-identically?
-
-    Generator seeds are shared mutable streams — compiling remotely would
-    leave the parent's stream unadvanced and desynchronize later tasks —
-    so they must stay in-parent. Unpicklable payloads (e.g. lambda
-    realization factories) are not pre-checked: serializing every task
-    twice just to probe would cost more than the fallback; their pool
-    submission fails instead and they fall back per-task.
-    """
-    return not (
-        isinstance(task.seed, np.random.Generator)
-        or isinstance(options.seed, np.random.Generator)
-    )
-
-
-def _rehome(
-    plan: ExecutionPlan,
-    task: Task,
-    device: Optional[Device],
-    cache: Optional[PlanCache],
-) -> ExecutionPlan:
-    """Re-attach a worker-compiled plan to the parent's objects.
-
-    The pickle round-trip gave the plan its own copies of the task, the
-    device, and every compiled artifact. Restoring the parent's task/device
-    objects and re-interning cached artifacts through ``cache`` restores
-    the identity-based engine sharing that thread-mode compilation gets for
-    free — values are unaffected either way.
-    """
-    canonical_device = task.device or device
-    interned: Dict[str, Tuple[CircuitLike, ScheduledCircuit]] = {}
-    units = []
-    for unit in plan.units:
-        circuit, scheduled = unit.circuit, unit.scheduled
-        if cache is not None and unit.cache_key is not None:
-            entry = interned.get(unit.cache_key)
-            if entry is None:
-                entry = cache.intern(unit.cache_key, (circuit, scheduled))
-                interned[unit.cache_key] = entry
-            circuit, scheduled = entry
-        units.append(
-            dataclasses.replace(
-                unit, circuit=circuit, scheduled=scheduled, device=canonical_device
-            )
-        )
-    return dataclasses.replace(plan, task=task, units=tuple(units))
-
-
 def compile_tasks(
     tasks: Sequence[Task],
     device: Optional[Device] = None,
     options: Optional[SimOptions] = None,
     workers: int = 1,
-    cache: Optional[PlanCache] = _USE_DEFAULT,
-    mode: Optional[str] = None,
-    processes: Optional[bool] = None,
+    cache: Optional[PlanCache] = PLAN_CACHE,
 ) -> List[ExecutionPlan]:
     """Compile every task into a frozen :class:`ExecutionPlan`.
 
     Tasks compile independently on their own RNG streams, so plans (and
-    therefore results) are bit-for-bit identical for any ``workers`` count
-    and either ``mode``; within a task, realizations always compile
-    sequentially in stream order.
+    therefore results) are bit-for-bit identical for any ``workers``
+    count; within a task, realizations always compile sequentially in
+    stream order.
 
     Args:
         tasks: the :class:`~repro.runtime.task.Task` objects to compile (a
@@ -794,27 +499,17 @@ def compile_tasks(
             ``options.seed`` *now*, at compile time — the plans record
             ``options`` so that executing them (``run(plans)``) defaults to
             the matching configuration.
-        workers: parallelism of the compile stage (tasks fan out; ``1``
+        workers: thread fan-out of the compile stage (tasks fan out; ``1``
             compiles serially).
-        cache: the content-addressed :class:`PlanCache` to use. Defaults to
-            the configured process-wide cache — :data:`PLAN_CACHE`, with
-            its disk layer when ``configure(plan_cache="disk")`` is active,
-            or nothing when ``"off"``. Pass ``cache=None`` to disable
-            caching for this call only.
-        mode: ``"thread"`` (default) fans out over a thread pool;
-            ``"process"`` uses a ``ProcessPoolExecutor`` so pure-Python
-            compilation scales with cores. Tasks that cannot cross the
-            process boundary (unpicklable factories, shared Generator
-            seeds) transparently compile in-parent. ``None`` defers to
-            ``configure(compile_mode=...)``.
-        processes: boolean shorthand for ``mode`` (``True`` →
-            ``"process"``); raises if both are given and disagree.
+        cache: the content-addressed :class:`PlanCache` to use; defaults to
+            the process-wide :data:`PLAN_CACHE`. Pass ``cache=None`` to
+            disable caching for this call only.
 
     Returns:
         One :class:`ExecutionPlan` per task, in task order.
 
     Example:
-        >>> plans = compile_tasks(tasks, device, workers=4, mode="process")
+        >>> plans = compile_tasks(tasks, device, workers=4)  # doctest: +SKIP
         >>> run(plans, backend="vectorized")  # doctest: +SKIP
     """
     if isinstance(tasks, Task):
@@ -822,18 +517,6 @@ def compile_tasks(
     options = options or SimOptions()
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if processes is not None:
-        implied = "process" if processes else "thread"
-        if mode is not None and mode != implied:
-            raise ValueError(f"processes={processes} contradicts mode={mode!r}")
-        mode = implied
-    if mode is None:
-        from .run import default_compile_mode  # local: run.py imports us
-
-        mode = default_compile_mode()
-    if mode not in COMPILE_MODES:
-        raise ValueError(f"mode must be one of {COMPILE_MODES}, got {mode!r}")
-    cache = _resolve_cache(cache)
 
     # Device fingerprints are content hashes of calibration data; memoize
     # per distinct object so a 100-point sweep hashes its device once.
@@ -854,57 +537,7 @@ def compile_tasks(
         index, task = pair
         return _compile_one(task, device, options, cache, device_fp, index)
 
-    if mode == "process" and workers > 1 and len(tasks) > 1:
-        return _compile_with_processes(tasks, device, options, workers, cache, job)
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(job, enumerate(tasks)))
     return [job(pair) for pair in enumerate(tasks)]
-
-
-def _compile_with_processes(
-    tasks: Sequence[Task],
-    device: Optional[Device],
-    options: SimOptions,
-    workers: int,
-    cache: Optional[PlanCache],
-    local_job: Callable[[Tuple[int, Task]], ExecutionPlan],
-) -> List[ExecutionPlan]:
-    """Fan the compile stage out over a process pool; order is preserved.
-
-    Portable tasks ship to the pool; the rest compile in-parent (both sides
-    draw from per-task streams, so the split never changes a bit). A task
-    whose pool job fails — unpicklable payload, broken pool — also falls
-    back to in-parent compilation, where a genuine compile error then
-    reproduces with a clean traceback. Remote plans are re-homed onto the
-    parent's task/device objects and the parent cache so engine sharing
-    works exactly as in thread mode.
-    """
-    remote = [
-        (index, task)
-        for index, task in enumerate(tasks)
-        if _portable(task, options, device)
-    ]
-    if len(remote) < 2:
-        # Nothing (or one task) would parallelize: skip the pool entirely.
-        return [local_job(pair) for pair in enumerate(tasks)]
-    plans: List[Optional[ExecutionPlan]] = [None] * len(tasks)
-    spec = _cache_spec(cache)
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(remote)),
-        initializer=_worker_init,
-        initargs=(spec,),
-    ) as pool:
-        futures = [
-            (index, task, pool.submit(_worker_compile, (task, device, options, index)))
-            for index, task in remote
-        ]
-        for index, task, future in futures:
-            try:
-                plans[index] = _rehome(future.result(), task, device, cache)
-            except Exception:
-                pass  # fall through to the in-parent path below
-    for index, task in enumerate(tasks):
-        if plans[index] is None:
-            plans[index] = local_job((index, task))
-    return plans

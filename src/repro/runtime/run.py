@@ -19,34 +19,25 @@ One call schedules, compiles, and simulates any number of tasks::
 
 ``run()`` is two stages glued together: the shared
 :func:`~repro.runtime.plan.compile_tasks` stage turns tasks into frozen
-:class:`~repro.runtime.plan.ExecutionPlan` artifacts (parallel across tasks
-— threads or processes via ``compile_mode`` — and content-cached for
-deterministic pipelines, optionally persisting to disk so later processes
-warm-start), and the backend executes the plans across ``workers``
-threads. Both stages preserve each task's private RNG stream, so results
-are bit-for-bit identical for every ``compile_workers`` / ``workers`` /
-``compile_mode`` / cache-temperature combination — the knobs only change
-wall time. Pre-built plans can be passed in place of tasks to skip the
-compile stage entirely. :func:`configure` sets process-wide defaults for
-all of these knobs (the CLI flags map onto it one-to-one).
+:class:`~repro.runtime.plan.ExecutionPlan` artifacts (thread-parallel
+across tasks and content-cached in memory for deterministic pipelines),
+and the backend executes the plans. Both stages fan out over the same
+``workers`` threads and preserve each task's private RNG stream, so
+results are bit-for-bit identical for every ``workers`` count and cache
+temperature — they only change wall time. Pre-built plans can be passed
+in place of tasks to skip the compile stage entirely. :func:`configure`
+sets process-wide defaults (the CLI flags map onto it one-to-one).
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from ..device.calibration import Device
 from ..sim.executor import SimOptions
 from .backends import BackendLike, get_backend
-from .plan import (
-    COMPILE_MODES,
-    ExecutionPlan,
-    compile_tasks,
-    configure_plan_cache,
-    plan_options,
-)
+from .plan import ExecutionPlan, compile_tasks, plan_options
 from .task import BatchResult, Task
 
 _AUTO = object()  # configure() sentinel: "leave this default unchanged"
@@ -55,8 +46,6 @@ _DEFAULTS = {
     "workers": 1,
     "backend": "trajectory",
     "chunk_shots": None,
-    "compile_mode": "thread",
-    "compile_workers": None,  # None -> follow the run's ``workers``
     "dist_workers": None,  # None -> follow the run's ``workers``
     "dist_shard_size": None,  # None -> auto-size per worker count
     "dist_serve": None,  # None -> local (process pool) transport
@@ -64,48 +53,51 @@ _DEFAULTS = {
     "dist_inner": "trajectory",
 }
 
+# Removed knobs, pinned to their one value because perfbench snapshots and restores them.
+FIXED_SETTINGS = {"compile_mode": "thread", "compile_workers": None, "plan_cache": "memory"}
+
+
+def default_compile_mode() -> str:
+    """Always ``"thread"``: compilation fans out over the run's threads."""
+    return FIXED_SETTINGS["compile_mode"]
+
+
+def default_compile_workers() -> None:
+    """Always ``None``: compilation uses the run's ``workers``."""
+    return FIXED_SETTINGS["compile_workers"]
+
+
+def plan_cache_mode() -> str:
+    """Always ``"memory"``: :data:`~repro.runtime.plan.PLAN_CACHE` is in-memory."""
+    return FIXED_SETTINGS["plan_cache"]
+
 
 def configure(
     workers: Optional[int] = None,
     backend: Optional[BackendLike] = None,
     chunk_shots=_AUTO,
-    compile_mode: Optional[str] = None,
-    compile_workers=_AUTO,
-    plan_cache: Optional[str] = None,
-    plan_cache_dir: Union[str, Path, None] = _AUTO,
-    plan_cache_bytes: Optional[int] = _AUTO,
     dist_workers=_AUTO,
     dist_shard_size=_AUTO,
     dist_serve: Optional[str] = _AUTO,
     dist_connect: Union[str, Sequence[str], None] = _AUTO,
     dist_inner: Optional[str] = None,
+    compile_mode: Optional[str] = None,
+    compile_workers: Optional[int] = None,
+    plan_cache: Optional[str] = None,
 ) -> None:
     """Set process-wide runtime defaults (used when ``run(...=None)``).
 
     The CLI's flags (``--workers``, ``--backend``, ``--chunk-shots``,
-    ``--compile-mode``, ``--compile-workers``, ``--plan-cache``,
-    ``--dist-workers``, ``--dist-serve``, ``--dist-connect``) call this
-    so every experiment driver inherits the parallelism, engine choice,
-    memory bound, and cache policy without plumbing parameters through.
+    ``--dist-workers``, ``--dist-shard-size``, ``--dist-serve``,
+    ``--dist-connect``) call this so every experiment driver inherits the
+    parallelism, engine choice, and memory bound without plumbing
+    parameters through.
 
     Args:
         workers: default simulation-thread count for ``run()``.
         backend: default backend name or instance (validated immediately).
         chunk_shots: vectorized backend's resident states per chunk;
             ``None`` restores auto-sizing (~32 MiB of amplitudes).
-        compile_mode: ``"thread"`` (default) or ``"process"`` — how
-            ``compile_tasks`` fans out. Process mode sidesteps the GIL for
-            pure-Python pass pipelines; results are identical either way.
-        compile_workers: default compile-stage parallelism; ``None`` makes
-            each run reuse its ``workers`` value.
-        plan_cache: plan-cache mode — ``"off"``, ``"memory"`` (default), or
-            ``"disk"`` (persist compiled schedules so a second process
-            warm-starts). See
-            :func:`repro.runtime.plan.configure_plan_cache`.
-        plan_cache_dir: disk-store root; ``None`` restores the default
-            (``~/.cache/repro-plans``, overridable via
-            ``REPRO_PLAN_CACHE_DIR`` / ``XDG_CACHE_HOME``).
-        plan_cache_bytes: disk-store size bound (LRU eviction beyond it).
         dist_workers: worker-process count for the ``"distributed"``
             backend; ``None`` makes each run reuse its ``workers`` value.
         dist_shard_size: realizations per distributed shard; ``None``
@@ -121,11 +113,13 @@ def configure(
         dist_inner: backend that executes shards inside distributed
             workers (default ``"trajectory"``; ``"vectorized"`` is
             bit-identical).
+        compile_mode, compile_workers, plan_cache: fixed at ``"thread"``,
+            ``None`` and ``"memory"`` (see ``FIXED_SETTINGS``); any
+            other value raises ``ValueError``.
 
     Example:
         >>> configure(backend="vectorized", workers=4)
-        >>> configure(plan_cache="disk", compile_mode="process")
-        >>> configure(plan_cache="memory", compile_mode="thread")  # undo
+        >>> configure(chunk_shots=None)  # back to auto-sizing
     """
     # Validate everything before mutating anything, so a failed configure()
     # never leaves partially-updated defaults behind.
@@ -137,14 +131,17 @@ def configure(
         chunk_shots = int(chunk_shots)
         if chunk_shots < 1:
             raise ValueError("chunk_shots must be >= 1 (or None for auto)")
-    if compile_mode is not None and compile_mode not in COMPILE_MODES:
-        raise ValueError(
-            f"compile_mode must be one of {COMPILE_MODES}, got {compile_mode!r}"
-        )
-    if compile_workers is not _AUTO and compile_workers is not None:
-        compile_workers = int(compile_workers)
-        if compile_workers < 1:
-            raise ValueError("compile_workers must be >= 1 (or None for auto)")
+    for name, value in (
+        ("compile_mode", compile_mode),
+        ("compile_workers", compile_workers),
+        ("plan_cache", plan_cache),
+    ):
+        if value is not None and value != FIXED_SETTINGS[name]:
+            raise ValueError(
+                f"{name}={value!r} was removed: compilation always runs on the "
+                f"run's worker threads through the in-memory plan cache "
+                f"(only {FIXED_SETTINGS[name]!r} is accepted)"
+            )
     if dist_workers is not _AUTO and dist_workers is not None:
         dist_workers = int(dist_workers)
         if dist_workers < 1:
@@ -169,27 +166,12 @@ def configure(
         if dist_inner == "distributed":
             raise ValueError("dist_inner cannot itself be 'distributed'")
         get_backend(dist_inner)
-    if plan_cache is not None or plan_cache_dir is not _AUTO or (
-        plan_cache_bytes is not _AUTO
-    ):
-        # Delegated validation happens first, so a bad cache spec leaves
-        # the other defaults untouched too.
-        cache_kwargs = {}
-        if plan_cache_dir is not _AUTO:
-            cache_kwargs["directory"] = plan_cache_dir
-        if plan_cache_bytes is not _AUTO:
-            cache_kwargs["max_bytes"] = plan_cache_bytes
-        configure_plan_cache(plan_cache, **cache_kwargs)
     if workers is not None:
         _DEFAULTS["workers"] = int(workers)
     if backend is not None:
         _DEFAULTS["backend"] = backend
     if chunk_shots is not _AUTO:
         _DEFAULTS["chunk_shots"] = chunk_shots
-    if compile_mode is not None:
-        _DEFAULTS["compile_mode"] = compile_mode
-    if compile_workers is not _AUTO:
-        _DEFAULTS["compile_workers"] = compile_workers
     if dist_workers is not _AUTO:
         _DEFAULTS["dist_workers"] = dist_workers
     if dist_shard_size is not _AUTO:
@@ -215,16 +197,6 @@ def default_backend() -> BackendLike:
 def default_chunk_shots() -> Optional[int]:
     """The configured vectorized chunk bound (``None`` = auto-size)."""
     return _DEFAULTS["chunk_shots"]
-
-
-def default_compile_mode() -> str:
-    """The configured compile fan-out mode: ``"thread"`` or ``"process"``."""
-    return _DEFAULTS["compile_mode"]
-
-
-def default_compile_workers() -> Optional[int]:
-    """The configured compile-worker count (``None`` = follow ``workers``)."""
-    return _DEFAULTS["compile_workers"]
 
 
 def default_dist_workers() -> Optional[int]:
@@ -261,8 +233,6 @@ def run(
     backend: Optional[BackendLike] = None,
     options: Optional[SimOptions] = None,
     workers: Optional[int] = None,
-    compile_workers: Optional[int] = None,
-    compile_mode: Optional[str] = None,
 ) -> BatchResult:
     """Execute tasks (or pre-built plans) on a backend; results keep order.
 
@@ -282,21 +252,16 @@ def run(
         options: :class:`~repro.sim.SimOptions` noise/sampling
             configuration (``None`` = defaults, or the plans' recorded
             options when executing plans).
-        workers: simulation fan-out (threads). ``None`` uses the
-            configured default.
-        compile_workers: compile-stage fan-out; ``None`` uses the
-            configured default, which itself defaults to ``workers``.
-        compile_mode: ``"thread"`` or ``"process"`` compile fan-out;
-            ``None`` uses the configured default (``"thread"``).
+        workers: compile and simulation fan-out (threads). ``None`` uses
+            the configured default.
 
     Returns:
         A :class:`~repro.runtime.task.BatchResult` with one
         :class:`~repro.runtime.task.TaskResult` per task, in task order,
         plus the compile/execute wall-time split.
 
-    Results are bit-for-bit identical for every (backend × workers ×
-    compile_workers × compile_mode × cache temperature) combination — the
-    knobs only change wall time.
+    Results are bit-for-bit identical for every (backend × workers × cache
+    temperature) combination — the knobs only change wall time.
 
     Example:
         >>> batch = run(
@@ -313,11 +278,6 @@ def run(
     count = default_workers() if workers is None else int(workers)
     if count < 1:
         raise ValueError("workers must be >= 1")
-    if compile_workers is None:
-        compile_workers = default_compile_workers()
-    compile_count = count if compile_workers is None else int(compile_workers)
-    if compile_count < 1:
-        raise ValueError("compile_workers must be >= 1")
 
     start = time.perf_counter()
     if items and all(isinstance(item, ExecutionPlan) for item in items):
@@ -334,13 +294,7 @@ def run(
                 "compile the tasks first and concatenate the plans"
             )
         options = options or SimOptions()
-        plans = compile_tasks(
-            items,
-            device=device,
-            options=options,
-            workers=compile_count,
-            mode=compile_mode,
-        )
+        plans = compile_tasks(items, device=device, options=options, workers=count)
         compile_time = time.perf_counter() - start
     exec_start = time.perf_counter()
     results = engine.execute_plans(plans, options=options, workers=count)

@@ -122,8 +122,6 @@ class Sweep:
         options: Optional[SimOptions] = None,
         backend: Optional[BackendLike] = None,
         workers: Optional[int] = None,
-        compile_workers: Optional[int] = None,
-        compile_mode: Optional[str] = None,
     ) -> "SweepResult":
         """Execute the grid as one batched run and key the results.
 
@@ -135,11 +133,9 @@ class Sweep:
                 realizations across worker processes (and, with
                 ``configure(dist_serve=...)``, across hosts) —
                 bit-identical to ``"trajectory"`` either way.
-            workers: simulation fan-out (the ``"distributed"`` backend
-                reads it as its worker-process count unless
-                ``configure(dist_workers=...)`` overrides); similarly
-                ``compile_workers`` and ``compile_mode`` shape the compile
-                stage (see :func:`repro.runtime.run`). None of them
+            workers: compile and simulation fan-out (the ``"distributed"``
+                backend reads it as its worker-process count unless
+                ``configure(dist_workers=...)`` overrides). It never
                 changes a value.
 
         Returns:
@@ -158,8 +154,6 @@ class Sweep:
             options=options,
             backend=backend,
             workers=workers,
-            compile_workers=compile_workers,
-            compile_mode=compile_mode,
         )
         return SweepResult(
             axes=self.axes, coords=coords, batch=batch, name=self.name

@@ -1,7 +1,6 @@
-"""Shared utilities: RNG handling, linear algebra, units, fitting, paths."""
+"""Shared utilities: RNG handling, linear algebra, units, fitting."""
 
 from .fitting import DecayFit, dominant_frequency, fit_exponential_decay
-from .paths import default_plan_cache_dir
 from .linalg import (
     allclose_up_to_global_phase,
     is_unitary,
@@ -22,7 +21,6 @@ __all__ = [
     "random_unitary",
     "state_fidelity",
     "as_generator",
-    "default_plan_cache_dir",
     "derive_seed",
     "spawn",
     "KHZ",

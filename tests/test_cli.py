@@ -46,58 +46,3 @@ class TestCLI:
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig3", "--quick", "--backend", "warp-drive"])
-
-    def test_plan_cache_flag_with_directory(self, tmp_path, capsys):
-        """A path argument selects disk mode rooted there, and the second
-        invocation finds the first one's plans on disk."""
-        from repro.runtime import PLAN_CACHE, configure, plan_cache_mode
-
-        cache_dir = tmp_path / "plans"
-        try:
-            assert main(["fig9", "--quick", "--plan-cache", str(cache_dir)]) == 0
-            assert plan_cache_mode() == "disk"
-            assert str(PLAN_CACHE.store.root) == str(cache_dir)
-            first = capsys.readouterr().out
-            PLAN_CACHE.clear()  # second invocation: memory cold, disk warm
-            assert main(["fig9", "--quick", "--plan-cache", str(cache_dir)]) == 0
-            second = capsys.readouterr().out
-            assert [l for l in first.splitlines() if "F =" in l] == [
-                l for l in second.splitlines() if "F =" in l
-            ]
-        finally:
-            configure(plan_cache="memory", plan_cache_dir=None)
-            PLAN_CACHE.clear()
-
-    def test_plan_cache_off(self):
-        from repro.runtime import PLAN_CACHE, configure, plan_cache_mode
-
-        try:
-            assert main(["fig9", "--quick", "--plan-cache", "off"]) == 0
-            assert plan_cache_mode() == "off"
-        finally:
-            configure(plan_cache="memory")
-            PLAN_CACHE.clear()
-
-    def test_compile_mode_and_workers_flags(self, capsys):
-        from repro.runtime import (
-            configure,
-            default_compile_mode,
-            default_compile_workers,
-        )
-
-        try:
-            assert main(
-                ["fig9", "--quick", "--compile-mode", "process",
-                 "--compile-workers", "2"]
-            ) == 0
-            assert default_compile_mode() == "process"
-            assert default_compile_workers() == 2
-            assert "peak" in capsys.readouterr().out
-        finally:
-            configure(compile_mode="thread", compile_workers=None)
-
-    def test_bad_compile_flags_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["fig9", "--quick", "--compile-mode", "fiber"])
-        with pytest.raises(SystemExit):
-            main(["fig9", "--quick", "--compile-workers", "0"])

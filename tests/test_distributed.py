@@ -30,7 +30,14 @@ from repro.runtime import (
     get_backend,
     shard_plans,
 )
-from repro.runtime.distributed import WorkUnit, execute_work_unit, parse_address
+from repro.runtime.distributed import (
+    _HEADER,
+    MAX_FRAME_BYTES,
+    WorkUnit,
+    _recv_msg,
+    execute_work_unit,
+    parse_address,
+)
 
 from conftest import OBS, batch_signature, det_pipeline, layered_circuit, mixed_tasks
 
@@ -204,6 +211,19 @@ class TestLocalParity:
         assert [(r.values, r.errors, r.shots) for r in dist] == [
             (r.values, r.errors, r.shots) for r in local
         ]
+
+
+class TestFraming:
+    @pytest.mark.parametrize("length", [MAX_FRAME_BYTES + 1, 2**64 - 1])
+    def test_oversized_header_rejected_before_the_body(self, length):
+        """A peer announcing a huge frame is cut off at the header instead
+        of being buffered until it disconnects."""
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(_HEADER.pack(length) + b"body")
+            assert _recv_msg(right) is None
+            right.settimeout(5.0)
+            assert right.recv(16) == b"body"  # the body was never read
 
 
 class TestSocketParity:

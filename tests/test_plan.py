@@ -2,14 +2,14 @@
 
 The load-bearing guarantees:
 
-* results are bit-identical for every (compile workers x sim workers x
-  backend) combination — parallelism only changes wall time;
+* results are bit-identical for every (workers x backend) combination —
+  parallelism only changes wall time;
 * a warm plan cache changes nothing but wall time;
 * the cache is content-addressed: only deterministic pipelines participate,
   and any change to circuit, recipe parameters, or device changes the key.
 """
 
-import itertools
+import pickle
 
 import pytest
 
@@ -22,6 +22,7 @@ from repro import (
     compile_tasks,
     run,
 )
+from repro import runtime
 from repro.runtime import (
     CADD,
     CAEC,
@@ -31,6 +32,7 @@ from repro.runtime import (
     PlanCache,
     Twirl,
     circuit_fingerprint,
+    configure,
     device_fingerprint,
     get_backend,
     pipeline_for,
@@ -150,28 +152,30 @@ class TestCompileTasks:
         with pytest.raises(ValueError, match="no device"):
             compile_tasks([Task(layered_circuit(), observables=OBS)])
 
+    def test_plan_pickle_roundtrip_executes_identically(self, chain4):
+        """Plans are picklable by design — the property the distributed
+        backend's shards rest on."""
+        opts = SimOptions(shots=4)
+        plans = compile_tasks(mixed_tasks(), chain4, options=opts)
+        clone = pickle.loads(pickle.dumps(plans))
+        assert batch_signature(run(plans)) == batch_signature(run(clone))
+
 
 class TestWorkerInvariance:
-    """Property: any (compile workers x sim workers x backend) combination
-    is bit-identical — the acceptance guarantee of the plan/execute split."""
+    """Property: any (workers x backend) combination is bit-identical — the
+    acceptance guarantee of the plan/execute split."""
 
     @pytest.mark.parametrize("backend", ["trajectory", "vectorized", "density"])
     def test_grid_bit_identical(self, chain4, backend):
         opts = SimOptions(shots=4)
-        reference = run(
-            mixed_tasks(), chain4, options=opts, backend=backend,
-            workers=1, compile_workers=1,
-        )
-        for compile_workers, workers in itertools.product((1, 2, 3), (1, 2, 3)):
-            if (compile_workers, workers) == (1, 1):
-                continue
+        reference = run(mixed_tasks(), chain4, options=opts, backend=backend, workers=1)
+        for workers in (2, 3):
             PLAN_CACHE.clear()
             batch = run(
-                mixed_tasks(), chain4, options=opts, backend=backend,
-                workers=workers, compile_workers=compile_workers,
+                mixed_tasks(), chain4, options=opts, backend=backend, workers=workers
             )
             assert batch_signature(batch) == batch_signature(reference), (
-                f"compile_workers={compile_workers}, workers={workers}"
+                f"workers={workers}"
             )
 
     def test_backend_run_entry_point_invariant(self, chain4):
@@ -179,9 +183,7 @@ class TestWorkerInvariance:
         opts = SimOptions(shots=4)
         engine = get_backend("trajectory")
         serial = engine.run(mixed_tasks(), chain4, options=opts)
-        threaded = engine.run(
-            mixed_tasks(), chain4, options=opts, workers=3, compile_workers=2
-        )
+        threaded = engine.run(mixed_tasks(), chain4, options=opts, workers=3)
         assert batch_signature(serial) == batch_signature(threaded)
 
 
@@ -192,11 +194,8 @@ class TestPlanCache:
         opts = SimOptions(shots=4)
         cold = run(mixed_tasks(), chain4, options=opts)
         assert PLAN_CACHE.misses > 0
-        for compile_workers, workers in ((1, 1), (2, 3)):
-            warm = run(
-                mixed_tasks(), chain4, options=opts,
-                workers=workers, compile_workers=compile_workers,
-            )
+        for workers in (1, 3):
+            warm = run(mixed_tasks(), chain4, options=opts, workers=workers)
             assert batch_signature(warm) == batch_signature(cold)
         assert PLAN_CACHE.hits > 0
 
@@ -251,6 +250,17 @@ class TestPlanCache:
         )
         assert len(PLAN_CACHE) == 0
 
+    def test_explicit_cache_argument_still_wins(self, chain4):
+        cache = PlanCache()
+        compile_tasks(
+            [Task(layered_circuit(), observables=OBS, pipeline=det_pipeline(),
+                  seed=1)],
+            chain4,
+            cache=cache,
+        )
+        assert len(cache) > 0
+        assert len(PLAN_CACHE) == 0
+
     def test_lru_eviction(self, chain4):
         cache = PlanCache(maxsize=2)
         for layers in (1, 2, 3):
@@ -266,6 +276,43 @@ class TestPlanCache:
     def test_rejects_bad_maxsize(self):
         with pytest.raises(ValueError, match="maxsize"):
             PlanCache(maxsize=0)
+
+
+class TestFixedCompileSettings:
+    """The removed compile/cache knobs keep one accepted value each, so a
+    ``configure()`` snapshot of every getter restores cleanly."""
+
+    def snapshot(self):
+        state = {
+            name[len("default_"):]: getattr(runtime, name)()
+            for name in runtime.__all__
+            if name.startswith("default_")
+        }
+        state["plan_cache"] = runtime.plan_cache_mode()
+        return state
+
+    def test_snapshot_restores_unchanged(self):
+        before = self.snapshot()
+        assert before["compile_mode"] == "thread"
+        assert before["compile_workers"] is None
+        assert before["plan_cache"] == "memory"
+        configure(**before)
+        assert self.snapshot() == before
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"compile_mode": "process"},
+            {"compile_workers": 2},
+            {"plan_cache": "disk"},
+            {"plan_cache": "off"},
+        ],
+    )
+    def test_removed_values_rejected(self, kwargs):
+        before = self.snapshot()
+        with pytest.raises(ValueError, match="was removed"):
+            configure(workers=before["workers"] + 1, **kwargs)
+        assert self.snapshot() == before
 
 
 class TestFingerprints:

@@ -244,18 +244,25 @@ class TestRegistryAndPlumbing:
             configure(workers=previous + 3, backend="warp-drive")
         assert default_workers() == previous
 
-    def test_pre_1_2_execute_signature_still_supported(self, chain4):
-        """Subclasses written before ``_execute`` grew ``workers`` work."""
+    def test_execute_always_receives_workers(self, chain4):
+        """Backend.execute_plans passes ``workers=`` to every ``_execute``
+        call: the whole budget for a single job, 1 per job otherwise."""
         from repro.runtime import TrajectoryBackend
 
-        class LegacyBackend(TrajectoryBackend):
-            name = "legacy"
+        seen = []
 
-            def _execute(self, engine, kind, payload, shots, seed):
-                return super()._execute(engine, kind, payload, shots, seed)
+        class RecordingBackend(TrajectoryBackend):
+            name = "recording"
 
-        task = Task(layered_circuit(), observables=OBS, seed=1)
+            def _execute(self, engine, kind, payload, shots, seed, workers=1):
+                seen.append(workers)
+                return super()._execute(engine, kind, payload, shots, seed, workers)
+
         options = SimOptions(shots=4)
-        legacy = run(task, chain4, options=options, backend=LegacyBackend())[0]
-        modern = run(task, chain4, options=options, backend="trajectory")[0]
-        assert legacy.values == modern.values
+        one = Task(layered_circuit(), observables=OBS, seed=1)
+        run(one, chain4, options=options, backend=RecordingBackend(), workers=3)
+        assert seen == [3]
+        seen.clear()
+        many = [Task(layered_circuit(), observables=OBS, seed=s) for s in (1, 2)]
+        run(many, chain4, options=options, backend=RecordingBackend(), workers=3)
+        assert seen == [1, 1]
