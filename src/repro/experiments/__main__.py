@@ -175,10 +175,10 @@ def main(argv=None) -> int:
         "--backend",
         default=None,
         metavar="NAME",
-        help="simulation backend: trajectory (default), vectorized "
-        "(batched, bit-identical, faster), density (exact), or "
-        "distributed (shards realizations across processes/hosts, "
-        "bit-identical to trajectory)",
+        help="simulation backend: vectorized (default; batched), "
+        "trajectory (scalar reference, bit-identical), density (exact), "
+        "or distributed (shards realizations across processes/hosts, "
+        "bit-identical to its inner engine)",
     )
     parser.add_argument(
         "--chunk-shots",

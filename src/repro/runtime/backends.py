@@ -1,12 +1,13 @@
 """Pluggable execution backends and the backend registry.
 
 A :class:`Backend` turns a list of :class:`~repro.runtime.task.Task`
-objects into :class:`~repro.runtime.task.TaskResult` objects. Two
+objects into :class:`~repro.runtime.task.TaskResult` objects. Four
 implementations ship with the library:
 
 * ``"trajectory"`` — the Monte-Carlo trajectory executor
-  (:class:`repro.sim.Executor`); statistical errors shrink with ``shots``.
-* ``"vectorized"`` — the batched trajectory engine
+  (:class:`repro.sim.Executor`), the readable reference engine;
+  statistical errors shrink with ``shots``.
+* ``"vectorized"`` — the default: the batched trajectory engine
   (:class:`repro.sim.VectorizedExecutor`): all shots evolve together along
   the leading axis of one ``(shots, 2**n)`` array, sharded into
   bounded-memory chunks across ``workers``; bit-for-bit equal to
@@ -17,7 +18,7 @@ implementations ship with the library:
 * ``"distributed"`` — shards compiled plans across worker processes (and,
   over the socket transport, other hosts) and merges the partial results
   (:class:`repro.runtime.distributed.DistributedBackend`); bit-for-bit
-  identical to its inner backend (``"trajectory"`` by default) for every
+  identical to its inner backend (``"vectorized"`` by default) for every
   shard size, worker count, and transport.
 
 Select one by name (``backend="trajectory"``) or register your own

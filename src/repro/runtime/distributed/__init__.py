@@ -516,7 +516,7 @@ class DistributedBackend(Backend):
 
     Args:
         inner: backend that executes the shards inside each worker
-            (default ``"trajectory"``; ``"vectorized"`` works identically).
+            (default ``"vectorized"``; ``"trajectory"`` works identically).
         dist_workers: worker processes. ``None`` defers to
             ``configure(dist_workers=...)``, then to the ``workers``
             argument of the run.

@@ -44,13 +44,13 @@ _AUTO = object()  # configure() sentinel: "leave this default unchanged"
 
 _DEFAULTS = {
     "workers": 1,
-    "backend": "trajectory",
+    "backend": "vectorized",
     "chunk_shots": None,
     "dist_workers": None,  # None -> follow the run's ``workers``
     "dist_shard_size": None,  # None -> auto-size per worker count
     "dist_serve": None,  # None -> local (process pool) transport
     "dist_connect": (),  # () -> don't dial out to listening workers
-    "dist_inner": "trajectory",
+    "dist_inner": "vectorized",
 }
 
 # Removed knobs, pinned to their one value because perfbench snapshots and restores them.
@@ -111,7 +111,7 @@ def configure(
             --listen``) the coordinator should dial out to; ``None`` or
             ``()`` restores not dialing.
         dist_inner: backend that executes shards inside distributed
-            workers (default ``"trajectory"``; ``"vectorized"`` is
+            workers (default ``"vectorized"``; ``"trajectory"`` is
             bit-identical).
         compile_mode, compile_workers, plan_cache: fixed at ``"thread"``,
             ``None`` and ``"memory"`` (see ``FIXED_SETTINGS``); any

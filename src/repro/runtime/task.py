@@ -69,6 +69,8 @@ class Task:
             raise ValueError("give exactly one of observables or bit_targets")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
+        if self.shots is not None and self.shots < 1:
+            raise ValueError("shots must be >= 1 (or None for options.shots)")
 
 
 @dataclass

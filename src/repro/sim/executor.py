@@ -40,7 +40,7 @@ from .sampling import (
     build_noise_plan,
     sample_shot,
 )
-from .statevector import StateVector, vector_norm
+from .statevector import StateVector, renormalize, vector_norm
 from .timeline import MomentTimeline, build_timeline
 
 
@@ -222,6 +222,13 @@ class Executor:
 
     # -- aggregated runs -------------------------------------------------------
 
+    def _shot_count(self, shots: Optional[int]) -> int:
+        """``shots``, or ``options.shots`` when it is ``None``; at least 1."""
+        count = self.options.shots if shots is None else shots
+        if count < 1:
+            raise ValueError(f"shots must be >= 1, got {count}")
+        return count
+
     def expectations(
         self,
         observables: Dict[str, Pauli],
@@ -235,7 +242,7 @@ class Executor:
         independently seeded runs — the batched runtime relies on this.
         """
         rng = as_generator(seed if seed is not None else self.options.seed)
-        count = shots or self.options.shots
+        count = self._shot_count(shots)
         samples: Dict[str, List[float]] = {k: [] for k in observables}
         for _ in range(count):
             state, _clbits = self._run_trajectory(rng)
@@ -254,7 +261,7 @@ class Executor:
     ) -> SimResult:
         """Average probability of each named qubit->bit assignment."""
         rng = as_generator(seed if seed is not None else self.options.seed)
-        count = shots or self.options.shots
+        count = self._shot_count(shots)
         samples: Dict[str, List[float]] = {k: [] for k in targets}
         for _ in range(count):
             state, _clbits = self._run_trajectory(rng)
@@ -319,7 +326,8 @@ def _apply_no_jump(state: StateVector, qubit: int, gamma: float) -> None:
         # zero weight, so the trajectory decays deterministically.
         _apply_decay_jump(state, qubit)
         return
-    state.vector = scaled / norm
+    renormalize(scaled, norm)
+    state.vector = scaled
 
 
 def _aggregate(samples: Dict[str, List[float]], count: int) -> SimResult:

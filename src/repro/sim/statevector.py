@@ -37,6 +37,21 @@ def vector_norm(vector: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(vector) ** 2)))
 
 
+def renormalize(vectors: np.ndarray, norms) -> None:
+    """Divide complex ``vectors`` by ``norms`` in place.
+
+    ``vectors`` is one C-contiguous state (``norms`` a scalar) or a
+    ``(rows, dim)`` batch (``norms`` of shape ``(rows,)``). Multiplies the
+    ``float64`` view by ``1.0 / norm``: NumPy's ``complex / (norm + 0j)``
+    computes ``(re + im*0) * (1 / norm)``, so the result is the division's
+    up to the sign of an exact zero, at a fraction of its cost. Both engines
+    renormalize through this one helper, which keeps them bit-identical.
+    """
+    scale = 1.0 / np.asarray(norms, dtype=np.float64)
+    flat = vectors.view(np.float64)
+    flat *= scale[..., None]
+
+
 class StateVector:
     """A mutable pure state of ``num_qubits`` qubits."""
 

@@ -18,7 +18,19 @@ design invariant, not an accident:
   ``np.sum`` along the last axis, broadcast ``np.matmul`` over stacked
   slices, per-shot ``np.vdot`` for the final contraction);
 * per-shot coherent phase angles accumulate in the scalar executor's exact
-  dict order, so the same additions happen in the same sequence.
+  dict order, so the same additions happen in the same sequence;
+* both engines renormalize a no-jump branch through
+  :func:`~repro.sim.statevector.renormalize` (``x * (1 / norm)`` on the
+  ``float64`` view), so the renormalized amplitudes agree bit for bit.
+
+Idle amplitude damping works in place. The amplitudes where qubit ``q`` is
+1 form a strided view ``psi.reshape(rows, -1, 2, 2**q)[:, :, 1, :]`` of the
+C-contiguous batch: the no-jump branch scales that view and renormalizes
+the rows without a copy, and ``P(q = 1)`` sums a contiguous copy of the same
+view, which lists the amplitudes in basis-index order like the scalar
+engine's boolean mask. Only ``gamma == 1`` keeps a copy of the unscaled
+batch, for rows whose whole weight is in ``|1>`` and which must jump from
+the unscaled state as in the scalar engine.
 
 The shot axis is sharded into bounded-memory chunks; chunks are independent
 row blocks, so any ``chunk_shots`` / ``workers`` configuration produces the
@@ -29,6 +41,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +52,7 @@ from ..pauli.pauli import Pauli
 from ..utils.rng import SeedLike, as_generator
 from .executor import Executor, SimOptions, SimResult, _aggregate
 from .sampling import _PAULI_1Q, _PAULI_2Q, NoisePlan, ShotNoise, sample_shot
-from .statevector import _sz_arrays
+from .statevector import _sz_arrays, renormalize
 
 #: Default chunk budget: ~32 MiB of complex amplitudes per chunk.
 _CHUNK_AMPLITUDES = 1 << 21
@@ -48,6 +61,32 @@ _CHUNK_AMPLITUDES = 1 << 21
 def _batch_norms(psi: np.ndarray) -> np.ndarray:
     """Row-wise :func:`repro.sim.statevector.vector_norm` (bit-identical)."""
     return np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
+
+
+def _one_half(psi: np.ndarray, qubit: int) -> np.ndarray:
+    """Writable ``(rows, high, low)`` view of the amplitudes where ``qubit`` is 1.
+
+    Basis index ``i = high * 2**(qubit+1) + bit * 2**qubit + low``, so on a
+    C-contiguous ``(rows, dim)`` batch this is a strided view, never a copy.
+    """
+    return psi.reshape(psi.shape[0], -1, 2, 1 << qubit)[:, :, 1, :]
+
+
+@lru_cache(maxsize=1024)
+def _gate_axis_perms(
+    num_qubits: int, qubits: Tuple[int, ...]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Transposes that bring ``qubits``' tensor axes to the front, and back.
+
+    The same axis orders ``np.moveaxis`` computes for a batch reshaped to
+    ``(rows,) + (2,) * num_qubits`` (axis 0 is the shot axis).
+    """
+    source = [1 + (num_qubits - 1 - q) for q in qubits]
+    forward = [a for a in range(num_qubits + 1) if a not in source]
+    for dest, src in sorted(zip(range(1, len(qubits) + 1), source)):
+        forward.insert(dest, src)
+    inverse = tuple(int(a) for a in np.argsort(forward))
+    return tuple(forward), inverse
 
 
 class _BatchNoise:
@@ -197,14 +236,12 @@ class VectorizedExecutor(Executor):
         rows = sub.shape[0]
         n = self.scheduled.num_qubits
         k = len(qubits)
-        axes = [1 + (n - 1 - q) for q in qubits]
-        psi = sub.reshape((rows,) + (2,) * n)
-        psi = np.moveaxis(psi, axes, range(1, k + 1))
+        forward, inverse = _gate_axis_perms(n, tuple(qubits))
+        psi = sub.reshape((rows,) + (2,) * n).transpose(forward)
         tail = psi.shape[k + 1 :]
         psi = psi.reshape(rows, 1 << k, -1)
         psi = np.matmul(matrix, psi)
-        psi = psi.reshape((rows,) + (2,) * k + tuple(tail))
-        psi = np.moveaxis(psi, range(1, k + 1), axes)
+        psi = psi.reshape((rows,) + (2,) * k + tuple(tail)).transpose(inverse)
         return np.ascontiguousarray(psi).reshape(rows, -1)
 
     def _apply_pauli_rows(self, sub: np.ndarray, label: str, qubit: int) -> np.ndarray:
@@ -233,7 +270,10 @@ class VectorizedExecutor(Executor):
         return np.ascontiguousarray(psi).reshape(rows, -1)
 
     def _prob_one_rows(self, psi: np.ndarray, qubit: int) -> np.ndarray:
-        sel = np.ascontiguousarray(psi[:, self._one_mask[qubit]])
+        # The strided view lists the |1> amplitudes in basis-index order, so
+        # each row's pairwise sum matches the scalar ``probability_one``.
+        ones = _one_half(psi, qubit)
+        sel = np.ascontiguousarray(ones).reshape(psi.shape[0], -1)
         return np.sum(np.abs(sel) ** 2, axis=1)
 
     def _decay_jump_rows(self, sub: np.ndarray, qubit: int) -> np.ndarray:
@@ -258,19 +298,27 @@ class VectorizedExecutor(Executor):
             out[bad] = unjumped
         return out
 
-    def _no_jump_rows(self, sub: np.ndarray, qubit: int, gamma: float) -> np.ndarray:
-        """Row-wise twin of ``executor._apply_no_jump``."""
-        one = self._one_mask[qubit]
-        scaled = np.where(one[None, :], sub * math.sqrt(1.0 - gamma), sub)
-        norms = _batch_norms(scaled)
-        ok = norms > 0.0
-        out = np.empty_like(sub)
-        if ok.any():
-            out[ok] = scaled[ok] / norms[ok][:, None]
-        bad = ~ok
-        if bad.any():
-            out[bad] = self._decay_jump_rows(sub[bad], qubit)
-        return out
+    def _no_jump_rows(self, psi: np.ndarray, qubit: int, gamma: float) -> np.ndarray:
+        """Row-wise twin of ``executor._apply_no_jump``, in place on ``psi``.
+
+        ``psi`` must be a C-contiguous ``(rows, dim)`` array the caller owns;
+        it is scaled, renormalized and returned.
+        """
+        # At gamma == 1 a row with all its weight in |1> scales to zero, and
+        # the scalar engine then jumps from the *unscaled* row: keep a copy.
+        # Below 1 the scale factor is positive and a unit-norm row cannot
+        # vanish, so no copy is needed.
+        unscaled = psi.copy() if gamma >= 1.0 else psi
+        ones = _one_half(psi, qubit)
+        ones *= math.sqrt(1.0 - gamma)
+        norms = _batch_norms(psi)
+        bad = np.flatnonzero(norms <= 0.0)
+        if bad.size:
+            norms[bad] = 1.0  # these rows take the decay jump below
+        renormalize(psi, norms)
+        if bad.size:
+            psi[bad] = self._decay_jump_rows(unscaled[bad], qubit)
+        return psi
 
     # -- chunk evolution -------------------------------------------------------
 
@@ -331,7 +379,8 @@ class VectorizedExecutor(Executor):
                     damp_at += 1
                     jump = u < gamma * self._prob_one_rows(psi, q)
                     # Uniform batches (the common case: jump probabilities
-                    # are small) skip the row-subset copy entirely.
+                    # are small) damp `psi` itself in place, which this loop
+                    # owns; a mixed batch damps its `psi[stay]` copy.
                     if not jump.any():
                         psi = self._no_jump_rows(psi, q, gamma)
                     elif jump.all():
@@ -437,7 +486,7 @@ class VectorizedExecutor(Executor):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         rng = as_generator(seed if seed is not None else self.options.seed)
-        count = shots or self.options.shots
+        count = self._shot_count(shots)
         # The sampling pass is the only serial part: it replays the exact
         # RNG stream of `count` sequential scalar trajectories. Each chunk's
         # records are stacked into compact arrays as soon as they're drawn,

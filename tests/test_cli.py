@@ -37,6 +37,7 @@ class TestCLI:
 
         prev_backend, prev_workers = default_backend(), default_workers()
         try:
+            configure(backend="trajectory")
             assert main(["fig3", "--quick", "--backend", "vectorized"]) == 0
             assert default_backend() == "vectorized"
             assert "case1_idle_pair" in capsys.readouterr().out

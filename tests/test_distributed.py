@@ -23,7 +23,9 @@ from repro.runtime import (
     LocalShardExecutor,
     SocketShardExecutor,
     configure,
+    default_backend,
     default_dist_connect,
+    default_dist_inner,
     default_dist_serve,
     default_dist_shard_size,
     default_dist_workers,
@@ -47,13 +49,15 @@ OPTIONS = SimOptions(shots=8, seed=5)
 @pytest.fixture(autouse=True)
 def _reset_dist_defaults():
     """Every test starts (and leaves) the process-wide dist knobs pristine."""
+    backend, inner = default_backend(), default_dist_inner()
     yield
     configure(
+        backend=backend,
         dist_workers=None,
         dist_shard_size=None,
         dist_serve=None,
         dist_connect=None,
-        dist_inner="trajectory",
+        dist_inner=inner,
     )
 
 
@@ -410,10 +414,7 @@ class TestConfiguration:
         assert default_dist_shard_size() == 4
         assert default_dist_serve() == "127.0.0.1:7901"
         assert default_dist_connect() == ("127.0.0.1:7902", "127.0.0.1:7903")
-        from repro.runtime import default_backend
-
         assert default_backend() == "distributed"
-        configure(backend="trajectory")
 
     def test_cli_rejects_bad_counts(self, capsys):
         from repro.experiments.__main__ import main

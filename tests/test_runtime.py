@@ -184,6 +184,27 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match="realizations"):
             Task(circ, observables={"z": "Z"}, realizations=0)
 
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_rejects_nonpositive_shots(self, shots):
+        with pytest.raises(ValueError, match="shots"):
+            Task(Circuit(1), observables={"z": "Z"}, shots=shots)
+
+    @pytest.mark.parametrize("backend", ["trajectory", "vectorized"])
+    def test_engine_shot_counts(self, chain4, backend):
+        """``shots=None`` means ``options.shots``; 0 or less is an error,
+        never a silent fallback to the default count."""
+        engine = get_backend(backend)._make_engine(
+            schedule(layered_circuit(), chain4.durations), chain4, SimOptions(shots=5)
+        )
+        obs = {"z": Pauli.from_label("IIIZ")}
+        assert engine.expectations(obs, seed=1).shots == 5
+        assert engine.expectations(obs, shots=3, seed=1).shots == 3
+        for shots in (0, -3):
+            with pytest.raises(ValueError, match="shots"):
+                engine.expectations(obs, shots=shots, seed=1)
+            with pytest.raises(ValueError, match="shots"):
+                engine.probabilities({"f": {0: 0}}, shots=shots, seed=1)
+
     def test_device_required_somewhere(self, chain4):
         task = Task(layered_circuit(), observables=OBS)
         with pytest.raises(ValueError, match="no device"):
@@ -203,7 +224,7 @@ class TestBatchedRun:
         ]
         serial = run(tasks, chain4, options=opts, workers=1)
         threaded = run(tasks, chain4, options=opts, workers=2)
-        assert serial.backend == threaded.backend == "trajectory"
+        assert serial.backend == threaded.backend == "vectorized"
         for a, b in zip(serial, threaded):
             assert a.values == b.values
             assert a.errors == b.errors

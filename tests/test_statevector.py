@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.circuits import gates as g
 from repro.pauli import Pauli
 from repro.sim.coherent import CoherentAccumulation
-from repro.sim.statevector import StateVector
+from repro.sim.statevector import StateVector, renormalize, vector_norm
 from repro.utils.linalg import random_unitary
 
 
@@ -156,3 +156,24 @@ class TestObservables:
         b = StateVector(1)
         b.apply_gate(g.H_MAT, [0])
         assert a.fidelity_with(b) == pytest.approx(0.5)
+
+
+class TestRenormalize:
+    """``renormalize`` multiplies by ``1 / norm``; on amplitudes without
+    exact zeros that is bit-identical to complex division by the norm."""
+
+    def test_batch_matches_division(self):
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
+        norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
+        expected = rows / norms[:, None]
+        renormalize(rows, norms)
+        np.testing.assert_array_equal(rows.view(np.uint64), expected.view(np.uint64))
+
+    def test_single_state_matches_division(self):
+        rng = np.random.default_rng(8)
+        vector = rng.normal(size=32) + 1j * rng.normal(size=32)
+        norm = vector_norm(vector)
+        expected = vector / norm
+        renormalize(vector, norm)
+        np.testing.assert_array_equal(vector.view(np.uint64), expected.view(np.uint64))

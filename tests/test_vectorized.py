@@ -17,11 +17,13 @@ engine is designed to reproduce the scalar bits, and any drift is a bug.
 import numpy as np
 import pytest
 
-from repro import Circuit, SimOptions, Task, VectorizedBackend, run
+from repro import Circuit, SimOptions, Task, VectorizedBackend, run, schedule
 from repro.compiler.strategies import STRATEGIES
+from repro.device import linear_chain, synthetic_device
 from repro.runtime import BACKENDS, Orient, Pipeline, Twirl, get_backend
 from repro.runtime.run import configure, default_backend
-from repro.sim import Executor, VectorizedExecutor
+from repro.sim import Executor, StateVector, VectorizedExecutor
+from repro.sim.executor import _apply_no_jump
 from repro.sim.sampling import build_noise_plan, sample_shot
 from repro.utils.rng import as_generator
 
@@ -119,6 +121,30 @@ class TestBitForBitParity:
         task = Task(layered_circuit(), observables=OBS, seed=4)
         assert_identical(*both(task, chain4, options))
 
+    def test_nine_qubit_register_with_damping(self):
+        """Damping and gates on every qubit up to ``q = n - 1``, where the
+        in-place |1> view has a single high block."""
+        n = 9
+        device = synthetic_device(linear_chain(n), name="chain9", seed=109)
+        circ = Circuit(n)
+        for q in range(n):
+            circ.h(q, new_moment=(q == 0))
+        for start in (0, 1, 0):
+            circ.append_moment([])
+            for a in range(start, n - 1, 2):
+                circ.cx(a, a + 1, new_moment=(a == start))
+        circ.append_moment([])
+        observables = {
+            "z_last": "Z" + "I" * (n - 1),
+            "x_first": "I" * (n - 1) + "X",
+            "zz": "ZZ" + "I" * (n - 2),
+        }
+        options = SimOptions(shots=12)
+        assert options.amplitude_damping
+        for pipeline in (None, "ca_ec+dd"):
+            task = Task(circ, observables=observables, pipeline=pipeline, seed=13)
+            assert_identical(*both(task, device, options))
+
     def test_multi_task_batch_with_workers(self, chain4):
         tasks = [
             Task(
@@ -134,6 +160,48 @@ class TestBitForBitParity:
         )
         for a, b in zip(serial, batched):
             assert_identical(a, b)
+
+
+class TestInPlaceNoJump:
+    """Row-wise twin of ``test_runtime.TestNormGuards``: the in-place
+    no-jump step must reproduce the scalar ``_apply_no_jump`` bit for bit,
+    including ``gamma = 1`` on a row whose whole weight is in |1>."""
+
+    def _rows(self, qubit, n=4):
+        rng = np.random.default_rng(qubit)
+        ordinary = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        excited = np.where((np.arange(1 << n) >> qubit) & 1, ordinary, 0.0)
+        rows = np.array([ordinary, excited, ordinary[::-1]])
+        return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.37])
+    def test_matches_scalar_bit_for_bit(self, chain4, gamma):
+        engine = VectorizedExecutor(schedule(layered_circuit(), chain4.durations), chain4)
+        for qubit in range(4):
+            rows = self._rows(qubit)
+            expected = []
+            for row in rows:
+                state = StateVector(4)
+                state.vector = row.copy()
+                _apply_no_jump(state, qubit, gamma)
+                expected.append(state.vector)
+            psi = rows.copy()
+            out = engine._no_jump_rows(psi, qubit, gamma)
+            assert np.shares_memory(out, psi)
+            np.testing.assert_array_equal(out.view(np.uint64), np.array(expected).view(np.uint64))
+            # gamma = 1 decays the excited row to |0> on this qubit.
+            if gamma == 1.0:
+                assert engine._prob_one_rows(out, qubit)[1] == 0.0
+
+    def test_prob_one_matches_scalar(self, chain4):
+        engine = VectorizedExecutor(schedule(layered_circuit(), chain4.durations), chain4)
+        for qubit in range(4):
+            rows = self._rows(qubit)
+            probs = engine._prob_one_rows(rows, qubit)
+            for row, p in zip(rows, probs):
+                state = StateVector(4)
+                state.vector = row.copy()
+                assert state.probability_one(qubit) == p
 
 
 class TestShardingInvariance:
@@ -222,13 +290,13 @@ class TestRegistryAndPlumbing:
     def test_configure_default_backend(self, chain4):
         previous = default_backend()
         try:
-            configure(backend="vectorized")
+            configure(backend="trajectory")
             batch = run(
                 Task(layered_circuit(), observables=OBS, seed=0),
                 chain4,
                 options=SimOptions(shots=2),
             )
-            assert batch.backend == "vectorized"
+            assert batch.backend == "trajectory"
         finally:
             configure(backend=previous)
 
