@@ -24,7 +24,7 @@ from .readout import (
     invert_confusion,
     sample_counts,
 )
-from .sampling import NoisePlan, ShotNoise, build_noise_plan, sample_shot
+from .sampling import NoiseBatch, NoisePlan, build_noise_plan, sample_shot
 from .statevector import StateVector, vector_norm
 from .timeline import MomentTimeline, build_timeline, pair_sign_integral, sign_integral
 from .vectorized import VectorizedExecutor
@@ -51,8 +51,8 @@ __all__ = [
     "expectation_values",
     "StateVector",
     "vector_norm",
+    "NoiseBatch",
     "NoisePlan",
-    "ShotNoise",
     "build_noise_plan",
     "sample_shot",
     "VectorizedExecutor",

@@ -35,8 +35,8 @@ from .coherent import CoherentAccumulation, accumulate_coherent
 from .sampling import (
     _PAULI_1Q,
     _PAULI_2Q,
+    NoiseBatch,
     NoisePlan,
-    ShotNoise,
     build_noise_plan,
     sample_shot,
 )
@@ -134,8 +134,9 @@ class Executor:
             else CoherentAccumulation()
             for tl in self._timelines
         ]
-        # Every draw site, in stream order — shared with the vectorized
-        # engine, which is what keeps the two backends seed-for-seed equal.
+        # Every draw site and its column, in stream order. The vectorized
+        # engine samples through the same `sample_shot` and reads the same
+        # columns, which is what keeps the two backends seed-for-seed equal.
         self._plan: NoisePlan = build_noise_plan(scheduled, device, self.options)
 
     # -- single trajectory ---------------------------------------------------
@@ -143,15 +144,19 @@ class Executor:
     def _run_trajectory(
         self, rng: np.random.Generator
     ) -> Tuple[StateVector, List[int]]:
-        return self._evolve(sample_shot(self._plan, rng))
+        noise = NoiseBatch.empty(self._plan, 1)
+        sample_shot(self._plan, rng, noise, 0)
+        return self._evolve(noise)
 
-    def _evolve(self, noise: ShotNoise) -> Tuple[StateVector, List[int]]:
-        """Evolve one trajectory from its pre-sampled noise record."""
+    def _evolve(self, noise: NoiseBatch) -> Tuple[StateVector, List[int]]:
+        """Evolve one trajectory from row 0 of its pre-sampled noise batch."""
         opts = self.options
         n = self.scheduled.num_qubits
         state = StateVector(n)
         clbits = [0] * self.scheduled.circuit.num_clbits
-        detunings = noise.detunings
+        detunings = None if noise.detunings is None else noise.detunings[0]
+        u = noise.uniforms[0].tolist()
+        paulis = noise.paulis[0].tolist()
 
         for m, (sm, timeline, static_acc) in enumerate(
             zip(self.scheduled, self._timelines, self._static_acc)
@@ -161,8 +166,8 @@ class Executor:
             # 1. measurements collapse first; idle neighbors then accumulate
             # (conditional) phase with the collapsed qubit for the rest of
             # the readout window.
-            for j, (qubit, clbit) in enumerate(plan.measured):
-                clbits[clbit] = state.measure(qubit, u=noise.measure_u[m][j])
+            for qubit, clbit, col in plan.measured:
+                clbits[clbit] = state.measure(qubit, u=u[col])
 
             # 2. coherent phases
             if opts.coherent:
@@ -180,19 +185,15 @@ class Executor:
                 state.apply_phases(acc)
 
             # 3. stochastic dephasing / damping (per-qubit interleave)
-            flip_at = damp_at = 0
-            for q, p_z, gamma in plan.idles:
-                if p_z > 0.0:
-                    if noise.idle_flips[m][flip_at]:
-                        state.apply_pauli("Z", q)
-                    flip_at += 1
+            for q, p_z, gamma, flip_col, damp_col in plan.idles:
+                if p_z > 0.0 and u[flip_col] < p_z:
+                    state.apply_pauli("Z", q)
                 if gamma > 0.0:
                     p_jump = gamma * state.probability_one(q)
-                    if noise.idle_u[m][damp_at] < p_jump:
+                    if u[damp_col] < p_jump:
                         _apply_decay_jump(state, q)
                     else:
                         _apply_no_jump(state, q, gamma)
-                    damp_at += 1
 
             # 4. ideal unitaries
             for inst in moment:
@@ -207,9 +208,9 @@ class Executor:
                     state.apply_gate(gate.matrix, inst.qubits)
 
             # 5. gate errors
-            for site, draws in zip(plan.gate_errors, noise.gate_paulis[m]):
-                for code in draws:
-                    if code is None:
+            for site in plan.gate_errors:
+                for code in paulis[site.slot : site.slot + site.repeats]:
+                    if code < 0:
                         continue
                     if site.two_qubit:
                         pa, pb = _PAULI_2Q[code]

@@ -1,28 +1,50 @@
-"""Shared stochastic-noise sampling, factored out of the trajectory executor.
+"""Shared stochastic-noise sampling for the trajectory engines.
 
-The Monte-Carlo executor consumes its RNG stream in a fixed, state-independent
-order: which draws happen (and how many) depends only on the device, the
-schedule, and the noise toggles — never on the quantum state. The state only
-enters through *comparisons* against already-drawn uniforms (measurement
-collapse, amplitude-damping jumps), each of which consumes exactly one draw.
+The Monte-Carlo engines consume their RNG stream in a fixed,
+state-independent order: which draws happen (and how many) depends only on
+the device, the schedule, and the noise toggles — never on the quantum
+state. The state only enters through *comparisons* against already-drawn
+uniforms (measurement collapse, amplitude-damping jumps), each of which
+consumes exactly one draw.
 
-That property is what makes a vectorized batch engine bit-for-bit
-reproducible: the draws of every shot can be materialized up front, in the
-exact stream order of the scalar per-shot loop, and the state evolution can
-then be applied to all shots at once.
+That property is what makes a batched engine bit-for-bit reproducible: the
+draws of every shot can be materialized up front, in the exact stream order
+of one sequential per-shot loop, and the state evolution can then be
+applied to all shots at once.
 
 This module is the single source of truth for that stream order:
 
 * :func:`build_noise_plan` precomputes, per moment, every draw site and its
-  static probability (dephasing flips, damping windows, gate-error sites,
-  measurement collapses, per-shot detuning sources);
-* :func:`sample_shot` walks one plan with one generator and records every
-  draw of one trajectory, consuming the stream exactly like the legacy
-  in-line sampling did.
+  static probability, and gives each uniform draw after the per-shot
+  detunings a *column* in stream order: per moment the measurement
+  collapses, then the per-qubit dephasing flip / damping window interleave,
+  then one column per gate-error repeat;
+* :class:`NoiseBatch` holds the draws of a block of shots as arrays: the
+  detunings ``(size, n)``, the uniforms ``(size, U)`` by column, and the
+  sampled Pauli codes ``(size, G)`` per gate-error repeat (``-1``: no
+  error);
+* :func:`sample_shot` fills one row of a batch.
 
-Both the scalar :class:`~repro.sim.executor.Executor` and the batched
-:class:`~repro.sim.vectorized.VectorizedExecutor` sample through here, so
-``trajectory`` and ``vectorized`` results coincide seed for seed.
+Stream order per shot: the detunings (per qubit, a ``normal`` draw and a
+parity-sign uniform), then the ``U`` column uniforms in column order, with
+one ``integers(high)`` draw immediately after each gate-error uniform that
+falls below its probability. :func:`sample_shot` draws the detunings one by
+one (``normal`` uses a variable number of words) and the columns in bulk:
+it snapshots ``rng.bit_generator.state``, draws every remaining column with
+one ``rng.random(k)`` call and finds the first triggered gate-error column
+with one comparison. On a trigger it restores the snapshot, redraws up to
+and including the triggering uniform, draws the Pauli index and continues
+from the next column. This is exact for every NumPy bit generator:
+``Generator.random(k)`` runs the same ``next_double`` as ``k`` scalar
+``random()`` calls, and the state dict includes any buffered 32-bit half
+that ``integers`` consumes, so the values and the generator's final state
+equal those of the per-draw loop.
+
+Both the scalar :class:`~repro.sim.executor.Executor` (one-row batches) and
+the batched :class:`~repro.sim.vectorized.VectorizedExecutor` sample through
+:func:`sample_shot` and read the same columns, so ``trajectory`` and
+``vectorized`` results coincide seed for seed. The stream order itself is
+pinned by recorded result digests, not by engine parity.
 """
 
 from __future__ import annotations
@@ -54,12 +76,18 @@ def _dephasing_prob(t2: float, t1: float, duration: float) -> float:
 
 @dataclass(frozen=True)
 class GateErrorSite:
-    """One gate-error draw site: ``repeats`` (uniform, maybe Pauli) draws."""
+    """One gate-error draw site: ``repeats`` (uniform, maybe Pauli) draws.
+
+    ``slot`` is the index of the first repeat in :attr:`NoisePlan.gate_cols`
+    and in the columns of :attr:`NoiseBatch.paulis`; the repeats occupy
+    consecutive slots.
+    """
 
     qubits: Tuple[int, ...]
     prob: float
     two_qubit: bool
     repeats: int = 1
+    slot: int = 0
 
 
 @dataclass(frozen=True)
@@ -67,45 +95,71 @@ class MomentNoisePlan:
     """Every draw of one moment, in stream order.
 
     Attributes:
-        measured: ``(qubit, clbit)`` per measurement instruction, in moment
-            order; each consumes one uniform (the collapse draw).
-        idles: ``(qubit, p_z, gamma)`` per qubit with any idle noise, in
-            qubit order. ``p_z > 0`` consumes one uniform (dephasing flip),
-            then ``gamma > 0`` consumes one uniform (damping jump), exactly
-            interleaved like the scalar per-qubit loop.
+        measured: ``(qubit, clbit, column)`` per measurement instruction, in
+            moment order; ``column`` is the collapse uniform.
+        idles: ``(qubit, p_z, gamma, flip_col, damp_col)`` per qubit with
+            any idle noise, in qubit order. ``p_z > 0`` draws the dephasing
+            flip uniform at ``flip_col``, then ``gamma > 0`` the damping
+            jump uniform at ``damp_col``; an undrawn column is ``-1``.
         gate_errors: draw sites for step 5, in instruction order.
     """
 
-    measured: Tuple[Tuple[int, int], ...]
-    idles: Tuple[Tuple[int, float, float], ...]
+    measured: Tuple[Tuple[int, int, int], ...]
+    idles: Tuple[Tuple[int, float, float, int, int], ...]
     gate_errors: Tuple[GateErrorSite, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisePlan:
-    """All draw sites of one scheduled circuit under one set of options."""
+    """All draw sites of one scheduled circuit under one set of options.
+
+    ``uniforms`` counts the column uniforms of one shot. ``gate_cols``,
+    ``gate_probs`` and ``gate_highs`` list, per gate-error repeat in stream
+    order, its uniform column, its error probability and the number of
+    Paulis its index is drawn from.
+    """
 
     num_qubits: int
     #: per-qubit ``(quasistatic_sigma, parity_delta)``, or ``None`` when
     #: per-shot detunings are not sampled (stochastic/coherent off).
     detunings: Optional[Tuple[Tuple[float, float], ...]]
     moments: Tuple[MomentNoisePlan, ...]
+    uniforms: int
+    gate_cols: np.ndarray
+    gate_probs: np.ndarray
+    gate_highs: np.ndarray
 
 
 @dataclass
-class ShotNoise:
-    """Every draw of one trajectory, recorded in stream order.
+class NoiseBatch:
+    """The draws of ``size`` shots, one row per shot.
 
-    ``gate_paulis[m][s]`` holds, for gate-error site ``s`` of moment ``m``,
-    one entry per repeat: ``None`` (no error) or the sampled Pauli index
-    (into ``_PAULI_2Q`` for two-qubit sites, ``_PAULI_1Q`` otherwise).
+    Attributes:
+        detunings: ``(size, n)`` per-shot detunings, or ``None`` when the
+            plan samples none.
+        uniforms: ``(size, plan.uniforms)`` column uniforms.
+        paulis: ``(size, len(plan.gate_cols))`` sampled Pauli index per
+            gate-error repeat (into ``_PAULI_2Q`` for two-qubit sites,
+            ``_PAULI_1Q`` otherwise), ``-1`` for no error.
     """
 
     detunings: Optional[np.ndarray]
-    measure_u: List[List[float]]
-    idle_flips: List[List[bool]]
-    idle_u: List[List[float]]
-    gate_paulis: List[List[Tuple[Optional[int], ...]]]
+    uniforms: np.ndarray
+    paulis: np.ndarray
+
+    @classmethod
+    def empty(cls, plan: NoisePlan, size: int) -> "NoiseBatch":
+        """An unsampled batch of ``size`` rows for :func:`sample_shot`."""
+        return cls(
+            np.zeros((size, plan.num_qubits)) if plan.detunings is not None else None,
+            np.empty((size, plan.uniforms)),
+            np.full((size, plan.gate_cols.size), -1, dtype=np.int64),
+        )
+
+    @property
+    def size(self) -> int:
+        """Number of shots (rows)."""
+        return self.uniforms.shape[0]
 
 
 def build_noise_plan(
@@ -123,15 +177,35 @@ def build_noise_plan(
             (device.qubit(q).quasistatic_sigma, device.qubit(q).parity_delta)
             for q in range(n)
         )
+    column = 0
+
+    def take() -> int:
+        """The next column; sites call it in stream order."""
+        nonlocal column
+        column += 1
+        return column - 1
+
+    gate_cols: List[int] = []
+    gate_probs: List[float] = []
+    gate_highs: List[int] = []
+
+    def gate_site(qubits, prob, two_qubit, repeats=1) -> GateErrorSite:
+        site = GateErrorSite(tuple(qubits), prob, two_qubit, repeats, len(gate_cols))
+        for _ in range(repeats):
+            gate_cols.append(take())
+            gate_probs.append(prob)
+            gate_highs.append(len(_PAULI_2Q) if two_qubit else len(_PAULI_1Q))
+        return site
+
     moments = []
     for sm in scheduled:
         moment = sm.moment
         measured = tuple(
-            (inst.qubits[0], inst.clbits[0])
+            (inst.qubits[0], inst.clbits[0], take())
             for inst in moment
             if inst.gate.is_measurement
         )
-        idles: List[Tuple[int, float, float]] = []
+        idles: List[Tuple[int, float, float, int, int]] = []
         if sm.duration > 0.0:
             for q in range(n):
                 params = device.qubit(q)
@@ -144,7 +218,9 @@ def build_noise_plan(
                 if options.amplitude_damping and math.isfinite(params.t1):
                     gamma = 1.0 - math.exp(-sm.duration / params.t1)
                 if p_z > 0.0 or gamma > 0.0:
-                    idles.append((q, p_z, gamma))
+                    flip_col = take() if p_z > 0.0 else -1
+                    damp_col = take() if gamma > 0.0 else -1
+                    idles.append((q, p_z, gamma, flip_col, damp_col))
         sites: List[GateErrorSite] = []
         if options.gate_errors:
             for inst in moment:
@@ -154,65 +230,67 @@ def build_noise_plan(
                 if gate.num_qubits == 2:
                     p2 = device.pair_error(*inst.qubits) * gate.error_scale
                     if p2 > 0.0:
-                        sites.append(GateErrorSite(tuple(inst.qubits), p2, True))
+                        sites.append(gate_site(inst.qubits, p2, True))
                 elif gate.name == "dd":
                     p1 = device.qubit(inst.qubits[0]).p1
                     if p1 > 0.0 and gate.dd_fractions:
                         sites.append(
-                            GateErrorSite(
-                                (inst.qubits[0],),
-                                p1,
-                                False,
+                            gate_site(
+                                inst.qubits[:1], p1, False,
                                 repeats=len(gate.dd_fractions),
                             )
                         )
                 elif gate.name not in _VIRTUAL:
                     p1 = device.qubit(inst.qubits[0]).p1
                     if p1 > 0.0:
-                        sites.append(GateErrorSite((inst.qubits[0],), p1, False))
+                        sites.append(gate_site(inst.qubits[:1], p1, False))
         moments.append(MomentNoisePlan(measured, tuple(idles), tuple(sites)))
-    return NoisePlan(n, detunings, tuple(moments))
+    arrays = (
+        np.array(gate_cols, dtype=np.int64),
+        np.array(gate_probs, dtype=np.float64),
+        np.array(gate_highs, dtype=np.int64),
+    )
+    for arr in arrays:
+        arr.setflags(write=False)  # one plan serves every chunk's thread
+    return NoisePlan(n, detunings, tuple(moments), column, *arrays)
 
 
-def sample_shot(plan: NoisePlan, rng: np.random.Generator) -> ShotNoise:
-    """Draw one trajectory's noise record, in the scalar stream order.
+def sample_shot(
+    plan: NoisePlan, rng: np.random.Generator, batch: NoiseBatch, row: int
+) -> None:
+    """Draw one trajectory's noise into ``batch`` row ``row``, in stream order.
 
-    Stream order per trajectory: detunings first, then per moment the
-    measurement collapses, the per-qubit dephasing/damping interleave, and
-    the gate-error sites (one uniform per repeat, plus one integer draw
-    immediately after each triggered uniform).
+    ``batch.paulis[row]`` must still hold ``-1`` everywhere (as
+    :meth:`NoiseBatch.empty` leaves it). See the module docstring for the
+    stream order and why the bulk draw with rewind reproduces it exactly.
     """
-    detunings = None
     if plan.detunings is not None:
-        detunings = np.zeros(plan.num_qubits)
+        detunings = batch.detunings[row]
         for q, (sigma, delta) in enumerate(plan.detunings):
+            value = 0.0
             if sigma > 0.0:
-                detunings[q] += rng.normal(0.0, sigma)
+                value += rng.normal(0.0, sigma)
             if delta > 0.0:
-                detunings[q] += delta * (1 if rng.random() < 0.5 else -1)
-    measure_u: List[List[float]] = []
-    idle_flips: List[List[bool]] = []
-    idle_u: List[List[float]] = []
-    gate_paulis: List[List[Tuple[Optional[int], ...]]] = []
-    for mp in plan.moments:
-        measure_u.append([rng.random() for _ in mp.measured])
-        flips: List[bool] = []
-        uniforms: List[float] = []
-        for _q, p_z, gamma in mp.idles:
-            if p_z > 0.0:
-                flips.append(rng.random() < p_z)
-            if gamma > 0.0:
-                uniforms.append(rng.random())
-        idle_flips.append(flips)
-        idle_u.append(uniforms)
-        sites: List[Tuple[Optional[int], ...]] = []
-        for site in mp.gate_errors:
-            high = len(_PAULI_2Q) if site.two_qubit else len(_PAULI_1Q)
-            sites.append(
-                tuple(
-                    int(rng.integers(high)) if rng.random() < site.prob else None
-                    for _ in range(site.repeats)
-                )
-            )
-        gate_paulis.append(sites)
-    return ShotNoise(detunings, measure_u, idle_flips, idle_u, gate_paulis)
+                value += delta * (1 if rng.random() < 0.5 else -1)
+            detunings[q] = value
+    uniforms = batch.uniforms[row]
+    paulis = batch.paulis[row]
+    cols, probs = plan.gate_cols, plan.gate_probs
+    bit_generator = rng.bit_generator
+    start = 0  # first column not drawn yet
+    slot = 0  # first gate-error repeat at or after ``start``
+    while slot < cols.size:
+        snapshot = bit_generator.state
+        rng.random(out=uniforms[start:])
+        hits = (uniforms[cols[slot:]] < probs[slot:]).nonzero()[0]
+        if not hits.size:
+            return
+        slot += int(hits[0])
+        stop = int(cols[slot]) + 1
+        bit_generator.state = snapshot
+        rng.random(out=uniforms[start:stop])
+        paulis[slot] = rng.integers(int(plan.gate_highs[slot]))
+        start = stop
+        slot += 1
+    if start < plan.uniforms:
+        rng.random(out=uniforms[start:])

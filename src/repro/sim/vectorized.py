@@ -6,13 +6,15 @@ operation: diagonal coherent phases as one broadcast multiply, moment
 unitaries as one stacked ``matmul`` over the shot axis, sampled jump masks
 as row-subset updates, and expectation contractions per shot at the end.
 The per-shot Python loop of :class:`~repro.sim.executor.Executor` survives
-only in the (cheap, state-free) noise-sampling pass.
+only in the state-free noise-sampling pass, which writes each shot's draws
+straight into one row of a columnar :class:`~repro.sim.sampling.NoiseBatch`
+with one bulk uniform draw per shot.
 
 Bit-for-bit reproducibility with the scalar ``trajectory`` backend is a
 design invariant, not an accident:
 
-* all draws come from :mod:`repro.sim.sampling`, consumed from the same
-  generator in the same order as the scalar per-shot loop;
+* all draws come from :func:`repro.sim.sampling.sample_shot`, the same
+  sampler the scalar engine uses, and every step reads the same columns;
 * every floating-point reduction uses a form whose row-wise application to
   a C-contiguous batch is bit-identical to the scalar call (pairwise
   ``np.sum`` along the last axis, broadcast ``np.matmul`` over stacked
@@ -51,7 +53,7 @@ from ..device.calibration import Device
 from ..pauli.pauli import Pauli
 from ..utils.rng import SeedLike, as_generator
 from .executor import Executor, SimOptions, SimResult, _aggregate
-from .sampling import _PAULI_1Q, _PAULI_2Q, NoisePlan, ShotNoise, sample_shot
+from .sampling import _PAULI_1Q, _PAULI_2Q, NoiseBatch, sample_shot
 from .statevector import _sz_arrays, renormalize
 
 #: Default chunk budget: ~32 MiB of complex amplitudes per chunk.
@@ -87,46 +89,6 @@ def _gate_axis_perms(
         forward.insert(dest, src)
     inverse = tuple(int(a) for a in np.argsort(forward))
     return tuple(forward), inverse
-
-
-class _BatchNoise:
-    """One chunk's :class:`ShotNoise` records, stacked into arrays."""
-
-    def __init__(self, plan: NoisePlan, shots: Sequence[ShotNoise]):
-        self.size = len(shots)
-        self.detunings = (
-            np.array([s.detunings for s in shots])
-            if plan.detunings is not None
-            else None
-        )
-        self.measure_u = [
-            np.array([s.measure_u[m] for s in shots]).reshape(self.size, -1)
-            for m in range(len(plan.moments))
-        ]
-        self.idle_flips = [
-            np.array([s.idle_flips[m] for s in shots], dtype=bool).reshape(
-                self.size, -1
-            )
-            for m in range(len(plan.moments))
-        ]
-        self.idle_u = [
-            np.array([s.idle_u[m] for s in shots]).reshape(self.size, -1)
-            for m in range(len(plan.moments))
-        ]
-        # -1 encodes "no error" so each site becomes one int array.
-        self.gate_paulis = [
-            [
-                np.array(
-                    [
-                        [-1 if c is None else c for c in s.gate_paulis[m][j]]
-                        for s in shots
-                    ],
-                    dtype=np.int64,
-                ).reshape(self.size, -1)
-                for j in range(len(plan.moments[m].gate_errors))
-            ]
-            for m in range(len(plan.moments))
-        ]
 
 
 class VectorizedExecutor(Executor):
@@ -322,9 +284,13 @@ class VectorizedExecutor(Executor):
 
     # -- chunk evolution -------------------------------------------------------
 
-    def _evolve_chunk(self, batch: _BatchNoise) -> Tuple[np.ndarray, np.ndarray]:
+    def _evolve_chunk(self, batch: NoiseBatch) -> Tuple[np.ndarray, np.ndarray]:
         """Evolve one chunk; returns final states and classical bits."""
         size = batch.size
+        u = batch.uniforms
+        # Gate-error repeats with at least one error in this chunk; the
+        # rest (nearly all, at realistic error rates) are skipped outright.
+        hit = (batch.paulis >= 0).any(axis=0).tolist()
         psi = np.zeros((size, self._dim), dtype=complex)
         psi[:, 0] = 1.0
         clbits = np.zeros(
@@ -332,9 +298,9 @@ class VectorizedExecutor(Executor):
         )
         for m, plan in enumerate(self._plan.moments):
             # 1. measurements
-            for j, (qubit, clbit) in enumerate(plan.measured):
+            for qubit, clbit, col in plan.measured:
                 p1 = self._prob_one_rows(psi, qubit)
-                outcome = (batch.measure_u[m][:, j] < p1).astype(np.int64)
+                outcome = (u[:, col] < p1).astype(np.int64)
                 keep = self._one_bit[qubit][None, :] == outcome[:, None]
                 psi = np.where(keep, psi, 0.0)
                 norms = _batch_norms(psi)
@@ -367,17 +333,13 @@ class VectorizedExecutor(Executor):
                     psi *= np.exp(-1j * exponent)
 
             # 3. stochastic dephasing / damping (per-qubit interleave)
-            flip_at = damp_at = 0
-            for q, p_z, gamma in plan.idles:
+            for q, p_z, gamma, flip_col, damp_col in plan.idles:
                 if p_z > 0.0:
-                    flipped = batch.idle_flips[m][:, flip_at]
-                    flip_at += 1
+                    flipped = u[:, flip_col] < p_z
                     if flipped.any():
                         psi[flipped] = self._apply_pauli_rows(psi[flipped], "Z", q)
                 if gamma > 0.0:
-                    u = batch.idle_u[m][:, damp_at]
-                    damp_at += 1
-                    jump = u < gamma * self._prob_one_rows(psi, q)
+                    jump = u[:, damp_col] < gamma * self._prob_one_rows(psi, q)
                     # Uniform batches (the common case: jump probabilities
                     # are small) damp `psi` itself in place, which this loop
                     # owns; a mixed batch damps its `psi[stay]` copy.
@@ -401,10 +363,11 @@ class VectorizedExecutor(Executor):
                         psi[rows] = self._apply_gate_rows(psi[rows], matrix, qubits)
 
             # 5. gate errors
-            for j, site in enumerate(plan.gate_errors):
-                codes = batch.gate_paulis[m][j]
-                for r in range(site.repeats):
-                    column = codes[:, r]
+            for site in plan.gate_errors:
+                for slot in range(site.slot, site.slot + site.repeats):
+                    if not hit[slot]:
+                        continue
+                    column = batch.paulis[:, slot]
                     for code in np.unique(column):
                         if code < 0:
                             continue
@@ -488,15 +451,16 @@ class VectorizedExecutor(Executor):
         rng = as_generator(seed if seed is not None else self.options.seed)
         count = self._shot_count(shots)
         # The sampling pass is the only serial part: it replays the exact
-        # RNG stream of `count` sequential scalar trajectories. Each chunk's
-        # records are stacked into compact arrays as soon as they're drawn,
-        # so the boxed per-shot records never all exist at once.
+        # RNG stream of `count` sequential scalar trajectories, one row of
+        # a chunk's columnar batch per shot.
         chunks = []
         for size in self._chunk_sizes(count, workers):
-            records = [sample_shot(self._plan, rng) for _ in range(size)]
-            chunks.append(_BatchNoise(self._plan, records))
+            batch = NoiseBatch.empty(self._plan, size)
+            for row in range(size):
+                sample_shot(self._plan, rng, batch, row)
+            chunks.append(batch)
 
-        def job(batch: _BatchNoise) -> Dict[str, np.ndarray]:
+        def job(batch: NoiseBatch) -> Dict[str, np.ndarray]:
             psi, _clbits = self._evolve_chunk(batch)
             return contract(psi)
 

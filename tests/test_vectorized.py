@@ -19,12 +19,12 @@ import pytest
 
 from repro import Circuit, SimOptions, Task, VectorizedBackend, run, schedule
 from repro.compiler.strategies import STRATEGIES
-from repro.device import linear_chain, synthetic_device
+from repro.device import NoiseProfile, linear_chain, synthetic_device
 from repro.runtime import BACKENDS, Orient, Pipeline, Twirl, get_backend
 from repro.runtime.run import configure, default_backend
-from repro.sim import Executor, StateVector, VectorizedExecutor
+from repro.sim import Executor, NoiseBatch, StateVector, VectorizedExecutor
 from repro.sim.executor import _apply_no_jump
-from repro.sim.sampling import build_noise_plan, sample_shot
+from repro.sim.sampling import sample_shot
 from repro.utils.rng import as_generator
 
 OBS = {"x1": "IIXI", "z3": "ZIII", "zz": "IIZZ"}
@@ -162,6 +162,45 @@ class TestBitForBitParity:
             assert_identical(a, b)
 
 
+class TestHeavyTriggering:
+    """Parity with gate errors near 0.3, where most shots trigger at least
+    one gate error and the sampler rewinds its generator on nearly every
+    shot (realistic error rates trigger on a few percent of shots)."""
+
+    @pytest.fixture
+    def noisy4(self):
+        profile = NoiseProfile(p1_range=(0.25, 0.35), p2_range=(0.25, 0.35))
+        return synthetic_device(linear_chain(4), name="noisy4", seed=104, profile=profile)
+
+    def test_most_shots_trigger(self, noisy4):
+        engine = Executor(schedule(layered_circuit(), noisy4.durations), noisy4)
+        batch = NoiseBatch.empty(engine._plan, 64)
+        rng = as_generator(0)
+        for row in range(batch.size):
+            sample_shot(engine._plan, rng, batch, row)
+        assert (batch.paulis >= 0).any(axis=1).mean() > 0.9
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_shots", [1, None])
+    def test_parity(self, noisy4, chunk_shots, workers):
+        options = SimOptions(shots=12, readout_errors=True)
+        backend = VectorizedBackend(chunk_shots=chunk_shots)
+        tasks = [
+            Task(
+                layered_circuit(), observables=OBS, pipeline="ca_ec+dd",
+                realizations=2, seed=21,
+            ),
+            Task(
+                layered_circuit(), bit_targets={"f": {0: 0, 1: 0}, "g": {2: 1}},
+                seed=22,
+            ),
+        ]
+        for task in tasks:
+            assert_identical(
+                *both(task, noisy4, options, vectorized=backend, workers=workers)
+            )
+
+
 class TestInPlaceNoJump:
     """Row-wise twin of ``test_runtime.TestNormGuards``: the in-place
     no-jump step must reproduce the scalar ``_apply_no_jump`` bit for bit,
@@ -240,37 +279,6 @@ class TestShardingInvariance:
                 options=SimOptions(shots=2),
                 backend=VectorizedBackend(chunk_shots=0),
             )
-
-
-class TestSamplingHelpers:
-    def test_plan_is_state_free_and_reusable(self, chain4):
-        """Two generators with the same seed draw identical records."""
-        from repro.circuits import schedule
-
-        scheduled = schedule(layered_circuit(), chain4.durations)
-        plan = build_noise_plan(scheduled, chain4, SimOptions(shots=1))
-        a = sample_shot(plan, as_generator(7))
-        b = sample_shot(plan, as_generator(7))
-        assert np.array_equal(a.detunings, b.detunings)
-        assert a.measure_u == b.measure_u
-        assert a.idle_flips == b.idle_flips
-        assert a.idle_u == b.idle_u
-        assert a.gate_paulis == b.gate_paulis
-
-    def test_executor_engines_share_stream(self, chain4):
-        """The scalar and batched engines consume one seed identically."""
-        from repro.circuits import schedule
-
-        scheduled = schedule(layered_circuit(), chain4.durations)
-        options = SimOptions(shots=12)
-        scalar = Executor(scheduled, chain4, options)
-        batched = VectorizedExecutor(scheduled, chain4, options)
-        paulis = {"x1": "IIXI"}
-        from repro.pauli import Pauli
-
-        obs = {k: Pauli.from_label(v) for k, v in paulis.items()}
-        assert scalar.expectations(obs, seed=33).values == \
-            batched.expectations(obs, seed=33).values
 
 
 class TestRegistryAndPlumbing:
