@@ -7,13 +7,12 @@
   budget everything above runs on.
 """
 
-import numpy as np
-
 from repro.circuits import Circuit, gates as g, schedule
 from repro.compiler import apply_ca_dd, dd_pulse_count
 from repro.compiler.walsh import pulse_count
 from repro.device import linear_chain, ring, synthetic_device
-from repro.sim import SimOptions, expectation_values
+from repro.runtime import Task, pipeline_for, run
+from repro.sim import SimOptions
 
 
 def test_coloring_minimizes_pulses(benchmark, once):
@@ -25,11 +24,11 @@ def test_coloring_minimizes_pulses(benchmark, once):
         circ.delay(500.0, q, new_moment=(q == 0))
     circ.append_moment([])
 
-    def run():
+    def dress():
         dressed, report = apply_ca_dd(circ, device)
         return dressed, report
 
-    dressed, report = once(benchmark, run)
+    dressed, report = once(benchmark, dress)
     used = dd_pulse_count(dressed)
     colors = {report.colorings[1].colors[q] for q in range(8)}
     worst_case = 8 * pulse_count(7)  # everyone on the deepest Walsh row
@@ -63,16 +62,12 @@ def test_stretched_rzz_vs_two_cnot_cost(benchmark, once):
                 circ.cx(0, 1, new_moment=True)
         return circ
 
-    def run():
-        stretched = expectation_values(
-            build(True), device, {"x": "IX"}, opts
-        )["x"]
-        synthesized = expectation_values(
-            build(False), device, {"x": "IX"}, opts
-        )["x"]
-        return stretched, synthesized
+    def compare():
+        stretched = run(Task(build(True), observables={"x": "IX"}), device, options=opts)
+        synthesized = run(Task(build(False), observables={"x": "IX"}), device, options=opts)
+        return stretched[0]["x"], synthesized[0]["x"]
 
-    stretched, synthesized = once(benchmark, run)
+    stretched, synthesized = once(benchmark, compare)
     print()
     print(f"polarization after 40 compensations: stretched={stretched:.3f} "
           f"2-CNOT={synthesized:.3f}")
@@ -107,35 +102,29 @@ def test_orientation_removes_case_iv(benchmark, once):
     re-orienting ECR gates removes the ctrl-ctrl context entirely, so even
     plain CA-DD matches CA-EC on a layer that otherwise needs EC."""
     from repro.benchmarking import CASE_IV, build_case_circuit
-    from repro.compiler import compile_circuit
-    from repro.sim import bit_probabilities
-    from repro.utils.rng import as_generator
 
     device = synthetic_device(linear_chain(4), seed=64)
     depth = 12
     opts = SimOptions(shots=12)
 
     def fidelity(strategy, orient):
-        rng = as_generator(9)
-        values = []
-        for _ in range(8):
-            circ = build_case_circuit(CASE_IV, depth)
-            compiled = compile_circuit(circ, device, strategy, seed=rng, orient=orient)
-            sub_seed = int(rng.integers(0, 2**63 - 1))
-            res = bit_probabilities(
-                compiled, device, {"f": {1: 0, 2: 0}}, opts.with_seed(sub_seed)
-            )
-            values.append(res.values["f"])
-        return float(np.mean(values))
+        task = Task(
+            build_case_circuit(CASE_IV, depth),
+            bit_targets={"f": {1: 0, 2: 0}},
+            pipeline=pipeline_for(strategy, orient=orient),
+            realizations=8,
+            seed=9,
+        )
+        return run(task, device, options=opts)[0].values["f"]
 
-    def run():
+    def compare():
         return (
             fidelity("none", False),
             fidelity("none", True),
             fidelity("ca_dd", True),
         )
 
-    bare, oriented, oriented_dd = once(benchmark, run)
+    bare, oriented, oriented_dd = once(benchmark, compare)
     print()
     print(f"case IV @ depth {depth}: bare={bare:.3f} "
           f"oriented={oriented:.3f} oriented+ca_dd={oriented_dd:.3f}")

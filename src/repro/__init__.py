@@ -35,9 +35,9 @@ Custom pipelines compose passes directly::
     pipeline = Pipeline([Orient(), Twirl(), CADD(), CAEC()])
     compiled = pipeline.compile(circuit, device, seed=0)
 
-The pre-1.1 helpers (``compile_circuit``, ``expectation_values``,
-``bit_probabilities``, ``average_over_realizations``) remain as thin
-deprecated wrappers over the runtime.
+There is one way in: ``run(Task(...))`` simulates (``backend="density"``
+gives the exact reference), and ``pipeline_for(strategy).compile(...)`` or a
+custom ``Pipeline`` compiles without simulating.
 """
 
 from .circuits import (
@@ -59,8 +59,6 @@ from .compiler import (
     apply_ca_ec,
     apply_orientation,
     apply_staggered_dd,
-    compile_circuit,
-    realization_factory,
 )
 from .device import (
     Device,
@@ -102,17 +100,9 @@ from .runtime import (
     register_backend,
     run,
 )
-from .sim import (
-    SimOptions,
-    SimResult,
-    average_over_realizations,
-    bit_probabilities,
-    density_expectations,
-    density_probabilities,
-    expectation_values,
-)
+from .sim import SimOptions, SimResult
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Circuit",
@@ -131,8 +121,6 @@ __all__ = [
     "apply_ca_ec",
     "apply_orientation",
     "apply_staggered_dd",
-    "compile_circuit",
-    "realization_factory",
     "Device",
     "Topology",
     "fake_brisbane",
@@ -172,10 +160,5 @@ __all__ = [
     "run",
     "SimOptions",
     "SimResult",
-    "average_over_realizations",
-    "bit_probabilities",
-    "density_expectations",
-    "density_probabilities",
-    "expectation_values",
     "__version__",
 ]

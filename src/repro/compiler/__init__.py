@@ -11,7 +11,7 @@ from .dd import (
     dd_pulse_count,
 )
 from .orientation import OrientationReport, apply_orientation, choose_orientations
-from .strategies import STRATEGIES, Strategy, compile_circuit, get_strategy, realization_factory
+from .strategies import STRATEGIES, Strategy, get_strategy
 from .walsh import max_sequency, orthogonal, pulse_count, walsh_fractions, walsh_signs
 
 __all__ = [
@@ -37,9 +37,7 @@ __all__ = [
     "choose_orientations",
     "STRATEGIES",
     "Strategy",
-    "compile_circuit",
     "get_strategy",
-    "realization_factory",
     "max_sequency",
     "orthogonal",
     "pulse_count",

@@ -24,15 +24,7 @@ CA-EC (which sees the twirl Paulis and DD pulses, as Algorithm 2 requires).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
-
-import numpy as np
-
-from ..circuits.circuit import Circuit
-from ..circuits.schedule import Durations
-from ..device.calibration import Device
-from ..utils.rng import SeedLike
-from .dd import DEFAULT_MIN_DURATION
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -71,66 +63,3 @@ def get_strategy(name_or_strategy) -> Strategy:
             f"choose from {sorted(STRATEGIES)}"
         ) from None
 
-
-def compile_circuit(
-    circuit: Circuit,
-    device: Device,
-    strategy="none",
-    seed: SeedLike = None,
-    planner_durations: Optional[Durations] = None,
-    min_dd_duration: float = DEFAULT_MIN_DURATION,
-    orient: bool = False,
-) -> Circuit:
-    """Produce one compiled realization of ``circuit`` under a strategy.
-
-    The input must be in stratified (alternating-layer) form when twirling
-    is enabled. ``planner_durations`` is CA-EC's timing belief; the default
-    is the device's true table (see Fig. 9c for why they can differ).
-    ``orient=True`` first re-orients ECR/CX gates to avoid same-role
-    adjacencies (the paper's context-avoidance outlook).
-
-    .. deprecated:: 1.1
-        Thin wrapper over :func:`repro.runtime.pipeline_for`; build a
-        :class:`repro.runtime.Pipeline` directly for new code.
-    """
-    import warnings
-
-    from ..runtime.pipeline import pipeline_for  # local: avoids import cycle
-
-    warnings.warn(
-        "compile_circuit is deprecated since repro 1.1; build a pipeline via "
-        "repro.runtime.pipeline_for (or compose passes) and call .compile()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    pipeline = pipeline_for(
-        strategy,
-        planner_durations=planner_durations,
-        min_dd_duration=min_dd_duration,
-        orient=orient,
-    )
-    return pipeline.compile(circuit, device, seed=seed)
-
-
-def realization_factory(
-    circuit: Circuit,
-    device: Device,
-    strategy="none",
-    planner_durations: Optional[Durations] = None,
-    min_dd_duration: float = DEFAULT_MIN_DURATION,
-    orient: bool = False,
-) -> Callable[[np.random.Generator], Circuit]:
-    """A callable producing fresh twirl realizations, for the executor."""
-    from ..runtime.pipeline import pipeline_for  # local: avoids import cycle
-
-    pipeline = pipeline_for(
-        get_strategy(strategy),
-        planner_durations=planner_durations,
-        min_dd_duration=min_dd_duration,
-        orient=orient,
-    )
-
-    def factory(rng: np.random.Generator) -> Circuit:
-        return pipeline.compile(circuit, device, seed=rng)
-
-    return factory

@@ -229,37 +229,28 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.chunk_shots is not None and args.chunk_shots < 0:
-        parser.error("--chunk-shots must be >= 1 (or 0 for auto)")
-    if args.dist_workers is not None and args.dist_workers < 1:
-        parser.error("--dist-workers must be >= 1")
-    if args.dist_shard_size is not None and args.dist_shard_size < 1:
-        parser.error("--dist-shard-size must be >= 1")
-    if (
-        args.workers is not None
-        or args.backend is not None
-        or args.chunk_shots is not None
-        or args.dist_workers is not None
-        or args.dist_shard_size is not None
-        or args.dist_serve is not None
-        or args.dist_connect is not None
-    ):
+    # One configure() call: it validates every setting before changing any,
+    # so a rejected flag leaves all runtime defaults as they were.
+    settings = {
+        name: value
+        for name, value in (
+            ("workers", args.workers),
+            ("backend", args.backend),
+            ("chunk_shots", args.chunk_shots),
+            ("dist_workers", args.dist_workers),
+            ("dist_shard_size", args.dist_shard_size),
+            ("dist_serve", args.dist_serve),
+            ("dist_connect", args.dist_connect),
+        )
+        if value is not None
+    }
+    if settings.get("chunk_shots") == 0:
+        settings["chunk_shots"] = None  # --chunk-shots 0 restores auto-sizing
+    if settings:
         from ..runtime import configure
 
         try:
-            configure(workers=args.workers, backend=args.backend)
-            if args.chunk_shots is not None:
-                configure(chunk_shots=args.chunk_shots or None)
-            if args.dist_workers is not None:
-                configure(dist_workers=args.dist_workers)
-            if args.dist_shard_size is not None:
-                configure(dist_shard_size=args.dist_shard_size)
-            if args.dist_serve is not None:
-                configure(dist_serve=args.dist_serve)
-            if args.dist_connect is not None:
-                configure(dist_connect=tuple(args.dist_connect))
+            configure(**settings)
         except ValueError as exc:
             parser.error(str(exc))
 

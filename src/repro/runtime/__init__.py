@@ -24,8 +24,8 @@ tasks, content-cached in memory for deterministic pipelines), and every
 backend consumes the same plans. Grid-shaped experiments declare a
 :class:`~repro.runtime.sweep.Sweep` instead of hand-rolling task lists.
 
-See :mod:`repro.runtime.task` for the seed semantics that make the batched
-path bit-for-bit equivalent to the legacy single-task entry points.
+See :mod:`repro.runtime.task` for how a task's ``seed`` feeds the
+simulator and the realization stream.
 """
 
 from .backends import (

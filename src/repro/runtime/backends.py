@@ -197,7 +197,7 @@ class Backend(ABC):
                 realizations=1,
                 wall_time=elapsed,
             )
-        # Pool realization means exactly like average_over_realizations.
+        # Pool realization means: mean and standard error over realizations.
         pooled: Dict[str, List[float]] = {}
         total = 0
         for result, _t in results:

@@ -4,8 +4,8 @@ A :class:`Pass` transforms one circuit into another against a device, with
 shared mutable state carried in a :class:`PassContext` (the RNG stream for
 stochastic passes, and a report sink for passes that emit diagnostics).
 The concrete passes wrap the compiler-stage functions one-to-one, so a
-:class:`~repro.runtime.pipeline.Pipeline` built from them reproduces
-``compile_circuit`` seed-for-seed.
+:class:`~repro.runtime.pipeline.Pipeline` built from them applies exactly
+those stages, seed for seed.
 
 Custom passes only need ``run(circuit, device, ctx) -> Circuit``; set
 ``stochastic = True`` when the pass consumes randomness from ``ctx.rng`` so

@@ -10,8 +10,7 @@ and users can compose their own::
     pipeline = Pipeline([Orient(), Twirl(), CADD(), CAEC()])
     compiled = pipeline.compile(circuit, device, seed=0)
 
-Pipelines built from a named strategy are seed-for-seed equivalent to the
-legacy ``compile_circuit`` (which now delegates here).
+:func:`pipeline_for` is the one way to compile a named strategy.
 """
 
 from __future__ import annotations
@@ -108,9 +107,9 @@ def pipeline_for(
 ) -> Pipeline:
     """Build the pass pipeline for a named strategy.
 
-    The pass order matches the legacy ``compile_circuit`` chain exactly
-    (orientation, twirl, DD, EC), so compiling through the returned
-    pipeline with the same seed yields the identical circuit.
+    The passes run in the paper's order: orientation, twirl, DD, EC
+    (CA-EC last, so it sees the twirl Paulis and DD pulses). The same seed
+    yields the identical circuit.
     """
     strategy = get_strategy(strategy)
     passes: List[Pass] = []

@@ -149,8 +149,7 @@ class ExecutionPlan:
         payload: normalized observables (``Pauli`` objects) or bit targets.
         units: the seeded simulation jobs, in realization order.
         direct: raw single-circuit execution — the unit seed (which may be
-            ``None``) goes straight to the simulator, like the legacy
-            ``expectation_values`` path.
+            ``None``) goes straight to the simulator.
         collapsible: the task's pipeline is deterministic, so backends whose
             results ignore the unit seed (exact backends) may execute only
             the first unit instead of repeating identical evolutions.
@@ -184,7 +183,7 @@ class PlanShard:
     contiguous block of realizations — scheduled circuits, devices, derived
     seeds, the normalized payload — and nothing it doesn't. In particular a
     shard carries no :class:`~repro.runtime.task.Task`, so it pickles even
-    when the originating task holds an unpicklable realization factory;
+    when the originating task's pipeline holds an unpicklable pass;
     aggregation happens coordinator-side against the full plan. Because the
     per-unit seeds were derived from the plan at compile time, *where* a
     shard executes (which worker, which host, which transport) can never
@@ -414,11 +413,10 @@ def _compile_one(
             cache_misses=misses,
         )
 
-    if task.factory is None and task.pipeline is None and task.realizations == 1:
-        # Raw execution: the circuit runs as-is, seeded directly (matching
-        # expectation_values / bit_probabilities). Deliberately uncached:
-        # raw circuits are essentially never content-repeated, so hashing
-        # them would only pollute the LRU.
+    if task.pipeline is None and task.realizations == 1:
+        # Raw execution: the circuit runs as-is, seeded directly.
+        # Deliberately uncached: raw circuits are essentially never
+        # content-repeated, so hashing them would only pollute the LRU.
         scheduled = _as_scheduled(task.circuit, task_device)
         return finish(
             [PlanUnit(task.circuit, scheduled, task_device, task.seed)],
@@ -427,17 +425,6 @@ def _compile_one(
 
     rng = as_generator(task.seed if task.seed is not None else options.seed)
     units: List[PlanUnit] = []
-    if task.factory is not None:
-        for _ in range(task.realizations):
-            compiled = task.factory(rng)
-            sub_seed = int(rng.integers(0, 2**63 - 1))
-            units.append(
-                PlanUnit(
-                    compiled, _as_scheduled(compiled, task_device), task_device, sub_seed
-                )
-            )
-        return finish(units)
-
     pipeline = as_pipeline(task.pipeline)
     if pipeline.is_deterministic:
         # One compile + one schedule, shared by every realization. The

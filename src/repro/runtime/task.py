@@ -1,28 +1,25 @@
 """Work units and results for the batched runtime.
 
-A :class:`Task` bundles one circuit (or realization factory) with what to
-measure, how many twirl realizations to average, and which compilation
-pipeline to apply. :func:`repro.runtime.run` executes a list of tasks on a
-backend and returns a :class:`BatchResult` of per-task
-:class:`TaskResult` objects (the same shape as ``SimResult``, plus run
-metadata).
+A :class:`Task` bundles one circuit with what to measure, how many twirl
+realizations to average, and which compilation pipeline to apply.
+:func:`repro.runtime.run` executes a list of tasks on a backend and returns a
+:class:`BatchResult` of per-task :class:`TaskResult` objects (the same shape
+as ``SimResult``, plus run metadata).
 
-Seed semantics (chosen to match the legacy entry points bit-for-bit):
+Seed semantics:
 
 * ``pipeline is None`` and ``realizations == 1`` — the circuit runs as-is
-  and ``seed`` (or ``options.seed``) seeds the simulator directly, like
-  ``expectation_values`` / ``bit_probabilities``.
-* otherwise — ``seed`` seeds the realization stream: each realization
-  compiles from that stream, then draws a simulator sub-seed from it, like
-  ``average_over_realizations``.
+  and ``seed`` (or ``options.seed``) seeds the simulator directly.
+* otherwise — ``seed`` (or ``options.seed``) seeds the realization stream:
+  each realization compiles through the pipeline from that stream, then
+  draws a simulator sub-seed from it. A deterministic pipeline draws
+  nothing, so it compiles once and only the sub-seeds come from the stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Union
 
 from ..circuits.circuit import Circuit
 from ..circuits.schedule import ScheduledCircuit
@@ -33,23 +30,20 @@ from ..utils.rng import SeedLike
 from .pipeline import PipelineLike
 
 CircuitLike = Union[Circuit, ScheduledCircuit]
-#: ``factory(rng) -> circuit`` producing fresh realizations (legacy style).
-RealizationFactory = Callable[[np.random.Generator], CircuitLike]
 
 
 @dataclass
 class Task:
     """One batched work item: circuit, measurement, pipeline, statistics.
 
-    Exactly one of ``circuit`` / ``factory`` and exactly one of
-    ``observables`` / ``bit_targets`` must be given. ``observables`` maps
-    names to Pauli labels (or ``Pauli`` objects); ``bit_targets`` maps
-    names to ``{qubit: bit}`` assignments. ``device`` overrides the batch
+    Exactly one of ``observables`` / ``bit_targets`` must be given.
+    ``observables`` maps names to Pauli labels (or ``Pauli`` objects);
+    ``bit_targets`` maps names to ``{qubit: bit}`` assignments. ``device`` overrides the batch
     device for this task (e.g. an ideal reference). ``shots`` overrides
     ``options.shots``.
     """
 
-    circuit: Optional[CircuitLike] = None
+    circuit: CircuitLike
     observables: Optional[Dict[str, Union[str, Pauli]]] = None
     bit_targets: Optional[Dict[str, Dict[int, int]]] = None
     pipeline: PipelineLike = None
@@ -57,14 +51,9 @@ class Task:
     seed: SeedLike = None
     shots: Optional[int] = None
     device: Optional[Device] = None
-    factory: Optional[RealizationFactory] = None
     name: Optional[str] = None
 
     def __post_init__(self):
-        if (self.circuit is None) == (self.factory is None):
-            raise ValueError("give exactly one of circuit or factory")
-        if self.factory is not None and self.pipeline is not None:
-            raise ValueError("factory tasks already compile themselves")
         if (self.observables is None) == (self.bit_targets is None):
             raise ValueError("give exactly one of observables or bit_targets")
         if self.realizations < 1:

@@ -1,20 +1,8 @@
 """Noise simulator: sign-trajectory coherent model + Monte-Carlo trajectories."""
 
 from .coherent import CoherentAccumulation, accumulate_coherent
-from .density import (
-    DensityExecutor,
-    DensityMatrix,
-    density_expectations,
-    density_probabilities,
-)
-from .executor import (
-    Executor,
-    SimOptions,
-    SimResult,
-    average_over_realizations,
-    bit_probabilities,
-    expectation_values,
-)
+from .density import DensityExecutor, DensityMatrix
+from .executor import Executor, SimOptions, SimResult
 from .readout import (
     ConfusionMatrices,
     assignment_probabilities,
@@ -32,8 +20,6 @@ from .vectorized import VectorizedExecutor
 __all__ = [
     "DensityExecutor",
     "DensityMatrix",
-    "density_expectations",
-    "density_probabilities",
     "ConfusionMatrices",
     "assignment_probabilities",
     "corrected_expectation",
@@ -46,9 +32,6 @@ __all__ = [
     "Executor",
     "SimOptions",
     "SimResult",
-    "average_over_realizations",
-    "bit_probabilities",
-    "expectation_values",
     "StateVector",
     "vector_norm",
     "NoiseBatch",

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.circuit import Circuit
-from ..circuits.schedule import ScheduledCircuit, schedule
+from ..circuits.schedule import ScheduledCircuit
 from ..device.calibration import Device
 from ..pauli.pauli import Pauli
 from .coherent import CoherentAccumulation, accumulate_coherent
@@ -341,39 +340,3 @@ class DensityExecutor:
             )
         return out
 
-
-CircuitLike = Union[Circuit, ScheduledCircuit]
-
-
-def density_expectations(
-    circuit: CircuitLike,
-    device: Device,
-    observables: Dict[str, Union[str, Pauli]],
-    options: Optional[SimOptions] = None,
-) -> Dict[str, float]:
-    """Exact expectation values under the averaged noise model."""
-    scheduled = (
-        circuit
-        if isinstance(circuit, ScheduledCircuit)
-        else schedule(circuit, device.durations)
-    )
-    paulis = {
-        k: (Pauli.from_label(v) if isinstance(v, str) else v)
-        for k, v in observables.items()
-    }
-    return DensityExecutor(scheduled, device, options).expectations(paulis)
-
-
-def density_probabilities(
-    circuit: CircuitLike,
-    device: Device,
-    targets: Dict[str, Dict[int, int]],
-    options: Optional[SimOptions] = None,
-) -> Dict[str, float]:
-    """Exact bitstring probabilities under the averaged noise model."""
-    scheduled = (
-        circuit
-        if isinstance(circuit, ScheduledCircuit)
-        else schedule(circuit, device.durations)
-    )
-    return DensityExecutor(scheduled, device, options).probabilities(targets)

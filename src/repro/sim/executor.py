@@ -20,14 +20,12 @@ assignment errors is available for probability-type experiments.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..circuits.circuit import Circuit
-from ..circuits.schedule import ScheduledCircuit, schedule
+from ..circuits.schedule import ScheduledCircuit
 from ..device.calibration import Device
 from ..pauli.pauli import Pauli
 from ..utils.rng import SeedLike, as_generator
@@ -339,102 +337,3 @@ def _aggregate(samples: Dict[str, List[float]], count: int) -> SimResult:
         values[key] = float(arr.mean())
         errors[key] = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return SimResult(values=values, errors=errors, shots=count)
-
-
-# ---------------------------------------------------------------------------
-# Convenience entry points
-# ---------------------------------------------------------------------------
-
-
-CircuitLike = Union[Circuit, ScheduledCircuit]
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"{name} is deprecated since repro 1.1; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _as_scheduled(circuit: CircuitLike, device: Device) -> ScheduledCircuit:
-    if isinstance(circuit, ScheduledCircuit):
-        return circuit
-    return schedule(circuit, device.durations)
-
-
-def expectation_values(
-    circuit: CircuitLike,
-    device: Device,
-    observables: Dict[str, Union[str, Pauli]],
-    options: Optional[SimOptions] = None,
-) -> SimResult:
-    """Run ``circuit`` on ``device`` and return Pauli expectation values.
-
-    ``observables`` may use label strings (leftmost char = highest qubit).
-
-    .. deprecated:: 1.1
-        Thin wrapper over the batched runtime; prefer
-        ``repro.runtime.run(Task(circuit, observables=...), device)``.
-    """
-    from ..runtime import Task, run  # local: the runtime imports this module
-
-    _warn_deprecated(
-        "expectation_values", "repro.runtime.run(Task(circuit, observables=...))"
-    )
-    return run(
-        Task(circuit, observables=observables), device, options=options
-    ).results[0]
-
-
-def bit_probabilities(
-    circuit: CircuitLike,
-    device: Device,
-    targets: Dict[str, Dict[int, int]],
-    options: Optional[SimOptions] = None,
-) -> SimResult:
-    """Run ``circuit`` and return probabilities of qubit->bit assignments.
-
-    .. deprecated:: 1.1
-        Thin wrapper over the batched runtime; prefer
-        ``repro.runtime.run(Task(circuit, bit_targets=...), device)``.
-    """
-    from ..runtime import Task, run  # local: the runtime imports this module
-
-    _warn_deprecated(
-        "bit_probabilities", "repro.runtime.run(Task(circuit, bit_targets=...))"
-    )
-    return run(Task(circuit, bit_targets=targets), device, options=options).results[0]
-
-
-def average_over_realizations(
-    factory: Callable[[np.random.Generator], CircuitLike],
-    device: Device,
-    observables: Dict[str, Union[str, Pauli]],
-    realizations: int = 8,
-    options: Optional[SimOptions] = None,
-    seed: SeedLike = None,
-) -> SimResult:
-    """Average expectations over circuit realizations (e.g. twirl samples).
-
-    ``factory(rng)`` must return a fresh realization; each runs with
-    ``options.shots`` trajectories, and results are pooled.
-
-    .. deprecated:: 1.1
-        Thin wrapper over the batched runtime; prefer
-        ``repro.runtime.run(Task(circuit, pipeline=..., realizations=N),
-        device)``.
-    """
-    from ..runtime import Task, run  # local: the runtime imports this module
-
-    _warn_deprecated(
-        "average_over_realizations",
-        "repro.runtime.run(Task(..., pipeline=..., realizations=N))",
-    )
-    task = Task(
-        factory=factory,
-        observables=observables,
-        realizations=realizations,
-        seed=seed,
-    )
-    return run(task, device, options=options).results[0]

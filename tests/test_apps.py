@@ -25,13 +25,8 @@ from repro.apps import (
     site_z_label,
 )
 from repro.circuits import gates as g
-from repro.sim import SimOptions, bit_probabilities, expectation_values
-
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
+from repro.runtime import Task, run
+from repro.sim import SimOptions
 
 
 class TestIsing:
@@ -46,9 +41,8 @@ class TestIsing:
     def test_ideal_alternation(self, steps, ideal_options):
         device = ising_device(6).ideal()
         circ = ising_circuit(6, steps)
-        res = expectation_values(
-            circ, device, {"xx": boundary_xx_label(6)}, ideal_options
-        )
+        task = Task(circ, observables={"xx": boundary_xx_label(6)})
+        res = run(task, device, options=ideal_options)[0]
         assert res["xx"] == pytest.approx(ideal_boundary_xx(steps), abs=1e-9)
 
     def test_boundary_idles_in_odd_layer(self):
@@ -119,7 +113,7 @@ class TestHeisenberg:
             circ = heisenberg_circuit(
                 n, steps, coupling=j, dt=total_t / steps, excited=(0, 3)
             )
-            res = expectation_values(circ, device, obs, ideal_options)
+            res = run(Task(circ, observables=obs), device, options=ideal_options)[0]
             errors.append(abs(res["z"] - exact))
         assert errors[1] < errors[0]  # finer Trotter is closer
         assert errors[1] < 0.05
@@ -127,9 +121,8 @@ class TestHeisenberg:
     def test_zero_steps_keeps_excitations(self, ideal_options):
         device = heisenberg_device(12).ideal()
         circ = heisenberg_circuit(12, 0)
-        res = expectation_values(
-            circ, device, {"z0": site_z_label(12, 0)}, ideal_options
-        )
+        task = Task(circ, observables={"z0": site_z_label(12, 0)})
+        res = run(task, device, options=ideal_options)[0]
         assert res["z0"] == pytest.approx(-1.0)  # site 0 starts excited
 
 
@@ -140,9 +133,8 @@ class TestDynamicBell:
             shots=16, coherent=False, stochastic=False, dephasing=False,
             amplitude_damping=False, gate_errors=False, seed=1,
         )
-        res = bit_probabilities(
-            bell_dynamic_circuit(), device, {"f": bell_target_bits()}, opts
-        )
+        task = Task(bell_dynamic_circuit(), bit_targets={"f": bell_target_bits()})
+        res = run(task, device, options=opts)[0]
         assert res["f"] == pytest.approx(1.0)
 
     def test_circuit_has_dynamics(self):
@@ -154,11 +146,14 @@ class TestDynamicBell:
             shots=64, stochastic=False, dephasing=False,
             amplitude_damping=False, gate_errors=False, seed=2,
         )
-        bare = bit_probabilities(
-            bell_dynamic_circuit(), device, {"f": bell_target_bits()}, opts
-        )
-        fixed = bit_probabilities(
-            compensated_circuit(device), device, {"f": bell_target_bits()}, opts
+        target = {"f": bell_target_bits()}
+        bare, fixed = run(
+            [
+                Task(bell_dynamic_circuit(), bit_targets=target),
+                Task(compensated_circuit(device), bit_targets=target),
+            ],
+            device,
+            options=opts,
         )
         assert fixed["f"] > bare["f"] + 0.2
         assert fixed["f"] > 0.95
@@ -166,13 +161,16 @@ class TestDynamicBell:
     def test_wrong_estimate_underperforms_true(self):
         device = dynamic_device()
         opts = SimOptions(shots=96, seed=3)
-        at_true = bit_probabilities(
-            compensated_circuit(device, feedforward_estimate=1150.0),
-            device, {"f": bell_target_bits()}, opts,
-        )
-        far_off = bit_probabilities(
-            compensated_circuit(device, feedforward_estimate=3000.0),
-            device, {"f": bell_target_bits()}, opts,
+        at_true, far_off = run(
+            [
+                Task(
+                    compensated_circuit(device, feedforward_estimate=estimate),
+                    bit_targets={"f": bell_target_bits()},
+                )
+                for estimate in (1150.0, 3000.0)
+            ],
+            device,
+            options=opts,
         )
         assert at_true["f"] > far_off["f"]
 
@@ -180,15 +178,13 @@ class TestDynamicBell:
 class TestFloquet6:
     def test_ideal_p00_stays_one(self, ideal_options):
         device = floquet6_device().ideal()
+        opts = SimOptions(
+            shots=1, coherent=False, stochastic=False, dephasing=False,
+            amplitude_damping=False, gate_errors=False, seed=0,
+        )
         for steps in (0, 1, 3):
             circ = floquet6_circuit(steps)
-            res = bit_probabilities(
-                circ, device, {"p": probe_target_bits()},
-                SimOptions(
-                    shots=1, coherent=False, stochastic=False, dephasing=False,
-                    amplitude_damping=False, gate_errors=False, seed=0,
-                ),
-            )
+            res = run(Task(circ, bit_targets={"p": probe_target_bits()}), device, options=opts)[0]
             assert res["p"] == pytest.approx(1.0, abs=1e-9)
 
     def test_contains_both_contexts(self):
@@ -225,9 +221,13 @@ class TestConditionalCompensation:
             amplitude_damping=False, gate_errors=False,
         )
         target = {"f": bell_target_bits()}
-        full = bit_probabilities(compensated_circuit(device), device, target, opts)
-        cond = bit_probabilities(
-            conditionally_compensated_circuit(device), device, target, opts
+        full, cond = run(
+            [
+                Task(compensated_circuit(device), bit_targets=target),
+                Task(conditionally_compensated_circuit(device), bit_targets=target),
+            ],
+            device,
+            options=opts,
         )
         assert cond["f"] == pytest.approx(full["f"], abs=0.02)
         assert cond["f"] > 0.99
@@ -281,7 +281,7 @@ class TestConditionalCompensation:
             circ = conditionally_compensated_circuit(
                 device, feedforward_estimate=estimate
             )
-            res = bit_probabilities(circ, device, {"f": bell_target_bits()}, opts)
+            res = run(Task(circ, bit_targets={"f": bell_target_bits()}), device, options=opts)[0]
             values[estimate] = res["f"]
         assert values[1150.0] > values[0.0]
         assert values[1150.0] > values[2800.0]

@@ -7,13 +7,8 @@ from repro.circuits import Circuit
 from repro.compiler.ca_ec import apply_ca_ec
 from repro.device import linear_chain, synthetic_device
 from repro.pauli import apply_twirl
-from repro.sim import SimOptions, expectation_values
-
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
+from repro.runtime import Task, run
+from repro.sim import SimOptions
 
 
 @pytest.fixture
@@ -34,8 +29,8 @@ def ideal():
 
 def assert_restores_ideal(circ, device, observables, coh, ideal, atol=1e-7):
     compensated, report = apply_ca_ec(circ, device)
-    want = expectation_values(circ, device.ideal(), observables, ideal)
-    got = expectation_values(compensated, device, observables, coh)
+    want = run(Task(circ, observables=observables), device.ideal(), options=ideal)[0]
+    got = run(Task(compensated, observables=observables), device, options=coh)[0]
     for key in observables:
         assert got[key] == pytest.approx(want[key], abs=atol), key
     return report
@@ -80,8 +75,8 @@ class TestExactCancellation:
         circ.append_moment([])
         compensated, report = apply_ca_ec(circ, chain2)
         assert report.zz_absorbed >= 1
-        want = expectation_values(circ, chain2.ideal(), {"x": "IX"}, ideal)
-        got = expectation_values(compensated, chain2, {"x": "IX"}, coh)
+        want = run(Task(circ, observables={"x": "IX"}), chain2.ideal(), options=ideal)[0]
+        got = run(Task(compensated, observables={"x": "IX"}), chain2, options=coh)[0]
         assert got["x"] == pytest.approx(want["x"], abs=1e-7)
 
     def test_spectator_z_compensated(self, chain3, coh, ideal):
@@ -106,10 +101,8 @@ class TestTwirlCrossing:
         circ.append_moment([])
         twirled, _record = apply_twirl(circ, seed=seed)
         compensated, _report = apply_ca_ec(twirled, chain4)
-        want = expectation_values(
-            circ, chain4.ideal(), {"x2": "IXII"}, ideal
-        )
-        got = expectation_values(compensated, chain4, {"x2": "IXII"}, coh)
+        want = run(Task(circ, observables={"x2": "IXII"}), chain4.ideal(), options=ideal)[0]
+        got = run(Task(compensated, observables={"x2": "IXII"}), chain4, options=coh)[0]
         assert got["x2"] == pytest.approx(want["x2"], abs=1e-7)
 
     def test_sign_flip_through_anticommuting_pauli(self, chain2, coh, ideal):
@@ -127,8 +120,8 @@ class TestTwirlCrossing:
         # Both the delay window's ZZ and the X layer's own small ZZ absorb
         # into the rzz, each crossing the anticommuting X pair.
         assert report.zz_absorbed == 2
-        want = expectation_values(circ, chain2.ideal(), {"x": "IX"}, ideal)
-        got = expectation_values(compensated, chain2, {"x": "IX"}, coh)
+        want = run(Task(circ, observables={"x": "IX"}), chain2.ideal(), options=ideal)[0]
+        got = run(Task(compensated, observables={"x": "IX"}), chain2, options=coh)[0]
         assert got["x"] == pytest.approx(want["x"], abs=1e-7)
 
 
@@ -252,8 +245,8 @@ class TestPlannerDurations:
         right, _ = apply_ca_ec(circ, chain2)
         wrong_durations = replace(chain2.durations, measure=1000.0)
         wrong, _ = apply_ca_ec(circ, chain2, durations=wrong_durations)
-        want = expectation_values(circ, chain2.ideal(), {"z": "ZI"}, ideal)
-        got_right = expectation_values(right, chain2, {"z": "ZI"}, coh)
-        got_wrong = expectation_values(wrong, chain2, {"z": "ZI"}, coh)
+        want = run(Task(circ, observables={"z": "ZI"}), chain2.ideal(), options=ideal)[0]
+        got_right = run(Task(right, observables={"z": "ZI"}), chain2, options=coh)[0]
+        got_wrong = run(Task(wrong, observables={"z": "ZI"}), chain2, options=coh)[0]
         assert got_right["z"] == pytest.approx(want["z"], abs=1e-7)
         assert abs(got_wrong["z"] - want["z"]) > 0.01

@@ -11,13 +11,8 @@ from repro.benchmarking import (
 from repro.circuits import Circuit
 from repro.compiler import apply_ca_ec
 from repro.device import linear_chain, synthetic_device
-from repro.sim import SimOptions, expectation_values
-
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
+from repro.runtime import Task, run
+from repro.sim import SimOptions
 
 
 @pytest.fixture
@@ -85,9 +80,15 @@ class TestCharacterizedCompilation:
         oracle, _ = apply_ca_ec(circ, device)
         measured, _ = apply_ca_ec(circ, estimated)
         obs = {"x0": "IIX", "x1": "IXI"}
-        ideal = expectation_values(circ, device.ideal(), obs, quiet_options)
-        got_oracle = expectation_values(oracle, device, obs, quiet_options)
-        got_measured = expectation_values(measured, device, obs, quiet_options)
+        ideal, got_oracle, got_measured = run(
+            [
+                Task(circ, observables=obs, device=device.ideal()),
+                Task(oracle, observables=obs),
+                Task(measured, observables=obs),
+            ],
+            device,
+            options=quiet_options,
+        )
         for key in obs:
             assert got_oracle[key] == pytest.approx(ideal[key], abs=1e-7)
             assert got_measured[key] == pytest.approx(ideal[key], abs=5e-3)

@@ -47,3 +47,27 @@ class TestCLI:
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig3", "--quick", "--backend", "warp-drive"])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--dist-serve", "nonsense"],
+            ["--dist-connect", "broken"],
+            ["--backend", "warp-drive"],
+            ["--chunk-shots", "-4"],
+            ["--dist-shard-size", "0"],
+        ],
+    )
+    def test_rejected_flag_changes_no_default(self, bad):
+        """Valid flags given alongside a bad one must not be applied."""
+        import repro.runtime as rt
+
+        getters = [getattr(rt, name) for name in rt.__all__ if name.startswith("default_")]
+        before = [get() for get in getters]
+        good = (
+            "--workers 3 --backend trajectory --chunk-shots 16 "
+            "--dist-workers 2 --dist-shard-size 5"
+        ).split()
+        with pytest.raises(SystemExit):
+            main(["list", *good, *bad])
+        assert [get() for get in getters] == before

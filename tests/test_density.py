@@ -8,21 +8,9 @@ import pytest
 from repro.circuits import Circuit, gates as g
 from repro.device import linear_chain, synthetic_device
 from repro.pauli import Pauli
-from repro.sim import (
-    DensityMatrix,
-    SimOptions,
-    bit_probabilities,
-    density_expectations,
-    density_probabilities,
-    expectation_values,
-)
+from repro.runtime import Task, run
+from repro.sim import DensityMatrix, SimOptions
 from repro.sim.coherent import CoherentAccumulation
-
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
 
 
 class TestDensityMatrix:
@@ -116,8 +104,9 @@ class TestCrossValidation:
             amplitude_damping=False, gate_errors=False, seed=0,
         )
         obs = {"z0": "IIZ", "x1": "IXI"}
-        traj = expectation_values(circ, device, obs, opts)
-        dens = density_expectations(circ, device, obs, opts)
+        task = Task(circ, observables=obs)
+        traj = run(task, device, options=opts)[0]
+        dens = run(task, device, backend="density", options=opts)[0]
         for key in obs:
             assert dens[key] == pytest.approx(traj[key], abs=1e-10)
 
@@ -132,12 +121,9 @@ class TestCrossValidation:
         base = dict(
             stochastic=False, amplitude_damping=False, gate_errors=False,
         )
-        dens = density_expectations(
-            circ, device, {"x": "IIX"}, SimOptions(shots=1, **base)
-        )
-        traj = expectation_values(
-            circ, device, {"x": "IIX"}, SimOptions(shots=3000, seed=5, **base)
-        )
+        task = Task(circ, observables={"x": "IIX"})
+        dens = run(task, device, backend="density", options=SimOptions(shots=1, **base))[0]
+        traj = run(task, device, options=SimOptions(shots=3000, seed=5, **base))[0]
         assert traj["x"] == pytest.approx(dens["x"], abs=0.05)
 
     def test_gate_error_channel_agreement(self, device):
@@ -149,12 +135,9 @@ class TestCrossValidation:
             coherent=False, stochastic=False, dephasing=False,
             amplitude_damping=False,
         )
-        dens = density_expectations(
-            circ, device, {"x": "IIX"}, SimOptions(shots=1, **base)
-        )
-        traj = expectation_values(
-            circ, device, {"x": "IIX"}, SimOptions(shots=4000, seed=6, **base)
-        )
+        task = Task(circ, observables={"x": "IIX"})
+        dens = run(task, device, backend="density", options=SimOptions(shots=1, **base))[0]
+        traj = run(task, device, options=SimOptions(shots=4000, seed=6, **base))[0]
         assert traj["x"] == pytest.approx(dens["x"], abs=0.05)
 
     def test_quasistatic_single_window_agreement(self, device):
@@ -173,12 +156,9 @@ class TestCrossValidation:
         circ.h(0)
         circ.delay(5000.0, 0, new_moment=True)
         base = dict(dephasing=False, amplitude_damping=False, gate_errors=False)
-        dens = density_expectations(
-            circ, device, {"x": "IIX"}, SimOptions(shots=1, **base)
-        )
-        traj = expectation_values(
-            circ, device, {"x": "IIX"}, SimOptions(shots=4000, seed=7, **base)
-        )
+        task = Task(circ, observables={"x": "IIX"})
+        dens = run(task, device, backend="density", options=SimOptions(shots=1, **base))[0]
+        traj = run(task, device, options=SimOptions(shots=4000, seed=7, **base))[0]
         assert traj["x"] == pytest.approx(dens["x"], abs=0.05)
 
     def test_dynamic_circuit_branching(self, device):
@@ -192,12 +172,9 @@ class TestCrossValidation:
             coherent=False, stochastic=False, dephasing=False,
             amplitude_damping=False, gate_errors=False,
         )
-        dens = density_probabilities(
-            circ, device, {"p": {0: 1, 2: 1}}, SimOptions(shots=1, **base)
-        )
-        traj = bit_probabilities(
-            circ, device, {"p": {0: 1, 2: 1}}, SimOptions(shots=600, seed=8, **base)
-        )
+        task = Task(circ, bit_targets={"p": {0: 1, 2: 1}})
+        dens = run(task, device, backend="density", options=SimOptions(shots=1, **base))[0]
+        traj = run(task, device, options=SimOptions(shots=600, seed=8, **base))[0]
         assert dens["p"] == pytest.approx(0.5)
         assert traj["p"] == pytest.approx(0.5, abs=0.06)
 
@@ -216,11 +193,15 @@ class TestCrossValidation:
             shots=1, stochastic=False, dephasing=False,
             amplitude_damping=False, gate_errors=False, seed=0,
         )
-        ideal = density_expectations(
-            circ, device.ideal(), {"x0": "IIX", "x1": "IXI"}, opts
+        obs = {"x0": "IIX", "x1": "IXI"}
+        ideal, fixed = run(
+            [
+                Task(circ, observables=obs, device=device.ideal()),
+                Task(compensated, observables=obs),
+            ],
+            device,
+            backend="density",
+            options=opts,
         )
-        fixed = density_expectations(
-            compensated, device, {"x0": "IIX", "x1": "IXI"}, opts
-        )
-        for key in ideal:
+        for key in obs:
             assert fixed[key] == pytest.approx(ideal[key], abs=1e-9)

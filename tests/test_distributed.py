@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import SimOptions, Task, compile_tasks, run
+from repro import Pass, Pipeline, SimOptions, Task, compile_tasks, run
 from repro.runtime import (
     BACKENDS,
     DistributedBackend,
@@ -122,17 +122,27 @@ class TestShardPlans:
             shard_plans(self.plans(chain4), shard_size=0)
 
     def test_shards_pickle_without_the_task(self, chain4):
-        # Factory tasks hold closures a worker can't unpickle; shards must
-        # travel anyway because they carry no Task at all.
+        # A task whose pipeline holds a locally defined pass can't be
+        # unpickled by a worker; shards must travel anyway because they
+        # carry no Task at all.
+        class LocalTwirl(Pass):
+            name = "local_twirl"
+            stochastic = True
+
+            def run(self, circuit, device, ctx):
+                ctx.rng.random()
+                return circuit
+
         task = Task(
-            factory=lambda rng: layered_circuit(),
+            layered_circuit(),
             observables=OBS,
+            pipeline=Pipeline([LocalTwirl()]),
             realizations=2,
             seed=3,
         )
         plans = compile_tasks([task], device=chain4, options=OPTIONS)
         with pytest.raises(Exception):
-            pickle.dumps(plans[0])  # the plan itself embeds the lambda
+            pickle.dumps(plans[0])  # the plan itself embeds the local class
         shards = shard_plans(plans, shard_size=1)
         restored = pickle.loads(pickle.dumps(shards))
         assert [s.units[0].seed for s in restored] == [

@@ -1,14 +1,6 @@
 """ASCII drawer tests."""
 
-import pytest
-
 from repro.circuits import Circuit, draw, gates as g, summary
-
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
 
 
 class TestDraw:
@@ -53,13 +45,13 @@ class TestDraw:
             assert line.endswith("...")
 
     def test_compiled_circuit_renders(self, chain3):
-        from repro.compiler import compile_circuit
+        from repro.runtime import pipeline_for
 
         circ = Circuit(3)
         circ.h(0)
         circ.ecr(1, 2, new_moment=True)
         circ.append_moment([])
-        compiled = compile_circuit(circ, chain3, "ca_ec+dd", seed=0)
+        compiled = pipeline_for("ca_ec+dd").compile(circ, chain3, seed=0)
         art = draw(compiled)
         assert "DD(" in art  # dressing visible
 

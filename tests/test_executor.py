@@ -6,18 +6,8 @@ import pytest
 
 from repro.circuits import Circuit, gates as g
 from repro.device import linear_chain, synthetic_device
-from repro.sim import (
-    SimOptions,
-    average_over_realizations,
-    bit_probabilities,
-    expectation_values,
-)
-
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
+from repro.runtime import Pass, Pipeline, Task, run
+from repro.sim import SimOptions
 
 
 class TestIdealExecution:
@@ -25,14 +15,15 @@ class TestIdealExecution:
         circ = Circuit(2)
         circ.h(0)
         circ.cx(0, 1)
-        res = expectation_values(circ, chain2, {"xx": "XX", "zz": "ZZ"}, ideal_options)
+        task = Task(circ, observables={"xx": "XX", "zz": "ZZ"})
+        res = run(task, chain2, options=ideal_options)[0]
         assert res["xx"] == pytest.approx(1.0)
         assert res["zz"] == pytest.approx(1.0)
 
     def test_qubit_count_mismatch_raises(self, chain3, ideal_options):
         circ = Circuit(2)
         with pytest.raises(ValueError):
-            expectation_values(circ, chain3, {"z": "IZ"}, ideal_options)
+            run(Task(circ, observables={"z": "IZ"}), chain3, options=ideal_options)
 
     def test_conditional_feedforward(self, chain2, ideal_options):
         """X conditioned on a measured |1> flips the target; on |0> doesn't."""
@@ -42,7 +33,7 @@ class TestIdealExecution:
                 circ.x(0)
             circ.measure(0, 0)
             circ.x(1, condition=(0, 1))
-            res = expectation_values(circ, chain2, {"z1": "ZI"}, ideal_options)
+            res = run(Task(circ, observables={"z1": "ZI"}), chain2, options=ideal_options)[0]
             assert res["z1"] == pytest.approx(expected)
 
     def test_mid_circuit_collapse(self, chain2, ideal_options):
@@ -51,12 +42,11 @@ class TestIdealExecution:
         circ.cx(0, 1)
         circ.measure(0, 0)
         # After measuring one Bell qubit, ZZ stays 1 but XX collapses.
-        res = expectation_values(
-            circ, chain2, {"zz": "ZZ", "xx": "XX"}, SimOptions(
-                shots=64, seed=3, coherent=False, stochastic=False,
-                dephasing=False, amplitude_damping=False, gate_errors=False,
-            )
+        opts = SimOptions(
+            shots=64, seed=3, coherent=False, stochastic=False,
+            dephasing=False, amplitude_damping=False, gate_errors=False,
         )
+        res = run(Task(circ, observables={"zz": "ZZ", "xx": "XX"}), chain2, options=opts)[0]
         assert res["zz"] == pytest.approx(1.0)
         assert abs(res["xx"]) < 0.35
 
@@ -75,7 +65,7 @@ class TestStochasticChannels:
             shots=400, seed=11, coherent=False, stochastic=False,
             amplitude_damping=False, gate_errors=False,
         )
-        res = expectation_values(circ, dev, {"x": "X"}, opts)
+        res = run(Task(circ, observables={"x": "X"}), dev, options=opts)[0]
         # One T2 of pure dephasing: <X> ~ exp(-1) ~ 0.37.
         assert 0.2 < res["x"] < 0.55
 
@@ -92,7 +82,7 @@ class TestStochasticChannels:
             shots=400, seed=12, coherent=False, stochastic=False,
             dephasing=False, gate_errors=False,
         )
-        res = expectation_values(circ, dev, {"z": "Z"}, opts)
+        res = run(Task(circ, observables={"z": "Z"}), dev, options=opts)[0]
         # <Z> = P0 - P1 = 1 - 2 exp(-t/T1) ~ +0.26 at t = T1.
         assert 0.05 < res["z"] < 0.5
 
@@ -105,7 +95,7 @@ class TestStochasticChannels:
             shots=200, seed=13, coherent=False, stochastic=False,
             dephasing=False, amplitude_damping=False,
         )
-        res = expectation_values(circ, chain2, {"x": "IX"}, opts)
+        res = run(Task(circ, observables={"x": "IX"}), chain2, options=opts)[0]
         assert abs(res["x"]) < 0.9  # 30 ECRs at ~1% error visibly damp
 
     def test_quasistatic_detuning_dephases_only_with_stochastic(self, chain2):
@@ -115,14 +105,13 @@ class TestStochasticChannels:
         base = dict(
             dephasing=False, amplitude_damping=False, gate_errors=False,
         )
-        coherent_only = expectation_values(
-            circ, chain2, {"x": "IX"},
-            SimOptions(shots=1, stochastic=False, seed=1, **base),
-        )
-        with_noise = expectation_values(
-            circ, chain2, {"x": "IX"},
-            SimOptions(shots=300, stochastic=True, seed=1, **base),
-        )
+        task = Task(circ, observables={"x": "IX"})
+        coherent_only = run(
+            task, chain2, options=SimOptions(shots=1, stochastic=False, seed=1, **base)
+        )[0]
+        with_noise = run(
+            task, chain2, options=SimOptions(shots=300, stochastic=True, seed=1, **base)
+        )[0]
         assert abs(with_noise["x"]) < abs(coherent_only["x"]) + 0.05
 
 
@@ -137,8 +126,9 @@ class TestReadout:
         from dataclasses import replace as dreplace
 
         opts_noisy = dreplace(opts_clean, readout_errors=True)
-        clean = expectation_values(circ, chain2, {"x": "IX"}, opts_clean)
-        noisy = expectation_values(circ, chain2, {"x": "IX"}, opts_noisy)
+        task = Task(circ, observables={"x": "IX"})
+        clean = run(task, chain2, options=opts_clean)[0]
+        noisy = run(task, chain2, options=opts_noisy)[0]
         r = chain2.qubit(0).readout_error
         assert noisy["x"] == pytest.approx(clean["x"] * (1 - 2 * r))
 
@@ -149,7 +139,7 @@ class TestReadout:
             amplitude_damping=False, gate_errors=False, readout_errors=True,
             seed=0,
         )
-        res = bit_probabilities(circ, chain2, {"p00": {0: 0, 1: 0}}, opts)
+        res = run(Task(circ, bit_targets={"p00": {0: 0, 1: 0}}), chain2, options=opts)[0]
         expected = (1 - chain2.qubit(0).readout_error) * (
             1 - chain2.qubit(1).readout_error
         )
@@ -161,7 +151,7 @@ class TestAggregation:
         circ = Circuit(2)
         circ.h(0)
         circ.delay(5000.0, 0, new_moment=True)
-        res = expectation_values(circ, chain2, {"x": "IX"}, noisy_options)
+        res = run(Task(circ, observables={"x": "IX"}), chain2, options=noisy_options)[0]
         assert res.errors["x"] >= 0.0
         assert res.shots == noisy_options.shots
 
@@ -169,18 +159,27 @@ class TestAggregation:
         circ = Circuit(2)
         circ.h(0)
 
-        def factory(rng):
-            out = circ.copy()
-            # trivially randomized realization: a virtual frame pair
-            angle = float(rng.uniform(0, 2 * math.pi))
-            out.rz(angle, 1, new_moment=True)
-            out.rz(-angle, 1)
-            return out
+        class FramePair(Pass):
+            """Trivially randomized realization: a virtual frame pair."""
 
-        res = average_over_realizations(
-            factory, chain2, {"x": "IX"}, realizations=5,
-            options=coherent_options, seed=4,
+            name = "frame_pair"
+            stochastic = True
+
+            def run(self, circuit, device, ctx):
+                out = circuit.copy()
+                angle = float(ctx.rng.uniform(0, 2 * math.pi))
+                out.rz(angle, 1, new_moment=True)
+                out.rz(-angle, 1)
+                return out
+
+        task = Task(
+            circ,
+            observables={"x": "IX"},
+            pipeline=Pipeline([FramePair()]),
+            realizations=5,
+            seed=4,
         )
+        res = run(task, chain2, options=coherent_options)[0]
         assert res["x"] == pytest.approx(1.0, abs=1e-9)
 
     def test_seed_reproducibility(self, chain2):
@@ -188,14 +187,15 @@ class TestAggregation:
         circ.h(0)
         circ.delay(3000.0, 0, new_moment=True)
         opts = SimOptions(shots=50, seed=99)
-        a = expectation_values(circ, chain2, {"x": "IX"}, opts)
-        b = expectation_values(circ, chain2, {"x": "IX"}, opts)
+        task = Task(circ, observables={"x": "IX"})
+        a = run(task, chain2, options=opts)[0]
+        b = run(task, chain2, options=opts)[0]
         assert a["x"] == b["x"]
 
 
 class TestErrorScale:
     def test_stretched_rzz_cheaper_than_full(self, chain2):
-        def run(gate):
+        def polarization(gate):
             circ = Circuit(2)
             circ.h(0)
             for _ in range(60):
@@ -204,10 +204,10 @@ class TestErrorScale:
                 shots=300, seed=21, coherent=False, stochastic=False,
                 dephasing=False, amplitude_damping=False,
             )
-            return expectation_values(circ, chain2, {"x": "IX"}, opts)["x"]
+            return run(Task(circ, observables={"x": "IX"}), chain2, options=opts)[0]["x"]
 
-        small = run(g.stretched_rzz(0.05))
-        full = run(g.rzz(0.05))  # plain gate: full 2q error
+        small = polarization(g.stretched_rzz(0.05))
+        full = polarization(g.rzz(0.05))  # plain gate: full 2q error
         # Identical logical rotation; the stretched pulse loses far less
         # polarization to depolarizing noise.
         assert abs(small) > abs(full) + 0.1

@@ -14,15 +14,9 @@ import pytest
 
 from repro.benchmarking import CASE_I, CASE_IV, ramsey_fidelity
 from repro.circuits import Circuit
-from repro.compiler import compile_circuit, realization_factory
 from repro.device import linear_chain, synthetic_device
-from repro.sim import SimOptions, average_over_realizations, expectation_values
-
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
+from repro.runtime import Task, pipeline_for, run
+from repro.sim import SimOptions
 
 
 @pytest.fixture
@@ -91,9 +85,8 @@ class TestCaseOrderings:
         # A pure Z rotation moves <X> into <Y>; entangling ZZ would shrink
         # the Bloch vector instead. Check the equatorial polarization is
         # preserved (up to the tiny ZZ of the short 1q prep layer).
-        res = expectation_values(
-            circ, chain3, {"y0": "IIY", "x0": "IIX"}, coherent_only
-        )
+        task = Task(circ, observables={"y0": "IIY", "x0": "IIX"})
+        res = run(task, chain3, options=coherent_only)[0]
         length = np.hypot(res["y0"], res["x0"])
         assert length == pytest.approx(1.0, abs=1e-3)
         assert abs(res["y0"]) > 0.05  # the Z drift itself is visible
@@ -113,20 +106,18 @@ class TestStrategyHierarchy:
             circ.can(0.1, 0.5, 0.2, 2, 3, new_moment=True)
             circ.append_moment([])
         obs = {"x2": "IXII", "x3": "XIII"}
-        ideal = expectation_values(
-            circ, device.ideal(), obs,
-            SimOptions(
+        ideal = run(
+            Task(circ, observables=obs),
+            device.ideal(),
+            options=SimOptions(
                 shots=1, coherent=False, stochastic=False, dephasing=False,
                 amplitude_damping=False, gate_errors=False, seed=0,
             ),
-        )
+        )[0]
 
         def err(strategy):
-            factory = realization_factory(circ, device, strategy)
-            res = average_over_realizations(
-                factory, device, obs, realizations=24,
-                options=coherent_only, seed=11,
-            )
+            task = Task(circ, observables=obs, pipeline=strategy, realizations=24, seed=11)
+            res = run(task, device, options=coherent_only)[0]
             return sum(abs(res[k] - ideal[k]) for k in obs)
 
         e_none = err("none")
@@ -185,8 +176,8 @@ class TestCompilerCost:
         circ.append_moment([])
         # Compare against the twirl-only pipeline with the same seed: EC must
         # add zero wall-clock on top of it (virtual Rz + stretched pulses).
-        baseline = compile_circuit(circ, chain4, "none", seed=0)
-        compiled = compile_circuit(circ, chain4, "ca_ec", seed=0)
+        baseline = pipeline_for("none").compile(circ, chain4, seed=0)
+        compiled = pipeline_for("ca_ec").compile(circ, chain4, seed=0)
         before = schedule(baseline, chain4.durations).total_duration
         after = schedule(compiled, chain4.durations).total_duration
         assert after == pytest.approx(before)

@@ -21,17 +21,12 @@ from repro.compiler import (
     apply_ca_dd,
     apply_ca_ec,
     apply_staggered_dd,
-    compile_circuit,
 )
 from repro.device import linear_chain, synthetic_device
-from repro.sim import SimOptions, expectation_values
+from repro.runtime import Task, pipeline_for, run
+from repro.sim import SimOptions
 from repro.utils.linalg import allclose_up_to_global_phase
 
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
 
 NUM_QUBITS = 4
 
@@ -129,8 +124,14 @@ class TestCAECExactness:
             )
             for q in range(NUM_QUBITS)
         }
-        ideal = expectation_values(circ, device.ideal(), observables, options)
-        got = expectation_values(compensated, device, observables, options)
+        ideal, got = run(
+            [
+                Task(circ, observables=observables, device=device.ideal()),
+                Task(compensated, observables=observables),
+            ],
+            device,
+            options=options,
+        )
         # Explicit insertions are exact too (zero wall-clock stretch model);
         # everything should match to numerical precision.
         for key in observables:
@@ -167,7 +168,7 @@ class TestStructuralInvariants:
             if inst.gate.num_qubits == 2
         )
         for strategy in ("none", "ca_dd", "ca_ec", "ca_ec+dd"):
-            compiled = compile_circuit(circ, device, strategy, seed=seed)
+            compiled = pipeline_for(strategy).compile(circ, device, seed=seed)
             compiled_logical = sum(
                 1
                 for inst in compiled.instructions()
@@ -180,8 +181,8 @@ class TestStructuralInvariants:
     def test_compilation_never_shrinks_wallclock_accounting(self, description, seed):
         device = synthetic_device(linear_chain(NUM_QUBITS), seed=781)
         circ = build_layered(description)
-        base = compile_circuit(circ, device, "none", seed=seed)
-        combined = compile_circuit(circ, device, "ca_ec+dd", seed=seed)
+        base = pipeline_for("none").compile(circ, device, seed=seed)
+        combined = pipeline_for("ca_ec+dd").compile(circ, device, seed=seed)
         t_base = schedule(base, device.durations).total_duration
         t_combined = schedule(combined, device.durations).total_duration
         assert t_combined == pytest.approx(t_base)

@@ -1,14 +1,11 @@
 """Public-API surface tests: everything documented resolves and works."""
 
-import pytest
+import re
+from pathlib import Path
 
 import repro
 
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestTopLevelExports:
@@ -20,27 +17,11 @@ class TestTopLevelExports:
         assert repro.__version__.count(".") == 2
 
     def test_readme_quickstart_snippet(self):
-        """The README's quickstart code runs verbatim."""
-        from repro import (
-            Circuit,
-            SimOptions,
-            compile_circuit,
-            expectation_values,
-            linear_chain,
-            synthetic_device,
-        )
-
-        device = synthetic_device(linear_chain(4), seed=7)
-        circuit = Circuit(4)
-        for q in range(4):
-            circuit.h(q, new_moment=(q == 0))
-        circuit.can(0.3, 0.2, 0.4, 0, 1, new_moment=True)
-        circuit.append_moment([])
-        compiled = compile_circuit(circuit, device, "ca_ec", seed=0)
-        result = expectation_values(
-            compiled, device, {"x2": "IXII"}, SimOptions(shots=8, seed=1)
-        )
-        assert -1.0 <= result["x2"] <= 1.0
+        """The README's quickstart code (its first python block) runs verbatim."""
+        snippet = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+        namespace = {}
+        exec(compile(snippet, str(README), "exec"), namespace)
+        assert -1.0 <= namespace["batch"]["ca_ec+dd"].values["x2"] <= 1.0
 
     def test_subpackage_all_exports_resolve(self):
         import repro.benchmarking

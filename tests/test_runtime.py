@@ -3,10 +3,10 @@
 The load-bearing guarantees:
 
 * every named strategy's pipeline compiles seed-for-seed identically to
-  the pre-runtime ``compile_circuit`` pass chain;
+  the pre-runtime pass chain (inlined below as ``legacy_compile``);
 * ``run()`` results are invariant under the worker count;
-* a batched multi-worker run reproduces the sequential legacy execution
-  path exactly (compile, seed, simulate, pool — same draws, same floats).
+* a batched multi-worker run reproduces the sequential pre-runtime loop
+  exactly (compile, seed, simulate, pool — same draws, same floats).
 """
 
 import math
@@ -21,11 +21,7 @@ from repro import (
     SimOptions,
     Task,
     TaskResult,
-    average_over_realizations,
-    compile_circuit,
     draw,
-    expectation_values,
-    realization_factory,
     run,
     schedule,
 )
@@ -45,14 +41,8 @@ from repro.runtime import (
     pipeline_for,
     register_backend,
 )
-from repro.sim import Executor, density_expectations
+from repro.sim import DensityExecutor, Executor
 from repro.utils.rng import as_generator
-
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
 
 
 def layered_circuit(num_qubits: int = 4, layers: int = 2) -> Circuit:
@@ -68,7 +58,7 @@ def layered_circuit(num_qubits: int = 4, layers: int = 2) -> Circuit:
 
 
 def legacy_compile(circuit, device, strategy, rng):
-    """The pre-runtime ``compile_circuit`` pass chain, inlined verbatim."""
+    """The pre-runtime pass chain (twirl, DD, EC), inlined verbatim."""
     strategy = get_strategy(strategy)
     out = circuit
     if strategy.twirl:
@@ -95,13 +85,6 @@ class TestPipelineEquivalence:
         via_pipeline = pipeline_for(strategy).compile(circ, chain4, seed=13)
         via_legacy = legacy_compile(circ, chain4, strategy, as_generator(13))
         assert draw(via_pipeline) == draw(via_legacy)
-
-    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
-    def test_compile_circuit_shim_matches(self, chain4, strategy):
-        circ = layered_circuit()
-        assert draw(compile_circuit(circ, chain4, strategy, seed=7)) == draw(
-            pipeline_for(strategy).compile(circ, chain4, seed=7)
-        )
 
     def test_custom_pipeline_composes(self, chain4):
         circ = layered_circuit()
@@ -168,10 +151,6 @@ class TestBackendRegistry:
 
 
 class TestTaskValidation:
-    def test_requires_circuit_or_factory(self):
-        with pytest.raises(ValueError, match="circuit or factory"):
-            Task(observables={"z": "Z"})
-
     def test_requires_one_measurement_kind(self):
         circ = Circuit(1)
         with pytest.raises(ValueError, match="observables or bit_targets"):
@@ -262,35 +241,6 @@ class TestBatchedRun:
                     np.std(means[key], ddof=1) / math.sqrt(len(means[key]))
                 )
 
-    def test_shims_delegate_to_runtime(self, chain4):
-        """Legacy entry points return the runtime's results unchanged."""
-        circ = layered_circuit()
-        opts = SimOptions(shots=8, seed=5)
-        legacy = expectation_values(circ, chain4, OBS, opts)
-        direct = run(Task(circ, observables=OBS), chain4, options=opts)[0]
-        assert legacy.values == direct.values
-
-        factory = realization_factory(circ, chain4, "ca_dd")
-        pooled = average_over_realizations(
-            factory, chain4, OBS, realizations=3, options=SimOptions(shots=4), seed=9
-        )
-        via_task = run(
-            Task(circ, observables=OBS, pipeline="ca_dd", realizations=3, seed=9),
-            chain4,
-            options=SimOptions(shots=4),
-        )[0]
-        assert pooled.values == via_task.values
-
-    def test_factory_tasks(self, chain4):
-        factory = realization_factory(layered_circuit(), chain4, "none")
-        result = run(
-            Task(factory=factory, observables=OBS, realizations=2, seed=1),
-            chain4,
-            options=SimOptions(shots=4),
-        )[0]
-        assert set(result.values) == set(OBS)
-        assert result.realizations == 2
-
     def test_bit_target_tasks_and_name_lookup(self, chain4):
         circ = Circuit(4)
         circ.h(0)
@@ -323,7 +273,8 @@ class TestBatchedRun:
         result = run(
             Task(circ, observables={"zz": "ZZ"}), chain2, backend="density"
         )[0]
-        ref = density_expectations(circ, chain2, {"zz": "ZZ"})
+        scheduled = schedule(circ, chain2.durations)
+        ref = DensityExecutor(scheduled, chain2).expectations({"zz": Pauli.from_label("ZZ")})
         assert result.values["zz"] == pytest.approx(ref["zz"], abs=1e-12)
         assert result.errors["zz"] == 0.0
         assert result.shots == 0
@@ -367,9 +318,8 @@ class TestBatchedRun:
 
 class TestResultErgonomics:
     def test_simresult_mapping_protocol(self, chain4):
-        result = expectation_values(
-            layered_circuit(), chain4, OBS, SimOptions(shots=4, seed=2)
-        )
+        task = Task(layered_circuit(), observables=OBS)
+        result = run(task, chain4, options=SimOptions(shots=4, seed=2))[0]
         assert len(result) == 2
         assert set(result) == set(OBS)
         assert "x2" in result

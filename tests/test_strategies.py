@@ -3,15 +3,10 @@
 import pytest
 
 from repro.circuits import Circuit
-from repro.compiler import STRATEGIES, Strategy, compile_circuit, get_strategy, realization_factory
+from repro.compiler import STRATEGIES, Strategy, get_strategy
+from repro.runtime import pipeline_for
 from repro.utils.linalg import allclose_up_to_global_phase
 from repro.utils.rng import as_generator
-
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
 
 
 def sample_circuit():
@@ -54,7 +49,7 @@ class TestCompilation:
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_preserves_logic(self, chain3, name):
         circ = sample_circuit()
-        compiled = compile_circuit(circ, chain3, name, seed=3)
+        compiled = pipeline_for(name).compile(circ, chain3, seed=3)
         # DD nets are identity (even pulses) and EC insertions are tiny
         # rotations, so compare with loose tolerance for EC strategies.
         strategy = get_strategy(name)
@@ -66,37 +61,38 @@ class TestCompilation:
 
     def test_dd_strategies_insert_dd(self, chain3):
         for name in ("dd", "staggered_dd", "ca_dd"):
-            compiled = compile_circuit(sample_circuit(), chain3, name, seed=0)
+            compiled = pipeline_for(name).compile(sample_circuit(), chain3, seed=0)
             assert compiled.count_gates(name="dd") > 0, name
 
     def test_ec_strategy_inserts_compensation(self, chain3):
-        compiled = compile_circuit(sample_circuit(), chain3, "ca_ec", seed=0)
+        compiled = pipeline_for("ca_ec").compile(sample_circuit(), chain3, seed=0)
         assert compiled.count_gates(tag="compensation") > 0
 
     def test_combined_has_both(self, chain3):
-        compiled = compile_circuit(sample_circuit(), chain3, "ca_ec+dd", seed=0)
+        compiled = pipeline_for("ca_ec+dd").compile(sample_circuit(), chain3, seed=0)
         assert compiled.count_gates(name="dd") > 0
         assert compiled.count_gates(tag="compensation") > 0
 
     def test_twirl_randomizes(self, chain3):
-        a = compile_circuit(sample_circuit(), chain3, "none", seed=1)
-        b = compile_circuit(sample_circuit(), chain3, "none", seed=2)
+        a = pipeline_for("none").compile(sample_circuit(), chain3, seed=1)
+        b = pipeline_for("none").compile(sample_circuit(), chain3, seed=2)
         gates_a = [i.gate.params for i in a.instructions()]
         gates_b = [i.gate.params for i in b.instructions()]
         assert gates_a != gates_b
 
 
 class TestFactory:
+    """Realizations compiled from one shared stream, as the runtime does."""
+
     def test_factory_produces_fresh_realizations(self, chain3):
-        factory = realization_factory(sample_circuit(), chain3, "none")
+        pipeline = pipeline_for("none")
         rng = as_generator(0)
-        a = factory(rng)
-        b = factory(rng)
+        a = pipeline.compile(sample_circuit(), chain3, seed=rng)
+        b = pipeline.compile(sample_circuit(), chain3, seed=rng)
         assert [i.gate.params for i in a.instructions()] != [
             i.gate.params for i in b.instructions()
         ]
 
     def test_factory_respects_strategy(self, chain3):
-        factory = realization_factory(sample_circuit(), chain3, "ca_dd")
-        compiled = factory(as_generator(1))
+        compiled = pipeline_for("ca_dd").compile(sample_circuit(), chain3, seed=as_generator(1))
         assert compiled.count_gates(name="dd") > 0

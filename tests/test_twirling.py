@@ -9,12 +9,6 @@ from repro.pauli.twirling import sample_layer_twirl
 from repro.utils.linalg import allclose_up_to_global_phase
 from repro.utils.rng import as_generator
 
-# These tests exercise the deprecated pre-1.1 shims on purpose (legacy
-# equivalence coverage); downgrade their warnings from suite-wide error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since repro 1.1.*:DeprecationWarning"
-)
-
 
 def ecr_circuit():
     circ = Circuit(3)
@@ -137,7 +131,7 @@ class TestStatisticalScrambling:
         """Averaged over twirls, a coherent ZZ error damps rather than
         rotates the signal: the mean over realizations of <X0> lies strictly
         between the extremes of the untwirled oscillation."""
-        from repro.sim import expectation_values
+        from repro.runtime import Task, run
 
         circ = Circuit(2)
         circ.h(0)
@@ -149,8 +143,8 @@ class TestStatisticalScrambling:
         values = []
         for seed in range(12):
             twirled, _ = apply_twirl(strat, seed=seed)
-            res = expectation_values(
-                twirled, chain2, {"x1": "XI"}, coherent_options
-            )
+            res = run(
+                Task(twirled, observables={"x1": "XI"}), chain2, options=coherent_options
+            )[0]
             values.append(res.values["x1"])
         assert np.std(values) > 0.0  # different twirls genuinely differ
