@@ -45,7 +45,6 @@ PUBLIC_SURFACE = [
     ("repro.runtime.backends", "Backend"),
     ("repro.runtime.backends", "register_backend"),
     ("repro.runtime.distributed", "DistributedBackend"),
-    ("repro.runtime.distributed", "SocketShardExecutor"),
     ("repro.runtime.plan", "shard_plans"),
     ("repro.runtime.task", "Task"),
     ("repro.runtime.pipeline", "Pipeline"),

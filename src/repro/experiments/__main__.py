@@ -18,13 +18,11 @@ vectorized engine's resident states per chunk (0 = auto-size). ``--json
 PATH`` writes every requested experiment's result — including the full
 per-point Sweep serialization — as one JSON document.
 
-``--backend distributed`` shards each batch's realizations across worker
-*processes*: ``--dist-workers N`` sets the fleet size, ``--dist-serve
-HOST:PORT`` additionally serves the shard queue over TCP so other hosts
-can join the run (``python -m repro.runtime.distributed worker --connect
-HOST:PORT``), and ``--dist-connect HOST:PORT`` dials out to workers
-started with ``worker --listen``. Results are bit-for-bit identical to
-``trajectory`` for every worker count, shard size, and transport.
+``--backend distributed`` shards each batch's realizations across a local
+pool of worker *processes*: ``--dist-workers N`` sets the pool size and
+``--dist-shard-size N`` the realizations per shard. Results are
+bit-for-bit identical to ``trajectory`` for every worker count and shard
+size.
 
 The compile stage has no flags of its own: it fans out over the same
 ``--workers`` threads and caches deterministic pipelines in memory.
@@ -177,7 +175,7 @@ def main(argv=None) -> int:
         metavar="NAME",
         help="simulation backend: vectorized (default; batched), "
         "trajectory (scalar reference, bit-identical), density (exact), "
-        "or distributed (shards realizations across processes/hosts, "
+        "or distributed (shards realizations across worker processes, "
         "bit-identical to its inner engine)",
     )
     parser.add_argument(
@@ -210,23 +208,6 @@ def main(argv=None) -> int:
         help="distributed backend: realizations per shard "
         "(default: auto-size; results never depend on this)",
     )
-    parser.add_argument(
-        "--dist-serve",
-        default=None,
-        metavar="HOST:PORT",
-        help="distributed backend: serve the shard queue here so other "
-        "hosts can join (python -m repro.runtime.distributed worker "
-        "--connect HOST:PORT)",
-    )
-    parser.add_argument(
-        "--dist-connect",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help="distributed backend: dial out to a listening worker "
-        "(python -m repro.runtime.distributed worker --listen ...); "
-        "repeatable",
-    )
     args = parser.parse_args(argv)
 
     # One configure() call: it validates every setting before changing any,
@@ -239,8 +220,6 @@ def main(argv=None) -> int:
             ("chunk_shots", args.chunk_shots),
             ("dist_workers", args.dist_workers),
             ("dist_shard_size", args.dist_shard_size),
-            ("dist_serve", args.dist_serve),
-            ("dist_connect", args.dist_connect),
         )
         if value is not None
     }

@@ -37,11 +37,7 @@ from .backends import (
     get_backend,
     register_backend,
 )
-from .distributed import (
-    DistributedBackend,
-    LocalShardExecutor,
-    SocketShardExecutor,
-)
+from .distributed import DistributedBackend, LocalShardExecutor
 from .passes import CADD, CAEC, AlignedDD, Orient, Pass, PassContext, StaggeredDD, Twirl
 from .pipeline import IDENTITY, Pipeline, as_pipeline, pipeline_for
 from .plan import (
@@ -80,7 +76,6 @@ __all__ = [
     "DensityBackend",
     "DistributedBackend",
     "LocalShardExecutor",
-    "SocketShardExecutor",
     "TrajectoryBackend",
     "VectorizedBackend",
     "get_backend",

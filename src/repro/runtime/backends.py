@@ -15,11 +15,11 @@ implementations ship with the library:
 * ``"density"`` — the exact density-matrix simulator
   (:class:`repro.sim.DensityExecutor`); zero-variance values for small
   systems (``shots`` is ignored and reported as 0).
-* ``"distributed"`` — shards compiled plans across worker processes (and,
-  over the socket transport, other hosts) and merges the partial results
+* ``"distributed"`` — shards compiled plans across a local pool of worker
+  processes and merges the partial results
   (:class:`repro.runtime.distributed.DistributedBackend`); bit-for-bit
   identical to its inner backend (``"vectorized"`` by default) for every
-  shard size, worker count, and transport.
+  shard size and worker count.
 
 Select one by name (``backend="trajectory"``) or register your own
 (GPU, hardware-facing, ...) with :func:`register_backend`.

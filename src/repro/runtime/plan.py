@@ -186,7 +186,7 @@ class PlanShard:
     when the originating task's pipeline holds an unpicklable pass;
     aggregation happens coordinator-side against the full plan. Because the
     per-unit seeds were derived from the plan at compile time, *where* a
-    shard executes (which worker, which host, which transport) can never
+    shard executes (which worker, after how many re-queues) can never
     change a value.
 
     Attributes:
@@ -280,12 +280,33 @@ def plan_options(plans: Sequence["ExecutionPlan"]) -> Optional[SimOptions]:
 
 
 def _normalize_payload(task: Task) -> Tuple[str, Dict]:
+    """The task's measurement as ``(kind, payload)``, sized to its circuit.
+
+    Every backend relies on this one check: a Pauli of the wrong width or a
+    bit target off the register would otherwise be read differently (or
+    silently) by each engine.
+    """
+    n = task.circuit.num_qubits
     if task.observables is not None:
         paulis = {
             k: (Pauli.from_label(v) if isinstance(v, str) else v)
             for k, v in task.observables.items()
         }
+        for name, pauli in paulis.items():
+            if pauli.num_qubits != n:
+                raise ValueError(
+                    f"observable {name!r} acts on {pauli.num_qubits} qubits, "
+                    f"but the circuit has {n}"
+                )
         return "expectations", paulis
+    for name, bits in task.bit_targets.items():
+        for qubit, bit in bits.items():
+            if not 0 <= qubit < n:
+                raise ValueError(
+                    f"bit target {name!r}: qubit {qubit} is outside [0, {n})"
+                )
+            if bit not in (0, 1):
+                raise ValueError(f"bit target {name!r}: bit {bit!r} is not 0 or 1")
     return "probabilities", dict(task.bit_targets)
 
 

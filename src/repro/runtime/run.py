@@ -32,7 +32,7 @@ sets process-wide defaults (the CLI flags map onto it one-to-one).
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..device.calibration import Device
 from ..sim.executor import SimOptions
@@ -48,13 +48,17 @@ _DEFAULTS = {
     "chunk_shots": None,
     "dist_workers": None,  # None -> follow the run's ``workers``
     "dist_shard_size": None,  # None -> auto-size per worker count
-    "dist_serve": None,  # None -> local (process pool) transport
-    "dist_connect": (),  # () -> don't dial out to listening workers
     "dist_inner": "vectorized",
 }
 
 # Removed knobs, pinned to their one value because perfbench snapshots and restores them.
-FIXED_SETTINGS = {"compile_mode": "thread", "compile_workers": None, "plan_cache": "memory"}
+FIXED_SETTINGS = {
+    "compile_mode": "thread",
+    "compile_workers": None,
+    "plan_cache": "memory",
+    "dist_serve": None,
+    "dist_connect": (),
+}
 
 
 def default_compile_mode() -> str:
@@ -72,26 +76,35 @@ def plan_cache_mode() -> str:
     return FIXED_SETTINGS["plan_cache"]
 
 
+def default_dist_serve() -> None:
+    """Always ``None``: there is no shard-queue server to bind."""
+    return FIXED_SETTINGS["dist_serve"]
+
+
+def default_dist_connect() -> Tuple[str, ...]:
+    """Always ``()``: there are no remote workers to dial."""
+    return FIXED_SETTINGS["dist_connect"]
+
+
 def configure(
     workers: Optional[int] = None,
     backend: Optional[BackendLike] = None,
     chunk_shots=_AUTO,
     dist_workers=_AUTO,
     dist_shard_size=_AUTO,
-    dist_serve: Optional[str] = _AUTO,
-    dist_connect: Union[str, Sequence[str], None] = _AUTO,
     dist_inner: Optional[str] = None,
     compile_mode: Optional[str] = None,
     compile_workers: Optional[int] = None,
     plan_cache: Optional[str] = None,
+    dist_serve: Optional[str] = None,
+    dist_connect: Optional[Sequence[str]] = None,
 ) -> None:
     """Set process-wide runtime defaults (used when ``run(...=None)``).
 
     The CLI's flags (``--workers``, ``--backend``, ``--chunk-shots``,
-    ``--dist-workers``, ``--dist-shard-size``, ``--dist-serve``,
-    ``--dist-connect``) call this so every experiment driver inherits the
-    parallelism, engine choice, and memory bound without plumbing
-    parameters through.
+    ``--dist-workers``, ``--dist-shard-size``) call this so every
+    experiment driver inherits the parallelism, engine choice, and memory
+    bound without plumbing parameters through.
 
     Args:
         workers: default simulation-thread count for ``run()``.
@@ -103,19 +116,13 @@ def configure(
         dist_shard_size: realizations per distributed shard; ``None``
             restores auto-sizing (a few shards per worker). Results never
             depend on it.
-        dist_serve: ``"host:port"`` to serve the distributed shard queue
-            at (other hosts join with ``python -m
-            repro.runtime.distributed worker --connect host:port``);
-            ``None`` restores the local process-pool transport.
-        dist_connect: address(es) of listening workers (``worker
-            --listen``) the coordinator should dial out to; ``None`` or
-            ``()`` restores not dialing.
         dist_inner: backend that executes shards inside distributed
             workers (default ``"vectorized"``; ``"trajectory"`` is
             bit-identical).
-        compile_mode, compile_workers, plan_cache: fixed at ``"thread"``,
-            ``None`` and ``"memory"`` (see ``FIXED_SETTINGS``); any
-            other value raises ``ValueError``.
+        compile_mode, compile_workers, plan_cache, dist_serve,
+            dist_connect: fixed at ``"thread"``, ``None``, ``"memory"``,
+            ``None`` and ``()`` (see ``FIXED_SETTINGS``); any other value
+            raises ``ValueError``.
 
     Example:
         >>> configure(backend="vectorized", workers=4)
@@ -135,11 +142,12 @@ def configure(
         ("compile_mode", compile_mode),
         ("compile_workers", compile_workers),
         ("plan_cache", plan_cache),
+        ("dist_serve", dist_serve),
+        ("dist_connect", dist_connect),
     ):
         if value is not None and value != FIXED_SETTINGS[name]:
             raise ValueError(
-                f"{name}={value!r} was removed: compilation always runs on the "
-                f"run's worker threads through the in-memory plan cache "
+                f"{name}={value!r} was removed "
                 f"(only {FIXED_SETTINGS[name]!r} is accepted)"
             )
     if dist_workers is not _AUTO and dist_workers is not None:
@@ -150,18 +158,6 @@ def configure(
         dist_shard_size = int(dist_shard_size)
         if dist_shard_size < 1:
             raise ValueError("dist_shard_size must be >= 1 (or None for auto)")
-    if dist_serve is not _AUTO and dist_serve is not None:
-        from .distributed import parse_address
-
-        parse_address(dist_serve)  # fail at configure time, not first run()
-    if dist_connect is not _AUTO and dist_connect is not None:
-        from .distributed import parse_address
-
-        if isinstance(dist_connect, str):
-            dist_connect = (dist_connect,)
-        dist_connect = tuple(dist_connect)
-        for address in dist_connect:
-            parse_address(address)
     if dist_inner is not None:
         if dist_inner == "distributed":
             raise ValueError("dist_inner cannot itself be 'distributed'")
@@ -176,10 +172,6 @@ def configure(
         _DEFAULTS["dist_workers"] = dist_workers
     if dist_shard_size is not _AUTO:
         _DEFAULTS["dist_shard_size"] = dist_shard_size
-    if dist_serve is not _AUTO:
-        _DEFAULTS["dist_serve"] = dist_serve
-    if dist_connect is not _AUTO:
-        _DEFAULTS["dist_connect"] = () if dist_connect is None else dist_connect
     if dist_inner is not None:
         _DEFAULTS["dist_inner"] = dist_inner
 
@@ -207,16 +199,6 @@ def default_dist_workers() -> Optional[int]:
 def default_dist_shard_size() -> Optional[int]:
     """The configured distributed shard size (``None`` = auto-size)."""
     return _DEFAULTS["dist_shard_size"]
-
-
-def default_dist_serve() -> Optional[str]:
-    """The configured shard-queue serve address (``None`` = local transport)."""
-    return _DEFAULTS["dist_serve"]
-
-
-def default_dist_connect() -> Sequence[str]:
-    """The configured listening-worker addresses to dial (may be empty)."""
-    return _DEFAULTS["dist_connect"]
 
 
 def default_dist_inner() -> str:

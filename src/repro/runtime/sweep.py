@@ -130,9 +130,8 @@ class Sweep:
             options: simulation options shared by every grid point.
             backend: backend name or instance (``None`` = configured
                 default). ``"distributed"`` shards every grid point's
-                realizations across worker processes (and, with
-                ``configure(dist_serve=...)``, across hosts) —
-                bit-identical to ``"trajectory"`` either way.
+                realizations across worker processes, bit-identical to
+                ``"trajectory"``.
             workers: compile and simulation fan-out (the ``"distributed"``
                 backend reads it as its worker-process count unless
                 ``configure(dist_workers=...)`` overrides). It never

@@ -51,8 +51,8 @@ class TestCLI:
     @pytest.mark.parametrize(
         "bad",
         [
-            ["--dist-serve", "nonsense"],
-            ["--dist-connect", "broken"],
+            ["--workers", "0"],
+            ["--dist-workers", "0"],
             ["--backend", "warp-drive"],
             ["--chunk-shots", "-4"],
             ["--dist-shard-size", "0"],

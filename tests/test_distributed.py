@@ -1,18 +1,12 @@
-"""Distributed backend: sharding, transports, failure recovery, parity.
+"""Distributed backend: sharding, the process pool, failure recovery, parity.
 
-The contract under test is the ISSUE's acceptance criterion:
-``run(tasks, device, backend="distributed")`` is bit-for-bit identical to
-``backend="trajectory"`` for every (shard size × worker count × transport)
-combination — including after a simulated worker crash — because
+The contract under test: ``run(tasks, device, backend="distributed")`` is
+bit-for-bit identical to ``backend="trajectory"`` for every (shard size ×
+worker count) combination — including after a simulated worker crash — because
 per-realization seeds are derived from the plan, never from the worker.
 """
 
-import os
 import pickle
-import socket
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -21,25 +15,15 @@ from repro.runtime import (
     BACKENDS,
     DistributedBackend,
     LocalShardExecutor,
-    SocketShardExecutor,
     configure,
     default_backend,
-    default_dist_connect,
     default_dist_inner,
-    default_dist_serve,
     default_dist_shard_size,
     default_dist_workers,
     get_backend,
     shard_plans,
 )
-from repro.runtime.distributed import (
-    _HEADER,
-    MAX_FRAME_BYTES,
-    WorkUnit,
-    _recv_msg,
-    execute_work_unit,
-    parse_address,
-)
+from repro.runtime.distributed import WorkUnit, execute_work_unit
 
 from conftest import OBS, batch_signature, det_pipeline, layered_circuit, mixed_tasks
 
@@ -55,8 +39,6 @@ def _reset_dist_defaults():
         backend=backend,
         dist_workers=None,
         dist_shard_size=None,
-        dist_serve=None,
-        dist_connect=None,
         dist_inner=inner,
     )
 
@@ -67,12 +49,9 @@ def reference(device, backend="trajectory"):
 
 def distributed(device, **kwargs):
     crash_token = kwargs.pop("crash_token", None)
-    worker_args = kwargs.pop("worker_args", None)
     backend = DistributedBackend(**kwargs)
     if crash_token is not None:
         backend._crash_token = str(crash_token)
-    if worker_args is not None:
-        backend._worker_args = worker_args
     return batch_signature(run(mixed_tasks(), device, options=OPTIONS, backend=backend))
 
 
@@ -190,7 +169,7 @@ class TestWorkUnit:
 
 
 # ---------------------------------------------------------------------------
-# Bit-for-bit parity across the (shard size x workers x transport) grid
+# Bit-for-bit parity across the (shard size x workers) grid
 # ---------------------------------------------------------------------------
 
 
@@ -227,57 +206,6 @@ class TestLocalParity:
         ]
 
 
-class TestFraming:
-    @pytest.mark.parametrize("length", [MAX_FRAME_BYTES + 1, 2**64 - 1])
-    def test_oversized_header_rejected_before_the_body(self, length):
-        """A peer announcing a huge frame is cut off at the header instead
-        of being buffered until it disconnects."""
-        left, right = socket.socketpair()
-        with left, right:
-            left.sendall(_HEADER.pack(length) + b"body")
-            assert _recv_msg(right) is None
-            right.settimeout(5.0)
-            assert right.recv(16) == b"body"  # the body was never read
-
-
-class TestSocketParity:
-    def test_spawned_workers_match_trajectory(self, chain4):
-        assert distributed(
-            chain4, dist_workers=2, shard_size=2, serve="127.0.0.1:0"
-        ) == reference(chain4)
-
-    def test_dial_out_to_listening_worker(self, chain4):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.runtime.distributed",
-                "worker",
-                "--listen",
-                f"127.0.0.1:{port}",
-                "--once",
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-        )
-        try:
-            assert b"listening" in proc.stdout.readline()
-            assert distributed(
-                chain4, shard_size=2, connect=[f"127.0.0.1:{port}"]
-            ) == reference(chain4)
-            assert proc.wait(timeout=30) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-
-
 # ---------------------------------------------------------------------------
 # Worker-failure paths: crashes re-queue, runs complete, bits don't move
 # ---------------------------------------------------------------------------
@@ -290,28 +218,6 @@ class TestFailureRecovery:
             chain4, dist_workers=2, shard_size=1, crash_token=token
         ) == reference(chain4)
         assert token.exists()  # the crash really happened
-
-    def test_socket_requeues_crashed_workers_shard(self, chain4, tmp_path):
-        token = tmp_path / "crash-socket"
-        assert distributed(
-            chain4,
-            dist_workers=2,
-            shard_size=1,
-            serve="127.0.0.1:0",
-            crash_token=token,
-        ) == reference(chain4)
-        assert token.exists()
-
-    def test_coordinator_drains_after_whole_fleet_dies(self, chain4):
-        # Every spawned worker hard-exits while holding its second shard;
-        # with nobody left the coordinator must finish the queue inline.
-        assert distributed(
-            chain4,
-            dist_workers=2,
-            shard_size=1,
-            serve="127.0.0.1:0",
-            worker_args=("--max-units", "1"),
-        ) == reference(chain4)
 
     def test_local_executor_inline_fallback(self, chain4, tmp_path):
         # max_retries=0: the only pool generation crashes, so the shard
@@ -346,42 +252,20 @@ class TestConfiguration:
             DistributedBackend(shard_size=0)
         with pytest.raises(ValueError):
             LocalShardExecutor(workers=0)
-        with pytest.raises(ValueError):
-            SocketShardExecutor(spawn=-1)
-
-    def test_parse_address(self):
-        assert parse_address("example.org:7777") == ("example.org", 7777)
-        assert parse_address("7777") == ("127.0.0.1", 7777)
-        assert parse_address(":7777") == ("127.0.0.1", 7777)
-        with pytest.raises(ValueError, match="HOST:PORT"):
-            parse_address("nonsense")
-        with pytest.raises(ValueError, match="HOST:PORT"):
-            parse_address("host:notaport")
 
     def test_configure_roundtrip(self):
-        configure(
-            dist_workers=3,
-            dist_shard_size=2,
-            dist_serve="0.0.0.0:7777",
-            dist_connect="worker:7778",
-        )
+        configure(dist_workers=3, dist_shard_size=2)
         assert default_dist_workers() == 3
         assert default_dist_shard_size() == 2
-        assert default_dist_serve() == "0.0.0.0:7777"
-        assert default_dist_connect() == ("worker:7778",)
-        configure(dist_serve=None, dist_connect=None)
-        assert default_dist_serve() is None
-        assert default_dist_connect() == ()
+        configure(dist_workers=None, dist_shard_size=None)
+        assert default_dist_workers() is None
+        assert default_dist_shard_size() is None
 
     def test_configure_validation(self):
         with pytest.raises(ValueError, match="dist_workers"):
             configure(dist_workers=0)
         with pytest.raises(ValueError, match="dist_shard_size"):
             configure(dist_shard_size=0)
-        with pytest.raises(ValueError, match="HOST:PORT"):
-            configure(dist_serve="not an address")
-        with pytest.raises(ValueError, match="HOST:PORT"):
-            configure(dist_connect=["ok:1", "broken"])
         with pytest.raises(ValueError, match="dist_inner"):
             configure(dist_inner="distributed")
         # failed configure leaves the defaults untouched
@@ -394,8 +278,7 @@ class TestConfiguration:
         ) == reference(chain4)
 
     def test_run_workers_feed_the_fleet_size(self, chain4):
-        count, serve, connect, shard_size = DistributedBackend()._resolve(workers=3)
-        assert (count, serve, tuple(connect), shard_size) == (3, None, (), None)
+        assert DistributedBackend()._resolve(workers=3) == (3, None)
 
     def test_cli_flags_configure_the_runtime(self):
         from repro.experiments.__main__ import main
@@ -410,20 +293,12 @@ class TestConfiguration:
                     "2",
                     "--dist-shard-size",
                     "4",
-                    "--dist-serve",
-                    "127.0.0.1:7901",
-                    "--dist-connect",
-                    "127.0.0.1:7902",
-                    "--dist-connect",
-                    "127.0.0.1:7903",
                 ]
             )
             == 0
         )
         assert default_dist_workers() == 2
         assert default_dist_shard_size() == 4
-        assert default_dist_serve() == "127.0.0.1:7901"
-        assert default_dist_connect() == ("127.0.0.1:7902", "127.0.0.1:7903")
         assert default_backend() == "distributed"
 
     def test_cli_rejects_bad_counts(self, capsys):

@@ -279,8 +279,8 @@ class TestPlanCache:
 
 
 class TestFixedCompileSettings:
-    """The removed compile/cache knobs keep one accepted value each, so a
-    ``configure()`` snapshot of every getter restores cleanly."""
+    """The removed compile/cache and socket-transport knobs keep one accepted
+    value each, so a ``configure()`` snapshot of every getter restores cleanly."""
 
     def snapshot(self):
         state = {
@@ -296,6 +296,8 @@ class TestFixedCompileSettings:
         assert before["compile_mode"] == "thread"
         assert before["compile_workers"] is None
         assert before["plan_cache"] == "memory"
+        assert before["dist_serve"] is None
+        assert before["dist_connect"] == ()
         configure(**before)
         assert self.snapshot() == before
 
@@ -306,6 +308,8 @@ class TestFixedCompileSettings:
             {"compile_workers": 2},
             {"plan_cache": "disk"},
             {"plan_cache": "off"},
+            {"dist_serve": "127.0.0.1:7777"},
+            {"dist_connect": "host:7778"},
         ],
     )
     def test_removed_values_rejected(self, kwargs):

@@ -184,6 +184,26 @@ class TestTaskValidation:
             with pytest.raises(ValueError, match="shots"):
                 engine.probabilities({"f": {0: 0}}, shots=shots, seed=1)
 
+    @pytest.mark.parametrize("backend", ["trajectory", "vectorized", "density"])
+    @pytest.mark.parametrize(
+        "measure, match",
+        [
+            ({"observables": {"o": "Z"}}, "acts on 1 qubits"),
+            ({"observables": {"o": "ZZZ"}}, "acts on 3 qubits"),
+            ({"bit_targets": {"p": {-1: 0}}}, "outside"),
+            ({"bit_targets": {"p": {5: 1}}}, "outside"),
+            ({"bit_targets": {"p": {0: 2}}}, "not 0 or 1"),
+        ],
+        ids=["narrow-pauli", "wide-pauli", "negative-qubit", "qubit-past-end", "bit-2"],
+    )
+    def test_mis_sized_payload_rejected(self, chain2, backend, measure, match):
+        """Every backend fails the same way on a payload that does not fit
+        the circuit, instead of each engine reading it differently."""
+        circ = Circuit(2)
+        circ.h(0)
+        with pytest.raises(ValueError, match=match):
+            run(Task(circ, **measure), chain2, backend=backend)
+
     def test_device_required_somewhere(self, chain4):
         task = Task(layered_circuit(), observables=OBS)
         with pytest.raises(ValueError, match="no device"):
