@@ -13,7 +13,9 @@ instruction container can hold everything that occupies a qubit in a moment.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -75,7 +77,18 @@ ECR_MAT = (np.kron(I2, X_MAT) + np.kron(X_MAT, Y_MAT)) / _SQ2
 
 
 def canonical_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Canonical two-qubit gate ``exp[i(a XX + b YY + c ZZ)]`` (paper eq. 5)."""
+    """Canonical two-qubit gate ``exp[i(a XX + b YY + c ZZ)]`` (paper eq. 5).
+
+    Memoized on the exact bit patterns of the three angles (so ``0.0`` and
+    ``-0.0`` are distinct keys), because circuits and CA-EC rebuild the same
+    few angles many times. The returned array is shared and read-only.
+    """
+    return _canonical_matrix(struct.pack("<3d", alpha, beta, gamma))
+
+
+@lru_cache(maxsize=4096)
+def _canonical_matrix(key: bytes) -> np.ndarray:
+    alpha, beta, gamma = struct.unpack("<3d", key)
     xx = np.kron(X_MAT, X_MAT)
     yy = np.kron(Y_MAT, Y_MAT)
     zz = np.kron(Z_MAT, Z_MAT)
@@ -84,7 +97,9 @@ def canonical_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     # eigen-free evaluation via the shared eigenbasis of the magic basis.
     from scipy.linalg import expm
 
-    return expm(1j * generator)
+    matrix = expm(1j * generator)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def u_matrix(theta: float, phi: float, lam: float) -> np.ndarray:

@@ -9,9 +9,7 @@ context-unaware DD.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-from typing import Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..apps.heisenberg import heisenberg_circuit, heisenberg_device, site_z_label
 from ..benchmarking.mitigation import DepolarizingFit, fit_global_depolarizing

@@ -3,7 +3,7 @@
 Stacks all shots of a run along the leading axis of one ``(shots, 2**n)``
 complex array and applies every evolution step as a whole-batch NumPy
 operation: diagonal coherent phases as one broadcast multiply, moment
-unitaries as one stacked ``matmul`` over the shot axis, sampled jump masks
+unitaries as stacked ``matmul`` calls over the shot axis, sampled jump masks
 as row-subset updates, and expectation contractions per shot at the end.
 The per-shot Python loop of :class:`~repro.sim.executor.Executor` survives
 only in the state-free noise-sampling pass, which writes each shot's draws
@@ -25,6 +25,22 @@ design invariant, not an accident:
   :func:`~repro.sim.statevector.renormalize` (``x * (1 / norm)`` on the
   ``float64`` view), so the renormalized amplitudes agree bit for bit.
 
+Two steps do less arithmetic than the scalar engine and rest on one NumPy
+property each, pinned by ``tests/test_vectorized.py``:
+
+* **Support-reduced phases.** A moment's phase exponent depends only on the
+  ``m`` qubits its Z/ZZ terms and detunings touch. It is accumulated in the
+  scalar term order over the ``2**m`` bit patterns of that support, ``exp``
+  runs on those, and an index map cached per ``(n, support)`` gathers the
+  result onto the ``2**n`` amplitudes. This rests on ``exp`` being
+  elementwise: each amplitude gets the bits of the full-dimension call.
+* **One gate-layout chain per moment.** Consecutive unconditioned gates
+  copy the state once into each gate's layout (its qubits' tensor axes
+  first), ``matmul`` into a second buffer, and return to canonical order
+  only after the last gate. This rests on ``np.matmul`` giving an output
+  column the same bits wherever that column sits in a contiguous operand.
+  A conditioned gate runs alone on its row subset.
+
 Idle amplitude damping works in place. The amplitudes where qubit ``q`` is
 1 form a strided view ``psi.reshape(rows, -1, 2, 2**q)[:, :, 1, :]`` of the
 C-contiguous batch: the no-jump branch scales that view and renormalizes
@@ -32,7 +48,9 @@ the rows without a copy, and ``P(q = 1)`` sums a contiguous copy of the same
 view, which lists the amplitudes in basis-index order like the scalar
 engine's boolean mask. Only ``gamma == 1`` keeps a copy of the unscaled
 batch, for rows whose whole weight is in ``|1>`` and which must jump from
-the unscaled state as in the scalar engine.
+the unscaled state as in the scalar engine. Idle dephasing negates the same
+view in place, and each chunk reuses one set of scratch buffers for
+``|psi|**2``, ``P(q = 1)``, gathered phases and the gate chain.
 
 The shot axis is sharded into bounded-memory chunks; chunks are independent
 row blocks, so any ``chunk_shots`` / ``workers`` configuration produces the
@@ -60,9 +78,15 @@ from .statevector import _sz_arrays, renormalize
 _CHUNK_AMPLITUDES = 1 << 21
 
 
-def _batch_norms(psi: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`repro.sim.statevector.vector_norm` (bit-identical)."""
-    return np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
+def _batch_norms(psi: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-wise :func:`repro.sim.statevector.vector_norm` (bit-identical).
+
+    ``out`` is an optional ``float64`` scratch of ``psi``'s shape for the
+    ``|psi|**2`` terms (``np.square`` is what ``** 2`` computes).
+    """
+    terms = np.abs(psi, out=out)
+    np.square(terms, out=terms)
+    return np.sqrt(np.sum(terms, axis=1))
 
 
 def _one_half(psi: np.ndarray, qubit: int) -> np.ndarray:
@@ -74,21 +98,89 @@ def _one_half(psi: np.ndarray, qubit: int) -> np.ndarray:
     return psi.reshape(psi.shape[0], -1, 2, 1 << qubit)[:, :, 1, :]
 
 
-@lru_cache(maxsize=1024)
-def _gate_axis_perms(
-    num_qubits: int, qubits: Tuple[int, ...]
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Transposes that bring ``qubits``' tensor axes to the front, and back.
+@lru_cache(maxsize=32)
+def _basis_bits(num_qubits: int) -> Tuple[Tuple[np.ndarray, ...], ...]:
+    """Per qubit: its bit of every basis index, the mask where that bit is 1,
+    and the indices in that mask (read-only, shared by every engine)."""
+    basis = np.arange(1 << num_qubits)
+    bits = tuple((basis >> q) & 1 for q in range(num_qubits))
+    masks = tuple(b == 1 for b in bits)
+    indices = tuple(np.nonzero(m)[0] for m in masks)
+    for array in bits + masks + indices:
+        array.setflags(write=False)
+    return bits, masks, indices
 
-    The same axis orders ``np.moveaxis`` computes for a batch reshaped to
-    ``(rows,) + (2,) * num_qubits`` (axis 0 is the shot axis).
+
+@lru_cache(maxsize=1024)
+def _support(
+    num_qubits: int, support: Tuple[int, ...]
+) -> Tuple[Dict[int, np.ndarray], Optional[np.ndarray]]:
+    """Z eigenvalues over the bit patterns of ``support``, and the index map.
+
+    Bit ``j`` of a pattern is qubit ``support[j]``'s bit. Returns each
+    support qubit's Z eigenvalue per pattern, and ``index`` mapping each
+    basis index to its pattern, so ``values[index]`` spreads per-pattern
+    values over the full basis (``None`` when the support is every qubit
+    and the map is the identity).
     """
-    source = [1 + (num_qubits - 1 - q) for q in qubits]
-    forward = [a for a in range(num_qubits + 1) if a not in source]
-    for dest, src in sorted(zip(range(1, len(qubits) + 1), source)):
-        forward.insert(dest, src)
-    inverse = tuple(int(a) for a in np.argsort(forward))
-    return tuple(forward), inverse
+    sz = dict(zip(support, _sz_arrays(len(support))))
+    if len(support) == num_qubits:
+        return sz, None
+    basis = np.arange(1 << num_qubits)
+    index = np.zeros(1 << num_qubits, dtype=np.intp)
+    for j, q in enumerate(support):
+        index |= ((basis >> q) & 1) << j
+    index.setflags(write=False)
+    return sz, index
+
+
+@lru_cache(maxsize=4096)
+def _chain_plan(
+    num_qubits: int, gates: Tuple[Tuple[int, ...], ...]
+) -> Tuple[Tuple[Tuple[Tuple[int, ...], int], ...], Tuple[int, ...]]:
+    """How to apply gates on ``gates``' qubits in order as one layout chain.
+
+    A gate's layout puts its qubits' tensor axes first in listed order and
+    the rest in canonical order (qubit ``n - 1`` first, as in a reshaped
+    C-contiguous state). Returns, per gate, the transpose that takes a
+    ``(rows, 2, ..., 2)`` batch from the previous gate's layout (canonical
+    for the first) to this gate's, with the gate's dimension ``2**k``; and
+    the transpose from the last gate's layout back to canonical order.
+    """
+    canonical = tuple(range(num_qubits - 1, -1, -1))
+    layouts = [canonical]
+    layouts += [qubits + tuple(q for q in canonical if q not in qubits) for qubits in gates]
+    layouts.append(canonical)
+    moves = [
+        (0,) + tuple(1 + src.index(q) for q in dst) for src, dst in zip(layouts, layouts[1:])
+    ]
+    steps = tuple((move, 1 << len(qubits)) for move, qubits in zip(moves, gates))
+    return steps, moves[-1]
+
+
+class _Workspace:
+    """Scratch arrays for one ``(rows, 2**n)`` batch, reused by every step.
+
+    Each :meth:`VectorizedExecutor._evolve_chunk` call owns one, so chunks
+    evolving on different threads never share a buffer. A step on a
+    smaller row subset of the chunk (a conditioned gate, a mixed damping
+    batch) gets a fresh one from :meth:`VectorizedExecutor._workspace`.
+    """
+
+    def __init__(self, rows: int, num_qubits: int):
+        dim = 1 << num_qubits
+        self.rows = rows
+        real = np.empty(rows * dim)
+        #: ``|psi|**2`` of the whole batch, and of its ``|1>`` halves.
+        self.norm_terms = real.reshape(rows, dim)
+        self.half_terms = real[: rows * dim // 2].reshape(rows, dim // 2)
+        #: The gate chain's two layouts, as ``(rows, 2, ..., 2)`` tensors.
+        self.front = np.empty((rows,) + (2,) * num_qubits, dtype=complex)
+        self.back = np.empty_like(self.front)
+        #: Phase diagonals gathered onto the basis, and contiguous ``|1>``
+        #: halves, share the front buffer (never live during a gate).
+        self.phases = self.front.reshape(rows, dim)
+        self.half = self.phases.reshape(-1)[: rows * dim // 2].reshape(rows, dim // 2)
 
 
 class VectorizedExecutor(Executor):
@@ -113,24 +205,35 @@ class VectorizedExecutor(Executor):
             raise ValueError("chunk_shots must be >= 1 (or None for auto)")
         self.chunk_shots = chunk_shots
         n = scheduled.num_qubits
-        dim = 1 << n
-        self._dim = dim
-        idx = np.arange(dim)
-        self._one_bit = [(idx >> q) & 1 for q in range(n)]
-        self._one_mask = [b == 1 for b in self._one_bit]
-        self._one_idx = [np.nonzero(m)[0] for m in self._one_mask]
+        self._dim = 1 << n
+        self._one_bit, self._one_mask, self._one_idx = _basis_bits(n)
         self._phase_programs = [
             self._build_phase_program(m) for m in range(len(self._timelines))
         ]
-        self._unitaries = [
-            [
-                (inst.condition, np.asarray(inst.gate.matrix), inst.qubits)
-                for inst in sm.moment
-                if not (inst.gate.is_measurement or inst.gate.is_delay)
-                and inst.gate.matrix is not None
-            ]
-            for sm in scheduled
-        ]
+        self._unitaries = [self._gate_runs(sm.moment) for sm in scheduled]
+
+    def _gate_runs(self, moment) -> List[Tuple]:
+        """Moment's unitaries in order, as ``(condition, matrices, chain)`` runs.
+
+        Consecutive unconditioned gates share one run, which
+        :meth:`_apply_gate_chain` applies without returning to canonical
+        order in between; each conditioned gate is a run of its own. ``chain``
+        is the run's :func:`_chain_plan`.
+        """
+        runs: List[Tuple] = []  # (condition, matrices, qubits)
+        for inst in moment:
+            gate = inst.gate
+            if gate.matrix is None or gate.is_measurement or gate.is_delay:
+                continue
+            if inst.condition is None and runs and runs[-1][0] is None:
+                run = runs[-1]
+            else:
+                run = (inst.condition, [], [])
+                runs.append(run)
+            run[1].append(np.asarray(gate.matrix))
+            run[2].append(tuple(inst.qubits))
+        n = self.scheduled.num_qubits
+        return [(cond, mats, _chain_plan(n, tuple(qs))) for cond, mats, qs in runs]
 
     # -- per-moment coherent-phase programs -----------------------------------
 
@@ -139,72 +242,119 @@ class VectorizedExecutor(Executor):
 
         Returns ``None`` (no phases), ``("static", phase)`` with the full
         ``exp(-i H)`` diagonal when no per-shot term exists, or
-        ``("dynamic", ops)`` where ``ops`` replays the scalar executor's
-        accumulation order: each entry adds either a fixed ``(dim,)`` term
-        or a per-shot detuning term for one qubit.
+        ``("dynamic", duration, width, index, ops)`` where ``ops`` replays
+        the scalar executor's accumulation order: each entry adds either a
+        fixed term or a per-shot detuning term for one qubit.
+
+        Both evaluate the exponent only over the ``width`` bit patterns of
+        the qubits the phase touches (its support), and spread the ``exp``
+        through ``index`` (see :func:`_support`). ``exp`` is
+        elementwise, so every amplitude gets the bits the full-dimension
+        evaluation gives it.
         """
         if not self.options.coherent:
             return None
         acc = self._static_acc[m]
         sm = self.scheduled[m]
         timeline = self._timelines[m]
-        sz = _sz_arrays(self.scheduled.num_qubits)
+        n = self.scheduled.num_qubits
         # Qubits whose sampled detuning accumulates phase this moment: a
         # noise source exists and the sign trajectory doesn't refocus it.
         det_sites = []
         if self._plan.detunings is not None and sm.duration > 0.0:
             det_sites = [
                 q
-                for q in range(self.scheduled.num_qubits)
+                for q in range(n)
                 if (
                     self._plan.detunings[q][0] > 0.0
                     or self._plan.detunings[q][1] > 0.0
                 )
                 and timeline.sign_integral(q) != 0.0
             ]
+        if not (det_sites or acc.z or acc.zz):
+            return None
+        support = tuple(sorted(set(acc.z).union(det_sites, *acc.zz)))
+        sz, index = _support(n, support)
         if not det_sites:
             # No per-shot term survives (noise off, zero duration, or every
             # detuning refocused — e.g. fully-decoupled DD moments): one
             # cached diagonal serves every shot, bit-identically.
-            if not acc.z and not acc.zz:
-                return None
-            exponent = np.zeros(self._dim)
+            exponent = np.zeros(1 << len(support))
             for q, theta in acc.z.items():
                 exponent += (theta / 2.0) * sz[q]
             for (a, b), theta in acc.zz.items():
                 exponent += (theta / 2.0) * sz[a] * sz[b]
-            return ("static", np.exp(-1j * exponent))
+            phase = np.exp(-1j * exponent)
+            return ("static", phase if index is None else phase[index])
         det_set = set(det_sites)
         ops: List[Tuple] = []
         for q, theta in acc.z.items():
             if q in det_set:
-                ops.append(("det", q, theta, timeline.sign_integral(q)))
+                ops.append(("det", q, theta, timeline.sign_integral(q), sz[q]))
             else:
                 ops.append(("fix", (theta / 2.0) * sz[q]))
         for q in det_sites:
             if q not in acc.z:
-                ops.append(("det", q, 0.0, timeline.sign_integral(q)))
+                ops.append(("det", q, 0.0, timeline.sign_integral(q), sz[q]))
         for (a, b), theta in acc.zz.items():
             ops.append(("fix", (theta / 2.0) * sz[a] * sz[b]))
-        if not ops:
-            return None
-        return ("dynamic", sm.duration, ops)
+        return ("dynamic", sm.duration, 1 << len(support), index, ops)
 
     # -- whole-batch state updates --------------------------------------------
 
-    def _apply_gate_rows(
-        self, sub: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]
-    ) -> np.ndarray:
-        rows = sub.shape[0]
-        n = self.scheduled.num_qubits
-        k = len(qubits)
-        forward, inverse = _gate_axis_perms(n, tuple(qubits))
-        psi = sub.reshape((rows,) + (2,) * n).transpose(forward)
-        tail = psi.shape[k + 1 :]
-        psi = psi.reshape(rows, 1 << k, -1)
-        psi = np.matmul(matrix, psi)
-        psi = psi.reshape((rows,) + (2,) * k + tuple(tail)).transpose(inverse)
-        return np.ascontiguousarray(psi).reshape(rows, -1)
+    def _workspace(self, work: Optional[_Workspace], rows: int) -> _Workspace:
+        """``work`` when it is sized for ``rows`` rows, else a fresh workspace."""
+        if work is not None and work.rows == rows:
+            return work
+        return _Workspace(rows, self.scheduled.num_qubits)
+
+    def _apply_phases(
+        self, psi: np.ndarray, program, batch: NoiseBatch, work: _Workspace
+    ) -> None:
+        """Multiply ``psi`` in place by a moment's phase diagonal."""
+        if program[0] == "static":
+            psi *= program[1]
+            return
+        _tag, duration, width, index, ops = program
+        exponent = np.zeros((psi.shape[0], width))
+        for op in ops:
+            if op[0] == "fix":
+                exponent += op[1]
+            else:
+                _kind, q, theta0, sign, sz_q = op
+                angle = 2.0 * math.pi * batch.detunings[:, q] * duration * sign
+                theta = theta0 + angle
+                exponent += (theta / 2.0)[:, None] * sz_q
+        phase = np.exp(-1j * exponent)
+        if index is not None:
+            phase = np.take(phase, index, axis=1, out=work.phases, mode="clip")
+        psi *= phase
+
+    def _apply_gate_chain(
+        self,
+        psi: np.ndarray,
+        matrices: Sequence[np.ndarray],
+        chain: Tuple,
+        work: Optional[_Workspace] = None,
+    ) -> None:
+        """Apply one run of :meth:`_gate_runs` to the batch ``psi``, in place.
+
+        Each gate copies the state once into its own layout (its qubits'
+        tensor axes first) in the workspace's front buffer and multiplies
+        into the back buffer; the state returns to canonical order only
+        after the last gate. ``np.matmul`` gives each output column the same
+        bits wherever the column sits, so this matches one gate at a time.
+        """
+        rows = psi.shape[0]
+        work = self._workspace(work, rows)
+        front, back = work.front, work.back
+        steps, home = chain
+        state = psi.reshape(front.shape)
+        for matrix, (transpose, width) in zip(matrices, steps):
+            np.copyto(front, state.transpose(transpose))
+            np.matmul(matrix, front.reshape(rows, width, -1), out=back.reshape(rows, width, -1))
+            state = back
+        np.copyto(psi.reshape(front.shape), state.transpose(home))
 
     def _apply_pauli_rows(self, sub: np.ndarray, label: str, qubit: int) -> np.ndarray:
         if label == "I":
@@ -231,12 +381,17 @@ class VectorizedExecutor(Executor):
             raise ValueError(f"bad Pauli label {label!r}")
         return np.ascontiguousarray(psi).reshape(rows, -1)
 
-    def _prob_one_rows(self, psi: np.ndarray, qubit: int) -> np.ndarray:
+    def _prob_one_rows(
+        self, psi: np.ndarray, qubit: int, work: Optional[_Workspace] = None
+    ) -> np.ndarray:
         # The strided view lists the |1> amplitudes in basis-index order, so
         # each row's pairwise sum matches the scalar ``probability_one``.
+        work = self._workspace(work, psi.shape[0])
         ones = _one_half(psi, qubit)
-        sel = np.ascontiguousarray(ones).reshape(psi.shape[0], -1)
-        return np.sum(np.abs(sel) ** 2, axis=1)
+        np.copyto(work.half.reshape(ones.shape), ones)
+        terms = np.abs(work.half, out=work.half_terms)
+        np.square(terms, out=terms)
+        return np.sum(terms, axis=1)
 
     def _decay_jump_rows(self, sub: np.ndarray, qubit: int) -> np.ndarray:
         """Row-wise twin of ``executor._apply_decay_jump``."""
@@ -260,7 +415,13 @@ class VectorizedExecutor(Executor):
             out[bad] = unjumped
         return out
 
-    def _no_jump_rows(self, psi: np.ndarray, qubit: int, gamma: float) -> np.ndarray:
+    def _no_jump_rows(
+        self,
+        psi: np.ndarray,
+        qubit: int,
+        gamma: float,
+        work: Optional[_Workspace] = None,
+    ) -> np.ndarray:
         """Row-wise twin of ``executor._apply_no_jump``, in place on ``psi``.
 
         ``psi`` must be a C-contiguous ``(rows, dim)`` array the caller owns;
@@ -270,10 +431,11 @@ class VectorizedExecutor(Executor):
         # the scalar engine then jumps from the *unscaled* row: keep a copy.
         # Below 1 the scale factor is positive and a unit-norm row cannot
         # vanish, so no copy is needed.
+        work = self._workspace(work, psi.shape[0])
         unscaled = psi.copy() if gamma >= 1.0 else psi
         ones = _one_half(psi, qubit)
         ones *= math.sqrt(1.0 - gamma)
-        norms = _batch_norms(psi)
+        norms = _batch_norms(psi, out=work.norm_terms)
         bad = np.flatnonzero(norms <= 0.0)
         if bad.size:
             norms[bad] = 1.0  # these rows take the decay jump below
@@ -296,14 +458,15 @@ class VectorizedExecutor(Executor):
         clbits = np.zeros(
             (size, self.scheduled.circuit.num_clbits), dtype=np.int64
         )
+        work = _Workspace(size, self.scheduled.num_qubits)
         for m, plan in enumerate(self._plan.moments):
             # 1. measurements
             for qubit, clbit, col in plan.measured:
-                p1 = self._prob_one_rows(psi, qubit)
+                p1 = self._prob_one_rows(psi, qubit, work)
                 outcome = (u[:, col] < p1).astype(np.int64)
                 keep = self._one_bit[qubit][None, :] == outcome[:, None]
                 psi = np.where(keep, psi, 0.0)
-                norms = _batch_norms(psi)
+                norms = _batch_norms(psi, out=work.norm_terms)
                 if np.any(norms < 1e-15):
                     raise RuntimeError("measurement collapsed to zero norm")
                 psi /= norms[:, None]
@@ -312,55 +475,44 @@ class VectorizedExecutor(Executor):
             # 2. coherent phases
             program = self._phase_programs[m]
             if program is not None:
-                if program[0] == "static":
-                    psi *= program[1][None, :]
-                else:
-                    _tag, duration, ops = program
-                    exponent = np.zeros((size, self._dim))
-                    for op in ops:
-                        if op[0] == "fix":
-                            exponent += op[1][None, :]
-                        else:
-                            _kind, q, theta0, sign = op
-                            angle = (
-                                2.0 * math.pi * batch.detunings[:, q]
-                                * duration * sign
-                            )
-                            theta = theta0 + angle
-                            exponent += (theta / 2.0)[:, None] * (
-                                _sz_arrays(self.scheduled.num_qubits)[q][None, :]
-                            )
-                    psi *= np.exp(-1j * exponent)
+                self._apply_phases(psi, program, batch, work)
 
             # 3. stochastic dephasing / damping (per-qubit interleave)
             for q, p_z, gamma, flip_col, damp_col in plan.idles:
                 if p_z > 0.0:
+                    # Z negates the |1> half: flip it in place.
                     flipped = u[:, flip_col] < p_z
                     if flipped.any():
-                        psi[flipped] = self._apply_pauli_rows(psi[flipped], "Z", q)
+                        ones = _one_half(psi, q)
+                        if flipped.all():
+                            ones *= -1
+                        else:
+                            ones[flipped] *= -1
                 if gamma > 0.0:
-                    jump = u[:, damp_col] < gamma * self._prob_one_rows(psi, q)
+                    jump = u[:, damp_col] < gamma * self._prob_one_rows(psi, q, work)
                     # Uniform batches (the common case: jump probabilities
                     # are small) damp `psi` itself in place, which this loop
                     # owns; a mixed batch damps its `psi[stay]` copy.
                     if not jump.any():
-                        psi = self._no_jump_rows(psi, q, gamma)
+                        psi = self._no_jump_rows(psi, q, gamma, work)
                     elif jump.all():
                         psi = self._decay_jump_rows(psi, q)
                     else:
                         psi[jump] = self._decay_jump_rows(psi[jump], q)
                         stay = ~jump
-                        psi[stay] = self._no_jump_rows(psi[stay], q, gamma)
+                        psi[stay] = self._no_jump_rows(psi[stay], q, gamma, work)
 
             # 4. ideal unitaries
-            for condition, matrix, qubits in self._unitaries[m]:
+            for condition, matrices, chain in self._unitaries[m]:
                 if condition is None:
-                    psi = self._apply_gate_rows(psi, matrix, qubits)
+                    self._apply_gate_chain(psi, matrices, chain, work)
                 else:
                     clbit, value = condition
                     rows = clbits[:, clbit] == value
                     if rows.any():
-                        psi[rows] = self._apply_gate_rows(psi[rows], matrix, qubits)
+                        sub = psi[rows]
+                        self._apply_gate_chain(sub, matrices, chain, work)
+                        psi[rows] = sub
 
             # 5. gate errors
             for site in plan.gate_errors:

@@ -106,6 +106,52 @@ class TestCanonical:
         assert gate.flip_fractions == ((0.5,), (0.25, 0.75))
 
 
+class TestCanonicalMemo:
+    """``canonical_matrix`` is memoized on the exact bits of its angles."""
+
+    @staticmethod
+    def _uncached(alpha, beta, gamma):
+        from scipy.linalg import expm
+
+        generator = (
+            alpha * np.kron(g.X_MAT, g.X_MAT)
+            + beta * np.kron(g.Y_MAT, g.Y_MAT)
+            + gamma * np.kron(g.Z_MAT, g.Z_MAT)
+        )
+        return expm(1j * generator)
+
+    def test_read_only(self):
+        matrix = g.canonical_matrix(0.11, 0.22, 0.33)
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "angles",
+        [(0.11, 0.22, 0.33), (0, 0, 0), (np.float64(0.4), 1, -0.25), (math.pi / 4, 0.0, -0.0)],
+    )
+    def test_equals_uncached_expm_bytes(self, angles):
+        cached = g.canonical_matrix(*angles)
+        assert cached.tobytes() == self._uncached(*angles).tobytes()
+        assert g.canonical_matrix(*angles) is cached
+
+    def test_signed_zero_angles_are_separate_entries(self):
+        plus = g.canonical_matrix(0.3, 0.0, 0.2)
+        minus = g.canonical_matrix(0.3, -0.0, 0.2)
+        assert plus is not minus
+        assert plus.tobytes() == self._uncached(0.3, 0.0, 0.2).tobytes()
+        assert minus.tobytes() == self._uncached(0.3, -0.0, 0.2).tobytes()
+
+    def test_circuit_gates_share_one_array(self):
+        from repro import Circuit
+
+        circ = Circuit(3)
+        circ.can(0.12, 0.34, 0.56, 0, 1)
+        circ.can(0.12, 0.34, 0.56, 1, 2)
+        first, second = (inst.gate.matrix for inst in circ.instructions())
+        assert first is second
+
+
 class TestDDSequence:
     def test_even_pulses_net_identity(self):
         gate = g.dd_sequence((0.25, 0.75))

@@ -8,23 +8,31 @@ The load-bearing guarantees:
   for readout-error models, and for every noise-toggle combination;
 * sharding is invisible: any ``workers`` / ``chunk_shots`` configuration
   produces identical values (the property the scale-out story rests on);
-* the engine plugs into the registry/CLI plumbing like any other backend.
+* the engine plugs into the registry/CLI plumbing like any other backend;
+* its two shortcuts, support-reduced phases and the per-moment gate-layout
+  chain, give the bits of the full-dimension, one-gate-at-a-time path, and
+  the ``np.matmul`` property the chain rests on is pinned directly.
 
 Every equality below is exact ``==`` on floats, deliberately: the batched
 engine is designed to reproduce the scalar bits, and any drift is a bug.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro import Circuit, SimOptions, Task, VectorizedBackend, run, schedule
+from repro.circuits.gates import Gate
 from repro.compiler.strategies import STRATEGIES
 from repro.device import NoiseProfile, linear_chain, synthetic_device
 from repro.runtime import BACKENDS, Orient, Pipeline, Twirl, get_backend
 from repro.runtime.run import configure, default_backend
 from repro.sim import Executor, NoiseBatch, StateVector, VectorizedExecutor
+from repro.sim.coherent import CoherentAccumulation
 from repro.sim.executor import _apply_no_jump
 from repro.sim.sampling import sample_shot
+from repro.sim.vectorized import _support
 from repro.utils.rng import as_generator
 
 OBS = {"x1": "IIXI", "z3": "ZIII", "zz": "IIZZ"}
@@ -342,3 +350,211 @@ class TestRegistryAndPlumbing:
         many = [Task(layered_circuit(), observables=OBS, seed=s) for s in (1, 2)]
         run(many, chain4, options=options, backend=RecordingBackend(), workers=3)
         assert seen == [1, 1]
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def _engine(num_qubits, circuit=None):
+    device = synthetic_device(linear_chain(num_qubits), seed=7)
+    if circuit is None:
+        circuit = Circuit(num_qubits)
+        for q in range(num_qubits):
+            circuit.delay(400.0, q)
+    return VectorizedExecutor(schedule(circuit, device.durations), device)
+
+
+def _random_rows(rows, num_qubits, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << num_qubits
+    return rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+
+
+def _random_unitary(k, rng):
+    size = 1 << k
+    q, r = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _per_gate_rows(sub, matrix, qubits, num_qubits):
+    """One gate at a time, back in canonical order after each (the layout
+    the gate chain skips): moveaxis the gate's axes to the front, matmul,
+    move them back."""
+    rows = sub.shape[0]
+    axes = [1 + (num_qubits - 1 - q) for q in qubits]
+    psi = np.moveaxis(sub.reshape((rows,) + (2,) * num_qubits), axes, range(1, len(qubits) + 1))
+    tail = psi.shape[len(qubits) + 1 :]
+    psi = np.matmul(matrix, psi.reshape(rows, 1 << len(qubits), -1))
+    psi = psi.reshape((rows,) + (2,) * len(qubits) + tail)
+    psi = np.moveaxis(psi, range(1, len(qubits) + 1), axes)
+    return np.ascontiguousarray(psi).reshape(rows, -1)
+
+
+class TestSupportReducedPhases:
+    """Phase programs evaluate ``exp`` over the 2**m bit patterns of the
+    qubits they touch; every amplitude must still get the bits the scalar
+    engine's full-dimension ``StateVector.apply_phases`` gives it."""
+
+    N = 5
+
+    def _program(self, engine, z, zz, detuned):
+        engine._static_acc[0] = CoherentAccumulation(dict(z), dict(zz))
+        plan = engine._plan
+        sigmas = None
+        if detuned:
+            sigmas = tuple(
+                (1e-3, 0.0) if q in detuned else (0.0, 0.0) for q in range(self.N)
+            )
+        engine._plan = type(plan)(
+            plan.num_qubits, sigmas, plan.moments, plan.uniforms,
+            plan.gate_cols, plan.gate_probs, plan.gate_highs,
+        )
+        return engine._build_phase_program(0)
+
+    def _reference(self, engine, rows, detunings):
+        """The scalar engine's step 2, row by row."""
+        static = engine._static_acc[0]
+        sm, timeline = engine.scheduled[0], engine._timelines[0]
+        out = []
+        for b, row in enumerate(rows):
+            acc = CoherentAccumulation(dict(static.z), dict(static.zz))
+            if detunings is not None:
+                for q in range(self.N):
+                    rate = detunings[b, q]
+                    if rate != 0.0:
+                        acc.add_z(
+                            q,
+                            2.0 * math.pi * rate * sm.duration * timeline.sign_integral(q),
+                        )
+            state = StateVector(self.N)
+            state.vector = row.copy()
+            state.apply_phases(acc)
+            out.append(state.vector)
+        return np.array(out)
+
+    CASES = {
+        "one-qubit": ({2: 0.3}, {}, ()),
+        "partial-zz": ({1: 0.2, 3: -0.4}, {(1, 3): 0.1}, ()),
+        "every-qubit": ({q: 0.1 * (q + 1) for q in range(N)}, {(0, 4): -0.7}, ()),
+        "dyn-one-qubit": ({}, {}, (2,)),
+        "dyn-partial": ({3: 0.1, 1: 0.2}, {}, (0, 3)),
+        "dyn-partial-zz": ({3: 0.1, 1: 0.2}, {(1, 4): 0.3}, (0, 3)),
+        "dyn-every-qubit": ({0: 0.5}, {}, tuple(range(N))),
+        "dyn-every-qubit-zz": ({0: 0.5}, {(2, 3): -0.2}, tuple(range(N))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_dimension(self, case):
+        z, zz, detuned = self.CASES[case]
+        support = set(z) | set(detuned) | {q for pair in zz for q in pair}
+        engine = _engine(self.N)
+        program = self._program(engine, z, zz, detuned)
+        rows = 6
+        psi = _random_rows(rows, self.N, seed=len(case))
+        batch = NoiseBatch.empty(engine._plan, rows)
+        if detuned:
+            assert program[0] == "dynamic"
+            assert program[2] == 1 << len(support)
+            rng = np.random.default_rng(3)
+            for q in detuned:
+                batch.detunings[:, q] = rng.normal(scale=1e-3, size=rows)
+        else:
+            assert program[0] == "static"
+        expected = self._reference(engine, psi, batch.detunings)
+        engine._apply_phases(psi, program, batch, engine._workspace(None, rows))
+        np.testing.assert_array_equal(_bits(psi), _bits(expected))
+
+    def test_support_is_cached(self):
+        sz, index = _support(6, (1, 4))
+        assert _support(6, (1, 4))[1] is index
+        assert not index.flags.writeable
+        basis = np.arange(64)
+        np.testing.assert_array_equal(index, ((basis >> 1) & 1) | (((basis >> 4) & 1) << 1))
+        np.testing.assert_array_equal(sz[4], [1.0, 1.0, -1.0, -1.0])
+        assert _support(3, (0, 1, 2))[1] is None
+
+
+class TestGateChain:
+    """A moment's unconditioned gates run as one layout chain; it must give
+    the bits of applying one gate at a time in canonical order."""
+
+    def _moment(self, num_qubits, rng):
+        """Random gates covering every qubit; 2q pairs often reversed."""
+        qubits = [int(q) for q in rng.permutation(num_qubits)]
+        gates = []
+        while qubits:
+            if len(qubits) >= 2 and rng.random() < 0.6:
+                gates.append((_random_unitary(2, rng), (qubits.pop(), qubits.pop())))
+            else:
+                gates.append((_random_unitary(1, rng), (qubits.pop(),)))
+        return gates
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 5, 8])
+    @pytest.mark.parametrize("rows", [1, 4, 7])
+    def test_matches_per_gate_application(self, num_qubits, rows):
+        rng = np.random.default_rng(100 * num_qubits + rows)
+        for trial in range(4):
+            gates = self._moment(num_qubits, rng)
+            assert {q for _m, qs in gates for q in qs} == set(range(num_qubits))
+            circ = Circuit(num_qubits)
+            for matrix, qubits in gates:
+                circ.append(Gate("u", len(qubits), matrix=matrix), list(qubits))
+            engine = _engine(num_qubits, circ)
+            ((condition, matrices, chain),) = engine._unitaries[0]
+            assert condition is None and len(matrices) == len(gates)
+            psi = _random_rows(rows, num_qubits, seed=trial)
+            expected = psi.copy()
+            for matrix, qubits in gates:
+                expected = _per_gate_rows(expected, matrix, qubits, num_qubits)
+            scalar = []
+            for row in psi:
+                state = StateVector(num_qubits)
+                state.vector = row.copy()
+                for matrix, qubits in gates:
+                    state.apply_gate(matrix, qubits)
+                scalar.append(state.vector)
+            engine._apply_gate_chain(psi, matrices, chain)
+            np.testing.assert_array_equal(_bits(psi), _bits(expected))
+            np.testing.assert_array_equal(_bits(psi), _bits(np.array(scalar)))
+
+    def test_conditioned_gate_splits_the_chain(self, chain4):
+        circ = Circuit(4, num_clbits=1)
+        for q in range(4):
+            circ.h(q, new_moment=(q == 0))
+        circ.measure(0, 0, new_moment=True)
+        circ.cx(3, 2, new_moment=True)
+        circ.x(0, condition=(0, 1))
+        circ.rx(0.3, 1)
+        circ.h(3, new_moment=True)
+        engine = VectorizedExecutor(schedule(circ, chain4.durations), chain4)
+        runs = [
+            [(cond, [width for _t, width in chain[0]]) for cond, _m, chain in moment]
+            for moment in engine._unitaries
+        ]
+        assert [(None, [4]), ((0, 1), [2]), (None, [2])] in runs
+        task = Task(circ, observables={"z": "ZZZZ", "x": "IXII"}, seed=4)
+        assert_identical(*both(task, chain4, SimOptions(shots=64)))
+
+
+class TestMatmulLayoutPin:
+    """The gate chain's premise: ``np.matmul`` gives each output column the
+    same bits wherever the column sits in a contiguous operand. A BLAS that
+    breaks this fails here rather than silently changing values."""
+
+    @pytest.mark.parametrize("num_qubits", range(2, 13))
+    def test_permuted_columns_same_bits(self, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        for k in (1, 2):
+            if k > num_qubits:
+                continue
+            matrix = _random_unitary(k, rng)
+            width = 1 << (num_qubits - k)
+            perm = rng.permutation(width)
+            for rows in (1, 4, 32):
+                batch = _random_rows(rows, num_qubits, seed=rows).reshape(rows, 1 << k, width)
+                canonical = np.matmul(matrix, batch)
+                permuted = np.ascontiguousarray(batch[:, :, perm])
+                out = np.empty_like(permuted)
+                np.matmul(matrix, permuted, out=out)
+                np.testing.assert_array_equal(_bits(out), _bits(canonical[:, :, perm]))
