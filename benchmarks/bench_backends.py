@@ -163,8 +163,8 @@ def bench_compile_cache() -> Dict:
         cold = sweep_batch()
         assert PLAN_CACHE.misses > 0 and PLAN_CACHE.hits == 0
         warm = sweep_batch()
-        cold_s = min(cold_s, cold.compile_time)
-        warm_s = min(warm_s, warm.compile_time)
+        cold_s = min(cold_s, cold.batch.compile_time)
+        warm_s = min(warm_s, warm.batch.compile_time)
         bit_identical = bit_identical and values(cold) == values(warm)
     return {
         "workload": "compile_cache",

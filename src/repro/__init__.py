@@ -102,7 +102,7 @@ from .runtime import (
 )
 from .sim import SimOptions, SimResult
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Circuit",

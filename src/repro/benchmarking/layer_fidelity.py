@@ -148,8 +148,6 @@ def measure_layer_fidelity(
     samples: int = 6,
     options: Optional[SimOptions] = None,
     seed: SeedLike = 0,
-    backend=None,
-    workers: Optional[int] = None,
 ) -> LayerFidelityResult:
     """Run the layer-fidelity protocol for one strategy.
 
@@ -161,7 +159,7 @@ def measure_layer_fidelity(
     builder compiles in grid order — one shared RNG stream draws the random
     bases, the twirl, and each point's simulator sub-seed exactly as the
     legacy sequential loop did — so the whole protocol is one batched
-    runtime call and ``workers`` only changes wall time.
+    runtime call and the configured worker count only changes wall time.
     """
     rng = as_generator(seed)
     options = options or SimOptions(shots=24)
@@ -185,7 +183,7 @@ def measure_layer_fidelity(
         {"depth": list(depths), "sample": list(range(samples))},
         build,
         name=f"layer_fidelity/{pipeline.name}",
-    ).run(device, options=options, backend=backend, workers=workers)
+    ).run(device, options=options)
 
     rates: Dict[Tuple[int, ...], float] = {}
     curves: Dict[Tuple[int, ...], List[float]] = {}

@@ -120,7 +120,7 @@ def ramsey_task(
 
     Collect tasks across cases, strategies, and depths and hand them to one
     batched :func:`repro.runtime.run` call — every point is independently
-    seeded, so batching (and ``workers>1``) leaves the values untouched.
+    seeded, so batching (at any worker count) leaves the values untouched.
     """
     from dataclasses import replace
 
@@ -149,8 +149,6 @@ def ramsey_fidelity(
     realizations: int = 1,
     options: Optional[SimOptions] = None,
     seed: SeedLike = 0,
-    backend=None,
-    workers: Optional[int] = None,
 ) -> float:
     """Average probability that all probe qubits return to ``|0>``."""
     options = options or SimOptions(shots=64)
@@ -158,7 +156,7 @@ def ramsey_fidelity(
         case, device, depth, strategy,
         tau=tau, twirl=twirl, realizations=realizations, seed=seed,
     )
-    batch = run(task, options=options, backend=backend, workers=workers)
+    batch = run(task, options=options)
     return float(batch.results[0].values["f"])
 
 
@@ -172,8 +170,6 @@ def ramsey_curve(
     realizations: int = 1,
     options: Optional[SimOptions] = None,
     seed: SeedLike = 0,
-    backend=None,
-    workers: Optional[int] = None,
 ) -> List[float]:
     """Ramsey fidelity versus depth for one strategy, as one batched sweep."""
     options = options or SimOptions(shots=64)
@@ -184,5 +180,5 @@ def ramsey_curve(
             tau=tau, twirl=twirl, realizations=realizations, seed=seed,
         ),
         name=f"ramsey/{case.name}",
-    ).run(options=options, backend=backend, workers=workers)
+    ).run(options=options)
     return [float(v) for v in swept.curve("f")]

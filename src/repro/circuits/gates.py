@@ -39,6 +39,10 @@ SXDG_MAT = SX_MAT.conj().T
 
 PAULI_MATRICES = {"I": I2, "X": X_MAT, "Y": Y_MAT, "Z": Z_MAT}
 
+#: Diagonal single-qubit gates realised as frame updates: they take no
+#: wall-clock time, carry no gate error and commute with Z.
+VIRTUAL_GATES = frozenset({"rz", "z", "s", "sdg", "t", "id"})
+
 
 def rx_matrix(theta: float) -> np.ndarray:
     """``exp(-i theta X / 2)``."""

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .circuit import Circuit, Instruction, Moment
-
-# Virtual gates (frame updates) take zero wall-clock time.
-_VIRTUAL_GATES = {"rz", "z", "s", "sdg", "t", "id"}
+from .gates import VIRTUAL_GATES
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,7 @@ class Durations:
             return float(gate.params[0])
         if gate.is_measurement:
             return self.measure
-        if gate.name in _VIRTUAL_GATES:
+        if gate.name in VIRTUAL_GATES:
             # Virtual frame updates are free even when classically
             # conditioned: the controller folds them into later pulses.
             return 0.0

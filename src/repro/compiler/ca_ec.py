@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..circuits import gates as g
 from ..circuits.circuit import Circuit, Instruction, Moment
+from ..circuits.gates import VIRTUAL_GATES
 from ..circuits.schedule import Durations, schedule
 from ..device.calibration import Device
 from ..sim.coherent import CoherentAccumulation, accumulate_coherent
@@ -40,7 +41,6 @@ from ..sim.timeline import build_timeline
 
 Edge = Tuple[int, int]
 
-_Z_TYPE_1Q = {"rz", "z", "s", "sdg", "t", "id"}
 _FLIP_1Q = {"x", "y"}
 _ABSORBERS = {"can", "rzz"}
 
@@ -188,7 +188,7 @@ def _scan(
             if gate.num_qubits == 2:
                 return None  # entangles a or b with a third qubit
             name = gate.name
-            if name in _Z_TYPE_1Q:
+            if name in VIRTUAL_GATES:
                 continue
             if name in _FLIP_1Q:
                 sign = -sign

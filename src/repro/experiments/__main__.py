@@ -18,6 +18,14 @@ vectorized engine's resident states per chunk (0 = auto-size). ``--json
 PATH`` writes every requested experiment's result — including the full
 per-point Sweep serialization — as one JSON document.
 
+Results are values only: stdout carries just the report, and the
+``--json`` file holds no backend, worker count or timing, so two runs
+that differ only in ``--backend``/``--workers`` (or the ``distributed``
+flags) write byte-identical files — compare them with ``cmp``. Each
+figure's wall time and the ``wrote PATH`` line go to stderr; the per-run
+backend, worker count and compile/exec split stay on
+:class:`~repro.runtime.task.BatchResult`.
+
 ``--backend distributed`` shards each batch's realizations across a local
 pool of worker *processes*: ``--dist-workers N`` sets the pool size and
 ``--dist-shard-size N`` the realizations per shard. Results are
@@ -246,7 +254,8 @@ def main(argv=None) -> int:
         result = EXPERIMENTS[name](args.quick)
         for line in _render(result):
             print(line)
-        print(f"({time.time() - start:.1f} s)\n")
+        print(f"({time.time() - start:.1f} s)", file=sys.stderr)
+        print()
         if args.json:
             payloads[name] = result.to_json()
 
@@ -254,7 +263,7 @@ def main(argv=None) -> int:
         with open(args.json, "w") as handle:
             json.dump(payloads, handle, indent=2)
             handle.write("\n")
-        print(f"wrote {args.json}")
+        print(f"wrote {args.json}", file=sys.stderr)
     return 0
 
 

@@ -8,11 +8,9 @@ controls (EC territory), so the combined strategy beats each constituent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-
-from typing import Optional
 
 from ..apps.floquet6 import floquet6_circuit, floquet6_device, probe_target_bits
 from ..runtime import Sweep, SweepResult, Task
@@ -51,8 +49,6 @@ def run_fig10(
     shots: int = 24,
     realizations: int = 6,
     seed: int = 7001,
-    backend=None,
-    workers: Optional[int] = None,
 ) -> Fig10Result:
     device = floquet6_device(seed=seed)
     target = {"p": probe_target_bits()}
@@ -67,7 +63,7 @@ def run_fig10(
             name=f"{strategy}/d{step}",
         ),
         name="fig10",
-    ).run(device, options=SimOptions(shots=shots), backend=backend, workers=workers)
+    ).run(device, options=SimOptions(shots=shots))
     return Fig10Result(
         steps=list(steps),
         curves={

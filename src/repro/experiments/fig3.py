@@ -64,8 +64,6 @@ def run_fig3(
     realizations: int = 8,
     seed: int = 1001,
     cases: Sequence[str] = tuple(CASES),
-    backend=None,
-    workers: Optional[int] = None,
 ) -> Fig3Result:
     """Run all Ramsey contexts; depths should be even (case IV self-inverts).
 
@@ -77,7 +75,8 @@ def run_fig3(
     (case, strategy, depth) — strategies that don't apply to a case are
     skipped points — and every point is an independently seeded
     :class:`~repro.runtime.Task`, so the grid compiles and simulates as a
-    single batched run that parallelizes across ``workers``.
+    single batched run that parallelizes across the configured worker
+    count (:func:`repro.runtime.configure`).
     """
     devices = {
         name: synthetic_device(
@@ -111,9 +110,7 @@ def run_fig3(
         build,
         name="fig3",
     )
-    swept = sweep.run(
-        options=SimOptions(shots=shots), backend=backend, workers=workers
-    )
+    swept = sweep.run(options=SimOptions(shots=shots))
     result = Fig3Result(depths=list(depths), sweep=swept)
     for case_name in cases:
         result.curves[case_name] = {

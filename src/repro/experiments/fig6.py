@@ -7,9 +7,7 @@ CA-DD, against the ideal alternating +-1 signal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-from typing import Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..apps.ising import boundary_xx_label, ideal_boundary_xx, ising_circuit, ising_device
 from ..runtime import Sweep, SweepResult, Task
@@ -49,8 +47,6 @@ def run_fig6(
     shots: int = 24,
     realizations: int = 6,
     seed: int = 3001,
-    backend=None,
-    workers: Optional[int] = None,
 ) -> Fig6Result:
     device = ising_device(num_qubits, seed=seed)
     observable = {"xx": boundary_xx_label(num_qubits)}
@@ -66,9 +62,7 @@ def run_fig6(
         ),
         name="fig6",
     )
-    swept = sweep.run(
-        device, options=SimOptions(shots=shots), backend=backend, workers=workers
-    )
+    swept = sweep.run(device, options=SimOptions(shots=shots))
     return Fig6Result(
         steps=list(steps),
         ideal=[ideal_boundary_xx(d) for d in steps],

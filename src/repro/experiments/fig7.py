@@ -71,8 +71,6 @@ def run_fig7(
     realizations: int = 5,
     seed: int = 4001,
     coupling: float = 1.2,
-    backend=None,
-    workers: Optional[int] = None,
 ) -> Fig7Result:
     device = heisenberg_device(num_qubits, seed=seed)
     observable = {"z": site_z_label(num_qubits, site)}
@@ -94,7 +92,7 @@ def run_fig7(
             device=ideal_device,
         ),
         name="fig7/ideal",
-    ).run(options=ideal_options, backend=backend, workers=workers)
+    ).run(options=ideal_options)
     ideal = ideal_swept.curve("z")
     result = Fig7Result(
         steps=list(steps), ideal=ideal, ideal_sweep=ideal_swept
@@ -110,7 +108,7 @@ def run_fig7(
             name=f"{strategy}/d{step}",
         ),
         name="fig7",
-    ).run(device, options=SimOptions(shots=shots), backend=backend, workers=workers)
+    ).run(device, options=SimOptions(shots=shots))
     result.sweep = swept
     for strategy in STRATEGIES:
         values = swept.curve("z", strategy=strategy)

@@ -10,7 +10,7 @@ per strategy, plus the overhead-reduction factors for a 10-layer circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..benchmarking.layer_fidelity import (
     LayerFidelityResult,
@@ -101,8 +101,6 @@ def run_fig8(
     shots: int = 12,
     seed: int = 5001,
     strategies: Sequence[str] = STRATEGIES,
-    backend=None,
-    workers: Optional[int] = None,
 ) -> Fig8Result:
     device = fig8_device(seed)
     spec = fig8_layer()
@@ -117,7 +115,5 @@ def run_fig8(
             samples=samples,
             options=options,
             seed=seed,
-            backend=backend,
-            workers=workers,
         )
     return result

@@ -78,8 +78,6 @@ def run_fig9(
     true_feedforward: float = 1150.0,
     shots: int = 160,
     seed: int = 6001,
-    backend=None,
-    workers: Optional[int] = None,
 ) -> Fig9Result:
     if estimates is None:
         estimates = list(np.linspace(0.0, 3000.0, 13))
@@ -108,7 +106,7 @@ def run_fig9(
     estimates = [float(e) for e in estimates]
     swept = Sweep(
         {"variant": ["bare", *estimates, "conditional"]}, build, name="fig9"
-    ).run(device, options=options, backend=backend, workers=workers)
+    ).run(device, options=options)
     return Fig9Result(
         estimates=estimates,
         fidelities=[swept[e].values["f"] for e in estimates],

@@ -30,8 +30,10 @@ point at a time, which two kinds of builders rely on:
   does not apply to a case).
 
 ``Sweep.run`` is a thin wrapper over :func:`repro.runtime.run`, so points
-compile through the shared plan stage (parallel + content-cached) and the
-result carries the compile/exec wall-time split.
+compile through the shared plan stage (parallel + content-cached). The
+run's backend, worker count and compile/exec wall-time split live on
+``result.batch`` (a :class:`~repro.runtime.task.BatchResult`), never in
+``result.to_json()``, which holds values only.
 """
 
 from __future__ import annotations
@@ -224,40 +226,18 @@ class SweepResult:
     def __len__(self) -> int:
         return len(self.coords)
 
-    # -- batch metadata ------------------------------------------------------
-
-    @property
-    def backend(self) -> str:
-        return self.batch.backend
-
-    @property
-    def workers(self) -> int:
-        return self.batch.workers
-
-    @property
-    def wall_time(self) -> float:
-        return self.batch.wall_time
-
-    @property
-    def compile_time(self) -> float:
-        return self.batch.compile_time
-
-    @property
-    def exec_time(self) -> float:
-        return self.batch.exec_time
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> Dict:
-        """A JSON-safe dict: axes, per-point results, and run metadata."""
+        """A JSON-safe dict of values only: axes and per-point results.
+
+        Nothing here depends on how the sweep ran, so the dict is identical
+        for every backend and worker count; the run's backend, worker count
+        and timings stay on :attr:`batch`.
+        """
         return {
             "sweep": self.name,
             "axes": {k: [_json_value(v) for v in vs] for k, vs in self.axes.items()},
-            "backend": self.batch.backend,
-            "workers": self.batch.workers,
-            "wall_time": self.batch.wall_time,
-            "compile_time": self.batch.compile_time,
-            "exec_time": self.batch.exec_time,
             "shots": self.batch.shots,
             "points": [
                 {

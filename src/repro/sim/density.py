@@ -38,11 +38,9 @@ from ..device.calibration import Device
 from ..pauli.pauli import Pauli
 from .coherent import CoherentAccumulation, accumulate_coherent
 from .executor import SimOptions
-from .sampling import _dephasing_prob
+from .sampling import build_noise_plan
 from .statevector import _sz_arrays
 from .timeline import MomentTimeline, build_timeline
-
-_VIRTUAL = {"rz", "z", "s", "sdg", "t", "id"}
 
 
 class DensityMatrix:
@@ -201,7 +199,15 @@ class _Branch:
 
 
 class DensityExecutor:
-    """Evolve a scheduled circuit exactly under the averaged noise model."""
+    """Evolve a scheduled circuit exactly under the averaged noise model.
+
+    Which idles dephase or damp, with what ``p_z``/``gamma``, which gates
+    carry depolarizing errors, and each qubit's quasi-static and parity
+    detuning scales come from the same
+    :func:`~repro.sim.sampling.build_noise_plan` the trajectory engines
+    sample from; this engine applies each site's averaged channel instead
+    of drawing it.
+    """
 
     def __init__(
         self,
@@ -218,31 +224,39 @@ class DensityExecutor:
             build_timeline(sm.moment, scheduled.num_qubits, sm.duration)
             for sm in scheduled
         ]
+        # The coherent phases carry no sampled detuning here, so each
+        # moment's accumulation is static and shared by every branch.
+        self._static_acc: List[Optional[CoherentAccumulation]] = [
+            accumulate_coherent(
+                tl, device, detunings=None, stark_from_1q=self.options.stark_from_1q
+            )
+            if self.options.coherent
+            else None
+            for tl in self._timelines
+        ]
+        self._plan = build_noise_plan(scheduled, device, self.options)
 
     def run(self) -> List[_Branch]:
-        opts = self.options
-        n = self.scheduled.num_qubits
+        detunings = self._plan.detunings
         branches = [
             _Branch(
                 1.0,
-                DensityMatrix(n),
+                DensityMatrix(self.scheduled.num_qubits),
                 (0,) * self.scheduled.circuit.num_clbits,
             )
         ]
 
-        for sm, timeline in zip(self.scheduled, self._timelines):
+        for sm, timeline, static_acc, plan in zip(
+            self.scheduled, self._timelines, self._static_acc, self._plan.moments
+        ):
             moment = sm.moment
             # 1. measurements: branch on outcomes.
-            for inst in moment:
-                if not inst.gate.is_measurement:
-                    continue
+            for qubit, clbit, _ in plan.measured:
                 new_branches = []
                 for branch in branches:
-                    for prob, state, outcome in branch.state.measure_branches(
-                        inst.qubits[0]
-                    ):
+                    for prob, state, outcome in branch.state.measure_branches(qubit):
                         clbits = list(branch.clbits)
-                        clbits[inst.clbits[0]] = outcome
+                        clbits[clbit] = outcome
                         new_branches.append(
                             _Branch(branch.weight * prob, state, tuple(clbits))
                         )
@@ -251,26 +265,14 @@ class DensityExecutor:
             for branch in branches:
                 state = branch.state
                 # 2. coherent phases + averaged slow-noise decoherence.
-                if opts.coherent:
-                    acc = accumulate_coherent(
-                        timeline,
-                        self.device,
-                        detunings=None,
-                        stark_from_1q=opts.stark_from_1q,
-                    )
-                    state.apply_phases(acc)
-                if opts.coherent and opts.stochastic and sm.duration > 0.0:
-                    self._apply_slow_noise(state, timeline, sm.duration)
+                if static_acc is not None:
+                    state.apply_phases(static_acc)
+                if detunings is not None and sm.duration > 0.0:
+                    _apply_slow_noise(state, timeline, sm.duration, detunings)
                 # 3. dephasing / damping.
-                if sm.duration > 0.0:
-                    for q in range(n):
-                        params = self.device.qubit(q)
-                        if opts.dephasing:
-                            p_z = _dephasing_prob(params.t2, params.t1, sm.duration)
-                            state.apply_dephasing(q, p_z)
-                        if opts.amplitude_damping and math.isfinite(params.t1):
-                            gamma = 1.0 - math.exp(-sm.duration / params.t1)
-                            state.apply_amplitude_damping(q, gamma)
+                for q, p_z, gamma, _, _ in plan.idles:
+                    state.apply_dephasing(q, p_z)
+                    state.apply_amplitude_damping(q, gamma)
                 # 4. unitaries.
                 for inst in moment:
                     gate = inst.gate
@@ -283,42 +285,10 @@ class DensityExecutor:
                     if gate.matrix is not None:
                         state.apply_unitary(gate.matrix, inst.qubits)
                 # 5. gate errors.
-                if opts.gate_errors:
-                    self._apply_gate_errors(state, moment)
+                for site in plan.gate_errors:
+                    for _ in range(site.repeats):
+                        state.apply_depolarizing(site.qubits, site.prob)
         return branches
-
-    def _apply_slow_noise(self, state, timeline: MomentTimeline, duration: float) -> None:
-        """Average the quasi-static detuning and parity over their priors."""
-        for q in range(self.device.num_qubits):
-            f = timeline.sign_integral(q)
-            if f == 0.0:
-                continue
-            params = self.device.qubit(q)
-            factor = 1.0
-            if params.quasistatic_sigma > 0.0:
-                phase_sigma = 2 * math.pi * params.quasistatic_sigma * duration * abs(f)
-                factor *= math.exp(-0.5 * phase_sigma**2)
-            if params.parity_delta > 0.0:
-                # E[exp(+-i phi)] = cos(phi); a negative factor is a genuine
-                # averaged coherence sign flip, not a bug.
-                factor *= math.cos(2 * math.pi * params.parity_delta * duration * f)
-            state.apply_coherence_factor(q, factor)
-
-    def _apply_gate_errors(self, state, moment) -> None:
-        for inst in moment:
-            gate = inst.gate
-            if gate.is_measurement or gate.is_delay:
-                continue
-            if gate.num_qubits == 2:
-                p2 = self.device.pair_error(*inst.qubits) * gate.error_scale
-                state.apply_depolarizing(inst.qubits, p2)
-            elif gate.name == "dd":
-                p1 = self.device.qubit(inst.qubits[0]).p1
-                for _ in gate.dd_fractions:
-                    state.apply_depolarizing(inst.qubits, p1)
-            elif gate.name not in _VIRTUAL:
-                p1 = self.device.qubit(inst.qubits[0]).p1
-                state.apply_depolarizing(inst.qubits, p1)
 
     # -- aggregated observables -------------------------------------------------
 
@@ -340,3 +310,27 @@ class DensityExecutor:
             )
         return out
 
+
+def _apply_slow_noise(
+    state: DensityMatrix,
+    timeline: MomentTimeline,
+    duration: float,
+    detunings: Tuple[Tuple[float, float], ...],
+) -> None:
+    """Average each qubit's quasi-static detuning and parity over their priors.
+
+    ``detunings`` is the noise plan's per-qubit ``(sigma, delta)``.
+    """
+    for q, (sigma, delta) in enumerate(detunings):
+        f = timeline.sign_integral(q)
+        if f == 0.0:
+            continue
+        factor = 1.0
+        if sigma > 0.0:
+            phase_sigma = 2 * math.pi * sigma * duration * abs(f)
+            factor *= math.exp(-0.5 * phase_sigma**2)
+        if delta > 0.0:
+            # E[exp(+-i phi)] = cos(phi); a negative factor is a genuine
+            # averaged coherence sign flip, not a bug.
+            factor *= math.cos(2 * math.pi * delta * duration * f)
+        state.apply_coherence_factor(q, factor)

@@ -55,10 +55,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..circuits.gates import VIRTUAL_GATES
 from ..circuits.schedule import ScheduledCircuit
 from ..device.calibration import Device
 
-_VIRTUAL = {"rz", "z", "s", "sdg", "t", "id"}
 _PAULI_1Q = ("X", "Y", "Z")
 _PAULI_2Q = [
     (a, b) for a in ("I", "X", "Y", "Z") for b in ("I", "X", "Y", "Z")
@@ -240,7 +240,7 @@ def build_noise_plan(
                                 repeats=len(gate.dd_fractions),
                             )
                         )
-                elif gate.name not in _VIRTUAL:
+                elif gate.name not in VIRTUAL_GATES:
                     p1 = device.qubit(inst.qubits[0]).p1
                     if p1 > 0.0:
                         sites.append(gate_site(inst.qubits[:1], p1, False))

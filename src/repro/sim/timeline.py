@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Set, Tuple
 
 from ..circuits.circuit import Moment
+from ..circuits.gates import VIRTUAL_GATES
 
 Edge = Tuple[int, int]
 
@@ -106,9 +107,6 @@ class MomentTimeline:
         return pair_sign_integral(self.flips_of(a), self.flips_of(b))
 
 
-_VIRTUAL = {"rz", "z", "s", "sdg", "t", "id"}
-
-
 def build_timeline(moment: Moment, num_qubits: int, duration: float) -> MomentTimeline:
     """Extract the :class:`MomentTimeline` of a moment.
 
@@ -130,7 +128,7 @@ def build_timeline(moment: Moment, num_qubits: int, duration: float) -> MomentTi
         if gate.num_qubits == 2:
             gate_pairs.add(_key(*inst.qubits))
             driven.update(inst.qubits)
-        elif gate.num_qubits == 1 and not gate.is_delay and gate.name not in _VIRTUAL:
+        elif gate.num_qubits == 1 and not gate.is_delay and gate.name not in VIRTUAL_GATES:
             driven_1q.add(inst.qubits[0])
         if gate.flip_fractions:
             for qubit, fractions in zip(inst.qubits, gate.flip_fractions):

@@ -71,3 +71,38 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["list", *good, *bad])
         assert [get() for get in getters] == before
+
+
+@pytest.fixture
+def restore_defaults():
+    """Put every runtime default back after a test that passes CLI flags."""
+    import repro.runtime as rt
+
+    settings = ("workers", "backend", "chunk_shots", "dist_workers", "dist_shard_size")
+    before = {name: getattr(rt, f"default_{name}")() for name in settings}
+    yield
+    rt.configure(**before)
+
+
+class TestResultsAreValues:
+    """The --json file is a function of the seeds and inputs alone."""
+
+    def _fig9_json(self, tmp_path, *flags):
+        path = tmp_path / ("fig9" + "".join(flags).replace("-", "_") + ".json")
+        assert main(["fig9", "--quick", "--json", str(path), *flags]) == 0
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["--workers", "1"], ["--workers", "2"]),
+            (["--backend", "trajectory"], ["--backend", "vectorized"]),
+        ],
+        ids=["workers", "backend"],
+    )
+    def test_fig9_json_byte_identical(
+        self, tmp_path, restore_defaults, first, second
+    ):
+        assert self._fig9_json(tmp_path, *first) == self._fig9_json(
+            tmp_path, *second
+        )

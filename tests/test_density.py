@@ -205,3 +205,149 @@ class TestCrossValidation:
         )
         for key in obs:
             assert fixed[key] == pytest.approx(ideal[key], abs=1e-9)
+
+
+def _per_moment_run(eng):
+    """The density engine's noise loop as it was before it read the shared
+    noise plan: each idle's ``p_z``/``gamma``, each qubit's slow-noise
+    scales and each gate's depolarizing error re-derived from the device,
+    and the static coherent phases
+    re-accumulated per branch and moment. Kept as the reference the plan-
+    driven loop must match bit for bit."""
+    import math
+
+    from repro.sim.coherent import accumulate_coherent
+    from repro.sim.density import _Branch
+    from repro.sim.sampling import _dephasing_prob
+
+    opts, device, n = eng.options, eng.device, eng.scheduled.num_qubits
+    branches = [
+        _Branch(1.0, DensityMatrix(n), (0,) * eng.scheduled.circuit.num_clbits)
+    ]
+    for sm, timeline in zip(eng.scheduled, eng._timelines):
+        moment = sm.moment
+        for inst in moment:
+            if not inst.gate.is_measurement:
+                continue
+            new_branches = []
+            for branch in branches:
+                for prob, state, outcome in branch.state.measure_branches(
+                    inst.qubits[0]
+                ):
+                    clbits = list(branch.clbits)
+                    clbits[inst.clbits[0]] = outcome
+                    new_branches.append(
+                        _Branch(branch.weight * prob, state, tuple(clbits))
+                    )
+            branches = new_branches
+        for branch in branches:
+            state = branch.state
+            if opts.coherent:
+                state.apply_phases(
+                    accumulate_coherent(
+                        timeline, device, detunings=None,
+                        stark_from_1q=opts.stark_from_1q,
+                    )
+                )
+            if opts.coherent and opts.stochastic and sm.duration > 0.0:
+                for q in range(n):
+                    f = timeline.sign_integral(q)
+                    if f == 0.0:
+                        continue
+                    params = device.qubit(q)
+                    factor = 1.0
+                    if params.quasistatic_sigma > 0.0:
+                        phase_sigma = (
+                            2 * math.pi * params.quasistatic_sigma * sm.duration * abs(f)
+                        )
+                        factor *= math.exp(-0.5 * phase_sigma**2)
+                    if params.parity_delta > 0.0:
+                        factor *= math.cos(
+                            2 * math.pi * params.parity_delta * sm.duration * f
+                        )
+                    state.apply_coherence_factor(q, factor)
+            if sm.duration > 0.0:
+                for q in range(n):
+                    params = device.qubit(q)
+                    if opts.dephasing:
+                        state.apply_dephasing(
+                            q, _dephasing_prob(params.t2, params.t1, sm.duration)
+                        )
+                    if opts.amplitude_damping and math.isfinite(params.t1):
+                        state.apply_amplitude_damping(
+                            q, 1.0 - math.exp(-sm.duration / params.t1)
+                        )
+            for inst in moment:
+                gate = inst.gate
+                if gate.is_measurement or gate.is_delay:
+                    continue
+                if inst.condition is not None:
+                    clbit, value = inst.condition
+                    if branch.clbits[clbit] != value:
+                        continue
+                if gate.matrix is not None:
+                    state.apply_unitary(gate.matrix, inst.qubits)
+            if not opts.gate_errors:
+                continue
+            for inst in moment:
+                gate = inst.gate
+                if gate.is_measurement or gate.is_delay:
+                    continue
+                if gate.num_qubits == 2:
+                    p2 = device.pair_error(*inst.qubits) * gate.error_scale
+                    state.apply_depolarizing(inst.qubits, p2)
+                elif gate.name == "dd":
+                    p1 = device.qubit(inst.qubits[0]).p1
+                    for _ in gate.dd_fractions:
+                        state.apply_depolarizing(inst.qubits, p1)
+                elif gate.name not in g.VIRTUAL_GATES:
+                    p1 = device.qubit(inst.qubits[0]).p1
+                    state.apply_depolarizing(inst.qubits, p1)
+    return branches
+
+
+class TestNoisePlanDriven:
+    """The density engine applies the trajectory engines' noise plan."""
+
+    @pytest.fixture
+    def device(self):
+        return synthetic_device(linear_chain(3), seed=88)
+
+    def _circuit(self):
+        circ = Circuit(3, num_clbits=1)
+        circ.h(0)
+        circ.sx(2)
+        circ.can(0.3, 0.2, 0.4, 0, 1, new_moment=True)
+        circ.append(g.dd_sequence((0.25, 0.75), duration=600.0), [2])
+        circ.s(2, new_moment=True)
+        circ.rz(0.7, 1)
+        circ.measure(1, 0, new_moment=True)
+        circ.delay(500.0, 0)
+        circ.x(2, condition=(0, 1), new_moment=True)
+        circ.ecr(0, 1)
+        circ.delay(400.0, 0, new_moment=True)
+        circ.delay(400.0, 2)
+        return circ
+
+    def test_byte_identical_to_per_moment_derivation(self, device):
+        from repro.circuits.schedule import schedule
+        from repro.sim import DensityExecutor
+
+        options = SimOptions(
+            shots=1, coherent=True, stochastic=True, dephasing=True,
+            amplitude_damping=True, gate_errors=True, readout_errors=True,
+            stark_from_1q=True,
+        )
+        engine = DensityExecutor(
+            schedule(self._circuit(), device.durations), device, options
+        )
+        plan = engine._plan
+        assert any(site.repeats == 2 for m in plan.moments for site in m.gate_errors)
+        assert any(m.measured for m in plan.moments)
+        got = engine.run()
+        want = _per_moment_run(engine)
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert a.weight == b.weight
+            assert a.clbits == b.clbits
+            assert a.state.matrix.tobytes() == b.state.matrix.tobytes()

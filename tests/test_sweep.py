@@ -1,6 +1,7 @@
 """Sweep layer tests: grids, keyed lookup, curves, and JSON export."""
 
 import json
+import re
 
 import pytest
 
@@ -124,10 +125,10 @@ class TestSweepRun:
         swept = make_sweep().run(
             chain2, options=SimOptions(shots=2), backend="trajectory", workers=2
         )
-        assert swept.backend == "trajectory"
-        assert swept.workers == 2
-        assert swept.wall_time >= swept.exec_time >= 0.0
-        assert swept.compile_time > 0.0
+        assert swept.batch.backend == "trajectory"
+        assert swept.batch.workers == 2
+        assert swept.batch.wall_time >= swept.batch.exec_time >= 0.0
+        assert swept.batch.compile_time > 0.0
 
 
 class TestSweepSerialization:
@@ -171,7 +172,13 @@ class TestCLIIntegration:
         sweep = payload["fig9"]["sweep"]
         assert sweep["axes"]["variant"][0] == "bare"
         assert len(sweep["points"]) == len(sweep["axes"]["variant"])
-        assert "wrote" in capsys.readouterr().out
+        # Stdout is only the report; the timing and ``wrote`` lines go to stderr.
+        captured = capsys.readouterr()
+        assert "bare fidelity" in captured.out
+        assert " s)" not in captured.out
+        assert "wrote" not in captured.out
+        assert re.search(r"^\(\d+\.\d s\)$", captured.err, re.MULTILINE)
+        assert f"wrote {path}" in captured.err
 
     def test_chunk_shots_flag_configures_default(self, chain2, capsys):
         from repro.circuits.schedule import schedule
