@@ -48,7 +48,7 @@ from repro import Circuit, SimOptions, Sweep, Task, run
 from repro.benchmarking.ramsey import CASE_I, ramsey_task
 from repro.device.calibration import synthetic_device
 from repro.device.topology import linear_chain
-from repro.runtime import PLAN_CACHE, DistributedBackend
+from repro.runtime import PLAN_CACHE, configure, default_dist_workers
 
 BACKENDS = ("trajectory", "vectorized")
 
@@ -201,20 +201,21 @@ def bench_distributed(workers: int = 2) -> Dict:
             for depth in (8, 16, 24)
         ]
 
-    engines = {
-        "trajectory": "trajectory",
-        "vectorized": "vectorized",
-        "distributed": DistributedBackend(dist_workers=workers),
-    }
+    engines = ("trajectory", "vectorized", "distributed")
     timings = {name: float("inf") for name in engines}
     values: Dict[str, List[Dict[str, float]]] = {}
-    for _ in range(2):
-        for name, engine in engines.items():
-            PLAN_CACHE.clear()
-            start = time.perf_counter()
-            batch = run(tasks(), device, options=options, backend=engine)
-            timings[name] = min(timings[name], time.perf_counter() - start)
-            values[name] = [dict(r.values) for r in batch]
+    previous = default_dist_workers()
+    configure(dist_workers=workers)
+    try:
+        for _ in range(2):
+            for name in engines:
+                PLAN_CACHE.clear()
+                start = time.perf_counter()
+                batch = run(tasks(), device, options=options, backend=name)
+                timings[name] = min(timings[name], time.perf_counter() - start)
+                values[name] = [dict(r.values) for r in batch]
+    finally:
+        configure(dist_workers=previous)
     return {
         "workload": "distributed_scaling",
         "tasks": 3,

@@ -43,7 +43,6 @@ PUBLIC_SURFACE = [
     ("repro.runtime.sweep", "Sweep"),
     ("repro.runtime.sweep", "SweepResult"),
     ("repro.runtime.backends", "Backend"),
-    ("repro.runtime.backends", "register_backend"),
     ("repro.runtime.distributed", "DistributedBackend"),
     ("repro.runtime.plan", "shard_plans"),
     ("repro.runtime.task", "Task"),

@@ -7,15 +7,15 @@ the two properties that make the vectorized engine safe to use everywhere:
 1. the results are bit-for-bit identical — not merely statistically
    compatible — because both engines consume the same noise draws from the
    same per-task RNG streams in the same order;
-2. sharding the shot axis (any ``chunk_shots``, any ``workers``) changes
-   wall time and peak memory, never values.
+2. sharding the shot axis across ``workers`` threads (each worker count
+   cuts it into different chunks) changes wall time, never values.
 
 Run:  python examples/vectorized_throughput.py
 """
 
 import time
 
-from repro import SimOptions, VectorizedBackend, linear_chain, run, synthetic_device
+from repro import SimOptions, linear_chain, run, synthetic_device
 from repro.benchmarking.ramsey import CASE_I, ramsey_task
 
 device = synthetic_device(linear_chain(CASE_I.num_qubits), name="demo", seed=1003)
@@ -35,13 +35,7 @@ print("bit-for-bit identical: True")
 
 # --- 2. sharding is invisible ------------------------------------------------
 reference = results["vectorized"]
-for chunk_shots, workers in ((64, 1), (128, 4), (None, 2)):
-    sharded = run(
-        task,
-        device,
-        options=options,
-        backend=VectorizedBackend(chunk_shots=chunk_shots),
-        workers=workers,
-    )[0]
+for workers in (2, 4):
+    sharded = run(task, device, options=options, backend="vectorized", workers=workers)[0]
     assert sharded.values == reference.values
-    print(f"chunk_shots={str(chunk_shots):>5s} workers={workers}: same bits")
+    print(f"workers={workers}: same bits")

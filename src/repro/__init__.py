@@ -5,7 +5,7 @@ Computers via Context-Aware Compiling" (Seif et al., ISCA 2024,
 arXiv:2403.06852): circuit IR, device models, a sign-trajectory noise
 simulator, the CA-DD and CA-EC compiler passes, benchmarking protocols, and
 the paper's application studies — all driven through a unified runtime with
-composable pass pipelines, pluggable backends, and a batched ``run()``
+composable pass pipelines, named backends, and a batched ``run()``
 entry point.
 
 Quickstart::
@@ -97,12 +97,11 @@ from .runtime import (
     configure,
     get_backend,
     pipeline_for,
-    register_backend,
     run,
 )
 from .sim import SimOptions, SimResult
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "Circuit",
@@ -156,7 +155,6 @@ __all__ = [
     "VectorizedBackend",
     "get_backend",
     "pipeline_for",
-    "register_backend",
     "run",
     "SimOptions",
     "SimResult",

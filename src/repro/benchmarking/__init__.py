@@ -22,7 +22,6 @@ from .ramsey import (
     CASE_IV,
     RamseyCase,
     build_case_circuit,
-    case_device,
     ramsey_curve,
     ramsey_fidelity,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "CASE_IV",
     "RamseyCase",
     "build_case_circuit",
-    "case_device",
     "ramsey_curve",
     "ramsey_fidelity",
     "StarkMeasurement",

@@ -96,16 +96,6 @@ def build_case_circuit(case: RamseyCase, depth: int, tau: float = 500.0) -> Circ
     raise ValueError(f"unknown case {case.name}")
 
 
-def case_device(case: RamseyCase, base: Device, origin: int = 0) -> Device:
-    """Extract a linear-chain subdevice of the right size from ``base``.
-
-    ``origin`` selects where on the base device's first row the chain
-    starts, so different experiments can probe different qubits.
-    """
-    qubits = list(range(origin, origin + case.num_qubits))
-    return base.subdevice(qubits, name=f"{base.name}/{case.name}")
-
-
 def ramsey_task(
     case: RamseyCase,
     device: Device,

@@ -156,10 +156,6 @@ class Gate:
     def is_unitary(self) -> bool:
         return self.matrix is not None
 
-    @property
-    def is_two_qubit(self) -> bool:
-        return self.num_qubits == 2
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.params:
             args = ", ".join(f"{p:.4g}" for p in self.params)

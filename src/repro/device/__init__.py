@@ -6,13 +6,12 @@ from .calibration import (
     PairParams,
     QubitParams,
     fake_brisbane,
-    fake_device_for,
     fake_nazca,
     fake_penguino,
     fake_sherbrooke,
     synthetic_device,
 )
-from .crosstalk import build_crosstalk_graph, max_crosstalk_degree
+from .crosstalk import build_crosstalk_graph
 from .topology import Topology, eagle, heavy_hex, linear_chain, ring
 
 __all__ = [
@@ -21,13 +20,11 @@ __all__ = [
     "PairParams",
     "QubitParams",
     "fake_brisbane",
-    "fake_device_for",
     "fake_nazca",
     "fake_penguino",
     "fake_sherbrooke",
     "synthetic_device",
     "build_crosstalk_graph",
-    "max_crosstalk_degree",
     "Topology",
     "eagle",
     "heavy_hex",

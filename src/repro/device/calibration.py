@@ -294,8 +294,3 @@ def fake_penguino() -> Device:
     layout with an independent seed.
     """
     return synthetic_device(eagle(), name="fake_penguino", seed=1004)
-
-
-def fake_device_for(topology: Topology, seed: int = 7, **kwargs) -> Device:
-    """Convenience wrapper for tests and examples."""
-    return synthetic_device(topology, name=f"fake_{seed}", seed=seed, **kwargs)

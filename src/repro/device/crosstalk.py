@@ -34,10 +34,3 @@ def build_crosstalk_graph(
         if rate >= threshold:
             graph.add_edge(a, b, rate=rate, kind="nnn")
     return graph
-
-
-def max_crosstalk_degree(graph: nx.Graph) -> int:
-    """Largest degree in the crosstalk graph (lower bound on colors - 1)."""
-    if graph.number_of_nodes() == 0:
-        return 0
-    return max(dict(graph.degree).values())

@@ -13,10 +13,9 @@ the benchmark harness. ``--workers N`` fans each experiment's batched
 simulations out over N threads and ``--backend`` selects the simulation
 engine (``vectorized`` batches all shots of a task through whole-array
 NumPy ops; results are identical to ``trajectory`` for any backend/worker
-choice, only the wall time changes). ``--chunk-shots`` bounds the
-vectorized engine's resident states per chunk (0 = auto-size). ``--json
-PATH`` writes every requested experiment's result — including the full
-per-point Sweep serialization — as one JSON document.
+choice, only the wall time changes). ``--json PATH`` writes every
+requested experiment's result — including the full per-point Sweep
+serialization — as one JSON document.
 
 Results are values only: stdout carries just the report, and the
 ``--json`` file holds no backend, worker count or timing, so two runs
@@ -27,13 +26,14 @@ backend, worker count and compile/exec split stay on
 :class:`~repro.runtime.task.BatchResult`.
 
 ``--backend distributed`` shards each batch's realizations across a local
-pool of worker *processes*: ``--dist-workers N`` sets the pool size and
-``--dist-shard-size N`` the realizations per shard. Results are
-bit-for-bit identical to ``trajectory`` for every worker count and shard
-size.
+pool of worker *processes* that run ``vectorized``: ``--dist-workers N``
+sets the pool size, and shards are sized from it. Results are bit-for-bit
+identical to ``trajectory`` for every worker count.
 
-The compile stage has no flags of its own: it fans out over the same
-``--workers`` threads and caches deterministic pipelines in memory.
+Every flag maps onto one :func:`~repro.runtime.configure` setting. The
+compile stage and the vectorized chunk size have no flags of their own:
+compiling fans out over the same ``--workers`` threads and caches
+deterministic pipelines in memory, and chunks are sized automatically.
 """
 
 from __future__ import annotations
@@ -183,16 +183,8 @@ def main(argv=None) -> int:
         metavar="NAME",
         help="simulation backend: vectorized (default; batched), "
         "trajectory (scalar reference, bit-identical), density (exact), "
-        "or distributed (shards realizations across worker processes, "
-        "bit-identical to its inner engine)",
-    )
-    parser.add_argument(
-        "--chunk-shots",
-        type=int,
-        default=None,
-        metavar="N",
-        help="vectorized backend: max states resident per chunk "
-        "(0 = auto-size to ~32 MiB; results never depend on this)",
+        "or distributed (shards realizations across vectorized worker "
+        "processes, bit-identical)",
     )
     parser.add_argument(
         "--json",
@@ -208,14 +200,6 @@ def main(argv=None) -> int:
         help="distributed backend: worker-process count "
         "(default: the simulation --workers)",
     )
-    parser.add_argument(
-        "--dist-shard-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="distributed backend: realizations per shard "
-        "(default: auto-size; results never depend on this)",
-    )
     args = parser.parse_args(argv)
 
     # One configure() call: it validates every setting before changing any,
@@ -225,14 +209,10 @@ def main(argv=None) -> int:
         for name, value in (
             ("workers", args.workers),
             ("backend", args.backend),
-            ("chunk_shots", args.chunk_shots),
             ("dist_workers", args.dist_workers),
-            ("dist_shard_size", args.dist_shard_size),
         )
         if value is not None
     }
-    if settings.get("chunk_shots") == 0:
-        settings["chunk_shots"] = None  # --chunk-shots 0 restores auto-sizing
     if settings:
         from ..runtime import configure
 

@@ -35,7 +35,6 @@ from .backends import (
     TrajectoryBackend,
     VectorizedBackend,
     get_backend,
-    register_backend,
 )
 from .distributed import DistributedBackend, LocalShardExecutor
 from .passes import CADD, CAEC, AlignedDD, Orient, Pass, PassContext, StaggeredDD, Twirl
@@ -79,7 +78,6 @@ __all__ = [
     "TrajectoryBackend",
     "VectorizedBackend",
     "get_backend",
-    "register_backend",
     "CADD",
     "CAEC",
     "AlignedDD",

@@ -1,8 +1,8 @@
-"""Pluggable execution backends and the backend registry.
+"""Execution backends, selected by name.
 
 A :class:`Backend` turns a list of :class:`~repro.runtime.task.Task`
 objects into :class:`~repro.runtime.task.TaskResult` objects. Four
-implementations ship with the library:
+ship with the library; :data:`BACKENDS` lists their names:
 
 * ``"trajectory"`` — the Monte-Carlo trajectory executor
   (:class:`repro.sim.Executor`), the readable reference engine;
@@ -11,29 +11,27 @@ implementations ship with the library:
   (:class:`repro.sim.VectorizedExecutor`): all shots evolve together along
   the leading axis of one ``(shots, 2**n)`` array, sharded into
   bounded-memory chunks across ``workers``; bit-for-bit equal to
-  ``"trajectory"`` for any seed and any worker/chunk configuration.
+  ``"trajectory"`` for any seed and any worker count.
 * ``"density"`` — the exact density-matrix simulator
   (:class:`repro.sim.DensityExecutor`); zero-variance values for small
   systems (``shots`` is ignored and reported as 0).
 * ``"distributed"`` — shards compiled plans across a local pool of worker
-  processes and merges the partial results
+  processes that run ``"vectorized"`` and merges the partial results
   (:class:`repro.runtime.distributed.DistributedBackend`); bit-for-bit
-  identical to its inner backend (``"vectorized"`` by default) for every
-  shard size and worker count.
+  identical to ``"vectorized"`` for every worker count.
 
-Select one by name (``backend="trajectory"``) or register your own
-(GPU, hardware-facing, ...) with :func:`register_backend`.
+Backends take no constructor arguments: the process-wide settings live in
+:func:`~repro.runtime.run.configure` alone.
 
-Since the plan/execute split, backends no longer compile anything: the
-shared :func:`~repro.runtime.plan.compile_tasks` stage produces frozen
+Backends compile nothing: the shared
+:func:`~repro.runtime.plan.compile_tasks` stage produces frozen
 :class:`~repro.runtime.plan.ExecutionPlan` artifacts (scheduled circuits,
 normalized payloads, derived seeds) and :meth:`Backend.execute_plans` turns
-plans into results — :meth:`Backend.run` is just the two stages glued
-together. Simulations are independently seeded, so fanning them out across
-``workers`` threads never changes a value. Units that share a scheduled
-circuit (a deterministic pipeline's realizations — possibly across tasks,
-via the plan cache) share one engine, and with it the trajectory engines'
-cached static coherent accumulation.
+plans into results. Simulations are independently seeded, so fanning them
+out across ``workers`` threads never changes a value. Units that share a
+scheduled circuit (a deterministic pipeline's realizations — possibly
+across tasks, via the plan cache) share one engine, and with it the
+trajectory engines' cached static coherent accumulation.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import math
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,25 +50,21 @@ from ..sim.density import DensityExecutor
 from ..sim.executor import Executor, SimOptions, SimResult
 from ..sim.vectorized import VectorizedExecutor
 from ..utils.rng import SeedLike
-from .plan import PLAN_CACHE, ExecutionPlan, PlanCache, PlanUnit, compile_tasks, plan_options
+from .plan import ExecutionPlan, PlanUnit, plan_options
 from .task import Task, TaskResult
 
 
 class Backend(ABC):
-    """Common interface: ``run(tasks, ...) -> list[TaskResult]``.
+    """Common interface: ``execute_plans(plans, ...) -> list[TaskResult]``.
 
     A backend owns only the *execute* side of the plan/execute split: it
     turns frozen :class:`~repro.runtime.plan.ExecutionPlan` artifacts into
     :class:`~repro.runtime.task.TaskResult` objects
-    (:meth:`execute_plans`), while :meth:`run` is the compile + execute
-    stages glued together. Implementations provide two hooks —
-    :meth:`_make_engine` (build a simulator for one scheduled circuit) and
-    :meth:`_execute` (run one seeded simulation) — and inherit batching,
-    worker fan-out, engine sharing, and realization aggregation.
-
-    Register new backends (GPU, distributed, hardware-facing, ...) with
-    :func:`register_backend`; select them by name in
-    :func:`~repro.runtime.run.run`.
+    (:meth:`execute_plans`); :func:`~repro.runtime.run.run` compiles the
+    plans and selects the backend by name. Implementations provide two
+    hooks — :meth:`_make_engine` (build a simulator for one scheduled
+    circuit) and :meth:`_execute` (run one seeded simulation) — and inherit
+    batching, worker fan-out, engine sharing, and realization aggregation.
     """
 
     name: str = ""
@@ -78,36 +72,6 @@ class Backend(ABC):
     #: executor then collapses a deterministic pipeline's realizations into
     #: one simulation instead of repeating identical exact evolutions.
     seed_sensitive: bool = True
-
-    def run(
-        self,
-        tasks: Sequence[Task],
-        device: Optional[Device] = None,
-        options: Optional[SimOptions] = None,
-        workers: int = 1,
-        cache: Optional[PlanCache] = PLAN_CACHE,
-    ) -> List[TaskResult]:
-        """Compile every task, then execute the plans; results keep order.
-
-        Args:
-            tasks: the tasks to compile and execute.
-            device: default device for tasks without their own.
-            workers: compile and simulation thread-pool bound.
-            cache: plan cache override; defaults to the process-wide
-                :data:`~repro.runtime.plan.PLAN_CACHE` (pass ``None`` to
-                bypass caching).
-
-        Returns:
-            One :class:`~repro.runtime.task.TaskResult` per task, in
-            order. Tasks compile on their own RNG streams and simulate
-            from derived seeds, so results are invariant under the worker
-            count.
-        """
-        options = options or SimOptions()
-        plans = compile_tasks(
-            tasks, device=device, options=options, workers=workers, cache=cache
-        )
-        return self.execute_plans(plans, options=options, workers=workers)
 
     # -- execution -------------------------------------------------------------
 
@@ -264,27 +228,14 @@ class VectorizedBackend(Backend):
     Seed-for-seed bit-identical to :class:`TrajectoryBackend`: the same
     noise draws are consumed from the same streams in the same order, and
     every batched floating-point operation reproduces the scalar bits.
-    ``chunk_shots`` bounds the states resident per chunk; ``None`` defers
-    to the process-wide ``configure(chunk_shots=...)`` default — read at
-    engine-construction time, so a long-lived backend instance tracks
-    reconfiguration — which is itself auto-sizing when unset. Any
-    chunk/worker configuration yields the same values.
+    Chunk sizes follow the engine's amplitude budget and the worker split,
+    and never change a value.
     """
 
     name = "vectorized"
 
-    def __init__(self, chunk_shots: Optional[int] = None):
-        self.chunk_shots = chunk_shots
-
     def _make_engine(self, scheduled, device, options) -> VectorizedExecutor:
-        chunk_shots = self.chunk_shots
-        if chunk_shots is None:
-            from .run import default_chunk_shots  # local: run.py imports us
-
-            chunk_shots = default_chunk_shots()
-        return VectorizedExecutor(
-            scheduled, device, options, chunk_shots=chunk_shots
-        )
+        return VectorizedExecutor(scheduled, device, options)
 
     def _execute(self, engine, kind, payload, shots, seed, workers=1) -> SimResult:
         if kind == "expectations":
@@ -321,58 +272,15 @@ class DensityBackend(Backend):
         )
 
 
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-BackendLike = Union[str, Backend]
-
-BACKENDS: Dict[str, Callable[[], Backend]] = {}
+#: The names :func:`get_backend` (and so ``run(backend=...)``) accepts.
+BACKENDS = ("trajectory", "vectorized", "density", "distributed")
 
 
-def register_backend(
-    name: str, factory: Callable[[], Backend], overwrite: bool = False
-) -> None:
-    """Register a backend factory under ``name`` for use by ``run()``.
+def get_backend(name: str) -> Backend:
+    """A fresh instance of the backend called ``name`` (one of :data:`BACKENDS`)."""
+    from .distributed import DistributedBackend  # local: distributed.py imports us
 
-    Args:
-        name: the identifier users pass as ``run(..., backend=name)`` (or
-            ``--backend name`` on the CLI).
-        factory: zero-argument callable returning a fresh
-            :class:`Backend` instance (typically the class itself).
-        overwrite: allow replacing an existing registration; without it a
-            name collision raises ``ValueError``.
-
-    Example:
-        >>> register_backend("my-engine", MyBackend)  # doctest: +SKIP
-        >>> run(tasks, device, backend="my-engine")   # doctest: +SKIP
-    """
-    if name in BACKENDS and not overwrite:
-        raise ValueError(f"backend {name!r} already registered")
-    BACKENDS[name] = factory
-
-
-def get_backend(spec: BackendLike) -> Backend:
-    """Resolve a backend instance from a name or pass one through."""
-    if isinstance(spec, Backend):
-        return spec
-    try:
-        factory = BACKENDS[spec]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown backend {spec!r}; choose from {sorted(BACKENDS)}"
-        ) from None
-    return factory()
-
-
-def _distributed_backend() -> Backend:
-    # Imported lazily: distributed.py builds on this module.
-    from .distributed import DistributedBackend
-
-    return DistributedBackend()
-
-
-register_backend("trajectory", TrajectoryBackend)
-register_backend("vectorized", VectorizedBackend)
-register_backend("density", DensityBackend)
-register_backend("distributed", _distributed_backend)
+    for cls in (TrajectoryBackend, VectorizedBackend, DensityBackend, DistributedBackend):
+        if name == cls.name:
+            return cls()
+    raise ValueError(f"unknown backend {name!r}; choose from {sorted(BACKENDS)}")

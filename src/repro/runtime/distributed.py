@@ -14,9 +14,10 @@ Worker-process crashes are recovered by re-queueing the lost shards onto a
 fresh pool (and, as a last resort, executing them inline), so a run always
 completes.
 
-Results are bit-for-bit identical to ``backend="trajectory"`` (or to
-whichever ``inner`` backend executes the shards) for every shard size,
-worker count, and failure/recovery history: per-realization seeds are
+Workers execute shards on the ``"vectorized"`` engine, and results are
+bit-for-bit identical to ``backend="vectorized"`` (and so to
+``"trajectory"``) for every worker count and failure/recovery history.
+Plans are cut into shards automatically. Per-realization seeds are
 derived from the plan at compile time — never from the worker — and the
 coordinator reassembles shard results in realization order before
 aggregating, so scheduling can only ever change wall time.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.executor import SimOptions, SimResult
-from .backends import Backend, get_backend
+from .backends import VectorizedBackend
 from .plan import ExecutionPlan, PlanShard, plan_options, shard_plans
 from .task import TaskResult
 
@@ -57,7 +58,6 @@ class WorkUnit:
     """
 
     shard: PlanShard
-    inner: str
     options: Optional[SimOptions] = None
     crash_token: Optional[str] = None
 
@@ -67,7 +67,7 @@ class WorkUnit:
 
 
 def execute_work_unit(unit: WorkUnit, in_worker: bool = True) -> List[UnitOutcome]:
-    """Run every simulation unit of one shard on the inner backend.
+    """Run every simulation unit of one shard on the vectorized engine.
 
     This is the kernel pool workers run (and the coordinator's inline
     drain, with ``in_worker=False`` so the crash hook cannot kill the
@@ -83,7 +83,7 @@ def execute_work_unit(unit: WorkUnit, in_worker: bool = True) -> List[UnitOutcom
         else:
             os.close(fd)
             os._exit(17)
-    backend = get_backend(unit.inner)
+    backend = VectorizedBackend()
     shard = unit.shard
     options = unit.options if unit.options is not None else shard.options
     options = options or SimOptions()
@@ -115,21 +115,23 @@ class LocalShardExecutor:
     ``concurrent.futures`` reports it), taking every in-flight future with
     it. Recovery is simple because shards are idempotent — seeds come from
     the plan, so re-running one reproduces the same bits: unfinished shards
-    are re-submitted to a fresh pool up to ``max_retries`` times, and
+    are re-submitted to a fresh pool up to :attr:`MAX_RETRIES` times, and
     whatever still remains executes inline in the coordinator, where a
     genuine (deterministic) error finally surfaces with a clean traceback.
     """
 
-    def __init__(self, workers: int, max_retries: int = 2):
+    #: Fresh pools tried after the first one breaks, before the inline drain.
+    MAX_RETRIES = 2
+
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.max_retries = max_retries
 
     def run(self, units: Sequence[WorkUnit]) -> Dict[ShardKey, List[UnitOutcome]]:
         results: Dict[ShardKey, List[UnitOutcome]] = {}
         pending = list(units)
-        for _attempt in range(self.max_retries + 1):
+        for _attempt in range(self.MAX_RETRIES + 1):
             if not pending:
                 break
             pending = self._round(pending, results)
@@ -159,83 +161,35 @@ class LocalShardExecutor:
 # ---------------------------------------------------------------------------
 
 
-class DistributedBackend(Backend):
+class DistributedBackend(VectorizedBackend):
     """Shard compiled plans across worker processes and merge results.
 
     The compile stage is untouched — plans come from the shared
     :func:`~repro.runtime.plan.compile_tasks` path like every other
     backend. Execution splits each plan's units into
-    :class:`~repro.runtime.plan.PlanShard` blocks, ships them to a
-    :class:`LocalShardExecutor` process pool, and merges the partial
-    results with the same associative aggregation the in-process backends
-    use — after reordering them into realization order, which is what makes
-    the output bit-for-bit identical to the ``inner`` backend run locally,
-    for every (shard size × worker count) combination and across worker
-    crashes.
-
-    Args:
-        inner: backend that executes the shards inside each worker
-            (default ``"vectorized"``; ``"trajectory"`` works identically).
-        dist_workers: worker processes. ``None`` defers to
-            ``configure(dist_workers=...)``, then to the ``workers``
-            argument of the run.
-        shard_size: realizations per shard. ``None`` auto-sizes to roughly
-            :data:`SHARDS_PER_WORKER` shards per worker so re-queues and
-            stragglers load-balance.
+    :class:`~repro.runtime.plan.PlanShard` blocks of about
+    :data:`SHARDS_PER_WORKER` shards per worker, ships them to a
+    :class:`LocalShardExecutor` process pool whose workers run the
+    vectorized engine, and merges the partial results with the same
+    associative aggregation the in-process backends use — after reordering
+    them into realization order, which is what makes the output bit-for-bit
+    identical to ``"vectorized"`` run locally, for every worker count and
+    across worker crashes. ``configure(dist_workers=n)`` sets the pool
+    size; unset, it follows the run's ``workers``.
 
     Example:
         >>> run(tasks, device, backend="distributed", workers=4)  # doctest: +SKIP
-        >>> configure(dist_workers=2, dist_shard_size=4)  # doctest: +SKIP
     """
 
     name = "distributed"
 
-    #: Auto shard sizing targets this many shards per worker: small enough
-    #: to load-balance stragglers and cheap re-queues, large enough that
+    #: Shard sizing targets this many shards per worker: small enough to
+    #: load-balance stragglers and cheap re-queues, large enough that
     #: per-shard pickling overhead stays amortized.
     SHARDS_PER_WORKER = 4
 
-    def __init__(
-        self,
-        inner: Optional[str] = None,
-        dist_workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
-    ):
-        if inner == self.name:
-            raise ValueError("distributed cannot be its own inner backend")
-        if dist_workers is not None and dist_workers < 1:
-            raise ValueError("dist_workers must be >= 1")
-        if shard_size is not None and shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
-        self.inner = inner
-        self.dist_workers = dist_workers
-        self.shard_size = shard_size
-        #: Failure-injection hook (see :class:`WorkUnit`); tests only.
-        self._crash_token: Optional[str] = None
-
-    # The ABC hooks delegate to the inner backend so a DistributedBackend
-    # still works anywhere a plain Backend is expected; the real fan-out
-    # lives in execute_plans.
-    def _make_engine(self, scheduled, device, options):
-        return self._inner_backend()._make_engine(scheduled, device, options)
-
-    def _execute(self, engine, kind, payload, shots, seed, workers=1):
-        return self._inner_backend()._execute(
-            engine, kind, payload, shots, seed, workers=workers
-        )
-
-    def _inner_backend(self) -> Backend:
-        from .run import default_dist_inner
-
-        return get_backend(self.inner or default_dist_inner())
-
-    def _resolve(self, workers: int):
-        """Fold instance args, configured defaults, and run args."""
-        from .run import default_dist_shard_size, default_dist_workers
-
-        count = self.dist_workers or default_dist_workers() or max(workers, 1)
-        shard_size = self.shard_size or default_dist_shard_size()
-        return count, shard_size
+    #: Failure-injection hook (see :class:`WorkUnit`); tests only.
+    _crash_token: Optional[str] = None
 
     def execute_plans(
         self,
@@ -244,29 +198,17 @@ class DistributedBackend(Backend):
         workers: int = 1,
     ) -> List[TaskResult]:
         """Shard the plans, execute them distributed, merge the results."""
+        from .run import default_dist_workers  # local: run.py imports us
+
         if options is None:
             options = plan_options(plans)
         options = options or SimOptions()
-        inner = self._inner_backend()
-        count, shard_size = self._resolve(workers)
-        # Size from the units that will actually ship: collapsible plans
-        # reduce to one unit for seed-insensitive inner backends.
-        total_units = sum(
-            1 if plan.collapsible and not inner.seed_sensitive else len(plan.units)
-            for plan in plans
-        )
-        if shard_size is None:
-            shard_size = max(
-                1, -(-total_units // max(1, count * self.SHARDS_PER_WORKER))
-            )
-        shards = shard_plans(plans, shard_size, seed_sensitive=inner.seed_sensitive)
+        count = default_dist_workers() or max(workers, 1)
+        total_units = sum(len(plan.units) for plan in plans)
+        shard_size = max(1, -(-total_units // (count * self.SHARDS_PER_WORKER)))
+        shards = shard_plans(plans, shard_size)
         units = [
-            WorkUnit(
-                shard=shard,
-                inner=inner.name,
-                options=options,
-                crash_token=self._crash_token,
-            )
+            WorkUnit(shard=shard, options=options, crash_token=self._crash_token)
             for shard in shards
         ]
         outcomes = LocalShardExecutor(count).run(units)

@@ -214,11 +214,7 @@ class PlanShard:
     options: Optional[SimOptions] = None
 
 
-def shard_plans(
-    plans: Sequence["ExecutionPlan"],
-    shard_size: int,
-    seed_sensitive: bool = True,
-) -> List[PlanShard]:
+def shard_plans(plans: Sequence["ExecutionPlan"], shard_size: int) -> List[PlanShard]:
     """Split plans into self-contained :class:`PlanShard` work units.
 
     Every plan's units are cut into contiguous blocks of at most
@@ -230,10 +226,6 @@ def shard_plans(
     Args:
         plans: compiled :class:`ExecutionPlan` artifacts.
         shard_size: maximum realizations per shard (>= 1).
-        seed_sensitive: mirror of
-            :attr:`~repro.runtime.backends.Backend.seed_sensitive` for the
-            executing backend — exact backends collapse a deterministic
-            plan to its first unit, so only that unit is sharded.
 
     Returns:
         Shards for all plans, ordered by ``(plan_index, shard_index)``.
@@ -243,8 +235,6 @@ def shard_plans(
     shards: List[PlanShard] = []
     for plan_index, plan in enumerate(plans):
         units = plan.units
-        if plan.collapsible and not seed_sensitive:
-            units = units[:1]
         for shard_index, start in enumerate(range(0, len(units), shard_size)):
             shards.append(
                 PlanShard(

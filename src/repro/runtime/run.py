@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from ..device.calibration import Device
 from ..sim.executor import SimOptions
-from .backends import BackendLike, get_backend
+from .backends import get_backend
 from .plan import ExecutionPlan, compile_tasks, plan_options
 from .task import BatchResult, Task
 
@@ -45,20 +45,25 @@ _AUTO = object()  # configure() sentinel: "leave this default unchanged"
 _DEFAULTS = {
     "workers": 1,
     "backend": "vectorized",
-    "chunk_shots": None,
     "dist_workers": None,  # None -> follow the run's ``workers``
-    "dist_shard_size": None,  # None -> auto-size per worker count
-    "dist_inner": "vectorized",
 }
 
-# Removed knobs, pinned to their one value because perfbench snapshots and restores them.
+# Knobs pinned to their one value in use; perfbench snapshots and restores them.
 FIXED_SETTINGS = {
+    "chunk_shots": None,
     "compile_mode": "thread",
     "compile_workers": None,
     "plan_cache": "memory",
+    "dist_shard_size": None,
     "dist_serve": None,
     "dist_connect": (),
+    "dist_inner": "vectorized",
 }
+
+
+def default_chunk_shots() -> None:
+    """Always ``None``: vectorized chunks are sized from the amplitude budget."""
+    return FIXED_SETTINGS["chunk_shots"]
 
 
 def default_compile_mode() -> str:
@@ -76,6 +81,11 @@ def plan_cache_mode() -> str:
     return FIXED_SETTINGS["plan_cache"]
 
 
+def default_dist_shard_size() -> None:
+    """Always ``None``: distributed shards are sized from the worker count."""
+    return FIXED_SETTINGS["dist_shard_size"]
+
+
 def default_dist_serve() -> None:
     """Always ``None``: there is no shard-queue server to bind."""
     return FIXED_SETTINGS["dist_serve"]
@@ -86,12 +96,17 @@ def default_dist_connect() -> Tuple[str, ...]:
     return FIXED_SETTINGS["dist_connect"]
 
 
+def default_dist_inner() -> str:
+    """Always ``"vectorized"``: the engine distributed workers run."""
+    return FIXED_SETTINGS["dist_inner"]
+
+
 def configure(
     workers: Optional[int] = None,
-    backend: Optional[BackendLike] = None,
-    chunk_shots=_AUTO,
+    backend: Optional[str] = None,
+    chunk_shots: Optional[int] = None,
     dist_workers=_AUTO,
-    dist_shard_size=_AUTO,
+    dist_shard_size: Optional[int] = None,
     dist_inner: Optional[str] = None,
     compile_mode: Optional[str] = None,
     compile_workers: Optional[int] = None,
@@ -101,32 +116,24 @@ def configure(
 ) -> None:
     """Set process-wide runtime defaults (used when ``run(...=None)``).
 
-    The CLI's flags (``--workers``, ``--backend``, ``--chunk-shots``,
-    ``--dist-workers``, ``--dist-shard-size``) call this so every
-    experiment driver inherits the parallelism, engine choice, and memory
-    bound without plumbing parameters through.
+    The CLI's flags (``--workers``, ``--backend``, ``--dist-workers``) call
+    this so every experiment driver inherits the parallelism and engine
+    choice without plumbing parameters through.
 
     Args:
         workers: default simulation-thread count for ``run()``.
-        backend: default backend name or instance (validated immediately).
-        chunk_shots: vectorized backend's resident states per chunk;
-            ``None`` restores auto-sizing (~32 MiB of amplitudes).
+        backend: default backend name, one of
+            :data:`~repro.runtime.backends.BACKENDS` (validated immediately).
         dist_workers: worker-process count for the ``"distributed"``
             backend; ``None`` makes each run reuse its ``workers`` value.
-        dist_shard_size: realizations per distributed shard; ``None``
-            restores auto-sizing (a few shards per worker). Results never
-            depend on it.
-        dist_inner: backend that executes shards inside distributed
-            workers (default ``"vectorized"``; ``"trajectory"`` is
-            bit-identical).
-        compile_mode, compile_workers, plan_cache, dist_serve,
-            dist_connect: fixed at ``"thread"``, ``None``, ``"memory"``,
-            ``None`` and ``()`` (see ``FIXED_SETTINGS``); any other value
-            raises ``ValueError``.
+        chunk_shots, compile_mode, compile_workers, plan_cache,
+            dist_shard_size, dist_serve, dist_connect, dist_inner: fixed at
+            their :data:`FIXED_SETTINGS` values; any other value raises
+            ``ValueError``.
 
     Example:
         >>> configure(backend="vectorized", workers=4)
-        >>> configure(chunk_shots=None)  # back to auto-sizing
+        >>> configure(dist_workers=None)  # back to following ``workers``
     """
     # Validate everything before mutating anything, so a failed configure()
     # never leaves partially-updated defaults behind.
@@ -134,17 +141,17 @@ def configure(
         raise ValueError("workers must be >= 1")
     if backend is not None:
         get_backend(backend)  # fail at configure time, not first run()
-    if chunk_shots is not _AUTO and chunk_shots is not None:
-        chunk_shots = int(chunk_shots)
-        if chunk_shots < 1:
-            raise ValueError("chunk_shots must be >= 1 (or None for auto)")
-    for name, value in (
-        ("compile_mode", compile_mode),
-        ("compile_workers", compile_workers),
-        ("plan_cache", plan_cache),
-        ("dist_serve", dist_serve),
-        ("dist_connect", dist_connect),
-    ):
+    fixed = {
+        "chunk_shots": chunk_shots,
+        "compile_mode": compile_mode,
+        "compile_workers": compile_workers,
+        "plan_cache": plan_cache,
+        "dist_shard_size": dist_shard_size,
+        "dist_serve": dist_serve,
+        "dist_connect": dist_connect,
+        "dist_inner": dist_inner,
+    }
+    for name, value in fixed.items():
         if value is not None and value != FIXED_SETTINGS[name]:
             raise ValueError(
                 f"{name}={value!r} was removed "
@@ -154,26 +161,12 @@ def configure(
         dist_workers = int(dist_workers)
         if dist_workers < 1:
             raise ValueError("dist_workers must be >= 1 (or None for auto)")
-    if dist_shard_size is not _AUTO and dist_shard_size is not None:
-        dist_shard_size = int(dist_shard_size)
-        if dist_shard_size < 1:
-            raise ValueError("dist_shard_size must be >= 1 (or None for auto)")
-    if dist_inner is not None:
-        if dist_inner == "distributed":
-            raise ValueError("dist_inner cannot itself be 'distributed'")
-        get_backend(dist_inner)
     if workers is not None:
         _DEFAULTS["workers"] = int(workers)
     if backend is not None:
         _DEFAULTS["backend"] = backend
-    if chunk_shots is not _AUTO:
-        _DEFAULTS["chunk_shots"] = chunk_shots
     if dist_workers is not _AUTO:
         _DEFAULTS["dist_workers"] = dist_workers
-    if dist_shard_size is not _AUTO:
-        _DEFAULTS["dist_shard_size"] = dist_shard_size
-    if dist_inner is not None:
-        _DEFAULTS["dist_inner"] = dist_inner
 
 
 def default_workers() -> int:
@@ -181,29 +174,14 @@ def default_workers() -> int:
     return _DEFAULTS["workers"]
 
 
-def default_backend() -> BackendLike:
-    """The configured default backend (name or instance)."""
+def default_backend() -> str:
+    """The configured default backend name."""
     return _DEFAULTS["backend"]
-
-
-def default_chunk_shots() -> Optional[int]:
-    """The configured vectorized chunk bound (``None`` = auto-size)."""
-    return _DEFAULTS["chunk_shots"]
 
 
 def default_dist_workers() -> Optional[int]:
     """The configured distributed worker count (``None`` = follow ``workers``)."""
     return _DEFAULTS["dist_workers"]
-
-
-def default_dist_shard_size() -> Optional[int]:
-    """The configured distributed shard size (``None`` = auto-size)."""
-    return _DEFAULTS["dist_shard_size"]
-
-
-def default_dist_inner() -> str:
-    """The configured inner backend distributed workers execute with."""
-    return _DEFAULTS["dist_inner"]
 
 
 RunInput = Union[Task, ExecutionPlan, Sequence[Task], Sequence[ExecutionPlan]]
@@ -212,7 +190,7 @@ RunInput = Union[Task, ExecutionPlan, Sequence[Task], Sequence[ExecutionPlan]]
 def run(
     tasks: RunInput,
     device: Optional[Device] = None,
-    backend: Optional[BackendLike] = None,
+    backend: Optional[str] = None,
     options: Optional[SimOptions] = None,
     workers: Optional[int] = None,
 ) -> BatchResult:
@@ -228,9 +206,9 @@ def run(
             two-stage path reproduce the one-stage one exactly
             (realization sub-seeds were already derived at compile time).
         device: default device for tasks that don't carry their own.
-        backend: a registered name (``"trajectory"``, ``"vectorized"``,
-            ``"density"``) or a :class:`~repro.runtime.backends.Backend`
-            instance; ``None`` uses the configured default.
+        backend: a name from :data:`~repro.runtime.backends.BACKENDS`
+            (``"trajectory"``, ``"vectorized"``, ``"density"``,
+            ``"distributed"``); ``None`` uses the configured default.
         options: :class:`~repro.sim.SimOptions` noise/sampling
             configuration (``None`` = defaults, or the plans' recorded
             options when executing plans).

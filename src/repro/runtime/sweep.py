@@ -55,7 +55,6 @@ from typing import (
 
 from ..device.calibration import Device
 from ..sim.executor import SimOptions
-from .backends import BackendLike
 from .run import run
 from .task import BatchResult, Task, TaskResult
 
@@ -122,7 +121,7 @@ class Sweep:
         self,
         device: Optional[Device] = None,
         options: Optional[SimOptions] = None,
-        backend: Optional[BackendLike] = None,
+        backend: Optional[str] = None,
         workers: Optional[int] = None,
     ) -> "SweepResult":
         """Execute the grid as one batched run and key the results.
@@ -130,10 +129,9 @@ class Sweep:
         Args:
             device: default device for tasks without their own.
             options: simulation options shared by every grid point.
-            backend: backend name or instance (``None`` = configured
-                default). ``"distributed"`` shards every grid point's
-                realizations across worker processes, bit-identical to
-                ``"trajectory"``.
+            backend: backend name (``None`` = configured default).
+                ``"distributed"`` shards every grid point's realizations
+                across worker processes, bit-identical to ``"trajectory"``.
             workers: compile and simulation fan-out (the ``"distributed"``
                 backend reads it as its worker-process count unless
                 ``configure(dist_workers=...)`` overrides). It never

@@ -52,8 +52,9 @@ the unscaled state as in the scalar engine. Idle dephasing negates the same
 view in place, and each chunk reuses one set of scratch buffers for
 ``|psi|**2``, ``P(q = 1)``, gathered phases and the gate chain.
 
-The shot axis is sharded into bounded-memory chunks; chunks are independent
-row blocks, so any ``chunk_shots`` / ``workers`` configuration produces the
+The shot axis is sharded into bounded-memory chunks of at most
+``_CHUNK_AMPLITUDES`` amplitudes, split further across ``workers``; chunks
+are independent row blocks, so any chunk size or worker count produces the
 same bits and only changes wall time and peak memory.
 """
 
@@ -74,7 +75,7 @@ from .executor import Executor, SimOptions, SimResult, _aggregate
 from .sampling import _PAULI_1Q, _PAULI_2Q, NoiseBatch, sample_shot
 from .statevector import _sz_arrays, renormalize
 
-#: Default chunk budget: ~32 MiB of complex amplitudes per chunk.
+#: Chunk budget: ~32 MiB of complex amplitudes per chunk.
 _CHUNK_AMPLITUDES = 1 << 21
 
 
@@ -189,8 +190,7 @@ class VectorizedExecutor(Executor):
     A drop-in peer of :class:`~repro.sim.executor.Executor` with the same
     constructor and result types; ``expectations`` / ``probabilities``
     additionally accept ``workers`` to shard the shot axis across threads.
-    ``chunk_shots`` bounds how many states are ever resident at once
-    (``None`` auto-sizes to ~32 MiB of amplitudes per chunk).
+    A chunk holds at most ~32 MiB of amplitudes (``_CHUNK_AMPLITUDES``).
     """
 
     def __init__(
@@ -198,12 +198,8 @@ class VectorizedExecutor(Executor):
         scheduled: ScheduledCircuit,
         device: Device,
         options: Optional[SimOptions] = None,
-        chunk_shots: Optional[int] = None,
     ):
         super().__init__(scheduled, device, options)
-        if chunk_shots is not None and chunk_shots < 1:
-            raise ValueError("chunk_shots must be >= 1 (or None for auto)")
-        self.chunk_shots = chunk_shots
         n = scheduled.num_qubits
         self._dim = 1 << n
         self._one_bit, self._one_mask, self._one_idx = _basis_bits(n)
@@ -573,9 +569,7 @@ class VectorizedExecutor(Executor):
     # -- sharded entry points --------------------------------------------------
 
     def _chunk_sizes(self, count: int, workers: int) -> List[int]:
-        size = self.chunk_shots
-        if size is None:
-            size = max(1, _CHUNK_AMPLITUDES // self._dim)
+        size = max(1, _CHUNK_AMPLITUDES // self._dim)
         if workers > 1:
             size = min(size, max(1, -(-count // workers)))
         sizes = []

@@ -49,11 +49,6 @@ def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(a, b)) ** 2)
 
 
-def projector_expectation(state: np.ndarray, target: np.ndarray) -> float:
-    """Overlap probability of ``state`` with pure ``target``."""
-    return state_fidelity(state, target)
-
-
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary of dimension ``dim``."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

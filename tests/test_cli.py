@@ -64,10 +64,7 @@ class TestCLI:
 
         getters = [getattr(rt, name) for name in rt.__all__ if name.startswith("default_")]
         before = [get() for get in getters]
-        good = (
-            "--workers 3 --backend trajectory --chunk-shots 16 "
-            "--dist-workers 2 --dist-shard-size 5"
-        ).split()
+        good = "--workers 3 --backend trajectory --dist-workers 2".split()
         with pytest.raises(SystemExit):
             main(["list", *good, *bad])
         assert [get() for get in getters] == before
@@ -78,7 +75,7 @@ def restore_defaults():
     """Put every runtime default back after a test that passes CLI flags."""
     import repro.runtime as rt
 
-    settings = ("workers", "backend", "chunk_shots", "dist_workers", "dist_shard_size")
+    settings = ("workers", "backend", "dist_workers")
     before = {name: getattr(rt, f"default_{name}")() for name in settings}
     yield
     rt.configure(**before)

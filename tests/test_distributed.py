@@ -4,6 +4,8 @@ The contract under test: ``run(tasks, device, backend="distributed")`` is
 bit-for-bit identical to ``backend="trajectory"`` for every (shard size ×
 worker count) combination — including after a simulated worker crash — because
 per-realization seeds are derived from the plan, never from the worker.
+Shard sizes are not a setting, so the parity grid forces them by wrapping
+the backend's call to ``shard_plans``.
 """
 
 import pickle
@@ -17,12 +19,12 @@ from repro.runtime import (
     LocalShardExecutor,
     configure,
     default_backend,
-    default_dist_inner,
     default_dist_shard_size,
     default_dist_workers,
     get_backend,
     shard_plans,
 )
+from repro.runtime import distributed as distributed_module
 from repro.runtime.distributed import WorkUnit, execute_work_unit
 
 from conftest import OBS, batch_signature, det_pipeline, layered_circuit, mixed_tasks
@@ -33,26 +35,38 @@ OPTIONS = SimOptions(shots=8, seed=5)
 @pytest.fixture(autouse=True)
 def _reset_dist_defaults():
     """Every test starts (and leaves) the process-wide dist knobs pristine."""
-    backend, inner = default_backend(), default_dist_inner()
+    backend = default_backend()
     yield
-    configure(
-        backend=backend,
-        dist_workers=None,
-        dist_shard_size=None,
-        dist_inner=inner,
-    )
+    configure(backend=backend, dist_workers=None)
 
 
 def reference(device, backend="trajectory"):
     return batch_signature(run(mixed_tasks(), device, options=OPTIONS, backend=backend))
 
 
-def distributed(device, **kwargs):
-    crash_token = kwargs.pop("crash_token", None)
-    backend = DistributedBackend(**kwargs)
-    if crash_token is not None:
-        backend._crash_token = str(crash_token)
-    return batch_signature(run(mixed_tasks(), device, options=OPTIONS, backend=backend))
+def distributed(device, dist_workers):
+    configure(dist_workers=dist_workers)
+    return reference(device, backend="distributed")
+
+
+def force_shard_size(monkeypatch, size):
+    """Make the backend cut every plan into shards of ``size`` units."""
+    monkeypatch.setattr(
+        distributed_module, "shard_plans", lambda plans, _auto: shard_plans(plans, size)
+    )
+
+
+def record_pool_sizes(monkeypatch):
+    """Record the worker count of every process pool the backend starts."""
+    sizes = []
+
+    class Recording(LocalShardExecutor):
+        def __init__(self, workers):
+            sizes.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(distributed_module, "LocalShardExecutor", Recording)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +100,6 @@ class TestShardPlans:
         direct = [s for s in shards_of(plans, 4) if s.direct]
         assert len(direct) == 1  # mixed_tasks has one raw task
         assert direct[0].kind == "expectations"
-
-    def test_collapse_for_exact_backends(self, chain4):
-        plans = self.plans(chain4)
-        collapsed = shard_plans(plans, shard_size=8, seed_sensitive=False)
-        for plan, count in zip(
-            plans, [len(s.units) for s in collapsed if s.shard_index == 0]
-        ):
-            if plan.collapsible:
-                assert count == 1
 
     def test_rejects_bad_shard_size(self, chain4):
         with pytest.raises(ValueError, match="shard_size"):
@@ -142,10 +147,10 @@ class TestWorkUnit:
     def test_execute_matches_backend_hooks(self, chain4):
         plans = compile_tasks(mixed_tasks(), device=chain4, options=OPTIONS)
         shard = shard_plans(plans, shard_size=3)[0]
-        unit = WorkUnit(shard=shard, inner="trajectory", options=OPTIONS)
+        unit = WorkUnit(shard=shard, options=OPTIONS)
         outcomes = execute_work_unit(pickle.loads(pickle.dumps(unit)))
         assert len(outcomes) == len(shard.units)
-        backend = get_backend("trajectory")
+        backend = get_backend("vectorized")
         for plan_unit, (result, seconds) in zip(shard.units, outcomes):
             engine = backend._make_engine(plan_unit.scheduled, plan_unit.device, OPTIONS)
             expected = backend._execute(
@@ -158,9 +163,7 @@ class TestWorkUnit:
         plans = compile_tasks(mixed_tasks(), device=chain4, options=OPTIONS)
         shard = shard_plans(plans, shard_size=2)[0]
         token = tmp_path / "crash"
-        unit = WorkUnit(
-            shard=shard, inner="trajectory", options=OPTIONS, crash_token=str(token)
-        )
+        unit = WorkUnit(shard=shard, options=OPTIONS, crash_token=str(token))
         # in_worker=False is the coordinator's inline drain: it must never
         # trip the injected crash (os._exit would kill the test process).
         outcomes = execute_work_unit(unit, in_worker=False)
@@ -176,20 +179,15 @@ class TestWorkUnit:
 class TestLocalParity:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shard_size", [1, 2, None])
-    def test_matches_trajectory(self, chain4, workers, shard_size):
-        assert distributed(
-            chain4, dist_workers=workers, shard_size=shard_size
-        ) == reference(chain4)
+    def test_matches_trajectory(self, chain4, monkeypatch, workers, shard_size):
+        if shard_size is not None:
+            force_shard_size(monkeypatch, shard_size)
+        assert distributed(chain4, dist_workers=workers) == reference(chain4)
 
     def test_matches_vectorized_inner(self, chain4):
-        assert distributed(chain4, inner="vectorized", dist_workers=2) == reference(
+        assert distributed(chain4, dist_workers=2) == reference(
             chain4, backend="vectorized"
         )
-
-    def test_matches_density_inner(self, chain4):
-        assert distributed(
-            chain4, inner="density", dist_workers=2, shard_size=1
-        ) == reference(chain4, backend="density")
 
     def test_registered_backend_name(self, chain4):
         got = run(mixed_tasks(), chain4, options=OPTIONS, backend="distributed")
@@ -200,7 +198,8 @@ class TestLocalParity:
     def test_plans_execute_on_any_backend(self, chain4):
         plans = compile_tasks(mixed_tasks(), device=chain4, options=OPTIONS)
         local = get_backend("trajectory").execute_plans(plans, options=OPTIONS)
-        dist = DistributedBackend(dist_workers=2).execute_plans(plans, options=OPTIONS)
+        configure(dist_workers=2)
+        dist = DistributedBackend().execute_plans(plans, options=OPTIONS)
         assert [(r.values, r.errors, r.shots) for r in dist] == [
             (r.values, r.errors, r.shots) for r in local
         ]
@@ -212,15 +211,15 @@ class TestLocalParity:
 
 
 class TestFailureRecovery:
-    def test_local_pool_survives_worker_crash(self, chain4, tmp_path):
+    def test_local_pool_survives_worker_crash(self, chain4, tmp_path, monkeypatch):
         token = tmp_path / "crash-local"
-        assert distributed(
-            chain4, dist_workers=2, shard_size=1, crash_token=token
-        ) == reference(chain4)
+        monkeypatch.setattr(DistributedBackend, "_crash_token", str(token))
+        force_shard_size(monkeypatch, 1)
+        assert distributed(chain4, dist_workers=2) == reference(chain4)
         assert token.exists()  # the crash really happened
 
-    def test_local_executor_inline_fallback(self, chain4, tmp_path):
-        # max_retries=0: the only pool generation crashes, so the shard
+    def test_local_executor_inline_fallback(self, chain4, tmp_path, monkeypatch):
+        # MAX_RETRIES=0: the only pool generation crashes, so the shard
         # must complete via the coordinator's inline fallback.
         plans = compile_tasks(
             [Task(layered_circuit(), observables=OBS, pipeline=det_pipeline(),
@@ -230,33 +229,28 @@ class TestFailureRecovery:
         )
         shard = shard_plans(plans, shard_size=1)[0]
         token = tmp_path / "always"
-        unit = WorkUnit(
-            shard=shard, inner="trajectory", options=OPTIONS, crash_token=str(token)
-        )
-        results = LocalShardExecutor(workers=1, max_retries=0).run([unit])
+        unit = WorkUnit(shard=shard, options=OPTIONS, crash_token=str(token))
+        monkeypatch.setattr(LocalShardExecutor, "MAX_RETRIES", 0)
+        results = LocalShardExecutor(workers=1).run([unit])
         assert unit.key in results and len(results[unit.key]) == 1
 
 
 # ---------------------------------------------------------------------------
-# Configuration surface: constructor, configure(), CLI
+# Configuration surface: constructors, configure(), CLI
 # ---------------------------------------------------------------------------
 
 
 class TestConfiguration:
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="inner"):
-            DistributedBackend(inner="distributed")
-        with pytest.raises(ValueError, match="dist_workers"):
-            DistributedBackend(dist_workers=0)
-        with pytest.raises(ValueError, match="shard_size"):
-            DistributedBackend(shard_size=0)
+        # Settings live in configure(), never on the backend instance.
+        with pytest.raises(TypeError):
+            DistributedBackend(dist_workers=2)
         with pytest.raises(ValueError):
             LocalShardExecutor(workers=0)
 
     def test_configure_roundtrip(self):
-        configure(dist_workers=3, dist_shard_size=2)
+        configure(dist_workers=3)
         assert default_dist_workers() == 3
-        assert default_dist_shard_size() == 2
         configure(dist_workers=None, dist_shard_size=None)
         assert default_dist_workers() is None
         assert default_dist_shard_size() is None
@@ -271,14 +265,18 @@ class TestConfiguration:
         # failed configure leaves the defaults untouched
         assert default_dist_workers() is None
 
-    def test_configured_defaults_reach_the_backend(self, chain4):
-        configure(dist_workers=2, dist_shard_size=1)
+    def test_configured_defaults_reach_the_backend(self, chain4, monkeypatch):
+        sizes = record_pool_sizes(monkeypatch)
+        configure(dist_workers=2)
         assert batch_signature(
-            run(mixed_tasks(), chain4, options=OPTIONS, backend="distributed")
+            run(mixed_tasks(), chain4, options=OPTIONS, backend="distributed", workers=3)
         ) == reference(chain4)
+        assert sizes == [2]
 
-    def test_run_workers_feed_the_fleet_size(self, chain4):
-        assert DistributedBackend()._resolve(workers=3) == (3, None)
+    def test_run_workers_feed_the_fleet_size(self, chain4, monkeypatch):
+        sizes = record_pool_sizes(monkeypatch)
+        run(mixed_tasks(), chain4, options=OPTIONS, backend="distributed", workers=3)
+        assert sizes == [3]
 
     def test_cli_flags_configure_the_runtime(self):
         from repro.experiments.__main__ import main
@@ -291,20 +289,20 @@ class TestConfiguration:
                     "distributed",
                     "--dist-workers",
                     "2",
-                    "--dist-shard-size",
-                    "4",
                 ]
             )
             == 0
         )
         assert default_dist_workers() == 2
-        assert default_dist_shard_size() == 4
         assert default_backend() == "distributed"
+        # The pinned knobs have no flags: argparse rejects them.
+        for flag in ("--chunk-shots", "--dist-shard-size"):
+            with pytest.raises(SystemExit) as exc:
+                main(["list", flag, "4"])
+            assert exc.value.code == 2
 
     def test_cli_rejects_bad_counts(self, capsys):
         from repro.experiments.__main__ import main
 
         with pytest.raises(SystemExit):
             main(["list", "--dist-workers", "0"])
-        with pytest.raises(SystemExit):
-            main(["list", "--dist-shard-size", "0"])

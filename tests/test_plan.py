@@ -179,11 +179,17 @@ class TestWorkerInvariance:
             )
 
     def test_backend_run_entry_point_invariant(self, chain4):
-        """Backend.run (bypassing run()) honors the same guarantee."""
+        """Backend.execute_plans (bypassing run()) honors the same guarantee."""
         opts = SimOptions(shots=4)
         engine = get_backend("trajectory")
-        serial = engine.run(mixed_tasks(), chain4, options=opts)
-        threaded = engine.run(mixed_tasks(), chain4, options=opts, workers=3)
+        serial = engine.execute_plans(
+            compile_tasks(mixed_tasks(), chain4, options=opts), options=opts
+        )
+        threaded = engine.execute_plans(
+            compile_tasks(mixed_tasks(), chain4, options=opts, workers=3),
+            options=opts,
+            workers=3,
+        )
         assert batch_signature(serial) == batch_signature(threaded)
 
 
@@ -279,8 +285,9 @@ class TestPlanCache:
 
 
 class TestFixedCompileSettings:
-    """The removed compile/cache and socket-transport knobs keep one accepted
-    value each, so a ``configure()`` snapshot of every getter restores cleanly."""
+    """The removed compile/cache, socket-transport, chunk and shard knobs keep
+    one accepted value each, so a ``configure()`` snapshot of every getter
+    restores cleanly."""
 
     def snapshot(self):
         state = {
@@ -298,6 +305,9 @@ class TestFixedCompileSettings:
         assert before["plan_cache"] == "memory"
         assert before["dist_serve"] is None
         assert before["dist_connect"] == ()
+        assert before["chunk_shots"] is None
+        assert before["dist_shard_size"] is None
+        assert before["dist_inner"] == "vectorized"
         configure(**before)
         assert self.snapshot() == before
 
@@ -310,6 +320,9 @@ class TestFixedCompileSettings:
             {"plan_cache": "off"},
             {"dist_serve": "127.0.0.1:7777"},
             {"dist_connect": "host:7778"},
+            {"chunk_shots": 8},
+            {"dist_shard_size": 2},
+            {"dist_inner": "trajectory"},
         ],
     )
     def test_removed_values_rejected(self, kwargs):

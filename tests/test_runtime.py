@@ -34,12 +34,10 @@ from repro.pauli.twirling import apply_twirl
 from repro.runtime import (
     CADD,
     CAEC,
-    DensityBackend,
     Orient,
     Twirl,
     get_backend,
     pipeline_for,
-    register_backend,
 )
 from repro.sim import DensityExecutor, Executor
 from repro.utils.rng import as_generator
@@ -123,31 +121,9 @@ class TestBackendRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("vectorized-gpu")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("trajectory", DensityBackend)
-
-    def test_custom_backend_registration(self, chain4):
-        class EchoBackend(DensityBackend):
-            name = "echo"
-
-        register_backend("echo", EchoBackend, overwrite=True)
-        try:
-            circ = Circuit(2)
-            circ.h(0)
-            batch = run(
-                Task(circ, observables={"z": "IZ"}),
-                chain4.subdevice([0, 1]),
-                backend="echo",
-            )
-            assert batch.backend == "echo"
-        finally:
-            BACKENDS.pop("echo", None)
-
-    def test_backend_instance_passes_through(self):
-        backend = DensityBackend()
-        assert get_backend(backend) is backend
+        # Backends are chosen by name only: an instance is not a name.
+        with pytest.raises(ValueError, match="unknown backend"):
+            get_backend(get_backend("density"))
 
 
 class TestTaskValidation:

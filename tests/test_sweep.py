@@ -180,32 +180,10 @@ class TestCLIIntegration:
         assert re.search(r"^\(\d+\.\d s\)$", captured.err, re.MULTILINE)
         assert f"wrote {path}" in captured.err
 
-    def test_chunk_shots_flag_configures_default(self, chain2, capsys):
-        from repro.circuits.schedule import schedule
-        from repro.experiments.__main__ import main
-        from repro.runtime import VectorizedBackend, configure, default_chunk_shots
-
-        def engine_chunk(backend):
-            scheduled = schedule(plus_circuit(0), chain2.durations)
-            return backend._make_engine(scheduled, chain2, SimOptions()).chunk_shots
-
-        previous = default_chunk_shots()
-        backend = VectorizedBackend()  # constructed before configure():
-        try:
-            assert main(["fig9", "--quick", "--chunk-shots", "32"]) == 0
-            assert default_chunk_shots() == 32
-            # ... yet tracks the reconfigured default at engine build time.
-            assert engine_chunk(backend) == 32
-            assert VectorizedBackend(chunk_shots=8).chunk_shots == 8
-            # 0 restores auto-sizing.
-            assert main(["fig9", "--quick", "--chunk-shots", "0"]) == 0
-            assert default_chunk_shots() is None
-        finally:
-            configure(chunk_shots=previous)
-
     def test_negative_chunk_shots_rejected(self):
         from repro.experiments.__main__ import main
 
+        # The flag is gone (chunks auto-size), so argparse rejects any value.
         with pytest.raises(SystemExit):
             main(["fig9", "--quick", "--chunk-shots", "-4"])
 

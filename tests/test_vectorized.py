@@ -6,9 +6,11 @@ The load-bearing guarantees:
   bit** — same seeds, same draws, same floats — for every named strategy,
   for orientation pipelines, for dynamic (measure + conditioned) circuits,
   for readout-error models, and for every noise-toggle combination;
-* sharding is invisible: any ``workers`` / ``chunk_shots`` configuration
-  produces identical values (the property the scale-out story rests on);
-* the engine plugs into the registry/CLI plumbing like any other backend;
+* sharding is invisible: any ``workers`` count and chunk size produces
+  identical values (the property the scale-out story rests on); chunk
+  sizes are forced by shrinking the module's ``_CHUNK_AMPLITUDES`` budget;
+* the engine is selected by name through ``run()``/``configure()`` like
+  any other backend;
 * its two shortcuts, support-reduced phases and the per-moment gate-layout
   chain, give the bits of the full-dimension, one-gate-at-a-time path, and
   the ``np.matmul`` property the chain rests on is pinned directly.
@@ -22,13 +24,14 @@ import math
 import numpy as np
 import pytest
 
-from repro import Circuit, SimOptions, Task, VectorizedBackend, run, schedule
+from repro import Circuit, SimOptions, Task, VectorizedBackend, compile_tasks, run, schedule
 from repro.circuits.gates import Gate
 from repro.compiler.strategies import STRATEGIES
 from repro.device import NoiseProfile, linear_chain, synthetic_device
 from repro.runtime import BACKENDS, Orient, Pipeline, Twirl, get_backend
 from repro.runtime.run import configure, default_backend
 from repro.sim import Executor, NoiseBatch, StateVector, VectorizedExecutor
+from repro.sim import vectorized as vectorized_module
 from repro.sim.coherent import CoherentAccumulation
 from repro.sim.executor import _apply_no_jump
 from repro.sim.sampling import sample_shot
@@ -60,16 +63,15 @@ def dynamic_circuit() -> Circuit:
     return circ
 
 
-def both(task, device, options, vectorized=None, workers=None):
+def both(task, device, options, workers=None):
     a = run(task, device, options=options, backend="trajectory")[0]
-    b = run(
-        task,
-        device,
-        options=options,
-        backend=vectorized or "vectorized",
-        workers=workers,
-    )[0]
+    b = run(task, device, options=options, backend="vectorized", workers=workers)[0]
     return a, b
+
+
+def chunk_rows(monkeypatch, rows, num_qubits=4):
+    """Size every vectorized chunk of a ``num_qubits`` engine to ``rows`` shots."""
+    monkeypatch.setattr(vectorized_module, "_CHUNK_AMPLITUDES", rows << num_qubits)
 
 
 def assert_identical(a, b):
@@ -189,10 +191,11 @@ class TestHeavyTriggering:
         assert (batch.paulis >= 0).any(axis=1).mean() > 0.9
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("chunk_shots", [1, None])
-    def test_parity(self, noisy4, chunk_shots, workers):
+    @pytest.mark.parametrize("chunk", [1, None])
+    def test_parity(self, noisy4, monkeypatch, chunk, workers):
         options = SimOptions(shots=12, readout_errors=True)
-        backend = VectorizedBackend(chunk_shots=chunk_shots)
+        if chunk is not None:
+            chunk_rows(monkeypatch, chunk)
         tasks = [
             Task(
                 layered_circuit(), observables=OBS, pipeline="ca_ec+dd",
@@ -204,9 +207,7 @@ class TestHeavyTriggering:
             ),
         ]
         for task in tasks:
-            assert_identical(
-                *both(task, noisy4, options, vectorized=backend, workers=workers)
-            )
+            assert_identical(*both(task, noisy4, options, workers=workers))
 
 
 class TestInPlaceNoJump:
@@ -252,8 +253,8 @@ class TestInPlaceNoJump:
 
 
 class TestShardingInvariance:
-    def test_sharding_never_changes_values(self, chain4):
-        """Property: for any (workers, chunk_shots) the values are the same
+    def test_sharding_never_changes_values(self, chain4, monkeypatch):
+        """Property: for any (workers, chunk size) the values are the same
         bits — sharding only repartitions independent rows."""
         task = Task(layered_circuit(), observables=OBS, seed=2)
         options = SimOptions(shots=30)
@@ -262,31 +263,32 @@ class TestShardingInvariance:
         for _ in range(12):
             workers = int(rng.integers(1, 5))
             chunk = int(rng.integers(1, 40))
+            chunk_rows(monkeypatch, chunk)
             result = run(
-                task, chain4, options=options,
-                backend=VectorizedBackend(chunk_shots=chunk), workers=workers,
+                task, chain4, options=options, backend="vectorized", workers=workers
             )[0]
             assert result.values == reference.values, (workers, chunk)
             assert result.errors == reference.errors, (workers, chunk)
 
-    def test_chunk_of_one_shot(self, chain4):
+    def test_chunk_of_one_shot(self, chain4, monkeypatch):
         task = Task(layered_circuit(), observables=OBS, seed=2)
         options = SimOptions(shots=5)
         reference = run(task, chain4, options=options, backend="vectorized")[0]
-        single = run(
-            task, chain4, options=options,
-            backend=VectorizedBackend(chunk_shots=1),
-        )[0]
+        chunk_rows(monkeypatch, 1)
+        single = run(task, chain4, options=options, backend="vectorized")[0]
         assert_identical(reference, single)
 
     def test_invalid_chunk_rejected(self, chain4):
-        with pytest.raises(ValueError, match="chunk_shots"):
-            run(
-                Task(layered_circuit(), observables=OBS, seed=0),
-                chain4,
-                options=SimOptions(shots=2),
-                backend=VectorizedBackend(chunk_shots=0),
+        # The chunk size is not a setting: no constructor takes one, and
+        # configure() accepts only the pinned ``None``.
+        with pytest.raises(TypeError):
+            VectorizedBackend(chunk_shots=0)
+        with pytest.raises(TypeError):
+            VectorizedExecutor(
+                schedule(layered_circuit(), chain4.durations), chain4, chunk_shots=0
             )
+        with pytest.raises(ValueError, match="chunk_shots"):
+            configure(chunk_shots=0)
 
 
 class TestRegistryAndPlumbing:
@@ -343,12 +345,14 @@ class TestRegistryAndPlumbing:
                 return super()._execute(engine, kind, payload, shots, seed, workers)
 
         options = SimOptions(shots=4)
-        one = Task(layered_circuit(), observables=OBS, seed=1)
-        run(one, chain4, options=options, backend=RecordingBackend(), workers=3)
+        one = [Task(layered_circuit(), observables=OBS, seed=1)]
+        plans = compile_tasks(one, chain4, options=options)
+        RecordingBackend().execute_plans(plans, options=options, workers=3)
         assert seen == [3]
         seen.clear()
         many = [Task(layered_circuit(), observables=OBS, seed=s) for s in (1, 2)]
-        run(many, chain4, options=options, backend=RecordingBackend(), workers=3)
+        plans = compile_tasks(many, chain4, options=options)
+        RecordingBackend().execute_plans(plans, options=options, workers=3)
         assert seen == [1, 1]
 
 
