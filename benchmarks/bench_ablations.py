@@ -1,4 +1,5 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for three design choices of the compiler and simulator
+(the pipeline they sit in is described in ``docs/architecture.rst``):
 
 * greedy low-color preference vs naive max-color assignment (pulse counts);
 * pulse-stretched Rzz compensation vs a 2-CNOT synthesis (polarization

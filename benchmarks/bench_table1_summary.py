@@ -10,9 +10,9 @@ from repro.experiments import run_table1
 def test_error_taxonomy(benchmark, once):
     result = once(benchmark, run_table1, depth=8, shots=48)
     print()
-    for line in result.formatted():
+    for line in result.rows():
         print(line)
-    rows = {r.error: r for r in result.rows}
+    rows = {r.error: r for r in result.entries}
 
     idle = rows["Z+ZZ (idle)"]
     assert idle.residual_ec < 0.2 * idle.residual_none

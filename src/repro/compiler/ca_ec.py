@@ -73,10 +73,6 @@ def apply_ca_ec(
     circuit: Circuit,
     device: Device,
     durations: Optional[Durations] = None,
-    min_angle: float = DEFAULT_MIN_ANGLE,
-    absorb: bool = True,
-    allow_explicit: bool = True,
-    stark_from_1q: bool = False,
     skip_moments: Optional[frozenset] = None,
 ) -> Tuple[Circuit, CAECReport]:
     """Insert error compensation into ``circuit``; returns circuit + report.
@@ -86,7 +82,8 @@ def apply_ca_ec(
     predicted accumulations match what will actually execute.
     ``skip_moments`` excludes the listed moment indices from compensation —
     used when a specialized scheme (e.g. conditional corrections around a
-    measurement window, paper Fig. 9b) handles them instead.
+    measurement window, paper Fig. 9b) handles them instead. Residual
+    angles below ``DEFAULT_MIN_ANGLE`` are left uncompensated.
     """
     out = circuit.copy()
     durations = durations or device.durations
@@ -94,14 +91,12 @@ def apply_ca_ec(
     report = CAECReport()
 
     # Predicted static error per moment (same model as the simulator).
-    accumulations: List[CoherentAccumulation] = []
-    for sm in scheduled:
-        timeline = build_timeline(sm.moment, out.num_qubits, sm.duration)
-        accumulations.append(
-            accumulate_coherent(
-                timeline, device, detunings=None, stark_from_1q=stark_from_1q
-            )
+    accumulations: List[CoherentAccumulation] = [
+        accumulate_coherent(
+            build_timeline(sm.moment, out.num_qubits, sm.duration), device
         )
+        for sm in scheduled
+    ]
 
     # Compensations to insert immediately before each original moment:
     # virtual Rz instructions and (possibly several) explicit Rzz gates.
@@ -113,7 +108,7 @@ def apply_ca_ec(
         if index in skipped:
             continue
         for qubit, theta in acc.z.items():
-            if abs(theta) < min_angle:
+            if abs(theta) < DEFAULT_MIN_ANGLE:
                 continue
             z_inserts.setdefault(index, []).append(
                 Instruction(g.rz(-theta), (qubit,), tag="compensation")
@@ -121,25 +116,22 @@ def apply_ca_ec(
             report.z_compensations += 1
             report.total_z_angle += abs(theta)
         for edge, theta in acc.zz.items():
-            if abs(theta) < min_angle:
+            if abs(theta) < DEFAULT_MIN_ANGLE:
                 continue
-            absorption = _find_absorber(out, index, edge) if absorb else None
+            absorption = _find_absorber(out, index, edge)
             if absorption is not None:
                 _absorb_zz(out, absorption, theta)
                 report.zz_absorbed += 1
-            elif allow_explicit and edge in device.pairs:
+            elif edge in device.pairs:
                 gate = g.stretched_rzz(-theta, full_duration=durations.twoq)
                 zz_inserts.setdefault(index, []).append(
                     Instruction(gate, edge, tag="compensation")
                 )
                 report.zz_explicit += 1
             else:
-                reason = (
-                    "no coupling for stretched pulse"
-                    if edge not in device.pairs
-                    else "explicit insertion disabled"
+                report.blocked.append(
+                    (index, edge, theta, "no coupling for stretched pulse")
                 )
-                report.blocked.append((index, edge, theta, reason))
 
     _materialize_inserts(out, z_inserts, zz_inserts)
     return out, report

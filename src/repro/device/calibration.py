@@ -42,11 +42,10 @@ class QubitParams:
             error compensation cannot (paper Fig. 3c discussion).
         parity_delta: charge-parity splitting (GHz); its sign flips randomly
             shot to shot (paper eq. 6, Fig. 4b).
-        readout_error: mean assignment-error probability; the expectation
-            paths treat it symmetrically, while the sampled-counts readout
-            path (``repro.sim.readout``) splits it by ``readout_asymmetry``.
-        readout_asymmetry: relative excess of the ``1 -> 0`` error over the
-            ``0 -> 1`` error (excited-state relaxation during readout).
+        readout_error: mean assignment-error probability. No noise path
+            reads it: the engines emulate readout-corrected results. It stays
+            because :func:`synthetic_device` draws it, and dropping the draw
+            would shift the device's random stream.
         p1: depolarizing probability per physical single-qubit gate.
         measure_stark: Z rate (GHz) induced on this qubit's neighbors while
             it is being read out — the readout drive's Stark shift, the
@@ -59,7 +58,6 @@ class QubitParams:
     quasistatic_sigma: float = 4.0 * KHZ
     parity_delta: float = 1.0 * KHZ
     readout_error: float = 0.015
-    readout_asymmetry: float = 0.3
     p1: float = 2.5e-4
     measure_stark: float = 40.0 * KHZ
 

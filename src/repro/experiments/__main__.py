@@ -42,7 +42,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -131,9 +131,8 @@ def _table1(quick: bool):
     return run_table1(depth=4 if quick else 8, shots=24 if quick else 48)
 
 
-#: Each runner returns a result object exposing ``rows()`` (text report;
-#: ``formatted()`` is accepted as an alias) and ``to_json()`` (the Sweep
-#: serialization behind ``--json``).
+#: Each runner returns a result object exposing ``rows()`` (text report) and
+#: ``to_json()`` (the Sweep serialization behind ``--json``).
 EXPERIMENTS: Dict[str, Callable] = {
     "fig3": _fig3,
     "fig4": _fig4,
@@ -144,16 +143,6 @@ EXPERIMENTS: Dict[str, Callable] = {
     "fig10": _fig10,
     "table1": _table1,
 }
-
-
-def _render(result) -> List[str]:
-    # Table1Result's ``rows`` is a data field; its report method is
-    # ``formatted()``. Everything else exposes ``rows()``.
-    for attr in ("rows", "formatted"):
-        method = getattr(result, attr, None)
-        if callable(method):
-            return method()
-    raise TypeError(f"{type(result).__name__} has no report method")
 
 
 def main(argv=None) -> int:
@@ -232,7 +221,7 @@ def main(argv=None) -> int:
         print(f"=== {name} ===")
         start = time.time()
         result = EXPERIMENTS[name](args.quick)
-        for line in _render(result):
+        for line in result.rows():
             print(line)
         print(f"({time.time() - start:.1f} s)", file=sys.stderr)
         print()

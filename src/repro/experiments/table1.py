@@ -44,7 +44,7 @@ class TableRow:
 
 @dataclass
 class Table1Result:
-    rows: List[TableRow] = field(default_factory=list)
+    entries: List[TableRow] = field(default_factory=list)
     sweep: Optional[SweepResult] = None
     nnn: Optional[NNNResult] = None
 
@@ -61,18 +61,18 @@ class Table1Result:
                     "residual_ec": row.residual_ec,
                     "residual_dd": row.residual_dd,
                 }
-                for row in self.rows
+                for row in self.entries
             ],
             "sweep": self.sweep.to_json() if self.sweep else None,
             "nnn": self.nnn.to_json() if self.nnn else None,
         }
 
-    def formatted(self) -> List[str]:
+    def rows(self) -> List[str]:
         header = (
             f"{'error':<14s} {'source':<22s} {'bare':>7s} {'EC':>7s} {'DD':>7s}"
         )
         lines = [header, "-" * len(header)]
-        for row in self.rows:
+        for row in self.entries:
             ec = f"{row.residual_ec:.3f}" if row.residual_ec is not None else "  n/a"
             dd = f"{row.residual_dd:.3f}" if row.residual_dd is not None else "  n/a"
             lines.append(
@@ -149,27 +149,27 @@ def run_table1(depth: int = 8, shots: int = 64, seed: int = 8001) -> Table1Resul
     residual = {name: 1.0 - swept[name].values["f"] for name in measurements}
 
     result = Table1Result(sweep=swept)
-    result.rows.append(
+    result.entries.append(
         TableRow(
             "Z+ZZ (idle)", "always-on coupling", True, True,
             residual["idle/none"], residual["idle/ca_ec"],
             residual["idle/staggered_dd"],
         )
     )
-    result.rows.append(
+    result.entries.append(
         TableRow(
             "ZZ (active)", "always-on coupling", True, False,
             residual["active/none"], residual["active/ca_ec"], None,
         )
     )
-    result.rows.append(
+    result.entries.append(
         TableRow(
             "Stark Z", "neighboring gate", True, True,
             residual["stark/none"], residual["stark/ca_ec"],
             residual["stark/ca_dd"],
         )
     )
-    result.rows.append(
+    result.entries.append(
         TableRow(
             "Slow Z", "quasi-particles", False, True,
             residual["parity/none"], residual["parity/ca_ec"],
@@ -185,10 +185,10 @@ def run_table1(depth: int = 8, shots: int = 64, seed: int = 8001) -> Table1Resul
     bare = 1.0 - nnn.curves["none"][0]
     staggered = 1.0 - nnn.curves["staggered"][0]
     walsh = 1.0 - nnn.curves["walsh"][0]
-    result.rows.append(
+    result.entries.append(
         TableRow("NNN ZZ", "freq. collisions", False, True, bare, None, walsh)
     )
-    result.rows.append(
+    result.entries.append(
         TableRow("NNN ZZ(2col)", "freq. collisions", False, False, bare, None, staggered)
     )
     return result

@@ -50,9 +50,12 @@ class TwirlRecord:
 
 
 def sample_layer_twirl(
-    moment: Moment, num_qubits: int, rng: np.random.Generator, twirl_idle: bool = True
+    moment: Moment, num_qubits: int, rng: np.random.Generator
 ) -> Dict[int, Tuple[str, str]]:
-    """Sample (pre, post) Pauli labels for every qubit of one 2q layer."""
+    """Sample (pre, post) Pauli labels for every qubit of one 2q layer.
+
+    Idle qubits get a self-inverse twirl ``(p, p)``.
+    """
     frame: Dict[int, Tuple[str, str]] = {}
     for inst in moment:
         if inst.gate.num_qubits != 2:
@@ -71,19 +74,17 @@ def sample_layer_twirl(
             frame[b] = (p, p)
         else:
             raise ValueError(f"cannot twirl two-qubit gate {name!r}")
-    if twirl_idle:
-        occupied = moment.qubits
-        for q in range(num_qubits):
-            if q not in occupied:
-                p = _PAULI_LABELS[rng.integers(4)]
-                frame[q] = (p, p)
+    occupied = moment.qubits
+    for q in range(num_qubits):
+        if q not in occupied:
+            p = _PAULI_LABELS[rng.integers(4)]
+            frame[q] = (p, p)
     return frame
 
 
 def apply_twirl(
     circuit: Circuit,
     seed: SeedLike = None,
-    twirl_idle: bool = True,
 ) -> Tuple[Circuit, TwirlRecord]:
     """Insert one random Pauli twirl into a stratified circuit.
 
@@ -99,7 +100,7 @@ def apply_twirl(
     for index, moment in enumerate(out.moments):
         if layer_kind(moment) != "2q":
             continue
-        frame = sample_layer_twirl(moment, out.num_qubits, rng, twirl_idle)
+        frame = sample_layer_twirl(moment, out.num_qubits, rng)
         record.frames[index] = frame
         for qubit, (pre, post) in frame.items():
             if pre != "I":

@@ -6,20 +6,20 @@ Between every crosstalk pair the always-on interaction
 
 acts whenever the pair is not engaged in a common (calibrated) two-qubit
 gate, producing the error ``U11 = Rzz(theta) [Rz(-theta) (x) Rz(-theta)]``
-with ``theta = 2 pi nu tau`` (eq. 2). Gate drives add AC Stark Z shifts on
-neighbors, and per-shot detunings (quasi-static + charge parity) add further
-Z phase. Every term is modulated by the qubits' sign trajectories, so echo
-pulses and DD sequences refocus exactly the right contributions.
+with ``theta = 2 pi nu tau`` (eq. 2). Two-qubit gate drives and readout
+drives add AC Stark Z shifts on neighbors, and per-shot detunings
+(quasi-static + charge parity) add further Z phase. Every term is modulated
+by the qubits' sign trajectories, so echo pulses and DD sequences refocus
+exactly the right contributions.
 
 The same function serves the simulator (full noise) and CA-EC (static part
-only, by passing zero detunings).
+only, by passing no detunings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
-
 
 from ..device.calibration import Device
 from ..utils.units import TWO_PI
@@ -57,9 +57,6 @@ def accumulate_coherent(
     timeline: MomentTimeline,
     device: Device,
     detunings: Optional[Sequence[float]] = None,
-    include_zz: bool = True,
-    include_stark: bool = True,
-    stark_from_1q: bool = False,
 ) -> CoherentAccumulation:
     """Coherent error angles of one moment.
 
@@ -68,49 +65,42 @@ def accumulate_coherent(
         device: calibration (ZZ rates, Stark shifts).
         detunings: optional per-qubit additional Z rates in GHz (per-shot
             noise); ``None`` means zero (the compiler's view).
-        include_zz / include_stark: toggles for ablations.
-        stark_from_1q: also count physical 1q drives as Stark sources.
     """
     acc = CoherentAccumulation()
     duration = timeline.duration
     if duration <= 0.0:
         return acc
 
-    if include_zz:
-        for a, b in device.crosstalk_edges():
-            if _key(a, b) in timeline.gate_pairs:
-                continue  # calibrated into the gate itself
-            nu = device.zz_rate(a, b)
-            if nu == 0.0:
-                continue
-            theta = TWO_PI * nu * duration
-            f_ab = timeline.pair_sign_integral(a, b)
-            f_a = timeline.sign_integral(a)
-            f_b = timeline.sign_integral(b)
-            acc.add_zz(a, b, theta * f_ab)
-            acc.add_z(a, -theta * f_a)
-            acc.add_z(b, -theta * f_b)
+    for a, b in device.crosstalk_edges():
+        if _key(a, b) in timeline.gate_pairs:
+            continue  # calibrated into the gate itself
+        nu = device.zz_rate(a, b)
+        if nu == 0.0:
+            continue
+        theta = TWO_PI * nu * duration
+        f_ab = timeline.pair_sign_integral(a, b)
+        f_a = timeline.sign_integral(a)
+        f_b = timeline.sign_integral(b)
+        acc.add_zz(a, b, theta * f_ab)
+        acc.add_z(a, -theta * f_a)
+        acc.add_z(b, -theta * f_b)
 
-    if include_stark:
-        sources = set(timeline.driven)
-        if stark_from_1q:
-            sources |= timeline.driven_1q
-        for p in sources:
-            for q in device.topology.neighbors(p):
-                if _key(p, q) in timeline.gate_pairs:
-                    continue
-                rate = device.stark_shift(p, q)
-                if rate == 0.0:
-                    continue
-                acc.add_z(q, TWO_PI * rate * duration * timeline.sign_integral(q))
-        # Readout drives Stark-shift the measured qubit's neighbors for the
-        # whole measurement window (dominant in dynamic circuits, Fig. 9).
-        for m in timeline.measured:
-            rate = device.qubit(m).measure_stark
+    for p in timeline.driven:
+        for q in device.topology.neighbors(p):
+            if _key(p, q) in timeline.gate_pairs:
+                continue
+            rate = device.stark_shift(p, q)
             if rate == 0.0:
                 continue
-            for q in device.topology.neighbors(m):
-                acc.add_z(q, TWO_PI * rate * duration * timeline.sign_integral(q))
+            acc.add_z(q, TWO_PI * rate * duration * timeline.sign_integral(q))
+    # Readout drives Stark-shift the measured qubit's neighbors for the
+    # whole measurement window (dominant in dynamic circuits, Fig. 9).
+    for m in timeline.measured:
+        rate = device.qubit(m).measure_stark
+        if rate == 0.0:
+            continue
+        for q in device.topology.neighbors(m):
+            acc.add_z(q, TWO_PI * rate * duration * timeline.sign_integral(q))
 
     if detunings is not None:
         for q, rate in enumerate(detunings):

@@ -227,9 +227,7 @@ class DensityExecutor:
         # The coherent phases carry no sampled detuning here, so each
         # moment's accumulation is static and shared by every branch.
         self._static_acc: List[Optional[CoherentAccumulation]] = [
-            accumulate_coherent(
-                tl, device, detunings=None, stark_from_1q=self.options.stark_from_1q
-            )
+            accumulate_coherent(tl, device)
             if self.options.coherent
             else None
             for tl in self._timelines

@@ -12,9 +12,8 @@ depolarizing events) and evolves a pure state through the scheduled circuit:
    are applied;
 5. gate-depolarizing events are sampled per physical gate.
 
-Expectation values are computed exactly on each trajectory (emulating the
-readout-corrected results the paper reports); sampled readout with
-assignment errors is available for probability-type experiments.
+Expectation values and bitstring probabilities are computed exactly on
+each trajectory, emulating the readout-corrected results the paper reports.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ class SimOptions:
     dephasing: bool = True
     amplitude_damping: bool = True
     gate_errors: bool = True
-    readout_errors: bool = False
-    stark_from_1q: bool = False
 
     def with_seed(self, seed: SeedLike) -> "SimOptions":
         from dataclasses import replace
@@ -125,9 +122,7 @@ class Executor:
         # Static coherent accumulation is shot-independent; per-shot detuning
         # contributions are added on top of a cached copy.
         self._static_acc: List[CoherentAccumulation] = [
-            accumulate_coherent(
-                tl, device, detunings=None, stark_from_1q=self.options.stark_from_1q
-            )
+            accumulate_coherent(tl, device)
             if self.options.coherent
             else CoherentAccumulation()
             for tl in self._timelines
@@ -246,10 +241,7 @@ class Executor:
         for _ in range(count):
             state, _clbits = self._run_trajectory(rng)
             for key, pauli in observables.items():
-                value = state.expectation_pauli(pauli)
-                if self.options.readout_errors:
-                    value *= self._readout_attenuation(pauli)
-                samples[key].append(value)
+                samples[key].append(state.expectation_pauli(pauli))
         return _aggregate(samples, count)
 
     def probabilities(
@@ -265,34 +257,8 @@ class Executor:
         for _ in range(count):
             state, _clbits = self._run_trajectory(rng)
             for key, bits in targets.items():
-                if self.options.readout_errors:
-                    samples[key].append(self._noisy_bit_probability(state, bits))
-                else:
-                    samples[key].append(state.probability_of_bitstring(bits))
+                samples[key].append(state.probability_of_bitstring(bits))
         return _aggregate(samples, count)
-
-    def _readout_attenuation(self, pauli: Pauli) -> float:
-        factor = 1.0
-        for q in range(pauli.num_qubits):
-            if pauli.factor(q) != "I":
-                factor *= 1.0 - 2.0 * self.device.qubit(q).readout_error
-        return factor
-
-    def _noisy_bit_probability(self, state: StateVector, bits: Dict[int, int]) -> float:
-        """Exact probability including independent assignment flips."""
-        qubits = sorted(bits)
-        total = 0.0
-        for outcome in range(1 << len(qubits)):
-            actual = {q: (outcome >> i) & 1 for i, q in enumerate(qubits)}
-            p = state.probability_of_bitstring(actual)
-            if p == 0.0:
-                continue
-            weight = 1.0
-            for q in qubits:
-                r = self.device.qubit(q).readout_error
-                weight *= (1.0 - r) if actual[q] == bits[q] else r
-            total += p * weight
-        return total
 
 
 def _apply_decay_jump(state: StateVector, qubit: int) -> None:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Set, Tuple
 
 from ..circuits.circuit import Moment
-from ..circuits.gates import VIRTUAL_GATES
 
 Edge = Tuple[int, int]
 
@@ -85,8 +84,6 @@ class MomentTimeline:
             ZZ is part of the calibrated gate and is not accumulated.
         driven: qubits actively driven by a 2q gate (sources of Stark shift
             on their neighbors).
-        driven_1q: qubits driven by a physical 1q gate (weaker Stark source,
-            off by default in the noise model).
         measured: qubits measured in this moment.
     """
 
@@ -94,7 +91,6 @@ class MomentTimeline:
     flips: Dict[int, Tuple[float, ...]]
     gate_pairs: Set[Edge] = field(default_factory=set)
     driven: Set[int] = field(default_factory=set)
-    driven_1q: Set[int] = field(default_factory=set)
     measured: Set[int] = field(default_factory=set)
 
     def flips_of(self, qubit: int) -> Tuple[float, ...]:
@@ -118,7 +114,6 @@ def build_timeline(moment: Moment, num_qubits: int, duration: float) -> MomentTi
     flips: Dict[int, Tuple[float, ...]] = {}
     gate_pairs: Set[Edge] = set()
     driven: Set[int] = set()
-    driven_1q: Set[int] = set()
     measured: Set[int] = set()
     for inst in moment:
         gate = inst.gate
@@ -128,8 +123,6 @@ def build_timeline(moment: Moment, num_qubits: int, duration: float) -> MomentTi
         if gate.num_qubits == 2:
             gate_pairs.add(_key(*inst.qubits))
             driven.update(inst.qubits)
-        elif gate.num_qubits == 1 and not gate.is_delay and gate.name not in VIRTUAL_GATES:
-            driven_1q.add(inst.qubits[0])
         if gate.flip_fractions:
             for qubit, fractions in zip(inst.qubits, gate.flip_fractions):
                 if fractions:
@@ -139,6 +132,5 @@ def build_timeline(moment: Moment, num_qubits: int, duration: float) -> MomentTi
         flips=flips,
         gate_pairs=gate_pairs,
         driven=driven,
-        driven_1q=driven_1q,
         measured=measured,
     )

@@ -551,21 +551,6 @@ class VectorizedExecutor(Executor):
         sel = np.ascontiguousarray(psi[:, mask])
         return np.sum(np.abs(sel) ** 2, axis=1)
 
-    def _noisy_bit_prob_rows(
-        self, psi: np.ndarray, bits: Dict[int, int]
-    ) -> np.ndarray:
-        qubits = sorted(bits)
-        total = np.zeros(psi.shape[0])
-        for outcome in range(1 << len(qubits)):
-            actual = {q: (outcome >> i) & 1 for i, q in enumerate(qubits)}
-            p = self._bitstring_prob_rows(psi, actual)
-            weight = 1.0
-            for q in qubits:
-                r = self.device.qubit(q).readout_error
-                weight *= (1.0 - r) if actual[q] == bits[q] else r
-            total += p * weight
-        return total
-
     # -- sharded entry points --------------------------------------------------
 
     def _chunk_sizes(self, count: int, workers: int) -> List[int]:
@@ -631,13 +616,10 @@ class VectorizedExecutor(Executor):
         """Batched, bit-identical twin of ``Executor.expectations``."""
 
         def contract(psi: np.ndarray) -> Dict[str, np.ndarray]:
-            out = {}
-            for key, pauli in observables.items():
-                values = self._expectation_rows(psi, pauli)
-                if self.options.readout_errors:
-                    values = values * self._readout_attenuation(pauli)
-                out[key] = values
-            return out
+            return {
+                key: self._expectation_rows(psi, pauli)
+                for key, pauli in observables.items()
+            }
 
         return self._run_batched(contract, shots, seed, workers)
 
@@ -651,11 +633,6 @@ class VectorizedExecutor(Executor):
         """Batched, bit-identical twin of ``Executor.probabilities``."""
 
         def contract(psi: np.ndarray) -> Dict[str, np.ndarray]:
-            if self.options.readout_errors:
-                return {
-                    key: self._noisy_bit_prob_rows(psi, bits)
-                    for key, bits in targets.items()
-                }
             return {
                 key: self._bitstring_prob_rows(psi, bits)
                 for key, bits in targets.items()

@@ -160,15 +160,6 @@ class TestBlockedPaths:
         blocked_edges = {edge for _i, edge, _t, _r in report.blocked}
         assert (0, 2) in blocked_edges
 
-    def test_allow_explicit_false_blocks(self, chain2):
-        circ = Circuit(2)
-        circ.append_moment([])
-        circ.delay(500.0, 0, new_moment=True)
-        circ.delay(500.0, 1)
-        circ.append_moment([])
-        _compensated, report = apply_ca_ec(circ, chain2, allow_explicit=False)
-        assert len(report.blocked) >= 1
-
 
 class TestInsertions:
     def test_z_compensations_are_virtual(self, chain2):
@@ -205,13 +196,14 @@ class TestInsertions:
         )
         assert 0.0 < rzz.gate.error_scale < 1.0
 
-    def test_min_angle_skips_tiny_errors(self, chain2):
+    def test_min_angle_skips_tiny_errors(self, chain2, monkeypatch):
+        monkeypatch.setattr("repro.compiler.ca_ec.DEFAULT_MIN_ANGLE", 100.0)
         circ = Circuit(2)
         circ.append_moment([])
         circ.delay(500.0, 0, new_moment=True)
         circ.delay(500.0, 1)
         circ.append_moment([])
-        _compensated, report = apply_ca_ec(circ, chain2, min_angle=100.0)
+        _compensated, report = apply_ca_ec(circ, chain2)
         assert report.z_compensations == 0
         assert report.zz_total == 0
 

@@ -1,5 +1,6 @@
 """Coherent accumulation tests (paper eqs. 1-3)."""
 
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,15 @@ def device():
 
 def timeline_for(circ, num_qubits, duration):
     return build_timeline(circ.moments[0], num_qubits, duration)
+
+
+def without_gate_stark(device):
+    """A copy of ``device`` whose gate drives induce no Stark shift."""
+    pairs = {
+        edge: replace(params, stark_on_first=0.0, stark_on_second=0.0)
+        for edge, params in device.pairs.items()
+    }
+    return replace(device, pairs=pairs)
 
 
 class TestIdlePair:
@@ -54,7 +64,7 @@ class TestGateContexts:
         circ = Circuit(3)
         circ.ecr(1, 2)
         tl = timeline_for(circ, 3, 500.0)
-        acc = accumulate_coherent(tl, device, include_stark=False)
+        acc = accumulate_coherent(tl, without_gate_stark(device))
         assert acc.zz.get((0, 1), 0.0) == pytest.approx(0.0, abs=1e-12)
         # ...but the spectator's local Z from the coupling survives.
         assert abs(acc.z[0]) > 0.0
@@ -63,8 +73,8 @@ class TestGateContexts:
         circ = Circuit(3)
         circ.ecr(1, 2)
         tl = timeline_for(circ, 3, 500.0)
-        with_stark = accumulate_coherent(tl, device, include_stark=True)
-        without = accumulate_coherent(tl, device, include_stark=False)
+        with_stark = accumulate_coherent(tl, device)
+        without = accumulate_coherent(tl, without_gate_stark(device))
         shift = TWO_PI * device.stark_shift(1, 0) * 500.0
         assert with_stark.z[0] - without.z[0] == pytest.approx(shift)
 
@@ -101,13 +111,6 @@ class TestDetunings:
 
 
 class TestToggles:
-    def test_include_zz_false(self, device):
-        circ = Circuit(2)
-        circ.delay(500.0, 0)
-        tl = timeline_for(circ, 2, 500.0)
-        acc = accumulate_coherent(tl, device.subdevice([0, 1]), include_zz=False)
-        assert not acc.zz
-
     def test_accumulation_helpers(self):
         from repro.sim.coherent import CoherentAccumulation
 

@@ -1,6 +1,7 @@
 """Density-matrix simulator tests, including cross-validation against the
 trajectory executor."""
 
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -111,8 +112,6 @@ class TestCrossValidation:
             assert dens[key] == pytest.approx(traj[key], abs=1e-10)
 
     def test_dephasing_channel_agreement(self, device):
-        from dataclasses import replace
-
         qubits = [replace(q, t2=3000.0, t1=float("inf")) for q in device.qubits]
         device = replace(device, qubits=qubits)
         circ = Circuit(3)
@@ -142,8 +141,6 @@ class TestCrossValidation:
 
     def test_quasistatic_single_window_agreement(self, device):
         """One idle window: the Gaussian average is exact for both."""
-        from dataclasses import replace
-
         qubits = [
             replace(
                 q, quasistatic_sigma=2e-5, parity_delta=0.0,
@@ -243,12 +240,7 @@ def _per_moment_run(eng):
         for branch in branches:
             state = branch.state
             if opts.coherent:
-                state.apply_phases(
-                    accumulate_coherent(
-                        timeline, device, detunings=None,
-                        stark_from_1q=opts.stark_from_1q,
-                    )
-                )
+                state.apply_phases(accumulate_coherent(timeline, device))
             if opts.coherent and opts.stochastic and sm.duration > 0.0:
                 for q in range(n):
                     f = timeline.sign_integral(q)
@@ -335,8 +327,7 @@ class TestNoisePlanDriven:
 
         options = SimOptions(
             shots=1, coherent=True, stochastic=True, dephasing=True,
-            amplitude_damping=True, gate_errors=True, readout_errors=True,
-            stark_from_1q=True,
+            amplitude_damping=True, gate_errors=True,
         )
         engine = DensityExecutor(
             schedule(self._circuit(), device.durations), device, options
@@ -351,3 +342,34 @@ class TestNoisePlanDriven:
             assert a.weight == b.weight
             assert a.clbits == b.clbits
             assert a.state.matrix.tobytes() == b.state.matrix.tobytes()
+
+
+class TestReadsEveryOption:
+    """Every noise toggle of ``SimOptions`` reaches the density engine."""
+
+    @staticmethod
+    def _p00(options):
+        device = synthetic_device(linear_chain(2), seed=88)
+        circ = Circuit(2)
+        circ.h(0)
+        circ.h(1)
+        circ.delay(3000.0, 0, new_moment=True)
+        circ.delay(3000.0, 1)
+        circ.ecr(0, 1, new_moment=True)
+        circ.h(0, new_moment=True)
+        circ.h(1)
+        task = Task(circ, bit_targets={"p00": {0: 0, 1: 0}})
+        return run(task, device, backend="density", options=options)[0]["p00"]
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            f.name
+            for f in fields(SimOptions)
+            if isinstance(getattr(SimOptions(), f.name), bool)
+        ],
+    )
+    def test_flipping_a_toggle_changes_the_value(self, name):
+        default = SimOptions(shots=1)
+        flipped = replace(default, **{name: not getattr(default, name)})
+        assert self._p00(flipped) != self._p00(default)

@@ -115,37 +115,6 @@ class TestStochasticChannels:
         assert abs(with_noise["x"]) < abs(coherent_only["x"]) + 0.05
 
 
-class TestReadout:
-    def test_readout_attenuation_on_expectations(self, chain2):
-        circ = Circuit(2)
-        circ.h(0)
-        opts_clean = SimOptions(
-            shots=1, coherent=False, stochastic=False, dephasing=False,
-            amplitude_damping=False, gate_errors=False, seed=0,
-        )
-        from dataclasses import replace as dreplace
-
-        opts_noisy = dreplace(opts_clean, readout_errors=True)
-        task = Task(circ, observables={"x": "IX"})
-        clean = run(task, chain2, options=opts_clean)[0]
-        noisy = run(task, chain2, options=opts_noisy)[0]
-        r = chain2.qubit(0).readout_error
-        assert noisy["x"] == pytest.approx(clean["x"] * (1 - 2 * r))
-
-    def test_noisy_bit_probability(self, chain2):
-        circ = Circuit(2)
-        opts = SimOptions(
-            shots=1, coherent=False, stochastic=False, dephasing=False,
-            amplitude_damping=False, gate_errors=False, readout_errors=True,
-            seed=0,
-        )
-        res = run(Task(circ, bit_targets={"p00": {0: 0, 1: 0}}), chain2, options=opts)[0]
-        expected = (1 - chain2.qubit(0).readout_error) * (
-            1 - chain2.qubit(1).readout_error
-        )
-        assert res["p00"] == pytest.approx(expected)
-
-
 class TestAggregation:
     def test_errors_reported(self, chain2, noisy_options):
         circ = Circuit(2)

@@ -108,10 +108,10 @@ class TestFig10:
 class TestTable1:
     def test_pattern(self):
         result = run_table1(depth=4, shots=24)
-        rows = {r.error: r for r in result.rows}
+        rows = {r.error: r for r in result.entries}
         idle = rows["Z+ZZ (idle)"]
         assert idle.residual_ec < idle.residual_none
         assert idle.residual_dd < idle.residual_none
         parity = rows["Slow Z"]
         assert parity.residual_dd < parity.residual_ec  # EC can't fix slow Z
-        assert result.formatted()
+        assert result.rows()

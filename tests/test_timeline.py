@@ -108,18 +108,6 @@ class TestBuildTimeline:
         tl = build_timeline(circ.moments[0], 2, 4000.0)
         assert tl.measured == {0}
 
-    def test_virtual_gates_not_driven(self):
-        circ = Circuit(1)
-        circ.rz(0.4, 0)
-        tl = build_timeline(circ.moments[0], 1, 0.0)
-        assert tl.driven_1q == set()
-
-    def test_physical_1q_gate_is_driven(self):
-        circ = Circuit(1)
-        circ.sx(0)
-        tl = build_timeline(circ.moments[0], 1, 50.0)
-        assert tl.driven_1q == {0}
-
     def test_canonical_gate_footprint(self):
         circ = Circuit(2)
         circ.can(0.1, 0.2, 0.3, 0, 1)

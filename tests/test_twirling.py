@@ -62,16 +62,11 @@ class TestRecord:
 
     def test_idle_qubits_twirled_with_self_inverse(self):
         circ = ecr_circuit()
-        _twirled, record = apply_twirl(circ, seed=0, twirl_idle=True)
+        _twirled, record = apply_twirl(circ, seed=0)
         frame = record.frames[1]
         # Qubit 2 idles in the first ECR layer: pre == post.
         pre, post = frame[2]
         assert pre == post
-
-    def test_twirl_idle_false_skips_idles(self):
-        circ = ecr_circuit()
-        _twirled, record = apply_twirl(circ, seed=0, twirl_idle=False)
-        assert 2 not in record.frames[1]
 
     def test_default_labels_identity(self):
         circ = ecr_circuit()

@@ -5,7 +5,7 @@ The load-bearing guarantees:
 * ``backend="vectorized"`` reproduces ``backend="trajectory"`` **bit for
   bit** — same seeds, same draws, same floats — for every named strategy,
   for orientation pipelines, for dynamic (measure + conditioned) circuits,
-  for readout-error models, and for every noise-toggle combination;
+  and for every noise-toggle combination;
 * sharding is invisible: any ``workers`` count and chunk size produces
   identical values (the property the scale-out story rests on); chunk
   sizes are forced by shrinking the module's ``_CHUNK_AMPLITUDES`` budget;
@@ -112,16 +112,6 @@ class TestBitForBitParity:
         task = Task(dynamic_circuit(), bit_targets={"p1": {1: 1}}, seed=8)
         assert_identical(*both(task, chain2, SimOptions(shots=32)))
 
-    def test_readout_error_expectations(self, chain4):
-        task = Task(layered_circuit(), observables=OBS, seed=9)
-        options = SimOptions(shots=16, readout_errors=True)
-        assert_identical(*both(task, chain4, options))
-
-    def test_readout_error_probabilities(self, chain2):
-        task = Task(dynamic_circuit(), bit_targets={"p1": {1: 1}}, seed=8)
-        options = SimOptions(shots=32, readout_errors=True)
-        assert_identical(*both(task, chain2, options))
-
     @pytest.mark.parametrize(
         "off",
         ["coherent", "stochastic", "dephasing", "amplitude_damping", "gate_errors"],
@@ -193,7 +183,7 @@ class TestHeavyTriggering:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [1, None])
     def test_parity(self, noisy4, monkeypatch, chunk, workers):
-        options = SimOptions(shots=12, readout_errors=True)
+        options = SimOptions(shots=12)
         if chunk is not None:
             chunk_rows(monkeypatch, chunk)
         tasks = [
