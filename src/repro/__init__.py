@@ -101,7 +101,7 @@ from .runtime import (
 )
 from .sim import SimOptions, SimResult
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "Circuit",

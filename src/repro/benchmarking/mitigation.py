@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 @dataclass(frozen=True)
@@ -43,6 +42,9 @@ def fit_global_depolarizing(
     For fixed ``lambda`` the optimal ``A`` is a closed-form projection, so
     only ``lambda`` is optimized numerically over ``(0, 1]``.
     """
+    # Imported here so that ``import repro`` does not load SciPy.
+    from scipy.optimize import minimize_scalar
+
     depths = np.asarray(depths, dtype=float)
     measured = np.asarray(measured, dtype=float)
     ideal = np.asarray(ideal, dtype=float)

@@ -1,6 +1,6 @@
 """Context-aware compiler: CA-DD (Algorithm 1), CA-EC (Algorithm 2), baselines."""
 
-from .ca_dd import CADDReport, IdleInterval, apply_ca_dd, pinned_colors, select_joint_windows
+from .ca_dd import CADDReport, apply_ca_dd, pinned_colors
 from .ca_ec import CAECReport, apply_ca_ec
 from .coloring import CONTROL_COLOR, TARGET_COLOR, ColoringResult, color_idle_group, colors_used
 from .dd import (
@@ -16,10 +16,8 @@ from .walsh import max_sequency, orthogonal, pulse_count, walsh_fractions, walsh
 
 __all__ = [
     "CADDReport",
-    "IdleInterval",
     "apply_ca_dd",
     "pinned_colors",
-    "select_joint_windows",
     "CAECReport",
     "apply_ca_ec",
     "CONTROL_COLOR",

@@ -4,12 +4,10 @@ Four phases:
 
 1. ``BuildInteractionGraph`` — crosstalk graph from device calibration
    (coupling edges plus collision-enhanced NNN pairs).
-2. ``CollectJointDelays`` — idle periods long enough to dress, grouped when
-   adjacent on the crosstalk graph and overlapping in time. With the
+2. ``CollectJointDelays`` — idle periods long enough to dress. With the
    library's layer-aligned scheduler every moment is already a maximal
-   aligned window; :func:`select_joint_windows` implements the paper's
-   greedy maximal-window splitting for general (unaligned) interval sets
-   and is exercised by the layered case as a special case.
+   aligned window, so each moment at least ``min_duration`` long is one
+   joint delay group.
 3. ``ColorGraph`` — greedy coloring of each group with ECR-imposed pins:
    controls are sequency 1 (their echo), targets sequency 2 (their rotary),
    so a control's spectator never shares the control's pattern and a
@@ -21,9 +19,7 @@ Four phases:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, List, Tuple
 
 from ..circuits.circuit import Circuit, Moment
 from ..circuits.schedule import schedule
@@ -32,73 +28,6 @@ from ..device.crosstalk import build_crosstalk_graph
 from .coloring import CONTROL_COLOR, TARGET_COLOR, ColoringResult, color_idle_group
 from .dd import DEFAULT_MIN_DURATION, _idle_qubits, _insert_dd
 from .walsh import walsh_fractions
-
-
-@dataclass(frozen=True)
-class IdleInterval:
-    """One qubit's idle window: ``[start, end)`` in ns."""
-
-    qubit: int
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def overlaps(self, other: "IdleInterval") -> bool:
-        return self.start < other.end and other.start < self.end
-
-
-def select_joint_windows(
-    intervals: Sequence[IdleInterval],
-    adjacency: nx.Graph,
-    min_duration: float,
-) -> List[List[IdleInterval]]:
-    """The paper's CollectJointDelays (Algorithm 1, lines 6-19).
-
-    Intervals are greedily grouped when overlapping in time and adjacent on
-    the crosstalk graph; each group is then split recursively around the
-    window covering the most jointly idling qubits.
-    """
-    eligible = [iv for iv in intervals if iv.duration >= min_duration]
-    groups = _group_intervals(eligible, adjacency)
-    selected: List[List[IdleInterval]] = []
-    pending = list(groups)
-    while pending:
-        group = pending.pop()
-        if not group:
-            continue
-        window = max(group, key=lambda iv: _joint_count(iv, group))
-        joint = [iv for iv in group if iv.overlaps(window)]
-        rest = [iv for iv in group if not iv.overlaps(window)]
-        selected.append(joint)
-        if rest:
-            pending.extend(_group_intervals(rest, adjacency))
-    return selected
-
-
-def _joint_count(window: IdleInterval, group: Sequence[IdleInterval]) -> int:
-    return sum(1 for iv in group if iv.overlaps(window))
-
-
-def _group_intervals(
-    intervals: Sequence[IdleInterval], adjacency: nx.Graph
-) -> List[List[IdleInterval]]:
-    """Connected components under (time overlap AND crosstalk adjacency)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(intervals)))
-    for i, a in enumerate(intervals):
-        for j in range(i + 1, len(intervals)):
-            b = intervals[j]
-            same_qubit = a.qubit == b.qubit
-            adjacent = adjacency.has_edge(a.qubit, b.qubit) or same_qubit
-            if adjacent and a.overlaps(b):
-                graph.add_edge(i, j)
-    return [
-        [intervals[i] for i in sorted(component)]
-        for component in nx.connected_components(graph)
-    ]
 
 
 @dataclass

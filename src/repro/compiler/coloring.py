@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
+from ..device.topology import Topology
 from .walsh import max_sequency
 
 CONTROL_COLOR = 1
@@ -43,7 +42,7 @@ class ColoringResult:
 
 def color_idle_group(
     idle_qubits: Iterable[int],
-    crosstalk: nx.Graph,
+    crosstalk: Topology,
     pinned: Optional[Dict[int, int]] = None,
     bins: int = 8,
 ) -> ColoringResult:
@@ -56,11 +55,11 @@ def color_idle_group(
     by the coloring of adjacent ECR gates".
     """
     pinned = dict(pinned or {})
-    idle = [q for q in idle_qubits if q in crosstalk]
+    idle = [q for q in idle_qubits if 0 <= q < crosstalk.num_qubits]
     result = ColoringResult(colors=dict(pinned))
 
     def constraint_level(q: int) -> Tuple[int, int]:
-        neighbors = list(crosstalk.neighbors(q))
+        neighbors = crosstalk.neighbors(q)
         pinned_nbrs = sum(1 for nb in neighbors if nb in pinned)
         return (-pinned_nbrs, -len(neighbors))
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional
 
-import networkx as nx
-
 from ..circuits import gates as g
 from ..circuits.circuit import Circuit, Instruction, Moment
 from ..circuits.schedule import schedule
@@ -113,15 +111,14 @@ def apply_staggered_dd(
 
 
 def _two_coloring(device: Device) -> Dict[int, int]:
-    graph = nx.Graph()
-    graph.add_nodes_from(range(device.num_qubits))
-    graph.add_edges_from(device.topology.edges)
+    # A qubit's color depends only on its already-colored neighbors, which
+    # share its connected component, so one ascending sweep over all qubits
+    # colors each component as if it were swept alone.
+    topology = device.topology
     colors: Dict[int, int] = {}
-    for component in nx.connected_components(graph):
-        order = sorted(component)
-        for node in order:
-            used = {colors[nb] for nb in graph.neighbors(node) if nb in colors}
-            colors[node] = 0 if 0 not in used else 1
+    for node in range(topology.num_qubits):
+        used = {colors[nb] for nb in topology.neighbors(node) if nb in colors}
+        colors[node] = 0 if 0 not in used else 1
     return colors
 
 

@@ -28,6 +28,7 @@ from ..circuits.euler import euler_angles
 from ..circuits.stratify import layer_kind
 from ..device.calibration import Device
 from ..device.crosstalk import build_crosstalk_graph
+from ..device.topology import Topology
 
 # Dressing for ECR(c,t) -> physical ECR(t,c), verified in tests:
 # pre (earlier in time): Ry(+pi/2) on c, Ry(-pi/2) on t; post: H on both.
@@ -49,7 +50,7 @@ class OrientationReport:
 
 
 def _role_conflicts(
-    gates: List[Tuple[int, int]], crosstalk, flips: List[bool]
+    gates: List[Tuple[int, int]], crosstalk: Topology, flips: List[bool]
 ) -> int:
     """Count crosstalk-adjacent same-role qubit pairs for given flips."""
     roles: Dict[int, str] = {}
@@ -66,7 +67,7 @@ def _role_conflicts(
 
 
 def choose_orientations(
-    gates: List[Tuple[int, int]], crosstalk
+    gates: List[Tuple[int, int]], crosstalk: Topology
 ) -> List[bool]:
     """Greedy orientation: flip each gate iff it reduces conflicts so far.
 

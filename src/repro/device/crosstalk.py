@@ -8,29 +8,19 @@ that no two crosstalk-graph neighbors share a Walsh sequence.
 
 from __future__ import annotations
 
-
-import networkx as nx
-
 from ..utils.units import KHZ
 from .calibration import Device
+from .topology import Topology
 
 DEFAULT_THRESHOLD = 0.5 * KHZ
 
 
 def build_crosstalk_graph(
     device: Device, threshold: float = DEFAULT_THRESHOLD
-) -> nx.Graph:
-    """Graph over qubits with ``rate`` edge attributes (GHz).
+) -> Topology:
+    """Qubit graph with an edge wherever the ZZ rate is at least ``threshold``.
 
-    Includes coupling-graph edges with ZZ above ``threshold`` and NNN pairs
-    whose characterized rate exceeds it.
+    Covers coupling-graph pairs and characterized NNN pairs alike (see
+    :meth:`Device.crosstalk_edges`).
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(range(device.num_qubits))
-    for (a, b), params in device.pairs.items():
-        if params.zz_rate >= threshold:
-            graph.add_edge(a, b, rate=params.zz_rate, kind="coupling")
-    for (a, b), rate in device.nnn_zz.items():
-        if rate >= threshold:
-            graph.add_edge(a, b, rate=rate, kind="nnn")
-    return graph
+    return Topology(device.num_qubits, device.crosstalk_edges(threshold))

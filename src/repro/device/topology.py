@@ -7,37 +7,45 @@ chains and rings for the smaller experiments.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 
 class Topology:
-    """An undirected qubit-coupling graph with contiguous integer labels."""
+    """An undirected qubit-coupling graph with contiguous integer labels.
+
+    Edges are stored once each as ``(low, high)``, so listing a pair in both
+    directions adds a single edge.
+    """
 
     def __init__(self, num_qubits: int, edges: Iterable[Tuple[int, int]]):
         self.num_qubits = int(num_qubits)
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(range(self.num_qubits))
+        self._adjacency: List[Set[int]] = [set() for _ in range(self.num_qubits)]
         for a, b in edges:
             if not (0 <= a < num_qubits and 0 <= b < num_qubits):
                 raise ValueError(f"edge ({a},{b}) out of range")
             if a == b:
                 raise ValueError(f"self-loop on qubit {a}")
-            self.graph.add_edge(*sorted((a, b)))
+            self._adjacency[a].add(b)
+            self._adjacency[b].add(a)
+        self._edges = sorted(
+            (a, b)
+            for a, nbrs in enumerate(self._adjacency)
+            for b in nbrs
+            if a < b
+        )
 
     @property
     def edges(self) -> List[Tuple[int, int]]:
-        return sorted(tuple(sorted(e)) for e in self.graph.edges)
+        return list(self._edges)
 
     def neighbors(self, qubit: int) -> List[int]:
-        return sorted(self.graph.neighbors(qubit))
+        return sorted(self._adjacency[qubit])
 
     def has_edge(self, a: int, b: int) -> bool:
-        return self.graph.has_edge(a, b)
+        return 0 <= a < self.num_qubits and b in self._adjacency[a]
 
     def degree(self, qubit: int) -> int:
-        return self.graph.degree(qubit)
+        return len(self._adjacency[qubit])
 
     def next_nearest_pairs(self) -> List[Tuple[int, int, int]]:
         """All ``(a, middle, b)`` triples with a-middle and middle-b edges."""

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 
 @dataclass
@@ -37,6 +36,9 @@ def fit_exponential_decay(
     When ``offset`` is given it is held fixed (pass ``0.0`` for decays to
     zero); otherwise it is fitted.
     """
+    # Imported here so that ``import repro`` does not load SciPy.
+    from scipy.optimize import curve_fit
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 2:

@@ -1,15 +1,9 @@
 """Context-aware DD tests (Algorithm 1)."""
 
-import networkx as nx
 import pytest
 
 from repro.circuits import Circuit, gates as g
-from repro.compiler.ca_dd import (
-    IdleInterval,
-    apply_ca_dd,
-    pinned_colors,
-    select_joint_windows,
-)
+from repro.compiler.ca_dd import apply_ca_dd, pinned_colors
 from repro.device import linear_chain, synthetic_device
 from repro.sim.timeline import pair_sign_integral
 
@@ -39,48 +33,6 @@ class TestPinnedColors:
         circ = Circuit(1, num_clbits=1)
         circ.measure(0, 0)
         assert pinned_colors(circ.moments[0]) == {0: 0}
-
-
-class TestJointWindows:
-    def _adj(self, edges, n):
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from(edges)
-        return graph
-
-    def test_groups_adjacent_overlapping(self):
-        intervals = [
-            IdleInterval(0, 0.0, 500.0),
-            IdleInterval(1, 0.0, 500.0),
-            IdleInterval(3, 0.0, 500.0),  # not adjacent to 0/1
-        ]
-        groups = select_joint_windows(intervals, self._adj([(0, 1)], 4), 100.0)
-        sizes = sorted(len(gr) for gr in groups)
-        assert sizes == [1, 2]
-
-    def test_non_overlapping_split(self):
-        intervals = [
-            IdleInterval(0, 0.0, 500.0),
-            IdleInterval(1, 600.0, 1100.0),
-        ]
-        groups = select_joint_windows(intervals, self._adj([(0, 1)], 2), 100.0)
-        assert len(groups) == 2
-
-    def test_min_duration_filter(self):
-        intervals = [IdleInterval(0, 0.0, 50.0)]
-        assert select_joint_windows(intervals, self._adj([], 1), 100.0) == []
-
-    def test_recursive_split_around_max_window(self):
-        # Three staggered intervals; the middle overlaps both ends, the ends
-        # do not overlap each other: the maximal joint window is selected
-        # first and the remainder re-grouped.
-        intervals = [
-            IdleInterval(0, 0.0, 400.0),
-            IdleInterval(1, 300.0, 900.0),
-            IdleInterval(0, 800.0, 1200.0),
-        ]
-        groups = select_joint_windows(intervals, self._adj([(0, 1)], 2), 100.0)
-        assert sum(len(gr) for gr in groups) == 3
 
 
 class TestApplyCADD:

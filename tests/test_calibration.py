@@ -6,6 +6,7 @@ import pytest
 
 from repro.device import (
     NoiseProfile,
+    build_crosstalk_graph,
     fake_brisbane,
     fake_nazca,
     fake_penguino,
@@ -93,6 +94,29 @@ class TestDeviceQueries:
         new = dev.with_pair_overrides({(0, 1): PairParams(zz_rate=0.0)})
         assert new.zz_rate(0, 1) == 0.0
         assert dev.zz_rate(0, 1) > 0.0
+
+
+class TestCrosstalkGraph:
+    def _device(self):
+        return synthetic_device(
+            linear_chain(5), seed=3, collision_triples=[(0, 1, 2), (2, 3, 4)]
+        )
+
+    def test_edges_match_device_crosstalk_edges(self):
+        dev = self._device()
+        graph = build_crosstalk_graph(dev)
+        # The collision-enhanced NNN pairs are in the graph next to the
+        # coupling edges.
+        assert {(0, 2), (2, 4)} <= set(graph.edges)
+        assert graph.num_qubits == dev.num_qubits
+        assert graph.edges == dev.crosstalk_edges()
+
+    def test_threshold_forwarded(self):
+        dev = self._device()
+        for threshold in (5.0 * KHZ, 1.0):
+            graph = build_crosstalk_graph(dev, threshold)
+            assert graph.edges == dev.crosstalk_edges(threshold)
+        assert build_crosstalk_graph(dev, 1.0).edges == []
 
 
 class TestFakeBackends:

@@ -1,42 +1,32 @@
 """Constrained graph-coloring tests (Algorithm 1, ColorGraph)."""
 
-import networkx as nx
-
 from repro.compiler.coloring import (
     CONTROL_COLOR,
     TARGET_COLOR,
     color_idle_group,
     colors_used,
 )
-
-
-def path_graph(n):
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from((i, i + 1) for i in range(n - 1))
-    return g
+from repro.device import Topology, linear_chain
 
 
 class TestBasicColoring:
     def test_isolated_qubit_gets_lowest_color(self):
-        g = nx.Graph()
-        g.add_node(0)
+        g = Topology(1, [])
         result = color_idle_group([0], g)
         assert result.colors[0] == 1
 
     def test_adjacent_idles_differ(self):
-        result = color_idle_group([0, 1, 2], path_graph(3))
+        result = color_idle_group([0, 1, 2], linear_chain(3))
         assert result.colors[0] != result.colors[1]
         assert result.colors[1] != result.colors[2]
         assert result.conflicts == []
 
     def test_chain_uses_two_colors(self):
-        result = color_idle_group(range(6), path_graph(6))
+        result = color_idle_group(range(6), linear_chain(6))
         assert colors_used(result) == 2
 
     def test_triangle_needs_three_colors(self):
-        g = nx.Graph()
-        g.add_edges_from([(0, 1), (1, 2), (0, 2)])
+        g = Topology(3, [(0, 1), (1, 2), (0, 2)])
         result = color_idle_group([0, 1, 2], g)
         assert colors_used(result) == 3
         assert result.conflicts == []
@@ -45,18 +35,18 @@ class TestBasicColoring:
 class TestPinnedConstraints:
     def test_control_spectator_avoids_control_color(self):
         """Paper Sec. IV A: the control's spectator must not share color 1."""
-        g = path_graph(2)
+        g = linear_chain(2)
         result = color_idle_group([0], g, pinned={1: CONTROL_COLOR})
         assert result.colors[0] != CONTROL_COLOR
 
     def test_target_spectator_avoids_target_color(self):
-        g = path_graph(2)
+        g = linear_chain(2)
         result = color_idle_group([0], g, pinned={1: TARGET_COLOR})
         assert result.colors[0] != TARGET_COLOR
 
     def test_spectator_between_control_and_target(self):
         # idle qubit 1 between a control (0) and a target (2).
-        g = path_graph(3)
+        g = linear_chain(3)
         result = color_idle_group(
             [1], g, pinned={0: CONTROL_COLOR, 2: TARGET_COLOR}
         )
@@ -65,7 +55,7 @@ class TestPinnedConstraints:
 
     def test_adjacent_pinned_controls_reported_as_conflict(self):
         """Case IV: two adjacent controls share color 1 -> conflict."""
-        g = path_graph(2)
+        g = linear_chain(2)
         result = color_idle_group(
             [], g, pinned={0: CONTROL_COLOR, 1: CONTROL_COLOR}
         )
@@ -73,13 +63,13 @@ class TestPinnedConstraints:
 
     def test_constrained_qubits_colored_first(self):
         """Greedy order starts at qubits constrained by pinned neighbors."""
-        g = path_graph(4)
+        g = linear_chain(4)
         result = color_idle_group([1, 2, 3], g, pinned={0: CONTROL_COLOR})
         # Qubit 1 (next to the pin) should receive the lowest non-1 color.
         assert result.colors[1] == 2
 
     def test_assigned_excludes_pinned(self):
-        g = path_graph(2)
+        g = linear_chain(2)
         result = color_idle_group([0], g, pinned={1: CONTROL_COLOR})
         assert result.assigned == [0]
 
@@ -87,6 +77,6 @@ class TestPinnedConstraints:
 class TestExhaustion:
     def test_color_exhaustion_falls_back_with_conflict(self):
         """With bins=2 only color 1 exists; a pair must conflict."""
-        g = path_graph(2)
+        g = linear_chain(2)
         result = color_idle_group([0, 1], g, bins=2)
         assert result.conflicts  # unavoidable

@@ -4,11 +4,13 @@ import pytest
 
 from repro.circuits import Circuit, schedule
 from repro.compiler.dd import (
+    _two_coloring,
     apply_aligned_dd,
     apply_dd_by_rule,
     apply_staggered_dd,
     dd_pulse_count,
 )
+from repro.device import linear_chain, ring, synthetic_device
 from repro.sim.timeline import build_timeline
 
 
@@ -84,6 +86,23 @@ class TestStaggeredDD:
         }
         for a, b in chain4.topology.edges:
             assert fracs[a] != fracs[b]
+
+
+class TestTwoColoring:
+    """Colorings recorded with the former per-connected-component sweep."""
+
+    @pytest.mark.parametrize(
+        "topology, expected",
+        [
+            (linear_chain(6), {0: 0, 1: 1, 2: 0, 3: 1, 4: 0, 5: 1}),
+            (ring(12), {q: q % 2 for q in range(12)}),
+            # Odd cycle: the greedy sweep leaves the (0, 4) pair conflicting.
+            (ring(5), {0: 0, 1: 1, 2: 0, 3: 1, 4: 1}),
+        ],
+        ids=["chain6", "ring12", "ring5"],
+    )
+    def test_matches_recorded(self, topology, expected):
+        assert _two_coloring(synthetic_device(topology, seed=1)) == expected
 
 
 class TestRulePass:

@@ -1,12 +1,11 @@
 """Gate-orientation (context-avoidance) pass tests."""
 
-import networkx as nx
 import pytest
 
 from repro.circuits import Circuit, gates as g
 from repro.compiler import apply_ca_dd, apply_orientation, choose_orientations
 from repro.compiler.orientation import compose_1q
-from repro.device import linear_chain, synthetic_device
+from repro.device import Topology, linear_chain, synthetic_device
 from repro.utils.linalg import allclose_up_to_global_phase
 
 
@@ -94,10 +93,7 @@ class TestConflictReduction:
 
 class TestChooseOrientations:
     def _graph(self, edges, n):
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from(edges)
-        return graph
+        return Topology(n, edges)
 
     def test_empty(self):
         assert choose_orientations([], self._graph([], 0)) == []
