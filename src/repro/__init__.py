@@ -10,9 +10,9 @@ entry point.
 
 Quickstart::
 
-    from repro import Circuit, Task, fake_nazca, run
+    from repro import Circuit, Task, linear_chain, run, synthetic_device
 
-    device = fake_nazca().subdevice(range(4))
+    device = synthetic_device(linear_chain(4), name="demo", seed=7)
     circuit = Circuit(4)
     ...
     batch = run(
@@ -48,7 +48,6 @@ from .circuits import (
     draw,
     gates,
     schedule,
-    stratify,
     summary,
 )
 from .compiler import (
@@ -63,11 +62,6 @@ from .compiler import (
 from .device import (
     Device,
     Topology,
-    fake_brisbane,
-    fake_nazca,
-    fake_penguino,
-    fake_sherbrooke,
-    heavy_hex,
     linear_chain,
     ring,
     synthetic_device,
@@ -101,7 +95,7 @@ from .runtime import (
 )
 from .sim import SimOptions, SimResult
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "Circuit",
@@ -112,7 +106,6 @@ __all__ = [
     "summary",
     "gates",
     "schedule",
-    "stratify",
     "STRATEGIES",
     "Strategy",
     "apply_aligned_dd",
@@ -122,11 +115,6 @@ __all__ = [
     "apply_staggered_dd",
     "Device",
     "Topology",
-    "fake_brisbane",
-    "fake_nazca",
-    "fake_penguino",
-    "fake_sherbrooke",
-    "heavy_hex",
     "linear_chain",
     "ring",
     "synthetic_device",

@@ -18,10 +18,18 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import Circuit
-from ..circuits.weyl import heisenberg_params
 from ..device.calibration import Device, NoiseProfile, synthetic_device
 from ..device.topology import ring
 from ..utils.units import KHZ
+
+
+def heisenberg_params(jx: float, jy: float, jz: float, dt: float) -> Tuple[float, float, float]:
+    """Canonical params of one Trotter step ``exp(i dt/2 (Jx XX + Jy YY + Jz ZZ))``.
+
+    Matches the paper's convention ``alpha, beta, gamma = -J_i t / 2`` for the
+    Hamiltonian of eq. (7) (note the overall ``-1/2`` in eq. 7).
+    """
+    return (jx * dt / 2.0, jy * dt / 2.0, jz * dt / 2.0)
 
 
 def ring_edge_layers(num_qubits: int) -> List[List[Tuple[int, int]]]:

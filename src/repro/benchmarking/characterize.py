@@ -3,21 +3,17 @@
 The paper infers the magnitudes of the static coherent errors "from the
 reported backend information" (Sec. II D); that backend information is
 itself produced by Ramsey-style characterization. This module closes the
-loop inside the simulator: it *measures* ZZ rates and gate-spectator shifts
-with the same experiments a calibration pipeline would run, and builds a
+loop inside the simulator: it *measures* ZZ rates with the same
+experiment a calibration pipeline would run, and builds a
 calibration-estimated :class:`~repro.device.calibration.Device` whose rates
 feed CA-EC — so the compiler can be tested against measured rather than
 oracle calibration data.
 
-Protocols:
-
-* **ZZ rate** (conditional Ramsey): prepare the probe in ``|+>``, the
-  neighbor in ``|0>`` or ``|1>``, idle for time ``t``, and read the probe's
-  phase. Under ``H11`` (eq. 1) the neighbor-conditional phase difference
-  evolves at ``2 nu``, isolating the coupling from single-qubit detunings.
-* **Spectator shift** (driven Ramsey): the probe's phase velocity while the
-  neighbor runs gates gives the combined coupling-Z + Stark shift that
-  CA-EC must compensate in cases II/III.
+The ZZ rate comes from a conditional Ramsey experiment: prepare the probe
+in ``|+>``, the neighbor in ``|0>`` or ``|1>``, idle for time ``t``, and
+read the probe's phase. Under ``H11`` (eq. 1) the neighbor-conditional phase
+difference evolves at ``2 nu``, isolating the coupling from single-qubit
+detunings.
 """
 
 from __future__ import annotations
@@ -116,44 +112,6 @@ def measure_zz_rate(
     # local term contribute theta each, with our Rz sign convention).
     rate = abs(slope) / (2.0 * TWO_PI)
     return ZZMeasurement(rate=rate, phase_residual=residual)
-
-
-def measure_spectator_shift(
-    device: Device,
-    probe: int,
-    neighbor: int,
-    partner: int,
-    chunks: Sequence[int] = (1, 2, 3, 4),
-    options: Optional[SimOptions] = None,
-) -> float:
-    """Phase velocity (GHz) of a spectator while its neighbor runs ECR gates.
-
-    This is the net case-II error rate (coupling Z + Stark) that CA-EC
-    compensates per gate layer.
-    """
-    options = options or SimOptions(
-        shots=64, seed=18, dephasing=False, amplitude_damping=False,
-        gate_errors=False,
-    )
-    gate_time = device.durations.twoq
-
-    def build(count):
-        circ = Circuit(device.num_qubits)
-        circ.h(probe)
-        for _ in range(count):
-            circ.ecr(neighbor, partner, new_moment=True)
-        return Task(circ, observables=_phase_observables(device, probe))
-
-    swept = Sweep(
-        {"count": list(chunks)}, build, name="spectator_shift"
-    ).run(device, options=options)
-    phases = [_phase(swept[count]) for count in chunks]
-    durations = np.asarray(chunks, dtype=float) * gate_time
-    unwrapped = np.unwrap(phases)
-    slope = float(
-        np.dot(durations, unwrapped) / np.dot(durations, durations)
-    )
-    return abs(slope) / TWO_PI
 
 
 def characterize_device(

@@ -208,13 +208,6 @@ def measure_layer_fidelity(
     )
 
 
-def gamma_from_layer_fidelity(layer_fidelity: float) -> float:
-    """Sampling-overhead base ``gamma = LF**-2`` (paper Sec. V C)."""
-    if not 0.0 < layer_fidelity <= 1.0:
-        raise ValueError("layer fidelity must be in (0, 1]")
-    return layer_fidelity**-2.0
-
-
 def overhead_reduction(gamma_ref: float, gamma_new: float, layers: int = 1) -> float:
     """Sampling-overhead reduction factor over ``layers`` circuit layers.
 

@@ -68,10 +68,3 @@ def fit_global_depolarizing(
     rate = float(result.x)
     amplitude = amplitude_for(rate)
     return DepolarizingFit(amplitude=amplitude, rate=rate)
-
-
-def overhead_ratio(
-    fit_reference: DepolarizingFit, fit_improved: DepolarizingFit, depth: float
-) -> float:
-    """How much cheaper mitigation becomes: ``overhead_ref / overhead_new``."""
-    return fit_reference.overhead(depth) / fit_improved.overhead(depth)

@@ -19,13 +19,12 @@ The four contexts map to the paper's cases:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 from ..circuits.circuit import Circuit
 from ..compiler.strategies import get_strategy
 from ..device.calibration import Device
-from ..runtime import Sweep, Task, pipeline_for, run
-from ..sim.executor import SimOptions
+from ..runtime import Task, pipeline_for
 from ..utils.rng import SeedLike
 
 
@@ -127,48 +126,3 @@ def ramsey_task(
         device=device,
         name=f"{case.name}/{strategy.name}/d{depth}",
     )
-
-
-def ramsey_fidelity(
-    case: RamseyCase,
-    device: Device,
-    depth: int,
-    strategy="none",
-    tau: float = 500.0,
-    twirl: bool = False,
-    realizations: int = 1,
-    options: Optional[SimOptions] = None,
-    seed: SeedLike = 0,
-) -> float:
-    """Average probability that all probe qubits return to ``|0>``."""
-    options = options or SimOptions(shots=64)
-    task = ramsey_task(
-        case, device, depth, strategy,
-        tau=tau, twirl=twirl, realizations=realizations, seed=seed,
-    )
-    batch = run(task, options=options)
-    return float(batch.results[0].values["f"])
-
-
-def ramsey_curve(
-    case: RamseyCase,
-    device: Device,
-    depths: Sequence[int],
-    strategy="none",
-    tau: float = 500.0,
-    twirl: bool = False,
-    realizations: int = 1,
-    options: Optional[SimOptions] = None,
-    seed: SeedLike = 0,
-) -> List[float]:
-    """Ramsey fidelity versus depth for one strategy, as one batched sweep."""
-    options = options or SimOptions(shots=64)
-    swept = Sweep(
-        {"depth": list(depths)},
-        lambda depth: ramsey_task(
-            case, device, depth, strategy,
-            tau=tau, twirl=twirl, realizations=realizations, seed=seed,
-        ),
-        name=f"ramsey/{case.name}",
-    ).run(options=options)
-    return [float(v) for v in swept.curve("f")]

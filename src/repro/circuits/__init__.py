@@ -1,20 +1,10 @@
-"""Circuit IR: gates, moment-based circuits, synthesis, and scheduling."""
+"""Circuit IR: gates, moment-based circuits, Euler angles, and scheduling."""
 
 from . import gates
-from .circuit import Circuit, Instruction, Moment
+from .circuit import Circuit, Instruction, Moment, layer_kind
 from .draw import draw, summary
-from .euler import EulerAngles, euler_angles, fuse
+from .euler import EulerAngles, euler_angles
 from .schedule import Durations, ScheduledCircuit, ScheduledMoment, schedule
-from .stratify import layer_kind, stratify, two_qubit_layers, validate_stratified
-from .weyl import (
-    absorb_rzz_after,
-    absorb_rzz_before,
-    canonical_params,
-    cnot_synthesis,
-    compensate_rzz,
-    heisenberg_params,
-    is_canonical,
-)
 
 __all__ = [
     "gates",
@@ -23,22 +13,11 @@ __all__ = [
     "summary",
     "Instruction",
     "Moment",
+    "layer_kind",
     "EulerAngles",
     "euler_angles",
-    "fuse",
     "Durations",
     "ScheduledCircuit",
     "ScheduledMoment",
     "schedule",
-    "layer_kind",
-    "stratify",
-    "two_qubit_layers",
-    "validate_stratified",
-    "absorb_rzz_after",
-    "absorb_rzz_before",
-    "canonical_params",
-    "cnot_synthesis",
-    "compensate_rzz",
-    "heisenberg_params",
-    "is_canonical",
 ]

@@ -130,6 +130,17 @@ class Moment:
         return f"Moment({self._instructions})"
 
 
+def layer_kind(moment: Moment) -> str:
+    """Classify a moment: ``"2q"``, ``"measure"``, ``"delay"``, or ``"1q"``."""
+    if moment.has_two_qubit_gate:
+        return "2q"
+    if moment.has_measurement:
+        return "measure"
+    if any(i.gate.is_delay for i in moment):
+        return "delay"
+    return "1q"
+
+
 class Circuit:
     """A quantum circuit over ``num_qubits`` qubits and ``num_clbits`` bits."""
 
@@ -186,11 +197,6 @@ class Circuit:
         self.moments.append(moment)
         return moment
 
-    def barrier(self) -> None:
-        """Force the next appended instruction to start a new moment."""
-        if self.moments and len(self.moments[-1]) > 0:
-            self.moments.append(Moment())
-
     def _check_bounds(self, qubits, clbits, condition) -> None:
         for q in qubits:
             if not 0 <= q < self.num_qubits:
@@ -212,26 +218,11 @@ class Circuit:
     def y(self, q: int, **kw) -> None:
         self.append(g.Y, [q], **kw)
 
-    def z(self, q: int, **kw) -> None:
-        self.append(g.Z, [q], **kw)
-
     def s(self, q: int, **kw) -> None:
         self.append(g.S, [q], **kw)
 
-    def sx(self, q: int, **kw) -> None:
-        self.append(g.SX, [q], **kw)
-
     def rz(self, theta: float, q: int, **kw) -> None:
         self.append(g.rz(theta), [q], **kw)
-
-    def rx(self, theta: float, q: int, **kw) -> None:
-        self.append(g.rx(theta), [q], **kw)
-
-    def ry(self, theta: float, q: int, **kw) -> None:
-        self.append(g.ry(theta), [q], **kw)
-
-    def u(self, theta: float, phi: float, lam: float, q: int, **kw) -> None:
-        self.append(g.u(theta, phi, lam), [q], **kw)
 
     def cx(self, control: int, target: int, **kw) -> None:
         self.append(g.CX, [control, target], **kw)
@@ -251,18 +242,7 @@ class Circuit:
     def delay(self, duration: float, q: int, **kw) -> None:
         self.append(g.delay(duration), [q], **kw)
 
-    def measure_all(self) -> None:
-        if self.num_clbits < self.num_qubits:
-            raise ValueError("not enough classical bits for measure_all")
-        self.barrier()
-        for q in range(self.num_qubits):
-            self.append(g.measure(), [q], clbits=[q])
-
     # -- inspection ----------------------------------------------------------
-
-    @property
-    def depth(self) -> int:
-        return len(self.moments)
 
     def count_gates(self, name: Optional[str] = None, tag: Optional[str] = None) -> int:
         """Count instructions, optionally filtered by gate name and/or tag."""

@@ -80,7 +80,7 @@ def summary(circuit: Circuit) -> str:
     inserted = circuit.count_gates(tag="compensation") + circuit.count_gates(
         tag="dd"
     )
-    parts = [f"{circuit.num_qubits}q", f"depth {circuit.depth}"]
+    parts = [f"{circuit.num_qubits}q", f"depth {len(circuit.moments)}"]
     parts.extend(f"{name}:{n}" for name, n in sorted(counts.items()))
     parts.append(f"inserted:{inserted}")
     return " ".join(parts)

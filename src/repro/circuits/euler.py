@@ -1,22 +1,19 @@
-"""Single-qubit Euler-angle decomposition and error absorption (paper eq. 4).
+"""Single-qubit Euler-angle decomposition (paper eq. 4).
 
-Any ``U`` in U(2) factors as ``exp(i phase) Rz(phi) Ry(theta) Rz(lam)``. On
-hardware the middle ``Ry`` is realized with two ``sqrt(X)`` pulses and three
-virtual ``Rz`` rotations (the ZXZXZ form of eq. 4), which is why absorbing a
-coherent ``Rz(eps)`` error into a neighboring single-qubit gate is free: only
-the virtual phases change.
+Any ``U`` in U(2) factors as ``exp(i phase) Rz(phi) Ry(theta) Rz(lam)``.
+The twirling and orientation passes use it to fuse the Paulis and dressing
+gates they insert into one ``u`` gate per qubit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import rz_matrix, ry_matrix, SX_MAT
+from .gates import rz_matrix, ry_matrix
 
 
 @dataclass(frozen=True)
@@ -35,31 +32,6 @@ class EulerAngles:
             @ ry_matrix(self.theta)
             @ rz_matrix(self.lam)
         )
-
-    def absorb_rz_before(self, eps: float) -> "EulerAngles":
-        """Compose with ``Rz(eps)`` applied earlier in time: ``U . Rz(eps)``."""
-        return replace(self, lam=self.lam + eps)
-
-    def absorb_rz_after(self, eps: float) -> "EulerAngles":
-        """Compose with ``Rz(eps)`` applied later in time: ``Rz(eps) . U``."""
-        return replace(self, phi=self.phi + eps)
-
-    def compensate_rz_before(self, eps: float) -> "EulerAngles":
-        """Cancel a coherent ``Rz(eps)`` error that occurred before this gate."""
-        return self.absorb_rz_before(-eps)
-
-    def zxzxz_angles(self) -> Tuple[float, float, float]:
-        """Angles ``(a, b, c)`` such that ``U ~ Rz(a) SX Rz(b) SX Rz(c)``.
-
-        Equal up to global phase: ``a = phi + pi``, ``b = theta + pi``,
-        ``c = lam``. The identity ``Ry(theta) = e^{i*} Rz(pi) SX Rz(theta+pi)
-        SX Rz(0)`` underlies this ZXZXZ form.
-        """
-        return (self.phi + math.pi, self.theta + math.pi, self.lam)
-
-    def zxzxz_matrix(self) -> np.ndarray:
-        a, b, c = self.zxzxz_angles()
-        return rz_matrix(a) @ SX_MAT @ rz_matrix(b) @ SX_MAT @ rz_matrix(c)
 
 
 def euler_angles(matrix: np.ndarray) -> EulerAngles:
@@ -90,8 +62,3 @@ def euler_angles(matrix: np.ndarray) -> EulerAngles:
         phi = 0.5 * (plus + minus)
         lam = 0.5 * (plus - minus)
     return EulerAngles(theta=theta, phi=phi, lam=lam, phase=phase)
-
-
-def fuse(first: np.ndarray, second: np.ndarray) -> EulerAngles:
-    """Euler angles of ``second . first`` (``first`` applied earlier in time)."""
-    return euler_angles(np.asarray(second) @ np.asarray(first))

@@ -44,12 +44,6 @@ PAULI_MATRICES = {"I": I2, "X": X_MAT, "Y": Y_MAT, "Z": Z_MAT}
 VIRTUAL_GATES = frozenset({"rz", "z", "s", "sdg", "t", "id"})
 
 
-def rx_matrix(theta: float) -> np.ndarray:
-    """``exp(-i theta X / 2)``."""
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
 def ry_matrix(theta: float) -> np.ndarray:
     """``exp(-i theta Y / 2)``."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -152,10 +146,6 @@ class Gate:
     duration_override: Optional[float] = None
     error_scale: float = 1.0
 
-    @property
-    def is_unitary(self) -> bool:
-        return self.matrix is not None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.params:
             args = ", ".join(f"{p:.4g}" for p in self.params)
@@ -189,16 +179,6 @@ PAULI_GATES = {"I": I, "X": X, "Y": Y, "Z": Z}
 
 
 # Parameterized constructors -------------------------------------------------
-
-
-def rx(theta: float) -> Gate:
-    """X rotation by ``theta``."""
-    return Gate("rx", 1, params=(theta,), matrix=rx_matrix(theta))
-
-
-def ry(theta: float) -> Gate:
-    """Y rotation by ``theta``."""
-    return Gate("ry", 1, params=(theta,), matrix=ry_matrix(theta))
 
 
 def rz(theta: float) -> Gate:

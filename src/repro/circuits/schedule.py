@@ -69,10 +69,6 @@ class ScheduledMoment:
     start: float
     duration: float
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
 
 class ScheduledCircuit:
     """A circuit with per-moment timing."""

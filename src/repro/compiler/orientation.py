@@ -23,9 +23,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..circuits import gates as g
-from ..circuits.circuit import Circuit, Instruction
+from ..circuits.circuit import Circuit, Instruction, layer_kind
 from ..circuits.euler import euler_angles
-from ..circuits.stratify import layer_kind
 from ..device.calibration import Device
 from ..device.crosstalk import build_crosstalk_graph
 from ..device.topology import Topology

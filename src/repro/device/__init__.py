@@ -5,29 +5,19 @@ from .calibration import (
     NoiseProfile,
     PairParams,
     QubitParams,
-    fake_brisbane,
-    fake_nazca,
-    fake_penguino,
-    fake_sherbrooke,
     synthetic_device,
 )
 from .crosstalk import build_crosstalk_graph
-from .topology import Topology, eagle, heavy_hex, linear_chain, ring
+from .topology import Topology, linear_chain, ring
 
 __all__ = [
     "Device",
     "NoiseProfile",
     "PairParams",
     "QubitParams",
-    "fake_brisbane",
-    "fake_nazca",
-    "fake_penguino",
-    "fake_sherbrooke",
     "synthetic_device",
     "build_crosstalk_graph",
     "Topology",
-    "eagle",
-    "heavy_hex",
     "linear_chain",
     "ring",
 ]

@@ -9,7 +9,8 @@ next-nearest-neighbor ZZ of O(0.1 kHz) enhanced to O(10 kHz) at frequency
 collisions, and slow charge-parity Z fluctuations of a few kHz.
 
 All frequencies are stored in GHz (1/ns) and all times in ns; use
-``repro.utils.units`` helpers when quoting kHz/us values.
+the ``KHZ``/``US`` constants of ``repro.utils.units`` when quoting kHz/us
+values.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-
 from ..circuits.schedule import Durations
 from ..utils.rng import SeedLike, as_generator
 from ..utils.units import KHZ, US
-from .topology import Topology, eagle
+from .topology import Topology
 
 Edge = Tuple[int, int]
 
@@ -259,36 +259,3 @@ def synthetic_device(
     for a, _mid, b in collision_triples:
         nnn[_key(a, b)] = sample(profile.nnn_collision_range)
     return Device(name=name, topology=topology, qubits=qubits, pairs=pairs, nnn_zz=nnn)
-
-
-# ---------------------------------------------------------------------------
-# Fake backends named after the paper's systems
-# ---------------------------------------------------------------------------
-
-
-def fake_nazca() -> Device:
-    """127-qubit Eagle-style device (experiments of Figs. 3b-e, 6, 7, 8, 9)."""
-    return synthetic_device(eagle(), name="fake_nazca", seed=1001)
-
-
-def fake_brisbane() -> Device:
-    """127-qubit Eagle-style device (Fig. 3f)."""
-    return synthetic_device(eagle(), name="fake_brisbane", seed=1002)
-
-
-def fake_sherbrooke() -> Device:
-    """127-qubit device with a collision-enhanced NNN triple (Fig. 4c)."""
-    topo = eagle()
-    # Pick a chain i - j - k in the first row as the collision triple.
-    return synthetic_device(
-        topo, name="fake_sherbrooke", seed=1003, collision_triples=[(4, 5, 6)]
-    )
-
-
-def fake_penguino() -> Device:
-    """Device for the combined-strategy experiment (Fig. 10).
-
-    The real ibm_penguino1 parameters are not public; this reuses the Eagle
-    layout with an independent seed.
-    """
-    return synthetic_device(eagle(), name="fake_penguino", seed=1004)

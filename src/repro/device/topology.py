@@ -1,9 +1,4 @@
-"""Qubit connectivity topologies.
-
-Provides the heavy-hex lattice used by IBM Eagle-class processors (the
-devices in the paper: ibm_nazca, ibm_brisbane, ibm_sherbrooke) plus simple
-chains and rings for the smaller experiments.
-"""
+"""Qubit connectivity topologies: the chains and rings the experiments use."""
 
 from __future__ import annotations
 
@@ -83,37 +78,3 @@ def ring(num_qubits: int) -> Topology:
     """A cycle of ``num_qubits`` qubits (paper Fig. 7a uses a 12-ring)."""
     edges = [(i, (i + 1) % num_qubits) for i in range(num_qubits)]
     return Topology(num_qubits, edges)
-
-
-def heavy_hex(rows: int = 7, row_length: int = 15) -> Topology:
-    """An Eagle-style heavy-hex lattice.
-
-    ``rows`` horizontal chains of ``row_length`` qubits are connected by
-    bridge qubits every four columns, with the bridge columns offset by two
-    between successive row pairs — the same staggering as IBM's 127-qubit
-    Eagle devices (rows=7, row_length=15 gives 127 qubits).
-    """
-    if rows < 1 or row_length < 1:
-        raise ValueError("rows and row_length must be positive")
-    edges: List[Tuple[int, int]] = []
-    row_start: List[int] = []
-    counter = 0
-    for r in range(rows):
-        row_start.append(counter)
-        for c in range(row_length - 1):
-            edges.append((counter + c, counter + c + 1))
-        counter += row_length
-    for r in range(rows - 1):
-        offset = 0 if r % 2 == 0 else 2
-        columns = range(offset, row_length, 4)
-        for c in columns:
-            bridge = counter
-            counter += 1
-            edges.append((row_start[r] + c, bridge))
-            edges.append((bridge, row_start[r + 1] + c))
-    return Topology(counter, edges)
-
-
-def eagle() -> Topology:
-    """The 127-qubit heavy-hex layout (7 rows of 15 plus bridges)."""
-    return heavy_hex(rows=7, row_length=15)

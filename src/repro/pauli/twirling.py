@@ -19,9 +19,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..circuits import gates as g
-from ..circuits.circuit import Circuit, Instruction, Moment
+from ..circuits.circuit import Circuit, Instruction, Moment, layer_kind
 from ..circuits.euler import euler_angles
-from ..circuits.stratify import layer_kind
 from ..utils.rng import SeedLike, as_generator
 from .conjugation import conjugate_through, is_supported
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-ATOL = 1e-9
-
 
 def is_unitary(matrix: np.ndarray, atol: float = 1e-8) -> bool:
     """Return ``True`` if ``matrix`` is unitary within tolerance."""
@@ -32,21 +30,6 @@ def allclose_up_to_global_phase(
     if abs(abs(phase) - 1.0) > 1e-6:
         return False
     return bool(np.allclose(a, phase * b, atol=atol))
-
-
-def kron_all(*matrices: np.ndarray) -> np.ndarray:
-    """Kronecker product of all arguments, left to right."""
-    out = np.array([[1.0 + 0j]])
-    for m in matrices:
-        out = np.kron(out, m)
-    return out
-
-
-def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Fidelity ``|<a|b>|^2`` between two pure statevectors."""
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    return float(abs(np.vdot(a, b)) ** 2)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

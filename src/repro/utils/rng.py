@@ -7,7 +7,7 @@ synthetic calibrations) accepts a ``seed`` argument that is normalized through
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -24,20 +24,3 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn(rng: np.random.Generator, count: int) -> list:
-    """Split ``rng`` into ``count`` independent child generators."""
-    seeds = rng.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def derive_seed(base: Optional[int], *salt: int) -> Optional[int]:
-    """Deterministically derive a child seed from ``base`` and salt values.
-
-    Returns ``None`` when ``base`` is ``None`` so unseeded remains unseeded.
-    """
-    if base is None:
-        return None
-    mixed = np.random.SeedSequence([int(base), *[int(s) for s in salt]])
-    return int(mixed.generate_state(1)[0])

@@ -1,8 +1,8 @@
 """Unit conventions.
 
 Internally the library uses **nanoseconds** for time and **GHz** (1/ns) for
-frequency. Device calibration data is typically quoted in kHz and us; the
-helpers here convert to the internal convention.
+frequency. Device calibration data is typically quoted in kHz and us;
+multiply by the constants here to convert, e.g. ``50.0 * KHZ``.
 
 The phase accumulated by an always-on coupling of ordinary frequency ``nu``
 over duration ``tau`` is ``theta = 2 pi nu tau`` (paper Sec. II A).
@@ -18,19 +18,3 @@ TWO_PI = 2.0 * math.pi
 KHZ = 1e-6  # 1 kHz in GHz
 MHZ = 1e-3  # 1 MHz in GHz
 US = 1e3  # 1 us in ns
-MS = 1e6  # 1 ms in ns
-
-
-def khz(value: float) -> float:
-    """Convert a frequency quoted in kHz to internal GHz units."""
-    return value * KHZ
-
-
-def us(value: float) -> float:
-    """Convert a duration quoted in microseconds to internal ns units."""
-    return value * US
-
-
-def phase_angle(frequency_ghz: float, duration_ns: float) -> float:
-    """Phase ``2 pi nu tau`` accumulated by frequency ``nu`` over ``tau``."""
-    return TWO_PI * frequency_ghz * duration_ns

@@ -24,9 +24,11 @@ from repro.apps import (
     ring_edge_layers,
     site_z_label,
 )
+from repro.apps.heisenberg import heisenberg_params
 from repro.circuits import gates as g
 from repro.runtime import Task, run
 from repro.sim import SimOptions
+from repro.utils.linalg import allclose_up_to_global_phase
 
 
 class TestIsing:
@@ -124,6 +126,23 @@ class TestHeisenberg:
         task = Task(circ, observables={"z0": site_z_label(12, 0)})
         res = run(task, device, options=ideal_options)[0]
         assert res["z0"] == pytest.approx(-1.0)  # site 0 starts excited
+
+
+class TestHeisenbergParams:
+    def test_isotropic(self):
+        a, b, c = heisenberg_params(1.0, 1.0, 1.0, 0.6)
+        assert a == b == c == pytest.approx(0.3)
+
+    def test_step_unitary_matches_exponential(self):
+        j, dt = 0.8, 0.5
+        a, b, c = heisenberg_params(j, j, j, dt)
+        xx = np.kron(g.X_MAT, g.X_MAT)
+        yy = np.kron(g.Y_MAT, g.Y_MAT)
+        zz = np.kron(g.Z_MAT, g.Z_MAT)
+        target = expm(1j * (j * dt / 2) * (xx + yy + zz))
+        assert allclose_up_to_global_phase(
+            g.canonical_matrix(a, b, c), target, atol=1e-9
+        )
 
 
 class TestDynamicBell:

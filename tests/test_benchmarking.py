@@ -13,14 +13,12 @@ from repro.benchmarking import (
     LayerSpec,
     build_case_circuit,
     fit_global_depolarizing,
-    gamma_from_layer_fidelity,
     measure_layer_fidelity,
-    overhead_ratio,
     overhead_reduction,
     partition_layer,
-    ramsey_curve,
-    ramsey_fidelity,
+    ramsey_task,
 )
+from repro.runtime import run
 from repro.sim import SimOptions
 
 
@@ -54,15 +52,8 @@ class TestRamseyCircuits:
             build_case_circuit(RamseyCase("mystery", 2, (0,)), 1)
 
     def test_zero_depth_is_perfect(self, chain2, ideal_options):
-        f = ramsey_fidelity(
-            CASE_I, chain2, 0, "none", options=ideal_options
-        )
+        f = run(ramsey_task(CASE_I, chain2, 0, "none"), options=ideal_options)[0]["f"]
         assert f == pytest.approx(1.0)
-
-    def test_curve_length(self, chain2):
-        opts = SimOptions(shots=4, seed=0)
-        curve = ramsey_curve(CASE_I, chain2, [0, 2, 4], "none", options=opts)
-        assert len(curve) == 3
 
 
 class TestLayerFidelity:
@@ -114,14 +105,6 @@ class TestLayerFidelity:
         assert result.layer_fidelity < 1.0
         assert result.gamma > 1.0
 
-    def test_gamma_relation(self):
-        assert gamma_from_layer_fidelity(0.648) == pytest.approx(2.38, abs=0.01)
-        assert gamma_from_layer_fidelity(0.881) == pytest.approx(1.29, abs=0.01)
-
-    def test_gamma_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            gamma_from_layer_fidelity(0.0)
-
     def test_overhead_reduction_exponential(self):
         assert overhead_reduction(1.81, 1.48, 10) == pytest.approx(
             (1.81 / 1.48) ** 10
@@ -141,11 +124,6 @@ class TestMitigationFit:
     def test_overhead_is_inverse_square(self):
         fit = DepolarizingFit(amplitude=1.0, rate=0.9)
         assert fit.overhead(5) == pytest.approx(0.9 ** (-10))
-
-    def test_overhead_ratio(self):
-        worse = DepolarizingFit(amplitude=1.0, rate=0.8)
-        better = DepolarizingFit(amplitude=1.0, rate=0.9)
-        assert overhead_ratio(worse, better, 4) > 1.0
 
     def test_rejects_zero_ideal(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,6 @@ import pytest
 from repro.device import (
     NoiseProfile,
     build_crosstalk_graph,
-    fake_brisbane,
-    fake_nazca,
-    fake_penguino,
-    fake_sherbrooke,
     linear_chain,
     synthetic_device,
 )
@@ -118,15 +114,3 @@ class TestCrosstalkGraph:
             assert graph.edges == dev.crosstalk_edges(threshold)
         assert build_crosstalk_graph(dev, 1.0).edges == []
 
-
-class TestFakeBackends:
-    @pytest.mark.parametrize(
-        "factory", [fake_nazca, fake_brisbane, fake_sherbrooke, fake_penguino]
-    )
-    def test_eagle_scale(self, factory):
-        dev = factory()
-        assert dev.num_qubits == 129
-
-    def test_sherbrooke_has_collision(self):
-        dev = fake_sherbrooke()
-        assert dev.zz_rate(4, 6) >= 8.0 * KHZ

@@ -3,11 +3,7 @@
 
 import pytest
 
-from repro.benchmarking import (
-    characterize_device,
-    measure_spectator_shift,
-    measure_zz_rate,
-)
+from repro.benchmarking import characterize_device, measure_zz_rate
 from repro.circuits import Circuit
 from repro.compiler import apply_ca_ec
 from repro.device import linear_chain, synthetic_device
@@ -51,13 +47,6 @@ class TestZZMeasurement:
         assert measurement.rate == pytest.approx(
             device.zz_rate(0, 1), rel=0.15
         )
-
-
-class TestSpectatorShift:
-    def test_matches_coupling_minus_stark(self, device, quiet_options):
-        shift = measure_spectator_shift(device, 0, 1, 2, options=quiet_options)
-        expected = abs(device.zz_rate(0, 1) - device.stark_shift(1, 0))
-        assert shift == pytest.approx(expected, rel=0.05)
 
 
 class TestCharacterizedCompilation:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit, Instruction, Moment, gates as g
+from repro.circuits import Circuit, Instruction, Moment, gates as g, layer_kind
 from repro.circuits.circuit import _embed
 from repro.utils.linalg import allclose_up_to_global_phase
 
@@ -56,31 +56,42 @@ class TestMoment:
         assert m.instruction_on(3) is None
 
 
+class TestLayerKind:
+    def test_two_qubit_gate_wins(self):
+        m = Moment([Instruction(g.CX, (0, 1)), Instruction(g.H, (2,))])
+        assert layer_kind(m) == "2q"
+
+    def test_measurement(self):
+        m = Moment([Instruction(g.measure(), (0,), clbits=(0,)), Instruction(g.X, (1,))])
+        assert layer_kind(m) == "measure"
+
+    def test_delay(self):
+        m = Moment([Instruction(g.delay(500.0), (0,)), Instruction(g.X, (1,))])
+        assert layer_kind(m) == "delay"
+
+    def test_single_qubit_and_empty(self):
+        assert layer_kind(Moment([Instruction(g.H, (0,))])) == "1q"
+        assert layer_kind(Moment()) == "1q"
+
+
 class TestCircuitConstruction:
     def test_append_packs_disjoint_gates(self):
         c = Circuit(3)
         c.h(0)
         c.h(1)
-        assert c.depth == 1
+        assert len(c.moments) == 1
 
     def test_append_splits_on_conflict(self):
         c = Circuit(2)
         c.h(0)
         c.x(0)
-        assert c.depth == 2
+        assert len(c.moments) == 2
 
     def test_new_moment_forces_split(self):
         c = Circuit(2)
         c.h(0)
         c.h(1, new_moment=True)
-        assert c.depth == 2
-
-    def test_barrier(self):
-        c = Circuit(2)
-        c.h(0)
-        c.barrier()
-        c.h(1)
-        assert c.depth == 2
+        assert len(c.moments) == 2
 
     def test_out_of_range_qubit(self):
         c = Circuit(2)
@@ -107,12 +118,6 @@ class TestCircuitConstruction:
             if any(inst.condition for inst in m)
         )
         assert cond_moment > measure_moment
-
-    def test_measure_all(self):
-        c = Circuit(3, num_clbits=3)
-        c.h(0)
-        c.measure_all()
-        assert sum(1 for i in c.instructions() if i.gate.is_measurement) == 3
 
     def test_count_gates_by_name_and_tag(self):
         c = Circuit(2)

@@ -1,0 +1,142 @@
+"""The paper's qualitative claims, asserted on the figure drivers.
+
+Each test calls a figure driver with the same arguments as its bench in
+``benchmarks/`` and makes the same assertions, so the claims of Seif et al.,
+arXiv:2403.06852, are checked on every tier-1 run and not only when the
+benches run. Only the cheap figures are here (a few seconds in all); Figs. 7,
+8 and 10 stay bench-only.
+"""
+
+import numpy as np
+import pytest
+
+from repro.experiments import (
+    run_fig3,
+    run_fig6,
+    run_fig9,
+    run_nnn_walsh,
+    run_parity,
+    run_stark,
+    run_table1,
+)
+from repro.utils.fitting import dominant_frequency
+
+FIG3_DEPTHS = (0, 4, 8, 12, 16, 20)
+
+
+def _fig3(case):
+    result = run_fig3(depths=FIG3_DEPTHS, shots=32, realizations=6, cases=(case,))
+    return result.curves[case]
+
+
+class TestFig3Ramsey:
+    """Fig. 3c-f: staggered DD and EC hold up where bare and aligned DD
+    collapse; in case IV only EC helps."""
+
+    def test_case1_idle_pair(self):
+        curves = _fig3("case1_idle_pair")
+        worst = FIG3_DEPTHS.index(12)
+        assert curves["staggered_dd"][worst] > curves["none"][worst]
+        assert curves["ca_ec"][worst] > curves["none"][worst]
+        assert min(curves["ec+aligned_dd"]) > 0.8
+
+    def test_case2_control_spectator(self):
+        curves = _fig3("case2_control_spectator")
+        assert curves["ca_dd"][-1] > curves["none"][-1]
+        assert curves["ca_ec"][-1] > curves["none"][-1]
+
+    def test_case3_target_spectator(self):
+        curves = _fig3("case3_target_spectator")
+        assert curves["ca_dd"][-1] > curves["none"][-1]
+        assert curves["ca_ec"][-1] > curves["none"][-1]
+
+    def test_case4_adjacent_controls(self):
+        curves = _fig3("case4_adjacent_controls")
+        assert sum(curves["ca_ec"]) > sum(curves["none"])
+
+
+class TestFig4MinorErrors:
+    def test_stark_shift(self):
+        """Fig. 4a: the spectator fringe moves by the calibrated Stark shift."""
+        result = run_stark(times=tuple(np.linspace(500.0, 60000.0, 100)), shots=16)
+        assert result.stark_shift == np.float64(result.stark_shift)
+        assert abs(result.stark_shift - result.calibrated_stark) < 10e-6
+
+    def test_parity_beating(self):
+        """Fig. 4b / eq. 6: the charge-parity sign splits the fringe into
+        sidebands a beat away from the applied tone."""
+        applied, delta = 250.0, 40.0  # kHz
+        data = run_parity(
+            applied_khz=applied, delta_khz=delta,
+            times=tuple(np.linspace(0.0, 50000.0, 200)), shots=96,
+        )
+        signal = np.asarray(data["signal"])
+        peak = dominant_frequency(data["times"], signal)
+        assert abs(peak - applied * 1e-6) / 1e-6 == pytest.approx(delta, abs=25.0)
+        envelope_min = np.min(np.abs(signal[:180]).reshape(30, 6).max(axis=1))
+        assert envelope_min < 0.75
+
+    def test_nnn_walsh_hierarchy(self):
+        """Fig. 4c: on the collision triple, 3-colour Walsh DD beats 2-colour
+        staggered DD, which beats aligned DD and no DD."""
+        curves = run_nnn_walsh(depths=(0, 8, 16, 24), shots=32).curves
+        assert curves["walsh"][-1] > curves["staggered"][-1]
+        assert curves["staggered"][-1] > curves["none"][-1]
+        assert curves["staggered"][-1] > curves["aligned"][-1]
+
+
+def test_fig6_ising_boundary_correlator():
+    """Fig. 6: CA-EC and CA-DD both recover the alternating boundary
+    correlator better than the twirl-only baseline."""
+    result = run_fig6(steps=(0, 1, 2, 3, 4, 5), shots=20, realizations=6)
+    ideal = np.asarray(result.ideal)
+
+    def total_error(name):
+        return float(np.sum(np.abs(np.asarray(result.curves[name]) - ideal)))
+
+    assert total_error("ca_ec") < total_error("none")
+    assert total_error("ca_dd") < total_error("none")
+
+
+class TestFig9Dynamic:
+    def test_feedforward_calibration_sweep(self):
+        """Fig. 9c: bare fidelity collapses (paper 9.5%), CA-EC recovers it
+        (paper 78.1%), and the sweep peaks at the true feedforward time."""
+        result = run_fig9(estimates=list(np.linspace(0.0, 3000.0, 11)), shots=140)
+        assert result.bare_fidelity < 0.2
+        assert result.peak_fidelity > 0.75
+        assert result.improvement > 4.0
+        assert abs(result.best_estimate - result.true_feedforward) <= 300.0
+
+    def test_conditional_variant_matches(self):
+        """Fig. 9b: the conditional-branch construction performs like the
+        generic CA-EC compilation at the true feedforward time."""
+        result = run_fig9(estimates=[1150.0], shots=140)
+        assert result.conditional_fidelity == pytest.approx(
+            result.fidelities[0], abs=0.08
+        )
+
+
+def test_table1_error_taxonomy():
+    """Table 1: each error source yields to the techniques marked with a
+    check and resists the ones marked with a cross."""
+    rows = {r.error: r for r in run_table1(depth=8, shots=48).entries}
+
+    idle = rows["Z+ZZ (idle)"]
+    assert idle.residual_ec < 0.2 * idle.residual_none
+    assert idle.residual_dd < 0.2 * idle.residual_none
+
+    active = rows["ZZ (active)"]
+    assert active.residual_ec < active.residual_none
+
+    stark = rows["Stark Z"]
+    assert stark.residual_ec < 0.2 * stark.residual_none
+    assert stark.residual_dd < 0.2 * stark.residual_none
+
+    slow = rows["Slow Z"]
+    assert slow.residual_dd < slow.residual_ec
+
+    nnn = rows["NNN ZZ"]
+    nnn2 = rows["NNN ZZ(2col)"]
+    assert nnn.residual_dd < nnn.residual_none
+    assert nnn.residual_dd < nnn2.residual_dd + 0.05

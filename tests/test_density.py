@@ -308,7 +308,7 @@ class TestNoisePlanDriven:
     def _circuit(self):
         circ = Circuit(3, num_clbits=1)
         circ.h(0)
-        circ.sx(2)
+        circ.append(g.SX, [2])
         circ.can(0.3, 0.2, 0.4, 0, 1, new_moment=True)
         circ.append(g.dd_sequence((0.25, 0.75), duration=600.0), [2])
         circ.s(2, new_moment=True)

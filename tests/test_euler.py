@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import gates as g
-from repro.circuits.euler import euler_angles, fuse
-from repro.utils.linalg import allclose_up_to_global_phase, random_unitary
+from repro.circuits.euler import euler_angles
 
 
 def su2_strategy():
@@ -27,12 +26,6 @@ class TestRoundTrip:
     def test_angles_reconstruct_matrix(self, matrix):
         angles = euler_angles(matrix)
         assert np.allclose(angles.matrix(), matrix, atol=1e-8)
-
-    @given(su2_strategy())
-    @settings(max_examples=60, deadline=None)
-    def test_zxzxz_form_equivalent(self, matrix):
-        angles = euler_angles(matrix)
-        assert allclose_up_to_global_phase(angles.zxzxz_matrix(), matrix)
 
     def test_identity(self):
         angles = euler_angles(np.eye(2))
@@ -55,37 +48,3 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             euler_angles(np.eye(3))
 
-
-class TestAbsorption:
-    @given(su2_strategy(), st.floats(-3.0, 3.0))
-    @settings(max_examples=40, deadline=None)
-    def test_absorb_rz_before(self, matrix, eps):
-        angles = euler_angles(matrix)
-        absorbed = angles.absorb_rz_before(eps)
-        assert np.allclose(
-            absorbed.matrix(), matrix @ g.rz_matrix(eps), atol=1e-8
-        )
-
-    @given(su2_strategy(), st.floats(-3.0, 3.0))
-    @settings(max_examples=40, deadline=None)
-    def test_absorb_rz_after(self, matrix, eps):
-        angles = euler_angles(matrix)
-        absorbed = angles.absorb_rz_after(eps)
-        assert np.allclose(
-            absorbed.matrix(), g.rz_matrix(eps) @ matrix, atol=1e-8
-        )
-
-    def test_compensation_cancels_error(self):
-        """U' . Rz(eps) == U when U' compensates a preceding Rz(eps)."""
-        rng = np.random.default_rng(3)
-        matrix = random_unitary(2, rng)
-        eps = 0.42
-        compensated = euler_angles(matrix).compensate_rz_before(eps)
-        total = compensated.matrix() @ g.rz_matrix(eps)
-        assert np.allclose(total, matrix, atol=1e-8)
-
-
-class TestFuse:
-    def test_fuse_orders_first_then_second(self):
-        fused = fuse(g.H_MAT, g.S_MAT)  # H first, then S
-        assert np.allclose(fused.matrix(), g.S_MAT @ g.H_MAT, atol=1e-8)

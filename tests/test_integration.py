@@ -12,7 +12,7 @@ These encode the paper's central claims as testable orderings:
 import numpy as np
 import pytest
 
-from repro.benchmarking import CASE_I, CASE_IV, ramsey_fidelity
+from repro.benchmarking import CASE_I, CASE_IV, ramsey_task
 from repro.circuits import Circuit
 from repro.device import linear_chain, synthetic_device
 from repro.runtime import Task, pipeline_for, run
@@ -33,9 +33,9 @@ class TestCaseOrderings:
         better than nothing while staggered DD and CA-EC stay near 1."""
         depth = 12
         f = {
-            name: ramsey_fidelity(
-                CASE_I, chain2, depth, name, options=coherent_only
-            )
+            name: run(
+                ramsey_task(CASE_I, chain2, depth, name), options=coherent_only
+            )[0]["f"]
             for name in ("none", "dd", "staggered_dd", "ca_ec")
         }
         assert f["staggered_dd"] > 0.98
@@ -46,31 +46,35 @@ class TestCaseOrderings:
         """Fig. 3c: EC + simple aligned DD matches the fancy staggered DD."""
         opts = SimOptions(shots=128, seed=9)
         depth = 16
-        combo = ramsey_fidelity(
-            CASE_I, chain2, depth, "ec+aligned_dd", options=opts
-        )
-        staggered = ramsey_fidelity(
-            CASE_I, chain2, depth, "staggered_dd", options=opts
-        )
+        combo = run(
+            ramsey_task(CASE_I, chain2, depth, "ec+aligned_dd"), options=opts
+        )[0]["f"]
+        staggered = run(
+            ramsey_task(CASE_I, chain2, depth, "staggered_dd"), options=opts
+        )[0]["f"]
         assert combo == pytest.approx(staggered, abs=0.06)
 
     def test_case4_only_ec_helps(self, coherent_only):
         device = synthetic_device(linear_chain(4), seed=55)
         depth = 10
-        bare = ramsey_fidelity(
-            CASE_IV, device, depth, "none", twirl=True, realizations=8,
+        bare = run(
+            ramsey_task(
+                CASE_IV, device, depth, "none", twirl=True, realizations=8, seed=3
+            ),
             options=SimOptions(
                 shots=4, stochastic=False, dephasing=False,
                 amplitude_damping=False, gate_errors=False,
-            ), seed=3,
-        )
-        ec = ramsey_fidelity(
-            CASE_IV, device, depth, "ca_ec", twirl=True, realizations=8,
+            ),
+        )[0]["f"]
+        ec = run(
+            ramsey_task(
+                CASE_IV, device, depth, "ca_ec", twirl=True, realizations=8, seed=3
+            ),
             options=SimOptions(
                 shots=4, stochastic=False, dephasing=False,
                 amplitude_damping=False, gate_errors=False,
-            ), seed=3,
-        )
+            ),
+        )[0]["f"]
         assert ec > bare + 0.02
 
     def test_gate_echo_protects_spectator_zz_for_free(self, chain3, coherent_only):
@@ -147,8 +151,8 @@ class TestStrategyHierarchy:
             gate_errors=False, seed=12,
         )
         depth = 10
-        ec = ramsey_fidelity(CASE_I, device, depth, "ca_ec", options=opts)
-        dd = ramsey_fidelity(CASE_I, device, depth, "staggered_dd", options=opts)
+        ec = run(ramsey_task(CASE_I, device, depth, "ca_ec"), options=opts)[0]["f"]
+        dd = run(ramsey_task(CASE_I, device, depth, "staggered_dd"), options=opts)[0]["f"]
         assert dd > ec + 0.05
 
 

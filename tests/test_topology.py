@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.device import Topology, eagle, heavy_hex, linear_chain, ring
+from repro.device import Topology, linear_chain, ring
 
 
 class TestBasics:
@@ -25,30 +25,6 @@ class TestBasics:
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError):
             Topology(2, [(0, 5)])
-
-
-class TestHeavyHex:
-    def test_eagle_size(self):
-        t = eagle()
-        assert t.num_qubits == 129  # 7 rows x 15 + 24 bridges
-        # Row qubits have degree <= 3 (heavy-hex property).
-        assert max(t.degree(q) for q in range(t.num_qubits)) <= 3
-
-    def test_bridge_qubits_have_degree_two(self):
-        t = heavy_hex(rows=3, row_length=7)
-        row_qubit_count = 3 * 7
-        for bridge in range(row_qubit_count, t.num_qubits):
-            assert t.degree(bridge) == 2
-
-    def test_rows_are_chains(self):
-        t = heavy_hex(rows=2, row_length=5)
-        for c in range(4):
-            assert t.has_edge(c, c + 1)
-            assert t.has_edge(5 + c, 5 + c + 1)
-
-    def test_invalid_dims(self):
-        with pytest.raises(ValueError):
-            heavy_hex(rows=0)
 
 
 class TestDerivedStructure:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit, gates as g, stratify
+from repro.circuits import Circuit, gates as g
 from repro.pauli import apply_twirl
 from repro.pauli.twirling import sample_layer_twirl
 from repro.utils.linalg import allclose_up_to_global_phase
@@ -131,13 +131,13 @@ class TestStatisticalScrambling:
         circ = Circuit(2)
         circ.h(0)
         circ.h(1)
-        circ.ecr(0, 1, new_moment=True)
         circ.ecr(0, 1, new_moment=True)  # identity logic, twirl slots between
-        # restructure: stratify to get the 1q layers
-        strat = stratify(circ)
+        circ.append_moment([])
+        circ.ecr(0, 1, new_moment=True)
+        circ.append_moment([])
         values = []
         for seed in range(12):
-            twirled, _ = apply_twirl(strat, seed=seed)
+            twirled, _ = apply_twirl(circ, seed=seed)
             res = run(
                 Task(twirled, observables={"x1": "XI"}), chain2, options=coherent_options
             )[0]

@@ -1,4 +1,4 @@
-"""Tests for rng, linalg, units, fitting utilities."""
+"""Tests for rng, linalg, fitting utilities."""
 
 import math
 
@@ -11,17 +11,10 @@ from repro.utils import (
     DecayFit,
     allclose_up_to_global_phase,
     as_generator,
-    derive_seed,
     dominant_frequency,
     fit_exponential_decay,
     is_unitary,
-    khz,
-    kron_all,
-    phase_angle,
     random_unitary,
-    spawn,
-    state_fidelity,
-    us,
 )
 
 
@@ -34,16 +27,6 @@ class TestRng:
     def test_passthrough(self):
         rng = np.random.default_rng(1)
         assert as_generator(rng) is rng
-
-    def test_spawn_independent(self):
-        children = spawn(as_generator(0), 3)
-        values = [c.random() for c in children]
-        assert len(set(values)) == 3
-
-    def test_derive_seed_deterministic(self):
-        assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
-        assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
-        assert derive_seed(None, 1) is None
 
 
 class TestLinalg:
@@ -64,32 +47,9 @@ class TestLinalg:
             np.eye(2), np.array([[1, 0], [0, -1]], dtype=complex)
         )
 
-    def test_kron_all(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.allclose(kron_all(x, np.eye(2)), np.kron(x, np.eye(2)))
-
-    def test_state_fidelity(self):
-        a = np.array([1, 0], dtype=complex)
-        b = np.array([1, 1], dtype=complex) / math.sqrt(2)
-        assert state_fidelity(a, b) == pytest.approx(0.5)
-
     def test_random_unitary_is_unitary(self):
         rng = np.random.default_rng(2)
         assert is_unitary(random_unitary(8, rng))
-
-
-class TestUnits:
-    def test_khz(self):
-        assert khz(50.0) == pytest.approx(5e-5)
-
-    def test_us(self):
-        assert us(4.0) == pytest.approx(4000.0)
-
-    def test_phase_angle(self):
-        # 50 kHz over 500 ns: 2 pi * 5e-5 * 500.
-        assert phase_angle(khz(50.0), 500.0) == pytest.approx(
-            2 * math.pi * 5e-5 * 500.0
-        )
 
 
 class TestDecayFit:

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import Circuit, SimOptions, Task, VectorizedBackend, compile_tasks, run, schedule
+from repro.circuits import gates as g
 from repro.circuits.gates import Gate
 from repro.compiler.strategies import STRATEGIES
 from repro.device import NoiseProfile, linear_chain, synthetic_device
@@ -519,7 +520,7 @@ class TestGateChain:
         circ.measure(0, 0, new_moment=True)
         circ.cx(3, 2, new_moment=True)
         circ.x(0, condition=(0, 1))
-        circ.rx(0.3, 1)
+        circ.append(g.u(0.3, -math.pi / 2, math.pi / 2), [1])  # Rx(0.3)
         circ.h(3, new_moment=True)
         engine = VectorizedExecutor(schedule(circ, chain4.durations), chain4)
         runs = [
