@@ -1,7 +1,8 @@
 """Backend throughput benchmark: scalar trajectory vs vectorized batches.
 
 Times the same seeded workloads on ``backend="trajectory"`` and
-``backend="vectorized"`` and writes ``BENCH_backends.json``:
+``backend="vectorized"`` and writes ``BENCH_current.json`` (``--output``
+picks another file):
 
 * the fig. 3 Ramsey workload (case I, staggered DD) at 1024 shots — the
   acceptance workload for the vectorized engine's >=3x throughput target;
@@ -27,14 +28,17 @@ without a ``speedup`` field are informational only and never gated.
 
 Usage::
 
-    python benchmarks/bench_backends.py            # full sweep
-    python benchmarks/bench_backends.py --quick    # CI smoke (seconds)
+    python benchmarks/bench_backends.py --quick    # smoke (seconds)
     python benchmarks/bench_backends.py --quick \
-        --output BENCH_current.json --check-against BENCH_backends.json
+        --check-against BENCH_backends.json        # CI: gate vs baseline
+    python benchmarks/bench_backends.py \
+        --output BENCH_backends.json               # regenerate the baseline
 
-The baseline is read before the output is written, so pointing both at the
-same file compares against the previous run's content — but use a separate
---output to keep the committed baseline untouched.
+The default output, ``BENCH_current.json``, is gitignored, so no run
+overwrites the committed full-sweep baseline ``BENCH_backends.json``
+unless ``--output`` names it. The baseline is read before the output is
+written, so pointing both at the same file compares against the previous
+run's content.
 """
 
 from __future__ import annotations
@@ -327,7 +331,7 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="reduced sweep for CI smoke runs"
     )
     parser.add_argument(
-        "--output", default="BENCH_backends.json", help="where to write the JSON"
+        "--output", default="BENCH_current.json", help="where to write the JSON"
     )
     parser.add_argument(
         "--check-against",

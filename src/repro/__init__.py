@@ -24,7 +24,7 @@ Quickstart::
         ],
         device,
         backend="trajectory",   # or "density" for exact small systems
-        workers=4,              # parallel, but seed-for-seed deterministic
+        workers=4,              # unit threads, seed-for-seed deterministic
     )
     suppressed, baseline = batch[0]["z0"], batch[1]["z0"]
 
@@ -95,7 +95,7 @@ from .runtime import (
 )
 from .sim import SimOptions, SimResult
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "Circuit",

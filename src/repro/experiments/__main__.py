@@ -9,11 +9,11 @@ Usage::
 
 ``--quick`` shrinks shot counts and sweeps so each experiment finishes in
 seconds (useful for smoke-checking an install); default parameters match
-the benchmark harness. ``--workers N`` fans each experiment's batched
-simulations out over N threads and ``--backend`` selects the simulation
-engine (``vectorized`` batches all shots of a task through whole-array
-NumPy ops; results are identical to ``trajectory`` for any backend/worker
-choice, only the wall time changes). ``--json PATH`` writes every
+the benchmark harness. ``--workers N`` runs each batch's simulation
+units on N threads (compilation stays serial) and ``--backend`` selects
+the simulation engine (``vectorized`` batches all shots of a task through
+whole-array NumPy ops; results are identical to ``trajectory`` for any
+backend/worker choice, only the wall time changes). ``--json PATH`` writes every
 requested experiment's result — including the full per-point Sweep
 serialization — as one JSON document.
 
@@ -32,8 +32,8 @@ identical to ``trajectory`` for every worker count.
 
 Every flag maps onto one :func:`~repro.runtime.configure` setting. The
 compile stage and the vectorized chunk size have no flags of their own:
-compiling fans out over the same ``--workers`` threads and caches
-deterministic pipelines in memory, and chunks are sized automatically.
+compiling runs serially and caches deterministic pipelines in memory, and
+chunks are sized automatically and evolved one after another.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="compile and simulation threads per batched run "
-        "(deterministic for any N)",
+        help="threads that run each batch's simulation units; compilation "
+        "is serial (deterministic for any N)",
     )
     parser.add_argument(
         "--backend",

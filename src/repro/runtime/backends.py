@@ -9,9 +9,9 @@ ship with the library; :data:`BACKENDS` lists their names:
   statistical errors shrink with ``shots``.
 * ``"vectorized"`` — the default: the batched trajectory engine
   (:class:`repro.sim.VectorizedExecutor`): all shots evolve together along
-  the leading axis of one ``(shots, 2**n)`` array, sharded into
-  bounded-memory chunks across ``workers``; bit-for-bit equal to
-  ``"trajectory"`` for any seed and any worker count.
+  the leading axis of one ``(shots, 2**n)`` array, in bounded-memory
+  chunks; bit-for-bit equal to ``"trajectory"`` for any seed and any
+  worker count.
 * ``"density"`` — the exact density-matrix simulator
   (:class:`repro.sim.DensityExecutor`); zero-variance values for small
   systems (``shots`` is ignored and reported as 0).
@@ -27,11 +27,12 @@ Backends compile nothing: the shared
 :func:`~repro.runtime.plan.compile_tasks` stage produces frozen
 :class:`~repro.runtime.plan.ExecutionPlan` artifacts (scheduled circuits,
 normalized payloads, derived seeds) and :meth:`Backend.execute_plans` turns
-plans into results. Simulations are independently seeded, so fanning them
-out across ``workers`` threads never changes a value. Units that share a
-scheduled circuit (a deterministic pipeline's realizations — possibly
-across tasks, via the plan cache) share one engine, and with it the
-trajectory engines' cached static coherent accumulation.
+plans into results. Simulations are independently seeded, so fanning the
+units out across ``workers`` threads (the runtime's one thread pool)
+never changes a value. Units that share a scheduled circuit (a
+deterministic pipeline's realizations — possibly across tasks, via the
+plan cache) share one engine, and with it the trajectory engines' cached
+static coherent accumulation.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ class Backend(ABC):
         waste. Engines are shared between units that share a scheduled
         circuit: a deterministic pipeline's realizations, and any plans the
         content-addressed cache resolved to the same artifact.
-        ``options=None`` reuses the options the plans were compiled under.
+        ``options=None`` reuses the options the plans were compiled under;
+        ``workers > 1`` runs the units on that many threads.
         """
         if options is None:
             options = plan_options(plans)
@@ -113,10 +115,6 @@ class Backend(ABC):
             if counts[key] > 1 and key not in engines:
                 engines[key] = self._make_engine(unit.scheduled, unit.device, options)
 
-        # One job: backends that can shard *within* a simulation (the
-        # vectorized engine's chunked shot axis) get the whole budget.
-        unit_workers = workers if len(jobs) == 1 else 1
-
         def job(entry: Tuple[int, PlanUnit]) -> Tuple[SimResult, float]:
             index, unit = entry
             start = time.perf_counter()
@@ -124,10 +122,7 @@ class Backend(ABC):
             if engine is None:
                 engine = self._make_engine(unit.scheduled, unit.device, options)
             plan = plans[index]
-            result = self._execute(
-                engine, plan.kind, plan.payload, plan.task.shots, unit.seed,
-                workers=unit_workers,
-            )
+            result = self._execute(engine, plan.kind, plan.payload, plan.task.shots, unit.seed)
             return result, time.perf_counter() - start
 
         if workers > 1 and len(jobs) > 1:
@@ -199,13 +194,8 @@ class Backend(ABC):
         payload: Dict,
         shots: Optional[int],
         seed: SeedLike,
-        workers: int = 1,
     ) -> SimResult:
-        """Run one seeded simulation and return a ``SimResult``.
-
-        ``workers`` is the thread budget a backend may use to shard the
-        simulation internally (results must not depend on it).
-        """
+        """Run one seeded simulation and return a ``SimResult``."""
 
 
 class TrajectoryBackend(Backend):
@@ -216,7 +206,7 @@ class TrajectoryBackend(Backend):
     def _make_engine(self, scheduled, device, options) -> Executor:
         return Executor(scheduled, device, options)
 
-    def _execute(self, engine, kind, payload, shots, seed, workers=1) -> SimResult:
+    def _execute(self, engine, kind, payload, shots, seed) -> SimResult:
         if kind == "expectations":
             return engine.expectations(payload, shots=shots, seed=seed)
         return engine.probabilities(payload, shots=shots, seed=seed)
@@ -228,8 +218,8 @@ class VectorizedBackend(Backend):
     Seed-for-seed bit-identical to :class:`TrajectoryBackend`: the same
     noise draws are consumed from the same streams in the same order, and
     every batched floating-point operation reproduces the scalar bits.
-    Chunk sizes follow the engine's amplitude budget and the worker split,
-    and never change a value.
+    Chunk sizes follow the engine's amplitude budget and never change a
+    value.
     """
 
     name = "vectorized"
@@ -237,12 +227,10 @@ class VectorizedBackend(Backend):
     def _make_engine(self, scheduled, device, options) -> VectorizedExecutor:
         return VectorizedExecutor(scheduled, device, options)
 
-    def _execute(self, engine, kind, payload, shots, seed, workers=1) -> SimResult:
+    def _execute(self, engine, kind, payload, shots, seed) -> SimResult:
         if kind == "expectations":
-            return engine.expectations(
-                payload, shots=shots, seed=seed, workers=workers
-            )
-        return engine.probabilities(payload, shots=shots, seed=seed, workers=workers)
+            return engine.expectations(payload, shots=shots, seed=seed)
+        return engine.probabilities(payload, shots=shots, seed=seed)
 
 
 class DensityBackend(Backend):
@@ -260,7 +248,7 @@ class DensityBackend(Backend):
     def _make_engine(self, scheduled, device, options) -> DensityExecutor:
         return DensityExecutor(scheduled, device, options)
 
-    def _execute(self, engine, kind, payload, shots, seed, workers=1) -> SimResult:
+    def _execute(self, engine, kind, payload, shots, seed) -> SimResult:
         if kind == "expectations":
             values = engine.expectations(payload)
         else:

@@ -9,11 +9,11 @@ stage out into a shared, backend-agnostic artifact:
   every realization, the normalized measurement payload, and the derived
   per-realization seeds. Every backend (``trajectory``, ``vectorized``,
   ``density``, ``distributed``) consumes the same plans.
-* Because each task owns its RNG stream (seeded from ``task.seed``),
-  compilation is embarrassingly parallel **across** tasks: ``workers > 1``
-  fans tasks out over a thread pool while each task's in-order realization
-  loop stays sequential, so plans are bit-for-bit identical for any worker
-  count.
+* Compilation is serial: tasks compile in order, each from its own RNG
+  stream (seeded from ``task.seed``), and each task's realizations compile
+  in stream order. The compile stage is Python-bound, so threads would
+  only contend for the GIL; ``run(workers=)`` fans out the simulation
+  units alone.
 * :class:`PlanCache` is an in-memory, content-addressed cache keyed on
   (circuit fingerprint, pipeline fingerprint, device fingerprint).
   Deterministic pipelines compile and schedule once per distinct content
@@ -36,7 +36,6 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -477,15 +476,12 @@ def compile_tasks(
     tasks: Sequence[Task],
     device: Optional[Device] = None,
     options: Optional[SimOptions] = None,
-    workers: int = 1,
     cache: Optional[PlanCache] = PLAN_CACHE,
 ) -> List[ExecutionPlan]:
-    """Compile every task into a frozen :class:`ExecutionPlan`.
+    """Compile every task, in order, into a frozen :class:`ExecutionPlan`.
 
-    Tasks compile independently on their own RNG streams, so plans (and
-    therefore results) are bit-for-bit identical for any ``workers``
-    count; within a task, realizations always compile sequentially in
-    stream order.
+    Each task compiles from its own RNG stream, and within a task the
+    realizations compile sequentially in stream order.
 
     Args:
         tasks: the :class:`~repro.runtime.task.Task` objects to compile (a
@@ -497,8 +493,6 @@ def compile_tasks(
             ``options.seed`` *now*, at compile time — the plans record
             ``options`` so that executing them (``run(plans)``) defaults to
             the matching configuration.
-        workers: thread fan-out of the compile stage (tasks fan out; ``1``
-            compiles serially).
         cache: the content-addressed :class:`PlanCache` to use; defaults to
             the process-wide :data:`PLAN_CACHE`. Pass ``cache=None`` to
             disable caching for this call only.
@@ -507,35 +501,23 @@ def compile_tasks(
         One :class:`ExecutionPlan` per task, in task order.
 
     Example:
-        >>> plans = compile_tasks(tasks, device, workers=4)  # doctest: +SKIP
+        >>> plans = compile_tasks(tasks, device)  # doctest: +SKIP
         >>> run(plans, backend="vectorized")  # doctest: +SKIP
     """
     if isinstance(tasks, Task):
         tasks = [tasks]
     options = options or SimOptions()
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-
     # Device fingerprints are content hashes of calibration data; memoize
     # per distinct object so a 100-point sweep hashes its device once.
     fp_memo: Dict[int, str] = {}
-    fp_lock = threading.Lock()
 
     def device_fp(dev: Device) -> str:
-        key = id(dev)
-        with fp_lock:
-            fp = fp_memo.get(key)
+        fp = fp_memo.get(id(dev))
         if fp is None:
-            fp = device_fingerprint(dev)
-            with fp_lock:
-                fp_memo[key] = fp
+            fp = fp_memo[id(dev)] = device_fingerprint(dev)
         return fp
 
-    def job(pair: Tuple[int, Task]) -> ExecutionPlan:
-        index, task = pair
-        return _compile_one(task, device, options, cache, device_fp, index)
-
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, enumerate(tasks)))
-    return [job(pair) for pair in enumerate(tasks)]
+    return [
+        _compile_one(task, device, options, cache, device_fp, index)
+        for index, task in enumerate(tasks)
+    ]

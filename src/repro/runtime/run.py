@@ -19,10 +19,10 @@ One call schedules, compiles, and simulates any number of tasks::
 
 ``run()`` is two stages glued together: the shared
 :func:`~repro.runtime.plan.compile_tasks` stage turns tasks into frozen
-:class:`~repro.runtime.plan.ExecutionPlan` artifacts (thread-parallel
-across tasks and content-cached in memory for deterministic pipelines),
-and the backend executes the plans. Both stages fan out over the same
-``workers`` threads and preserve each task's private RNG stream, so
+:class:`~repro.runtime.plan.ExecutionPlan` artifacts (serially, in task
+order, and content-cached in memory for deterministic pipelines), and the
+backend executes the plans. Only the execute stage fans out: ``workers``
+threads run the simulation units, each on its own derived seed, so
 results are bit-for-bit identical for every ``workers`` count and cache
 temperature — they only change wall time. Pre-built plans can be passed
 in place of tasks to skip the compile stage entirely. :func:`configure`
@@ -67,12 +67,12 @@ def default_chunk_shots() -> None:
 
 
 def default_compile_mode() -> str:
-    """Always ``"thread"``: compilation fans out over the run's threads."""
+    """Always ``"thread"``: compilation runs serially in the calling thread."""
     return FIXED_SETTINGS["compile_mode"]
 
 
 def default_compile_workers() -> None:
-    """Always ``None``: compilation uses the run's ``workers``."""
+    """Always ``None``: compilation is serial whatever the run's ``workers``."""
     return FIXED_SETTINGS["compile_workers"]
 
 
@@ -121,7 +121,8 @@ def configure(
     choice without plumbing parameters through.
 
     Args:
-        workers: default simulation-thread count for ``run()``.
+        workers: default simulation-thread count for ``run()`` (threads
+            fan out the simulation units; compilation is serial).
         backend: default backend name, one of
             :data:`~repro.runtime.backends.BACKENDS` (validated immediately).
         dist_workers: worker-process count for the ``"distributed"``
@@ -212,8 +213,8 @@ def run(
         options: :class:`~repro.sim.SimOptions` noise/sampling
             configuration (``None`` = defaults, or the plans' recorded
             options when executing plans).
-        workers: compile and simulation fan-out (threads). ``None`` uses
-            the configured default.
+        workers: threads that run the simulation units (compilation is
+            serial). ``None`` uses the configured default.
 
     Returns:
         A :class:`~repro.runtime.task.BatchResult` with one
@@ -254,7 +255,7 @@ def run(
                 "compile the tasks first and concatenate the plans"
             )
         options = options or SimOptions()
-        plans = compile_tasks(items, device=device, options=options, workers=count)
+        plans = compile_tasks(items, device=device, options=options)
         compile_time = time.perf_counter() - start
     exec_start = time.perf_counter()
     results = engine.execute_plans(plans, options=options, workers=count)

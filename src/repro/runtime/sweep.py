@@ -30,7 +30,7 @@ point at a time, which two kinds of builders rely on:
   does not apply to a case).
 
 ``Sweep.run`` is a thin wrapper over :func:`repro.runtime.run`, so points
-compile through the shared plan stage (parallel + content-cached). The
+compile through the shared plan stage (serial + content-cached). The
 run's backend, worker count and compile/exec wall-time split live on
 ``result.batch`` (a :class:`~repro.runtime.task.BatchResult`), never in
 ``result.to_json()``, which holds values only.
@@ -132,10 +132,10 @@ class Sweep:
             backend: backend name (``None`` = configured default).
                 ``"distributed"`` shards every grid point's realizations
                 across worker processes, bit-identical to ``"trajectory"``.
-            workers: compile and simulation fan-out (the ``"distributed"``
-                backend reads it as its worker-process count unless
-                ``configure(dist_workers=...)`` overrides). It never
-                changes a value.
+            workers: threads that run the simulation units; compilation
+                is serial (the ``"distributed"`` backend reads it as its
+                worker-process count unless ``configure(dist_workers=...)``
+                overrides). It never changes a value.
 
         Returns:
             A :class:`SweepResult` keying each grid point's

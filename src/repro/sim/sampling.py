@@ -251,7 +251,7 @@ def build_noise_plan(
         np.array(gate_highs, dtype=np.int64),
     )
     for arr in arrays:
-        arr.setflags(write=False)  # one plan serves every chunk's thread
+        arr.setflags(write=False)  # one plan serves every unit thread
     return NoisePlan(n, detunings, tuple(moments), column, *arrays)
 
 

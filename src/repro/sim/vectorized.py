@@ -52,16 +52,15 @@ the unscaled state as in the scalar engine. Idle dephasing negates the same
 view in place, and each chunk reuses one set of scratch buffers for
 ``|psi|**2``, ``P(q = 1)``, gathered phases and the gate chain.
 
-The shot axis is sharded into bounded-memory chunks of at most
-``_CHUNK_AMPLITUDES`` amplitudes, split further across ``workers``; chunks
-are independent row blocks, so any chunk size or worker count produces the
-same bits and only changes wall time and peak memory.
+The shot axis is cut into bounded-memory chunks of at most
+``_CHUNK_AMPLITUDES`` amplitudes, evolved one after another; chunks are
+independent row blocks, so any chunk size produces the same bits and only
+changes wall time and peak memory.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -162,8 +161,8 @@ def _chain_plan(
 class _Workspace:
     """Scratch arrays for one ``(rows, 2**n)`` batch, reused by every step.
 
-    Each :meth:`VectorizedExecutor._evolve_chunk` call owns one, so chunks
-    evolving on different threads never share a buffer. A step on a
+    Each :meth:`VectorizedExecutor._evolve_chunk` call owns one, so units
+    sharing an engine on different threads never share a buffer. A step on a
     smaller row subset of the chunk (a conditioned gate, a mixed damping
     batch) gets a fresh one from :meth:`VectorizedExecutor._workspace`.
     """
@@ -188,9 +187,8 @@ class VectorizedExecutor(Executor):
     """Batched many-shot evolution of one scheduled circuit.
 
     A drop-in peer of :class:`~repro.sim.executor.Executor` with the same
-    constructor and result types; ``expectations`` / ``probabilities``
-    additionally accept ``workers`` to shard the shot axis across threads.
-    A chunk holds at most ~32 MiB of amplitudes (``_CHUNK_AMPLITUDES``).
+    constructor, entry points and result types. A chunk holds at most
+    ~32 MiB of amplitudes (``_CHUNK_AMPLITUDES``).
     """
 
     def __init__(
@@ -551,12 +549,10 @@ class VectorizedExecutor(Executor):
         sel = np.ascontiguousarray(psi[:, mask])
         return np.sum(np.abs(sel) ** 2, axis=1)
 
-    # -- sharded entry points --------------------------------------------------
+    # -- chunked entry points --------------------------------------------------
 
-    def _chunk_sizes(self, count: int, workers: int) -> List[int]:
+    def _chunk_sizes(self, count: int) -> List[int]:
         size = max(1, _CHUNK_AMPLITUDES // self._dim)
-        if workers > 1:
-            size = min(size, max(1, -(-count // workers)))
         sizes = []
         left = count
         while left > 0:
@@ -565,41 +561,23 @@ class VectorizedExecutor(Executor):
             left -= take
         return sizes
 
-    def _run_batched(
-        self,
-        contract,
-        shots: Optional[int],
-        seed: SeedLike,
-        workers: int,
-    ) -> SimResult:
-        """Sample serially, evolve in chunks, contract per shot, aggregate.
+    def _run_batched(self, contract, shots: Optional[int], seed: SeedLike) -> SimResult:
+        """Sample, evolve and contract chunk by chunk, then aggregate.
 
         ``contract(psi) -> {key: (rows,) values}`` computes the per-shot
         samples of one evolved chunk.
         """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         rng = as_generator(seed if seed is not None else self.options.seed)
         count = self._shot_count(shots)
-        # The sampling pass is the only serial part: it replays the exact
-        # RNG stream of `count` sequential scalar trajectories, one row of
-        # a chunk's columnar batch per shot.
-        chunks = []
-        for size in self._chunk_sizes(count, workers):
+        # Sampling replays the exact RNG stream of `count` sequential scalar
+        # trajectories, one row of a chunk's columnar batch per shot.
+        results = []
+        for size in self._chunk_sizes(count):
             batch = NoiseBatch.empty(self._plan, size)
             for row in range(size):
                 sample_shot(self._plan, rng, batch, row)
-            chunks.append(batch)
-
-        def job(batch: NoiseBatch) -> Dict[str, np.ndarray]:
             psi, _clbits = self._evolve_chunk(batch)
-            return contract(psi)
-
-        if workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(job, chunks))
-        else:
-            results = [job(batch) for batch in chunks]
+            results.append(contract(psi))
         samples = {
             key: np.concatenate([r[key] for r in results])
             for key in results[0]
@@ -611,7 +589,6 @@ class VectorizedExecutor(Executor):
         observables: Dict[str, Pauli],
         shots: Optional[int] = None,
         seed: SeedLike = None,
-        workers: int = 1,
     ) -> SimResult:
         """Batched, bit-identical twin of ``Executor.expectations``."""
 
@@ -621,14 +598,13 @@ class VectorizedExecutor(Executor):
                 for key, pauli in observables.items()
             }
 
-        return self._run_batched(contract, shots, seed, workers)
+        return self._run_batched(contract, shots, seed)
 
     def probabilities(
         self,
         targets: Dict[str, Dict[int, int]],
         shots: Optional[int] = None,
         seed: SeedLike = None,
-        workers: int = 1,
     ) -> SimResult:
         """Batched, bit-identical twin of ``Executor.probabilities``."""
 
@@ -638,4 +614,4 @@ class VectorizedExecutor(Executor):
                 for key, bits in targets.items()
             }
 
-        return self._run_batched(contract, shots, seed, workers)
+        return self._run_batched(contract, shots, seed)

@@ -34,7 +34,8 @@ def fit_exponential_decay(
     """Fit ``y = A * r**x (+ B)`` with ``0 <= r <= 1``.
 
     When ``offset`` is given it is held fixed (pass ``0.0`` for decays to
-    zero); otherwise it is fitted.
+    zero); otherwise it is fitted. A fit that does not converge raises
+    SciPy's ``RuntimeError``; no initial guess is ever returned as a fit.
     """
     # Imported here so that ``import repro`` does not load SciPy.
     from scipy.optimize import curve_fit
@@ -64,10 +65,7 @@ def fit_exponential_decay(
         p0 = (guess_amp, guess_rate)
         bounds = ([0.0, 0.0], [2.0, 1.0])
 
-    try:
-        popt, _ = curve_fit(model, x, y, p0=p0, bounds=bounds, maxfev=20000)
-    except RuntimeError:
-        popt = p0
+    popt, _ = curve_fit(model, x, y, p0=p0, bounds=bounds, maxfev=20000)
     if offset is None:
         amp, rate, off = popt
     else:

@@ -5,6 +5,12 @@ Each test calls a figure driver with the same arguments as its bench in
 arXiv:2403.06852, are checked on every tier-1 run and not only when the
 benches run. Only the cheap figures are here (a few seconds in all); Figs. 7,
 8 and 10 stay bench-only.
+
+Tier-1 runs each driver on its default seed. Each docstring also records
+the claim's worst-case margin (how far the tightest assert is from failing)
+over five driver seeds: the default and the next four, passed as the
+driver's ``seed``. Two claims fail on one of those seeds; their docstrings
+say so, and the assert is left as it is.
 """
 
 import numpy as np
@@ -34,6 +40,9 @@ class TestFig3Ramsey:
     collapse; in case IV only EC helps."""
 
     def test_case1_idle_pair(self):
+        """Seeds 1001-1005: staggered DD and CA-EC beat bare at depth 12 by
+        at least 0.008 and 0.015 (seed 1004; 0.450 and 0.434 at 1001), and
+        EC + aligned DD stays above 0.8 by at least 0.059 (seed 1005)."""
         curves = _fig3("case1_idle_pair")
         worst = FIG3_DEPTHS.index(12)
         assert curves["staggered_dd"][worst] > curves["none"][worst]
@@ -41,30 +50,45 @@ class TestFig3Ramsey:
         assert min(curves["ec+aligned_dd"]) > 0.8
 
     def test_case2_control_spectator(self):
+        """Seeds 1001-1005: fails on seed 1002, where CA-DD ends 0.032 below
+        bare (0.939 vs 0.971; bare barely decays on that device) and CA-EC
+        leads by only 0.010. Margins at 1001: 0.115 and 0.128."""
         curves = _fig3("case2_control_spectator")
         assert curves["ca_dd"][-1] > curves["none"][-1]
         assert curves["ca_ec"][-1] > curves["none"][-1]
 
     def test_case3_target_spectator(self):
+        """Seeds 1001-1005: fails on seed 1002, where CA-DD ends 0.035 below
+        bare (0.939 vs 0.974) and CA-EC leads by only 0.005. Margins at
+        1001: 0.117 and 0.152."""
         curves = _fig3("case3_target_spectator")
         assert curves["ca_dd"][-1] > curves["none"][-1]
         assert curves["ca_ec"][-1] > curves["none"][-1]
 
     def test_case4_adjacent_controls(self):
+        """Seeds 1001-1005: CA-EC's summed curve beats bare by at least
+        0.080 (seed 1005; 0.274 at 1001)."""
         curves = _fig3("case4_adjacent_controls")
         assert sum(curves["ca_ec"]) > sum(curves["none"])
 
 
 class TestFig4MinorErrors:
     def test_stark_shift(self):
-        """Fig. 4a: the spectator fringe moves by the calibrated Stark shift."""
+        """Fig. 4a: the spectator fringe moves by the calibrated Stark shift.
+
+        Seeds 2001-2005: the fit stays inside the 10 kHz tolerance by at
+        least 4.6 kHz (seed 2004; 7.0 kHz at 2001)."""
         result = run_stark(times=tuple(np.linspace(500.0, 60000.0, 100)), shots=16)
         assert result.stark_shift == np.float64(result.stark_shift)
         assert abs(result.stark_shift - result.calibrated_stark) < 10e-6
 
     def test_parity_beating(self):
         """Fig. 4b / eq. 6: the charge-parity sign splits the fringe into
-        sidebands a beat away from the applied tone."""
+        sidebands a beat away from the applied tone.
+
+        Seeds 2002-2006: the beat is inside its 25 kHz tolerance by at least
+        17.5 kHz (seed 2006), and the envelope dips below 0.75 by at least
+        0.61 (seed 2003)."""
         applied, delta = 250.0, 40.0  # kHz
         data = run_parity(
             applied_khz=applied, delta_khz=delta,
@@ -78,7 +102,11 @@ class TestFig4MinorErrors:
 
     def test_nnn_walsh_hierarchy(self):
         """Fig. 4c: on the collision triple, 3-colour Walsh DD beats 2-colour
-        staggered DD, which beats aligned DD and no DD."""
+        staggered DD, which beats aligned DD and no DD.
+
+        Seeds 2003-2007: the tightest margin is staggered over aligned,
+        0.058 at the default seed 2003 (0.42 or more elsewhere); Walsh
+        beats staggered by at least 0.144 (seed 2004)."""
         curves = run_nnn_walsh(depths=(0, 8, 16, 24), shots=32).curves
         assert curves["walsh"][-1] > curves["staggered"][-1]
         assert curves["staggered"][-1] > curves["none"][-1]
@@ -87,7 +115,10 @@ class TestFig4MinorErrors:
 
 def test_fig6_ising_boundary_correlator():
     """Fig. 6: CA-EC and CA-DD both recover the alternating boundary
-    correlator better than the twirl-only baseline."""
+    correlator better than the twirl-only baseline.
+
+    Seeds 3001-3005: the total error drops by at least 0.376 (CA-EC) and
+    0.294 (CA-DD), both at the default seed 3001."""
     result = run_fig6(steps=(0, 1, 2, 3, 4, 5), shots=20, realizations=6)
     ideal = np.asarray(result.ideal)
 
@@ -101,7 +132,12 @@ def test_fig6_ising_boundary_correlator():
 class TestFig9Dynamic:
     def test_feedforward_calibration_sweep(self):
         """Fig. 9c: bare fidelity collapses (paper 9.5%), CA-EC recovers it
-        (paper 78.1%), and the sweep peaks at the true feedforward time."""
+        (paper 78.1%), and the sweep peaks at the true feedforward time.
+
+        Seeds 6001-6005: bare stays under 0.2 by at least 0.060 and the
+        improvement over 4 by at least 2.1 (both seed 6004); the peak clears
+        0.75 by at least 0.104 (seed 6002); the best estimate is within
+        50 ns of the true time on every seed (250 ns inside the bound)."""
         result = run_fig9(estimates=list(np.linspace(0.0, 3000.0, 11)), shots=140)
         assert result.bare_fidelity < 0.2
         assert result.peak_fidelity > 0.75
@@ -110,7 +146,10 @@ class TestFig9Dynamic:
 
     def test_conditional_variant_matches(self):
         """Fig. 9b: the conditional-branch construction performs like the
-        generic CA-EC compilation at the true feedforward time."""
+        generic CA-EC compilation at the true feedforward time.
+
+        Seeds 6001-6005: the two agree within 0.08 by at least 0.017 (seed
+        6003; 0.044 at 6001)."""
         result = run_fig9(estimates=[1150.0], shots=140)
         assert result.conditional_fidelity == pytest.approx(
             result.fidelities[0], abs=0.08
@@ -119,7 +158,11 @@ class TestFig9Dynamic:
 
 def test_table1_error_taxonomy():
     """Table 1: each error source yields to the techniques marked with a
-    check and resists the ones marked with a cross."""
+    check and resists the ones marked with a cross.
+
+    Seeds 8001-8005: the tightest row is Stark Z, whose EC and DD residuals
+    stay under 0.2 x bare by at least 0.006 (seed 8004; 0.051 at 8001).
+    Every other assert keeps at least 0.065 (active ZZ, seed 8004)."""
     rows = {r.error: r for r in run_table1(depth=8, shots=48).entries}
 
     idle = rows["Z+ZZ (idle)"]

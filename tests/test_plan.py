@@ -186,7 +186,7 @@ class TestWorkerInvariance:
             compile_tasks(mixed_tasks(), chain4, options=opts), options=opts
         )
         threaded = engine.execute_plans(
-            compile_tasks(mixed_tasks(), chain4, options=opts, workers=3),
+            compile_tasks(mixed_tasks(), chain4, options=opts),
             options=opts,
             workers=3,
         )

@@ -82,6 +82,17 @@ class TestDecayFit:
         fit = fit_exponential_decay(x, y, offset=0.0)
         assert fit.rate == pytest.approx(0.95, abs=0.02)
 
+    def test_failed_fit_raises(self, monkeypatch):
+        """A fit that does not converge is an error, not its initial guess."""
+        import scipy.optimize
+
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found")
+
+        monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
+        with pytest.raises(RuntimeError, match="Optimal parameters not found"):
+            fit_exponential_decay(np.arange(10), 0.9 * 0.8 ** np.arange(10))
+
 
 class TestDominantFrequency:
     def test_recovers_single_tone(self):

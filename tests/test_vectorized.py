@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import Circuit, SimOptions, Task, VectorizedBackend, compile_tasks, run, schedule
+from repro import Circuit, SimOptions, Task, VectorizedBackend, run, schedule
 from repro.circuits import gates as g
 from repro.circuits.gates import Gate
 from repro.compiler.strategies import STRATEGIES
@@ -320,31 +320,6 @@ class TestRegistryAndPlumbing:
         with pytest.raises(ValueError):
             configure(workers=previous + 3, backend="warp-drive")
         assert default_workers() == previous
-
-    def test_execute_always_receives_workers(self, chain4):
-        """Backend.execute_plans passes ``workers=`` to every ``_execute``
-        call: the whole budget for a single job, 1 per job otherwise."""
-        from repro.runtime import TrajectoryBackend
-
-        seen = []
-
-        class RecordingBackend(TrajectoryBackend):
-            name = "recording"
-
-            def _execute(self, engine, kind, payload, shots, seed, workers=1):
-                seen.append(workers)
-                return super()._execute(engine, kind, payload, shots, seed, workers)
-
-        options = SimOptions(shots=4)
-        one = [Task(layered_circuit(), observables=OBS, seed=1)]
-        plans = compile_tasks(one, chain4, options=options)
-        RecordingBackend().execute_plans(plans, options=options, workers=3)
-        assert seen == [3]
-        seen.clear()
-        many = [Task(layered_circuit(), observables=OBS, seed=s) for s in (1, 2)]
-        plans = compile_tasks(many, chain4, options=options)
-        RecordingBackend().execute_plans(plans, options=options, workers=3)
-        assert seen == [1, 1]
 
 
 def _bits(array):
