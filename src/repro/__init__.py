@@ -51,8 +51,6 @@ from .circuits import (
     summary,
 )
 from .compiler import (
-    STRATEGIES,
-    Strategy,
     apply_aligned_dd,
     apply_ca_dd,
     apply_ca_ec,
@@ -71,13 +69,13 @@ from .runtime import (
     BACKENDS,
     CADD,
     CAEC,
+    STRATEGIES,
     AlignedDD,
     Backend,
     BatchResult,
     ExecutionPlan,
     Orient,
     Pass,
-    PassContext,
     Pipeline,
     PlanCache,
     StaggeredDD,
@@ -107,7 +105,6 @@ __all__ = [
     "gates",
     "schedule",
     "STRATEGIES",
-    "Strategy",
     "apply_aligned_dd",
     "apply_ca_dd",
     "apply_ca_ec",
@@ -125,7 +122,6 @@ __all__ = [
     "BatchResult",
     "ExecutionPlan",
     "Pass",
-    "PassContext",
     "Pipeline",
     "PlanCache",
     "Sweep",

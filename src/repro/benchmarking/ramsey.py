@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..circuits.circuit import Circuit
-from ..compiler.strategies import get_strategy
 from ..device.calibration import Device
-from ..runtime import Task, pipeline_for
+from ..runtime import Pipeline, Task, Twirl, pipeline_for
 from ..utils.rng import SeedLike
 
 
@@ -99,7 +98,7 @@ def ramsey_task(
     case: RamseyCase,
     device: Device,
     depth: int,
-    strategy="none",
+    strategy: str = "none",
     tau: float = 500.0,
     twirl: bool = False,
     realizations: int = 1,
@@ -111,18 +110,16 @@ def ramsey_task(
     batched :func:`repro.runtime.run` call — every point is independently
     seeded, so batching (at any worker count) leaves the values untouched.
     """
-    from dataclasses import replace
-
-    strategy = get_strategy(strategy)
+    pipeline = pipeline_for(strategy)
     if not twirl:
-        strategy = replace(strategy, twirl=False)
+        pipeline = Pipeline([p for p in pipeline if not isinstance(p, Twirl)], name=strategy)
         realizations = 1  # compilation is deterministic without twirling
     return Task(
         build_case_circuit(case, depth, tau),
         bit_targets={"f": {q: 0 for q in case.probes}},
-        pipeline=pipeline_for(strategy),
+        pipeline=pipeline,
         realizations=max(realizations, 1),
         seed=seed,
         device=device,
-        name=f"{case.name}/{strategy.name}/d{depth}",
+        name=f"{case.name}/{strategy}/d{depth}",
     )

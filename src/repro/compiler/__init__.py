@@ -1,4 +1,8 @@
-"""Context-aware compiler: CA-DD (Algorithm 1), CA-EC (Algorithm 2), baselines."""
+"""Context-aware compiler: CA-DD (Algorithm 1), CA-EC (Algorithm 2), baselines.
+
+The named strategies that chain these stages live in
+:data:`repro.runtime.pipeline.STRATEGIES`.
+"""
 
 from .ca_dd import CADDReport, apply_ca_dd, pinned_colors
 from .ca_ec import CAECReport, apply_ca_ec
@@ -11,7 +15,6 @@ from .dd import (
     dd_pulse_count,
 )
 from .orientation import OrientationReport, apply_orientation, choose_orientations
-from .strategies import STRATEGIES, Strategy, get_strategy
 from .walsh import max_sequency, orthogonal, pulse_count, walsh_fractions, walsh_signs
 
 __all__ = [
@@ -33,9 +36,6 @@ __all__ = [
     "OrientationReport",
     "apply_orientation",
     "choose_orientations",
-    "STRATEGIES",
-    "Strategy",
-    "get_strategy",
     "max_sequency",
     "orthogonal",
     "pulse_count",

@@ -38,8 +38,8 @@ from .backends import (
     get_backend,
 )
 from .distributed import DistributedBackend, LocalShardExecutor
-from .passes import CADD, CAEC, AlignedDD, Orient, Pass, PassContext, StaggeredDD, Twirl
-from .pipeline import IDENTITY, Pipeline, as_pipeline, pipeline_for
+from .passes import CADD, CAEC, AlignedDD, Orient, Pass, StaggeredDD, Twirl
+from .pipeline import IDENTITY, STRATEGIES, Pipeline, as_pipeline, pipeline_for
 from .plan import (
     PLAN_CACHE,
     ExecutionPlan,
@@ -84,10 +84,10 @@ __all__ = [
     "AlignedDD",
     "Orient",
     "Pass",
-    "PassContext",
     "StaggeredDD",
     "Twirl",
     "IDENTITY",
+    "STRATEGIES",
     "Pipeline",
     "as_pipeline",
     "pipeline_for",

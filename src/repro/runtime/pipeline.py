@@ -1,9 +1,9 @@
 """Composable compilation pipelines.
 
 A :class:`Pipeline` is an ordered list of :class:`~repro.runtime.passes.Pass`
-objects. The named strategies of the paper are pipeline *recipes*
-(:func:`pipeline_for` builds them from a :class:`~repro.compiler.Strategy`),
-and users can compose their own::
+objects. The named strategies of the paper are pipeline *recipes*, one
+line each of :data:`STRATEGIES` (:func:`pipeline_for` builds them), and
+users can compose their own::
 
     from repro.runtime import CADD, CAEC, Orient, Pipeline, Twirl
 
@@ -15,18 +15,15 @@ and users can compose their own::
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Type, Union
 
 from ..circuits.circuit import Circuit
-from ..circuits.schedule import Durations
-from ..compiler.dd import DEFAULT_MIN_DURATION
-from ..compiler.strategies import Strategy, get_strategy
 from ..device.calibration import Device
-from ..utils.rng import SeedLike
-from .passes import CADD, CAEC, AlignedDD, Orient, Pass, PassContext, StaggeredDD, Twirl
+from ..utils.rng import SeedLike, as_generator
+from .passes import CADD, CAEC, AlignedDD, Orient, Pass, StaggeredDD, Twirl
 
 #: Anything the runtime accepts as a compilation recipe.
-PipelineLike = Union[None, str, Strategy, "Pipeline", Sequence[Pass]]
+PipelineLike = Union[None, str, "Pipeline", Sequence[Pass]]
 
 
 class Pipeline:
@@ -49,7 +46,7 @@ class Pipeline:
         """Content key of the recipe, or ``None`` if not addressable.
 
         Joins every pass's :meth:`~repro.runtime.passes.Pass.fingerprint`
-        (name + output-affecting parameters). ``None`` — any pass without a
+        (a built-in pass's name). ``None`` — any pass without a
         fingerprint — opts the pipeline out of the plan cache. The pipeline
         *name* deliberately does not participate: two differently named
         recipes with the same passes produce the same circuits.
@@ -62,26 +59,21 @@ class Pipeline:
             parts.append(fp)
         return "+".join(parts) if parts else "identity"
 
-    def then(self, *passes: Pass) -> "Pipeline":
-        """A new pipeline with ``passes`` appended."""
-        return Pipeline(self.passes + passes)
-
     def compile(
         self,
         circuit: Circuit,
         device: Device,
         seed: SeedLike = None,
-        context: Optional[PassContext] = None,
     ) -> Circuit:
         """Run every pass in order; returns the compiled circuit.
 
         Pass ``seed`` (or a shared generator) to make stochastic passes
-        reproducible; pass an explicit ``context`` to collect pass reports.
+        reproducible.
         """
-        ctx = context if context is not None else PassContext.from_seed(seed)
+        rng = as_generator(seed)
         out = circuit
         for p in self.passes:
-            out = p.run(out, device, ctx)
+            out = p.run(out, device, rng)
         return out
 
     def __iter__(self) -> Iterator[Pass]:
@@ -99,37 +91,51 @@ class Pipeline:
 IDENTITY = Pipeline((), name="as-is")
 
 
-def pipeline_for(
-    strategy: Union[str, Strategy],
-    planner_durations: Optional[Durations] = None,
-    min_dd_duration: float = DEFAULT_MIN_DURATION,
-    orient: bool = False,
-) -> Pipeline:
-    """Build the pass pipeline for a named strategy.
+#: The paper's named strategies, each as its passes in the paper's order:
+#: twirl, then DD, then CA-EC last (it must see the twirl Paulis and DD
+#: pulses, as Algorithm 2 requires).
+#:
+#: ===================  ================================================
+#: ``none``             Pauli twirling only (the paper's baseline)
+#: ``dd``               context-unaware aligned X2 DD on all idles
+#: ``staggered_dd``     context-unaware staggered DD (2-coloring)
+#: ``ca_dd``            Algorithm 1 (Walsh sequences by coloring)
+#: ``ca_ec``            Algorithm 2 (absorb/insert compensations)
+#: ``ca_ec+dd``         CA-DD first, CA-EC mops up the residual
+#:                      (the combined strategy of Sec. V E)
+#: ``ec+aligned_dd``    aligned DD plus error compensation (the "simple
+#:                      DD + EC matches fancy DD" curve of Fig. 3c)
+#: ===================  ================================================
+STRATEGIES: Dict[str, Tuple[Type[Pass], ...]] = {
+    "none": (Twirl,),
+    "dd": (Twirl, AlignedDD),
+    "staggered_dd": (Twirl, StaggeredDD),
+    "ca_dd": (Twirl, CADD),
+    "ca_ec": (Twirl, CAEC),
+    "ca_ec+dd": (Twirl, CADD, CAEC),
+    "ec+aligned_dd": (Twirl, AlignedDD, CAEC),
+}
 
-    The passes run in the paper's order: orientation, twirl, DD, EC
-    (CA-EC last, so it sees the twirl Paulis and DD pulses). The same seed
-    yields the identical circuit.
+
+def pipeline_for(strategy: str, orient: bool = False) -> Pipeline:
+    """Build the pass pipeline for a named strategy of :data:`STRATEGIES`.
+
+    ``orient=True`` runs gate orientation first. The same seed yields the
+    identical circuit.
     """
-    strategy = get_strategy(strategy)
-    passes: List[Pass] = []
+    try:
+        passes = STRATEGIES[strategy]
+    except KeyError:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
+        ) from None
     if orient:
-        passes.append(Orient())
-    if strategy.twirl:
-        passes.append(Twirl())
-    if strategy.dd == "aligned":
-        passes.append(AlignedDD(min_dd_duration))
-    elif strategy.dd == "staggered":
-        passes.append(StaggeredDD(min_dd_duration))
-    elif strategy.dd == "ca":
-        passes.append(CADD(min_dd_duration))
-    if strategy.ec:
-        passes.append(CAEC(planner_durations))
-    return Pipeline(passes, name=strategy.name)
+        passes = (Orient,) + passes
+    return Pipeline([cls() for cls in passes], name=strategy)
 
 
 def as_pipeline(spec: PipelineLike) -> Pipeline:
-    """Normalize a pipeline spec: name, Strategy, Pipeline, or pass list.
+    """Normalize a pipeline spec: strategy name, Pipeline, or pass list.
 
     ``None`` maps to the identity pipeline (run the circuit as-is).
     """
@@ -137,7 +143,7 @@ def as_pipeline(spec: PipelineLike) -> Pipeline:
         return IDENTITY
     if isinstance(spec, Pipeline):
         return spec
-    if isinstance(spec, (str, Strategy)):
+    if isinstance(spec, str):
         return pipeline_for(spec)
     if isinstance(spec, Sequence):
         return Pipeline(spec)

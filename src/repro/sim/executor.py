@@ -53,11 +53,6 @@ class SimOptions:
     amplitude_damping: bool = True
     gate_errors: bool = True
 
-    def with_seed(self, seed: SeedLike) -> "SimOptions":
-        from dataclasses import replace
-
-        return replace(self, seed=seed)
-
 
 @dataclass
 class SimResult:

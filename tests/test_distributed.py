@@ -113,8 +113,8 @@ class TestShardPlans:
             name = "local_twirl"
             stochastic = True
 
-            def run(self, circuit, device, ctx):
-                ctx.rng.random()
+            def run(self, circuit, device, rng):
+                rng.random()
                 return circuit
 
         task = Task(

@@ -134,9 +134,9 @@ class TestAggregation:
             name = "frame_pair"
             stochastic = True
 
-            def run(self, circuit, device, ctx):
+            def run(self, circuit, device, rng):
                 out = circuit.copy()
-                angle = float(ctx.rng.uniform(0, 2 * math.pi))
+                angle = float(rng.uniform(0, 2 * math.pi))
                 out.rz(angle, 1, new_moment=True)
                 out.rz(-angle, 1)
                 return out

@@ -30,6 +30,7 @@ from repro.runtime import (
     AlignedDD,
     Pass,
     PlanCache,
+    StaggeredDD,
     Twirl,
     circuit_fingerprint,
     configure,
@@ -234,7 +235,7 @@ class TestPlanCache:
         class Opaque(Pass):
             name = "opaque"
 
-            def run(self, circuit, device, ctx):
+            def run(self, circuit, device, rng):
                 return circuit
 
         pipeline = Pipeline([Opaque()])
@@ -358,8 +359,8 @@ class TestFingerprints:
 
     def test_pipeline_fingerprint_sees_pass_parameters(self):
         assert (
-            Pipeline([AlignedDD(100.0)]).fingerprint
-            != Pipeline([AlignedDD(200.0)]).fingerprint
+            Pipeline([AlignedDD()]).fingerprint
+            != Pipeline([StaggeredDD()]).fingerprint
         )
         assert Pipeline([CADD(), CAEC()]).fingerprint == Pipeline(
             [CADD(), CAEC()]

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.circuits import Circuit
-from repro.compiler import STRATEGIES, Strategy, get_strategy
-from repro.runtime import pipeline_for
+from repro.runtime import CAEC, STRATEGIES, pipeline_for
 from repro.utils.linalg import allclose_up_to_global_phase
 from repro.utils.rng import as_generator
 
@@ -24,25 +23,31 @@ def sample_circuit():
 class TestRegistry:
     def test_all_named_strategies_resolve(self):
         for name in STRATEGIES:
-            assert get_strategy(name).name == name
+            assert pipeline_for(name).name == name
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            get_strategy("quantum_magic")
+        with pytest.raises(ValueError, match="unknown strategy"):
+            pipeline_for("quantum_magic")
 
-    def test_strategy_passthrough(self):
-        s = Strategy("custom", dd="ca", ec=True)
-        assert get_strategy(s) is s
+    def test_recipes_in_paper_order(self):
+        """Twirl first, then DD, then CA-EC last."""
+        expected = {
+            "none": ["twirl"],
+            "dd": ["twirl", "aligned_dd"],
+            "staggered_dd": ["twirl", "staggered_dd"],
+            "ca_dd": ["twirl", "ca_dd"],
+            "ca_ec": ["twirl", "ca_ec"],
+            "ca_ec+dd": ["twirl", "ca_dd", "ca_ec"],
+            "ec+aligned_dd": ["twirl", "aligned_dd", "ca_ec"],
+        }
+        assert set(STRATEGIES) == set(expected)
+        for name, passes in expected.items():
+            assert [p.name for p in pipeline_for(name)] == passes, name
 
-    def test_invalid_dd_flavor(self):
-        with pytest.raises(ValueError):
-            Strategy("bad", dd="sideways")
-
-    def test_expected_flags(self):
-        assert STRATEGIES["ca_ec+dd"].dd == "ca"
-        assert STRATEGIES["ca_ec+dd"].ec
-        assert not STRATEGIES["none"].ec
-        assert STRATEGIES["dd"].dd == "aligned"
+    def test_orient_prepends_orientation(self):
+        for name in STRATEGIES:
+            plain = [p.name for p in pipeline_for(name)]
+            assert [p.name for p in pipeline_for(name, orient=True)] == ["orient"] + plain
 
 
 class TestCompilation:
@@ -52,8 +57,7 @@ class TestCompilation:
         compiled = pipeline_for(name).compile(circ, chain3, seed=3)
         # DD nets are identity (even pulses) and EC insertions are tiny
         # rotations, so compare with loose tolerance for EC strategies.
-        strategy = get_strategy(name)
-        if strategy.ec:
+        if CAEC in STRATEGIES[name]:
             pytest.skip("EC intentionally deforms the unitary to fix noise")
         assert allclose_up_to_global_phase(
             compiled.unitary(), circ.unitary(), atol=1e-7

@@ -27,9 +27,8 @@ import pytest
 from repro import Circuit, SimOptions, Task, VectorizedBackend, run, schedule
 from repro.circuits import gates as g
 from repro.circuits.gates import Gate
-from repro.compiler.strategies import STRATEGIES
 from repro.device import NoiseProfile, linear_chain, synthetic_device
-from repro.runtime import BACKENDS, Orient, Pipeline, Twirl, get_backend
+from repro.runtime import BACKENDS, STRATEGIES, Orient, Pipeline, Twirl, get_backend
 from repro.runtime.run import configure, default_backend
 from repro.sim import Executor, NoiseBatch, StateVector, VectorizedExecutor
 from repro.sim import vectorized as vectorized_module
