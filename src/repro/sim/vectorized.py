@@ -44,11 +44,15 @@ property each, pinned by ``tests/test_vectorized.py``:
 Idle amplitude damping works in place. The amplitudes where qubit ``q`` is
 1 form a strided view ``psi.reshape(rows, -1, 2, 2**q)[:, :, 1, :]`` of the
 C-contiguous batch: the no-jump branch scales that view and renormalizes
-the rows without a copy, and ``P(q = 1)`` sums a contiguous copy of the same
-view, which lists the amplitudes in basis-index order like the scalar
-engine's boolean mask. Only ``gamma == 1`` keeps a copy of the unscaled
-batch, for rows whose whole weight is in ``|1>`` and which must jump from
-the unscaled state as in the scalar engine. Idle dephasing negates the same
+the rows without a copy, and ``P(q = 1)`` sums ``|psi|**2`` of the same view,
+written into contiguous scratch in basis-index order like the scalar
+engine's boolean mask. The draws come first: a row jumps only if its draw
+``u < gamma * P(q = 1)``, and the computed ``P`` of a unit-norm row is below
+2, so ``P`` is computed only for rows with ``u < 2 * gamma``; a step where
+no row qualifies goes straight to the no-jump branch. Only ``gamma == 1``
+keeps a copy of the unscaled batch, for rows whose whole weight is in
+``|1>`` and which must jump from the unscaled state as in the scalar
+engine. Idle dephasing negates the same
 view in place, and each chunk reuses one set of scratch buffers for
 ``|psi|**2``, ``P(q = 1)``, gathered phases and the gate chain.
 
@@ -163,8 +167,10 @@ class _Workspace:
 
     Each :meth:`VectorizedExecutor._evolve_chunk` call owns one, so units
     sharing an engine on different threads never share a buffer. A step on a
-    smaller row subset of the chunk (a conditioned gate, a mixed damping
-    batch) gets a fresh one from :meth:`VectorizedExecutor._workspace`.
+    smaller row subset of the chunk (a conditioned gate, the no-jump rows of
+    a mixed damping batch) gets a fresh one from
+    :meth:`VectorizedExecutor._workspace`; ``P(q = 1)`` of a subset uses the
+    leading rows of ``half_terms``.
     """
 
     def __init__(self, rows: int, num_qubits: int):
@@ -177,10 +183,9 @@ class _Workspace:
         #: The gate chain's two layouts, as ``(rows, 2, ..., 2)`` tensors.
         self.front = np.empty((rows,) + (2,) * num_qubits, dtype=complex)
         self.back = np.empty_like(self.front)
-        #: Phase diagonals gathered onto the basis, and contiguous ``|1>``
-        #: halves, share the front buffer (never live during a gate).
+        #: Phase diagonals gathered onto the basis share the front buffer
+        #: (never live during a gate).
         self.phases = self.front.reshape(rows, dim)
-        self.half = self.phases.reshape(-1)[: rows * dim // 2].reshape(rows, dim // 2)
 
 
 class VectorizedExecutor(Executor):
@@ -378,12 +383,17 @@ class VectorizedExecutor(Executor):
     def _prob_one_rows(
         self, psi: np.ndarray, qubit: int, work: Optional[_Workspace] = None
     ) -> np.ndarray:
-        # The strided view lists the |1> amplitudes in basis-index order, so
-        # each row's pairwise sum matches the scalar ``probability_one``.
-        work = self._workspace(work, psi.shape[0])
+        # ``abs`` writes the strided view's |1> amplitudes in basis-index
+        # order into contiguous terms, so each row's pairwise sum matches the
+        # scalar ``probability_one``. A row subset of the chunk uses the
+        # leading rows of the chunk's buffer.
+        rows = psi.shape[0]
+        if work is None or work.rows < rows:
+            terms = np.empty((rows, self._dim // 2))
+        else:
+            terms = work.half_terms[:rows]
         ones = _one_half(psi, qubit)
-        np.copyto(work.half.reshape(ones.shape), ones)
-        terms = np.abs(work.half, out=work.half_terms)
+        np.abs(ones, out=terms.reshape(ones.shape))
         np.square(terms, out=terms)
         return np.sum(terms, axis=1)
 
@@ -421,15 +431,18 @@ class VectorizedExecutor(Executor):
         ``psi`` must be a C-contiguous ``(rows, dim)`` array the caller owns;
         it is scaled, renormalized and returned.
         """
-        # At gamma == 1 a row with all its weight in |1> scales to zero, and
-        # the scalar engine then jumps from the *unscaled* row: keep a copy.
-        # Below 1 the scale factor is positive and a unit-norm row cannot
-        # vanish, so no copy is needed.
+        # Below gamma == 1 the scale factor is positive and a unit-norm row
+        # cannot vanish: no copy, and no zero-norm rows to look for. At 1 a
+        # row with all its weight in |1> scales to zero, and the scalar
+        # engine then jumps from the *unscaled* row: keep a copy.
         work = self._workspace(work, psi.shape[0])
-        unscaled = psi.copy() if gamma >= 1.0 else psi
+        unscaled = psi.copy() if gamma >= 1.0 else None
         ones = _one_half(psi, qubit)
         ones *= math.sqrt(1.0 - gamma)
         norms = _batch_norms(psi, out=work.norm_terms)
+        if unscaled is None:
+            renormalize(psi, norms)
+            return psi
         bad = np.flatnonzero(norms <= 0.0)
         if bad.size:
             norms[bad] = 1.0  # these rows take the decay jump below
@@ -483,7 +496,21 @@ class VectorizedExecutor(Executor):
                         else:
                             ones[flipped] *= -1
                 if gamma > 0.0:
-                    jump = u[:, damp_col] < gamma * self._prob_one_rows(psi, q, work)
+                    # Draws first: a row jumps only if u < gamma * P(q=1), and
+                    # the computed P is a pairwise sum of non-negative terms,
+                    # at most |psi|**2 * (1 + 2**-40). Every step keeps
+                    # |psi|**2 within ~1e-13 of 1 (unitary gates, unit-modulus
+                    # phases, Paulis, renormalized measurement, damping and
+                    # jumps), so gamma * P < 2 * gamma and a row drawing
+                    # u >= 2 * gamma takes the no-jump branch whatever its
+                    # state. Only the other rows need P(q=1); at gamma >= 0.5
+                    # that is every row, as 2 * gamma >= 1 > u.
+                    can = np.flatnonzero(u[:, damp_col] < 2.0 * gamma)
+                    jump = np.zeros(size, dtype=bool)
+                    if can.size:
+                        near = psi if can.size == size else psi[can]
+                        p1 = self._prob_one_rows(near, q, work)
+                        jump[can] = u[can, damp_col] < gamma * p1
                     # Uniform batches (the common case: jump probabilities
                     # are small) damp `psi` itself in place, which this loop
                     # owns; a mixed batch damps its `psi[stay]` copy.

@@ -28,6 +28,7 @@ from repro import Circuit, SimOptions, Task, VectorizedBackend, run, schedule
 from repro.circuits import gates as g
 from repro.circuits.gates import Gate
 from repro.device import NoiseProfile, linear_chain, synthetic_device
+from repro.pauli import Pauli
 from repro.runtime import BACKENDS, STRATEGIES, Orient, Pipeline, Twirl, get_backend
 from repro.runtime.run import configure, default_backend
 from repro.sim import Executor, NoiseBatch, StateVector, VectorizedExecutor
@@ -37,6 +38,7 @@ from repro.sim.executor import _apply_no_jump
 from repro.sim.sampling import sample_shot
 from repro.sim.vectorized import _support
 from repro.utils.rng import as_generator
+from repro.utils.units import US
 
 OBS = {"x1": "IIXI", "z3": "ZIII", "zz": "IIZZ"}
 
@@ -240,6 +242,99 @@ class TestInPlaceNoJump:
                 state = StateVector(4)
                 state.vector = row.copy()
                 assert state.probability_one(qubit) == p
+
+
+class TestJumpDecision:
+    """Draws first: ``_evolve_chunk`` computes P(q=1) only for the rows whose
+    damping draw is below ``2 * gamma`` (no other row can jump), and must
+    still make every jump decision of the scalar engine, bit for bit."""
+
+    @staticmethod
+    def _device(t1):
+        profile = NoiseProfile(t1_range=(t1, t1))
+        return synthetic_device(linear_chain(4), name="decaying4", seed=41, profile=profile)
+
+    @staticmethod
+    def _gammas(engine):
+        return [idle[2] for plan in engine._plan.moments for idle in plan.idles if idle[2] > 0.0]
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record the row count of every ``_prob_one_rows`` call."""
+        sizes = []
+        original = VectorizedExecutor._prob_one_rows
+
+        def spy(self, psi, qubit, work=None):
+            sizes.append(psi.shape[0])
+            return original(self, psi, qubit, work)
+
+        monkeypatch.setattr(VectorizedExecutor, "_prob_one_rows", spy)
+        return sizes
+
+    def test_every_case_matches_scalar(self, monkeypatch):
+        """T1 = 1 us gives idle gammas of about 0.05 and 0.33, so the 4-row
+        chunks of one run meet damping steps with no row, some rows and
+        every row below ``2 * gamma``."""
+        device = self._device(1.0 * US)
+        scheduled = schedule(layered_circuit(), device.durations)
+        options = SimOptions(shots=64)
+        observables = {key: Pauli.from_label(label) for key, label in OBS.items()}
+        chunk_rows(monkeypatch, 4)
+        sizes = self._spy(monkeypatch)
+        engine = VectorizedExecutor(scheduled, device, options)
+        batched = engine.expectations(observables, seed=17)
+        scalar = Executor(scheduled, device, options).expectations(observables, seed=17)
+        for key in observables:
+            ours = [batched.values[key], batched.errors[key]]
+            reference = [scalar.values[key], scalar.errors[key]]
+            assert _bits(ours).tolist() == _bits(reference).tolist()
+        gammas = self._gammas(engine)
+        assert gammas and max(gammas) < 0.5
+        assert 4 in sizes  # every row of a chunk below 2 * gamma
+        assert any(0 < size < 4 for size in sizes)  # some rows
+        assert len(sizes) < len(gammas) * 64 // 4  # no row: no P(q=1) pass
+
+    @pytest.mark.parametrize("t1", [1.0 * US, 1.0])
+    def test_chosen_draws(self, monkeypatch, t1):
+        """Every qubit is rotated to P(q=1) = 0.8, then idles. Row 0 draws
+        ``u = 2 * gamma`` (skipped), row 1 ``gamma * P <= u < 2 * gamma``
+        (P computed, no jump), rows 2 and 3 ``u < gamma * P`` (jump), row 2
+        above ``gamma / 2``. T1 = 1 ns makes every ``gamma == 1``, where
+        ``2 * gamma > u`` and every row computes P."""
+        device = self._device(t1)
+        circuit = Circuit(4)
+        theta = 2.0 * math.asin(math.sqrt(0.8))
+        for q in range(4):
+            circuit.append(g.u(theta, 0.0, 0.0), [q], new_moment=(q == 0))
+        for q in range(4):
+            circuit.delay(400.0, q, new_moment=(q == 0))
+        scheduled = schedule(circuit, device.durations)
+        options = SimOptions(coherent=False, dephasing=False, gate_errors=False)
+        engine = VectorizedExecutor(scheduled, device, options)
+        batch = NoiseBatch.empty(engine._plan, 4)
+        rng = as_generator(3)
+        for row in range(4):
+            sample_shot(engine._plan, rng, batch, row)
+        for plan in engine._plan.moments:
+            for _q, _p_z, gamma, _flip_col, damp_col in plan.idles:
+                draws = [2.0 * gamma, 1.2 * gamma, 0.6 * gamma, 0.2 * gamma]
+                batch.uniforms[:, damp_col] = np.minimum(draws, 0.999)
+        gammas = self._gammas(engine)
+        assert len(gammas) == 8
+        assert set(gammas) == {1.0} if t1 == 1.0 else max(gammas) < 0.5
+
+        sizes = self._spy(monkeypatch)
+        psi, _clbits = engine._evolve_chunk(batch)
+        scalar = Executor(scheduled, device, options)
+        for row in range(4):
+            one = NoiseBatch(None, batch.uniforms[row : row + 1], batch.paulis[row : row + 1])
+            state, _ = scalar._evolve(one)
+            assert _bits(psi[row]).tolist() == _bits(state.vector).tolist()
+        assert sizes == [4 if t1 == 1.0 else 3] * 8
+        # A jump leaves no weight in |1>; so does no-jump at gamma == 1.
+        decayed = [True] * 4 if t1 == 1.0 else [False, False, True, True]
+        for q in range(4):
+            assert (engine._prob_one_rows(psi, q) == 0.0).tolist() == decayed
 
 
 class TestShardingInvariance:
