@@ -9,10 +9,7 @@ from repro.experiments import run_fig10
 
 
 def test_combined_beats_constituents(benchmark, once):
-    result = once(
-        benchmark, run_fig10,
-        steps=(0, 1, 2, 3, 4, 5), shots=24, realizations=10,
-    )
+    result = once(benchmark, run_fig10)
     print()
     for line in result.rows():
         print(line)

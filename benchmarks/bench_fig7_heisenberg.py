@@ -12,14 +12,9 @@ import numpy as np
 from repro.apps.heisenberg import equivalent_cnot_count, equivalent_cnot_depth
 from repro.experiments import run_fig7
 
-STEPS = (0, 1, 2, 3, 4, 5)
-
 
 def test_heisenberg_dynamics_and_overhead(benchmark, once):
-    result = once(
-        benchmark, run_fig7,
-        num_qubits=12, steps=STEPS, shots=14, realizations=10,
-    )
+    result = once(benchmark, run_fig7)
     print()
     print(
         f"circuit scale: {equivalent_cnot_count(12, 5)} CNOTs, "
@@ -42,7 +37,7 @@ def test_heisenberg_dynamics_and_overhead(benchmark, once):
     assert errors["ca_ec"] < errors["dd"]
     assert errors["ca_dd"] < errors["dd"]
 
-    depth = STEPS[-1]
+    depth = result.steps[-1]
     red_ec = result.reduction_over("none", "ca_ec", depth)
     red_dd_ref = result.reduction_over("dd", "ca_ec", depth)
     print(f"overhead reduction ca_ec vs none: {red_ec:.2f}x, vs dd: {red_dd_ref:.2f}x")

@@ -10,9 +10,7 @@ from repro.experiments import run_fig8
 
 
 def test_layer_fidelity_ladder(benchmark, once):
-    result = once(
-        benchmark, run_fig8, depths=(1, 2, 4, 6), samples=6, shots=12
-    )
+    result = once(benchmark, run_fig8)
     print()
     for line in result.rows():
         print(line)

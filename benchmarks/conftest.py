@@ -1,9 +1,9 @@
 """Benchmark configuration.
 
-Each bench regenerates one of the paper's tables or figures with
-reduced-but-representative statistics and prints the rows/series it
-produces, so running ``pytest benchmarks/ --benchmark-only`` doubles as the
-reproduction harness. Timing uses a single round (the experiments are
+The ``bench_fig*`` files assert the claims of the figures too slow for
+tier-1 (Figs. 7, 8 and 10) on each driver's defaults, the full-size figure
+``python -m repro.experiments`` prints; the cheaper figures' claims live in
+``tests/test_claims.py``. Timing uses a single round (the experiments are
 minutes-scale aggregates, not microbenchmarks).
 """
 

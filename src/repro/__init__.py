@@ -93,7 +93,7 @@ from .runtime import (
 )
 from .sim import SimOptions, SimResult
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "Circuit",

@@ -6,8 +6,8 @@ Four phases:
    (coupling edges plus collision-enhanced NNN pairs).
 2. ``CollectJointDelays`` — idle periods long enough to dress. With the
    library's layer-aligned scheduler every moment is already a maximal
-   aligned window, so each moment at least ``min_duration`` long is one
-   joint delay group.
+   aligned window, so each moment at least ``DEFAULT_MIN_DURATION`` long is
+   one joint delay group.
 3. ``ColorGraph`` — greedy coloring of each group with ECR-imposed pins:
    controls are sequency 1 (their echo), targets sequency 2 (their rotary),
    so a control's spectator never shares the control's pattern and a
@@ -72,12 +72,7 @@ def pinned_colors(moment: Moment) -> Dict[int, int]:
     return pins
 
 
-def apply_ca_dd(
-    circuit: Circuit,
-    device: Device,
-    min_duration: float = DEFAULT_MIN_DURATION,
-    bins: int = 8,
-) -> Tuple[Circuit, CADDReport]:
+def apply_ca_dd(circuit: Circuit, device: Device) -> Tuple[Circuit, CADDReport]:
     """Dress ``circuit`` with context-aware DD; returns circuit + report."""
     crosstalk = build_crosstalk_graph(device)
     out = circuit.copy()
@@ -85,7 +80,7 @@ def apply_ca_dd(
     report = CADDReport()
 
     for sm in scheduled:
-        if sm.duration < min_duration:
+        if sm.duration < DEFAULT_MIN_DURATION:
             continue
         moment = sm.moment
         # Every idle qubit is dressed: crosstalk neighbors constrain colors,
@@ -95,10 +90,10 @@ def apply_ca_dd(
         # the paper's case IV) are still reported.
         idle = list(_idle_qubits(moment, out.num_qubits))
         pins = pinned_colors(moment)
-        coloring = color_idle_group(idle, crosstalk, pinned=pins, bins=bins)
+        coloring = color_idle_group(idle, crosstalk, pinned=pins)
         report.colorings[sm.index] = coloring
         for qubit in coloring.assigned:
-            fractions = walsh_fractions(coloring.colors[qubit], bins)
+            fractions = walsh_fractions(coloring.colors[qubit])
             if fractions:
                 _insert_dd(moment, qubit, fractions)
     return out, report

@@ -12,9 +12,9 @@ Provides the context-unaware baselines the paper compares against:
 * ``uniform`` — an alias of ``aligned``; the "DD" rows of Figs. 7 and 8.
 
 All passes insert :func:`~repro.circuits.gates.dd_sequence` instructions on
-idle qubits of moments whose duration is at least ``min_duration``. A qubit
-holding an explicit ``delay`` has its delay replaced by a DD sequence with
-the same duration.
+idle qubits of moments at least ``DEFAULT_MIN_DURATION`` long (only
+:func:`apply_dd_by_rule` takes another cutoff). A qubit holding an explicit
+``delay`` has its delay replaced by a DD sequence with the same duration.
 """
 
 from __future__ import annotations
@@ -84,18 +84,12 @@ def apply_dd_by_rule(
     return out
 
 
-def apply_aligned_dd(
-    circuit: Circuit, device: Device, min_duration: float = DEFAULT_MIN_DURATION
-) -> Circuit:
+def apply_aligned_dd(circuit: Circuit, device: Device) -> Circuit:
     """Uniform context-unaware X2 DD on every idle qubit."""
-    return apply_dd_by_rule(
-        circuit, device, lambda _m, _q: ALIGNED_FRACTIONS, min_duration
-    )
+    return apply_dd_by_rule(circuit, device, lambda _m, _q: ALIGNED_FRACTIONS)
 
 
-def apply_staggered_dd(
-    circuit: Circuit, device: Device, min_duration: float = DEFAULT_MIN_DURATION
-) -> Circuit:
+def apply_staggered_dd(circuit: Circuit, device: Device) -> Circuit:
     """Two-coloring staggered DD, ignoring gate context.
 
     Idle qubits get Walsh sequency 1 or 2 according to a fixed 2-coloring of
@@ -107,7 +101,7 @@ def apply_staggered_dd(
     def rule(_moment: Moment, qubit: int):
         return walsh_fractions(1 + coloring.get(qubit, 0))
 
-    return apply_dd_by_rule(circuit, device, rule, min_duration)
+    return apply_dd_by_rule(circuit, device, rule)
 
 
 def _two_coloring(device: Device) -> Dict[int, int]:

@@ -25,6 +25,9 @@ from .topology import Topology
 
 Edge = Tuple[int, int]
 
+#: ZZ rate at which a pair counts as crosstalk (CA-DD's interaction graph).
+CROSSTALK_THRESHOLD = 0.5 * KHZ
+
 
 def _key(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
@@ -134,10 +137,10 @@ class Device:
         params = self.pairs[key]
         return params.stark_on_first if spectator == key[0] else params.stark_on_second
 
-    def crosstalk_edges(self, threshold: float = 0.5 * KHZ) -> List[Edge]:
-        """Pairs whose ZZ rate exceeds ``threshold`` (coupling + NNN)."""
-        out = [e for e, p in self.pairs.items() if p.zz_rate >= threshold]
-        out.extend(e for e, rate in self.nnn_zz.items() if rate >= threshold)
+    def crosstalk_edges(self) -> List[Edge]:
+        """Pairs whose ZZ rate is at least ``CROSSTALK_THRESHOLD`` (coupling + NNN)."""
+        out = [e for e, p in self.pairs.items() if p.zz_rate >= CROSSTALK_THRESHOLD]
+        out.extend(e for e, rate in self.nnn_zz.items() if rate >= CROSSTALK_THRESHOLD)
         return sorted(set(out))
 
     def subdevice(self, qubit_indices: Sequence[int], name: Optional[str] = None) -> "Device":

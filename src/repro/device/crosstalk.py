@@ -8,19 +8,15 @@ that no two crosstalk-graph neighbors share a Walsh sequence.
 
 from __future__ import annotations
 
-from ..utils.units import KHZ
 from .calibration import Device
 from .topology import Topology
 
-DEFAULT_THRESHOLD = 0.5 * KHZ
 
-
-def build_crosstalk_graph(
-    device: Device, threshold: float = DEFAULT_THRESHOLD
-) -> Topology:
-    """Qubit graph with an edge wherever the ZZ rate is at least ``threshold``.
+def build_crosstalk_graph(device: Device) -> Topology:
+    """Qubit graph with an edge wherever the ZZ rate is at least
+    ``CROSSTALK_THRESHOLD``.
 
     Covers coupling-graph pairs and characterized NNN pairs alike (see
     :meth:`Device.crosstalk_edges`).
     """
-    return Topology(device.num_qubits, device.crosstalk_edges(threshold))
+    return Topology(device.num_qubits, device.crosstalk_edges())

@@ -7,10 +7,12 @@ Usage::
     python -m repro.experiments fig3 --quick
     python -m repro.experiments all --quick --json results.json
 
-``--quick`` shrinks shot counts and sweeps so each experiment finishes in
-seconds (useful for smoke-checking an install); default parameters match
-the benchmark harness. ``--workers N`` runs each batch's simulation
-units on N threads (compilation stays serial) and ``--backend`` selects
+The drivers' defaults are the full-size figure: a full run calls each
+driver with no arguments. ``--quick`` runs it with the overrides in
+:data:`QUICK` instead, which shrink shot counts and sweeps so each
+experiment finishes in seconds (useful for smoke-checking an install).
+``--workers N`` runs each batch's simulation units on N threads
+(compilation stays serial) and ``--backend`` selects
 the simulation engine (``vectorized`` batches all shots of a task through
 whole-array NumPy ops; results are identical to ``trajectory`` for any
 backend/worker choice, only the wall time changes). ``--json PATH`` writes every
@@ -48,100 +50,43 @@ import numpy as np
 
 from . import (
     run_fig3,
+    run_fig4,
     run_fig6,
     run_fig7,
     run_fig8,
     run_fig9,
     run_fig10,
-    run_nnn_walsh,
-    run_parity,
-    run_stark,
     run_table1,
 )
-from .fig4 import Fig4Result
 
-
-def _fig3(quick: bool):
-    return run_fig3(
-        depths=(0, 4, 8) if quick else (0, 4, 8, 12, 16, 20),
-        shots=8 if quick else 32,
-        realizations=2 if quick else 6,
-    )
-
-
-def _fig4(quick: bool):
-    return Fig4Result(
-        stark=run_stark(
-            times=tuple(
-                np.linspace(500.0, 20000.0 if quick else 60000.0, 40 if quick else 100)
-            ),
-            shots=8 if quick else 16,
-        ),
-        parity=run_parity(
-            times=tuple(np.linspace(0.0, 20000.0, 40 if quick else 120)),
-            shots=32 if quick else 120,
-        ),
-        nnn=run_nnn_walsh(
-            depths=(0, 8) if quick else (0, 8, 16, 24), shots=16 if quick else 32
-        ),
-    )
-
-
-def _fig6(quick: bool):
-    return run_fig6(
-        steps=(0, 1, 2) if quick else (0, 1, 2, 3, 4, 5),
-        shots=8 if quick else 20,
-        realizations=2 if quick else 6,
-    )
-
-
-def _fig7(quick: bool):
-    return run_fig7(
-        num_qubits=6 if quick else 12,
-        steps=(0, 1, 2) if quick else (0, 1, 2, 3, 4, 5),
-        shots=6 if quick else 14,
-        realizations=3 if quick else 10,
-    )
-
-
-def _fig8(quick: bool):
-    return run_fig8(
-        depths=(1, 2) if quick else (1, 2, 4, 6),
-        samples=2 if quick else 6,
-        shots=6 if quick else 12,
-    )
-
-
-def _fig9(quick: bool):
-    return run_fig9(
-        estimates=list(np.linspace(0.0, 3000.0, 5 if quick else 11)),
-        shots=40 if quick else 140,
-    )
-
-
-def _fig10(quick: bool):
-    return run_fig10(
-        steps=(0, 1, 2) if quick else (0, 1, 2, 3, 4, 5),
-        shots=8 if quick else 24,
-        realizations=3 if quick else 10,
-    )
-
-
-def _table1(quick: bool):
-    return run_table1(depth=4 if quick else 8, shots=24 if quick else 48)
-
-
-#: Each runner returns a result object exposing ``rows()`` (text report) and
-#: ``to_json()`` (the Sweep serialization behind ``--json``).
+#: Each driver's defaults are its full-size figure; it returns a result
+#: object exposing ``rows()`` (text report) and ``to_json()`` (the Sweep
+#: serialization behind ``--json``).
 EXPERIMENTS: Dict[str, Callable] = {
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "table1": _table1,
+    "fig3": run_fig3,
+    "fig4": run_fig4,
+    "fig6": run_fig6,
+    "fig7": run_fig7,
+    "fig8": run_fig8,
+    "fig9": run_fig9,
+    "fig10": run_fig10,
+    "table1": run_table1,
+}
+
+#: ``--quick``: the keyword overrides each driver runs with instead.
+QUICK: Dict[str, Dict] = {
+    "fig3": dict(depths=(0, 4, 8), shots=8, realizations=2),
+    "fig4": dict(
+        stark=dict(times=tuple(np.linspace(500.0, 20000.0, 40)), shots=8),
+        parity=dict(times=tuple(np.linspace(0.0, 20000.0, 40)), shots=32),
+        nnn=dict(depths=(0, 8), shots=16),
+    ),
+    "fig6": dict(steps=(0, 1, 2), shots=8, realizations=2),
+    "fig7": dict(num_qubits=6, steps=(0, 1, 2), shots=6, realizations=3),
+    "fig8": dict(depths=(1, 2), samples=2, shots=6),
+    "fig9": dict(estimates=list(np.linspace(0.0, 3000.0, 5)), shots=40),
+    "fig10": dict(steps=(0, 1, 2), shots=8, realizations=3),
+    "table1": dict(depth=4, shots=24),
 }
 
 
@@ -220,7 +165,7 @@ def main(argv=None) -> int:
     for name in names:
         print(f"=== {name} ===")
         start = time.time()
-        result = EXPERIMENTS[name](args.quick)
+        result = EXPERIMENTS[name](**(QUICK[name] if args.quick else {}))
         for line in result.rows():
             print(line)
         print(f"({time.time() - start:.1f} s)", file=sys.stderr)

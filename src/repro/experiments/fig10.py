@@ -47,7 +47,7 @@ class Fig10Result:
 def run_fig10(
     steps: Sequence[int] = (0, 1, 2, 3, 4, 5),
     shots: int = 24,
-    realizations: int = 6,
+    realizations: int = 10,
     seed: int = 7001,
 ) -> Fig10Result:
     device = floquet6_device(seed=seed)

@@ -58,10 +58,10 @@ class Fig3Result:
 
 
 def run_fig3(
-    depths: Sequence[int] = (0, 2, 4, 8, 12, 16, 20, 24),
+    depths: Sequence[int] = (0, 4, 8, 12, 16, 20),
     tau: float = 500.0,
-    shots: int = 48,
-    realizations: int = 8,
+    shots: int = 32,
+    realizations: int = 6,
     seed: int = 1001,
     cases: Sequence[str] = tuple(CASES),
 ) -> Fig3Result:

@@ -29,8 +29,8 @@ from ..utils.units import KHZ
 
 def run_stark(
     seed: int = 2001,
-    times: Sequence[float] = tuple(np.linspace(500.0, 60000.0, 120)),
-    shots: int = 24,
+    times: Sequence[float] = tuple(np.linspace(500.0, 60000.0, 100)),
+    shots: int = 16,
 ) -> StarkMeasurement:
     """Fig. 4a: spectator fringe peak displaced from the always-on line.
 
@@ -46,8 +46,8 @@ def run_parity(
     seed: int = 2002,
     applied_khz: float = 250.0,
     delta_khz: float = 40.0,
-    times: Sequence[float] = tuple(np.linspace(0.0, 30000.0, 120)),
-    shots: int = 160,
+    times: Sequence[float] = tuple(np.linspace(0.0, 20000.0, 120)),
+    shots: int = 120,
 ) -> Dict[str, List[float]]:
     """Fig. 4b: beating Ramsey fringe from the shot-to-shot parity sign.
 
@@ -90,11 +90,11 @@ class NNNResult:
 
 
 def run_nnn_walsh(
-    depths: Sequence[int] = (0, 4, 8, 12, 16, 20),
+    depths: Sequence[int] = (0, 8, 16, 24),
     tau: float = 500.0,
     nnn_khz: float = 15.0,
     seed: int = 2003,
-    shots: int = 48,
+    shots: int = 32,
 ) -> NNNResult:
     """Fig. 4c: three qubits with all-to-all ZZ (collision-enhanced NNN).
 
@@ -205,3 +205,18 @@ class Fig4Result:
             "parity": {k: list(v) for k, v in self.parity.items()},
             "nnn": self.nnn.to_json(),
         }
+
+
+def run_fig4(
+    stark: Optional[Dict] = None,
+    parity: Optional[Dict] = None,
+    nnn: Optional[Dict] = None,
+) -> Fig4Result:
+    """All three Fig. 4 panels; each argument holds one panel's keyword
+    overrides for :func:`run_stark`, :func:`run_parity` or
+    :func:`run_nnn_walsh` (``None`` runs that panel at its defaults)."""
+    return Fig4Result(
+        stark=run_stark(**(stark or {})),
+        parity=run_parity(**(parity or {})),
+        nnn=run_nnn_walsh(**(nnn or {})),
+    )

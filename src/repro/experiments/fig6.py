@@ -43,8 +43,8 @@ class Fig6Result:
 
 def run_fig6(
     num_qubits: int = 6,
-    steps: Sequence[int] = (0, 1, 2, 3, 4, 5, 6),
-    shots: int = 24,
+    steps: Sequence[int] = (0, 1, 2, 3, 4, 5),
+    shots: int = 20,
     realizations: int = 6,
     seed: int = 3001,
 ) -> Fig6Result:

@@ -67,8 +67,8 @@ def run_fig7(
     num_qubits: int = 12,
     steps: Sequence[int] = (0, 1, 2, 3, 4, 5),
     site: int = 2,
-    shots: int = 16,
-    realizations: int = 5,
+    shots: int = 14,
+    realizations: int = 10,
     seed: int = 4001,
     coupling: float = 1.2,
 ) -> Fig7Result:

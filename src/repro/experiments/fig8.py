@@ -97,7 +97,7 @@ class Fig8Result:
 
 def run_fig8(
     depths: Sequence[int] = (1, 2, 4, 6),
-    samples: int = 5,
+    samples: int = 6,
     shots: int = 12,
     seed: int = 5001,
     strategies: Sequence[str] = STRATEGIES,

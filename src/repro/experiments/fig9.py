@@ -74,13 +74,11 @@ class Fig9Result:
 
 
 def run_fig9(
-    estimates: Optional[Sequence[float]] = None,
+    estimates: Sequence[float] = tuple(np.linspace(0.0, 3000.0, 11)),
     true_feedforward: float = 1150.0,
-    shots: int = 160,
+    shots: int = 140,
     seed: int = 6001,
 ) -> Fig9Result:
-    if estimates is None:
-        estimates = list(np.linspace(0.0, 3000.0, 13))
     device = dynamic_device(feedforward_duration=true_feedforward)
     options = SimOptions(shots=shots, seed=seed)
     target = {"f": bell_target_bits()}

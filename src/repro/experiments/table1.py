@@ -103,7 +103,7 @@ def _clean_device(num_qubits: int, seed: int, **qubit_overrides) -> Device:
     return replace(device, qubits=qubits, pairs=pairs)
 
 
-def run_table1(depth: int = 8, shots: int = 64, seed: int = 8001) -> Table1Result:
+def run_table1(depth: int = 8, shots: int = 48, seed: int = 8001) -> Table1Result:
     """Regenerate Table I's pattern from micro-experiments.
 
     Every Ramsey micro-experiment is one point of a single declarative

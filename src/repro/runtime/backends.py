@@ -212,25 +212,20 @@ class TrajectoryBackend(Backend):
         return engine.probabilities(payload, shots=shots, seed=seed)
 
 
-class VectorizedBackend(Backend):
+class VectorizedBackend(TrajectoryBackend):
     """Batched trajectories via :class:`repro.sim.VectorizedExecutor`.
 
     Seed-for-seed bit-identical to :class:`TrajectoryBackend`: the same
     noise draws are consumed from the same streams in the same order, and
     every batched floating-point operation reproduces the scalar bits.
     Chunk sizes follow the engine's amplitude budget and never change a
-    value.
+    value. The engines share one interface, so only the engine differs.
     """
 
     name = "vectorized"
 
     def _make_engine(self, scheduled, device, options) -> VectorizedExecutor:
         return VectorizedExecutor(scheduled, device, options)
-
-    def _execute(self, engine, kind, payload, shots, seed) -> SimResult:
-        if kind == "expectations":
-            return engine.expectations(payload, shots=shots, seed=seed)
-        return engine.probabilities(payload, shots=shots, seed=seed)
 
 
 class DensityBackend(Backend):

@@ -1,8 +1,7 @@
 """Device calibration tests."""
 
 import math
-
-import pytest
+from dataclasses import replace
 
 from repro.device import (
     NoiseProfile,
@@ -10,6 +9,7 @@ from repro.device import (
     linear_chain,
     synthetic_device,
 )
+from repro.device.calibration import CROSSTALK_THRESHOLD
 from repro.utils.units import KHZ
 
 
@@ -62,9 +62,17 @@ class TestDeviceQueries:
         assert dev.stark_shift(0, 2) == 0.0
 
     def test_crosstalk_edges_threshold(self):
+        from repro.device import PairParams
+
         dev = synthetic_device(linear_chain(3), seed=1)
-        assert dev.crosstalk_edges(threshold=1.0) == []
         assert len(dev.crosstalk_edges()) == 2
+        edge_case = dev.with_pair_overrides(
+            {
+                (0, 1): PairParams(zz_rate=CROSSTALK_THRESHOLD),
+                (1, 2): PairParams(zz_rate=0.99 * CROSSTALK_THRESHOLD),
+            }
+        )
+        assert edge_case.crosstalk_edges() == [(0, 1)]
 
     def test_pair_error_fallback_for_routed_gate(self):
         dev = synthetic_device(linear_chain(3), seed=1)
@@ -107,10 +115,11 @@ class TestCrosstalkGraph:
         assert graph.num_qubits == dev.num_qubits
         assert graph.edges == dev.crosstalk_edges()
 
-    def test_threshold_forwarded(self):
+    def test_weak_nnn_pair_left_out(self):
         dev = self._device()
-        for threshold in (5.0 * KHZ, 1.0):
-            graph = build_crosstalk_graph(dev, threshold)
-            assert graph.edges == dev.crosstalk_edges(threshold)
-        assert build_crosstalk_graph(dev, 1.0).edges == []
+        nnn = dict(dev.nnn_zz)
+        nnn[(0, 2)] = 0.99 * CROSSTALK_THRESHOLD
+        graph = build_crosstalk_graph(replace(dev, nnn_zz=nnn))
+        assert (0, 2) not in graph.edges
+        assert (2, 4) in graph.edges
 

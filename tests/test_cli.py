@@ -1,8 +1,11 @@
 """CLI runner tests."""
 
+import inspect
+
 import pytest
 
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments import run_nnn_walsh, run_parity, run_stark
+from repro.experiments.__main__ import EXPERIMENTS, QUICK, main
 
 
 class TestCLI:
@@ -68,6 +71,46 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["list", *good, *bad])
         assert [get() for get in getters] == before
+
+
+class _Recorded:
+    def rows(self):
+        return []
+
+    def to_json(self):
+        return {}
+
+
+class TestDriverContract:
+    """A full run calls each driver at its defaults; ``--quick`` passes
+    exactly that figure's ``QUICK`` overrides and nothing else."""
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_cli_calls_driver_with_defaults_or_quick(self, monkeypatch, name):
+        calls = []
+
+        def stub(*args, **kwargs):
+            calls.append((args, kwargs))
+            return _Recorded()
+
+        monkeypatch.setitem(EXPERIMENTS, name, stub)
+        assert main([name]) == 0
+        assert main([name, "--quick"]) == 0
+        assert calls == [((), {}), ((), QUICK[name])]
+
+    def test_quick_covers_every_experiment(self):
+        assert set(QUICK) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(set(QUICK) - {"fig4"}))
+    def test_quick_keys_are_driver_parameters(self, name):
+        assert set(QUICK[name]) <= set(inspect.signature(EXPERIMENTS[name]).parameters)
+
+    def test_fig4_quick_keys_are_panel_parameters(self):
+        panels = {"stark": run_stark, "parity": run_parity, "nnn": run_nnn_walsh}
+        assert set(QUICK["fig4"]) == set(panels)
+        assert set(inspect.signature(EXPERIMENTS["fig4"]).parameters) == set(panels)
+        for panel, driver in panels.items():
+            assert set(QUICK["fig4"][panel]) <= set(inspect.signature(driver).parameters)
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ class TestAlignedDD:
 
     def test_skips_short_moments(self, chain2):
         circ = idle_pair_circuit(depth=1, tau=500.0)
-        dressed = apply_aligned_dd(circ, chain2, min_duration=150.0)
+        dressed = apply_aligned_dd(circ, chain2)
         # H layers (50 ns) stay undressed.
         for moment in dressed.moments:
             for inst in moment:

@@ -1,7 +1,9 @@
 """Smoke tests for the experiment drivers (tiny parameters).
 
-Full-scale reproductions live in ``benchmarks/``; these verify that every
-driver runs end-to-end and reports sane structures.
+Each driver's defaults are its full-size figure, and the paper's claims are
+asserted in ``tests/test_claims.py`` and the ``benchmarks/bench_fig*``
+files; these verify that every driver runs end-to-end and reports sane
+structures.
 """
 
 import numpy as np

@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.compiler.ca_dd import apply_ca_dd
 from repro.compiler.ca_ec import apply_ca_ec
-from repro.compiler.dd import DEFAULT_MIN_DURATION, apply_aligned_dd, apply_staggered_dd
+from repro.compiler.dd import apply_aligned_dd, apply_staggered_dd
 from repro.pauli import Pauli
 from repro.pauli.twirling import apply_twirl
 from repro.runtime import (
@@ -75,11 +75,11 @@ def legacy_compile(circuit, device, strategy, rng):
     if twirl:
         out, _ = apply_twirl(out, rng)
     if dd == "aligned":
-        out = apply_aligned_dd(out, device, DEFAULT_MIN_DURATION)
+        out = apply_aligned_dd(out, device)
     elif dd == "staggered":
-        out = apply_staggered_dd(out, device, DEFAULT_MIN_DURATION)
+        out = apply_staggered_dd(out, device)
     elif dd == "ca":
-        out, _ = apply_ca_dd(out, device, DEFAULT_MIN_DURATION)
+        out, _ = apply_ca_dd(out, device)
     if ec:
         out, _ = apply_ca_ec(out, device, durations=None)
     return out
