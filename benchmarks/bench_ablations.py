@@ -87,14 +87,14 @@ def test_simulator_kernel_throughput(benchmark):
     opts = SimOptions(shots=8, seed=1)
 
     from repro.pauli import Pauli
-    from repro.runtime import get_backend
+    from repro.sim import Executor
 
     observable = {"z": Pauli.from_label("I" * 11 + "Z")}
     # Build the engine once so the benchmark times the trajectory kernel,
     # not scheduling + coherent accumulation setup.
-    engine = get_backend("trajectory")._make_engine(scheduled, device, opts)
+    engine = Executor(scheduled, device, opts)
 
-    result = benchmark(lambda: engine.expectations(observable, shots=8))
+    result = benchmark(lambda: engine.expectations(observable))
     assert -1.0 <= result["z"] <= 1.0
 
 

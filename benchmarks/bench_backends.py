@@ -95,7 +95,7 @@ def time_backends(task: Task, device, options: SimOptions, repeats: int = 2) -> 
                 timings[backend], time.perf_counter() - start
             )
             values[backend] = dict(result.values)
-    shots = (task.shots or options.shots) * max(task.realizations, 1)
+    shots = options.shots * max(task.realizations, 1)
     return {
         "shots": shots,
         "seconds": {b: round(timings[b], 4) for b in BACKENDS},

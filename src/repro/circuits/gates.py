@@ -251,7 +251,7 @@ def dd_sequence(
     )
 
 
-def stretched_rzz(theta: float, full_duration: float = 500.0) -> Gate:
+def stretched_rzz(theta: float) -> Gate:
     """Pulse-stretched ``Rzz(theta)`` for explicit error compensation.
 
     Modeled after the paper's native implementation via stretched CR pulses
@@ -260,10 +260,8 @@ def stretched_rzz(theta: float, full_duration: float = 500.0) -> Gate:
     compensation much cheaper than a 2-CNOT synthesis. The compensation is
     realized by stretching the pair's neighboring pulses, so it adds *gate*
     error but no extra wall-clock idle window for the rest of the device
-    (``duration_override = 0``); ``full_duration`` only anchors the error
-    scaling.
+    (``duration_override = 0``).
     """
-    del full_duration  # kept for call-site clarity; error scale is relative
     scale = min(abs(theta) / (math.pi / 2.0), 1.0)
     return Gate(
         "rzz",

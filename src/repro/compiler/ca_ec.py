@@ -123,7 +123,7 @@ def apply_ca_ec(
                 _absorb_zz(out, absorption, theta)
                 report.zz_absorbed += 1
             elif edge in device.pairs:
-                gate = g.stretched_rzz(-theta, full_duration=durations.twoq)
+                gate = g.stretched_rzz(-theta)
                 zz_inserts.setdefault(index, []).append(
                     Instruction(gate, edge, tag="compensation")
                 )

@@ -27,54 +27,73 @@ Backends compile nothing: the shared
 :func:`~repro.runtime.plan.compile_tasks` stage produces frozen
 :class:`~repro.runtime.plan.ExecutionPlan` artifacts (scheduled circuits,
 normalized payloads, derived seeds) and :meth:`Backend.execute_plans` turns
-plans into results. Simulations are independently seeded, so fanning the
-units out across ``workers`` threads (the runtime's one thread pool)
-never changes a value. Units that share a scheduled circuit (a
-deterministic pipeline's realizations — possibly across tasks, via the
-plan cache) share one engine, and with it the trajectory engines' cached
-static coherent accumulation.
+plans into results. Every unit runs the same way on every backend: the
+backend's :attr:`Backend.engine` is built from the unit's scheduled
+circuit, its device and the run's options (with the unit's seed folded
+in), then called with the measurement payload alone. Simulations are
+independently seeded, so fanning the units out across ``workers``
+threads (the runtime's one thread pool) never changes a value.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.schedule import ScheduledCircuit
-from ..device.calibration import Device
 from ..sim.density import DensityExecutor
 from ..sim.executor import Executor, SimOptions, SimResult
 from ..sim.vectorized import VectorizedExecutor
-from ..utils.rng import SeedLike
 from .plan import ExecutionPlan, PlanUnit, plan_options
 from .task import Task, TaskResult
 
+#: One executed unit: the simulation result and its wall time.
+UnitOutcome = Tuple[SimResult, float]
 
-class Backend(ABC):
+
+class Backend:
     """Common interface: ``execute_plans(plans, ...) -> list[TaskResult]``.
 
     A backend owns only the *execute* side of the plan/execute split: it
     turns frozen :class:`~repro.runtime.plan.ExecutionPlan` artifacts into
     :class:`~repro.runtime.task.TaskResult` objects
     (:meth:`execute_plans`); :func:`~repro.runtime.run.run` compiles the
-    plans and selects the backend by name. Implementations provide two
-    hooks — :meth:`_make_engine` (build a simulator for one scheduled
-    circuit) and :meth:`_execute` (run one seeded simulation) — and inherit
-    batching, worker fan-out, engine sharing, and realization aggregation.
+    plans and selects the backend by name. A backend names its simulation
+    :attr:`engine` class and inherits batching, worker fan-out and
+    realization aggregation.
     """
 
     name: str = ""
+    #: The simulator class: built as ``engine(scheduled, device, options)``
+    #: and called as ``engine.expectations(observables)`` or
+    #: ``engine.probabilities(targets)``, returning a ``SimResult``.
+    engine: type
     #: False for exact backends whose results ignore the unit seed; the
     #: executor then collapses a deterministic pipeline's realizations into
     #: one simulation instead of repeating identical exact evolutions.
     seed_sensitive: bool = True
 
     # -- execution -------------------------------------------------------------
+
+    def run_unit(
+        self, kind: str, payload: Dict, unit: PlanUnit, options: SimOptions
+    ) -> UnitOutcome:
+        """Build this backend's engine for one unit, run it, and time both.
+
+        A unit seed other than ``None`` replaces ``options.seed``; ``kind``
+        (``"expectations"`` or ``"probabilities"``) names the engine method
+        the payload goes to.
+        """
+        start = time.perf_counter()
+        if unit.seed is not None:
+            options = replace(options, seed=unit.seed)
+        engine = self.engine(unit.scheduled, unit.device, options)
+        result = getattr(engine, kind)(payload)
+        return result, time.perf_counter() - start
 
     def execute_plans(
         self,
@@ -86,11 +105,8 @@ class Backend(ABC):
 
         Exact backends (``seed_sensitive = False``) run only the first unit
         of a collapsible plan — repeating identical exact evolutions is pure
-        waste. Engines are shared between units that share a scheduled
-        circuit: a deterministic pipeline's realizations, and any plans the
-        content-addressed cache resolved to the same artifact.
-        ``options=None`` reuses the options the plans were compiled under;
-        ``workers > 1`` runs the units on that many threads.
+        waste. ``options=None`` reuses the options the plans were compiled
+        under; ``workers > 1`` runs the units on that many threads.
         """
         if options is None:
             options = plan_options(plans)
@@ -102,28 +118,9 @@ class Backend(ABC):
                 units = units[:1]
             jobs.extend((index, unit) for unit in units)
 
-        # Shared engines (same scheduled-circuit object) are built once,
-        # sequentially, before the fan-out; per-unit engines are built
-        # inside the job so that work parallelizes with the simulations.
-        counts: Dict[Tuple[int, int], int] = {}
-        for _index, unit in jobs:
-            key = (id(unit.scheduled), id(unit.device))
-            counts[key] = counts.get(key, 0) + 1
-        engines: Dict[Tuple[int, int], Any] = {}
-        for _index, unit in jobs:
-            key = (id(unit.scheduled), id(unit.device))
-            if counts[key] > 1 and key not in engines:
-                engines[key] = self._make_engine(unit.scheduled, unit.device, options)
-
-        def job(entry: Tuple[int, PlanUnit]) -> Tuple[SimResult, float]:
+        def job(entry: Tuple[int, PlanUnit]) -> UnitOutcome:
             index, unit = entry
-            start = time.perf_counter()
-            engine = engines.get((id(unit.scheduled), id(unit.device)))
-            if engine is None:
-                engine = self._make_engine(unit.scheduled, unit.device, options)
-            plan = plans[index]
-            result = self._execute(engine, plan.kind, plan.payload, plan.task.shots, unit.seed)
-            return result, time.perf_counter() - start
+            return self.run_unit(plans[index].kind, plans[index].payload, unit, options)
 
         if workers > 1 and len(jobs) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -131,7 +128,7 @@ class Backend(ABC):
         else:
             outcomes = [job(entry) for entry in jobs]
 
-        per_plan: List[List[Tuple[SimResult, float]]] = [[] for _ in plans]
+        per_plan: List[List[UnitOutcome]] = [[] for _ in plans]
         for (index, _unit), outcome in zip(jobs, outcomes):
             per_plan[index].append(outcome)
         return [
@@ -142,7 +139,7 @@ class Backend(ABC):
     # -- aggregation -----------------------------------------------------------
 
     def _aggregate(
-        self, task: Task, results: List[Tuple[SimResult, float]], is_direct: bool
+        self, task: Task, results: List[UnitOutcome], is_direct: bool
     ) -> TaskResult:
         elapsed = sum(t for _r, t in results)
         if is_direct:
@@ -178,54 +175,26 @@ class Backend(ABC):
             wall_time=elapsed,
         )
 
-    # -- backend-specific hooks ------------------------------------------------
-
-    @abstractmethod
-    def _make_engine(
-        self, scheduled: ScheduledCircuit, device: Device, options: SimOptions
-    ) -> Any:
-        """Build the simulation engine for one scheduled circuit."""
-
-    @abstractmethod
-    def _execute(
-        self,
-        engine: Any,
-        kind: str,
-        payload: Dict,
-        shots: Optional[int],
-        seed: SeedLike,
-    ) -> SimResult:
-        """Run one seeded simulation and return a ``SimResult``."""
-
 
 class TrajectoryBackend(Backend):
     """Monte-Carlo trajectories via :class:`repro.sim.Executor`."""
 
     name = "trajectory"
-
-    def _make_engine(self, scheduled, device, options) -> Executor:
-        return Executor(scheduled, device, options)
-
-    def _execute(self, engine, kind, payload, shots, seed) -> SimResult:
-        if kind == "expectations":
-            return engine.expectations(payload, shots=shots, seed=seed)
-        return engine.probabilities(payload, shots=shots, seed=seed)
+    engine = Executor
 
 
-class VectorizedBackend(TrajectoryBackend):
+class VectorizedBackend(Backend):
     """Batched trajectories via :class:`repro.sim.VectorizedExecutor`.
 
     Seed-for-seed bit-identical to :class:`TrajectoryBackend`: the same
     noise draws are consumed from the same streams in the same order, and
     every batched floating-point operation reproduces the scalar bits.
     Chunk sizes follow the engine's amplitude budget and never change a
-    value. The engines share one interface, so only the engine differs.
+    value.
     """
 
     name = "vectorized"
-
-    def _make_engine(self, scheduled, device, options) -> VectorizedExecutor:
-        return VectorizedExecutor(scheduled, device, options)
+    engine = VectorizedExecutor
 
 
 class DensityBackend(Backend):
@@ -238,21 +207,8 @@ class DensityBackend(Backend):
     """
 
     name = "density"
+    engine = DensityExecutor
     seed_sensitive = False
-
-    def _make_engine(self, scheduled, device, options) -> DensityExecutor:
-        return DensityExecutor(scheduled, device, options)
-
-    def _execute(self, engine, kind, payload, shots, seed) -> SimResult:
-        if kind == "expectations":
-            values = engine.expectations(payload)
-        else:
-            values = engine.probabilities(payload)
-        return SimResult(
-            values={k: float(v) for k, v in values.items()},
-            errors={k: 0.0 for k in values},
-            shots=0,
-        )
 
 
 #: The names :func:`get_backend` (and so ``run(backend=...)``) accepts.

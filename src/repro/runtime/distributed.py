@@ -20,45 +20,43 @@ bit-for-bit identical to ``backend="vectorized"`` (and so to
 Plans are cut into shards automatically. Per-realization seeds are
 derived from the plan at compile time — never from the worker — and the
 coordinator reassembles shard results in realization order before
-aggregating, so scheduling can only ever change wall time.
+aggregating, so scheduling can only ever change wall time. Each unit's
+timing covers its engine build and its simulation, as in-process
+execution's does, so ``TaskResult.wall_time`` means the same on every
+backend.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..sim.executor import SimOptions, SimResult
-from .backends import VectorizedBackend
+from ..sim.executor import SimOptions
+from .backends import UnitOutcome, VectorizedBackend
 from .plan import ExecutionPlan, PlanShard, plan_options, shard_plans
 from .task import TaskResult
 
 #: ``(plan_index, shard_index)`` — how shard results are keyed and merged.
 ShardKey = Tuple[int, int]
-#: One executed unit: the simulation result and its wall time.
-UnitOutcome = Tuple[SimResult, float]
 
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """A shard plus the execution context a worker needs to run it.
+    """A shard plus the simulation options a worker runs it under.
 
-    ``options`` overrides the shard's compile-time options for this
-    execution (the backend passes the batch-level options here, mirroring
-    in-process execution); ``None`` falls back to ``shard.options``.
-    ``crash_token`` is a failure-injection hook for the recovery tests: the
-    first *worker* that picks the unit up creates the token file and dies
-    abruptly (``os._exit``), so the shard exercises the re-queue path
-    exactly once and then executes normally. Inline (coordinator-side)
-    execution ignores it.
+    ``options`` are the batch-level options, exactly as in-process
+    execution uses them. ``crash_token`` is a failure-injection hook for
+    the recovery tests: the first *worker* that picks the unit up creates
+    the token file and dies abruptly (``os._exit``), so the shard exercises
+    the re-queue path exactly once and then executes normally. Inline
+    (coordinator-side) execution ignores it.
     """
 
     shard: PlanShard
-    options: Optional[SimOptions] = None
+    options: SimOptions
     crash_token: Optional[str] = None
 
     @property
@@ -71,9 +69,9 @@ def execute_work_unit(unit: WorkUnit, in_worker: bool = True) -> List[UnitOutcom
 
     This is the kernel pool workers run (and the coordinator's inline
     drain, with ``in_worker=False`` so the crash hook cannot kill the
-    coordinator). Engines are shared between units whose
-    scheduled circuits are the same object — pickling preserves that
-    sharing within a shard — and results come back in unit order.
+    coordinator). Each unit runs through
+    :meth:`~repro.runtime.backends.Backend.run_unit`, exactly as in-process
+    execution runs it, and results come back in unit order.
     """
     if in_worker and unit.crash_token is not None:
         try:
@@ -85,22 +83,10 @@ def execute_work_unit(unit: WorkUnit, in_worker: bool = True) -> List[UnitOutcom
             os._exit(17)
     backend = VectorizedBackend()
     shard = unit.shard
-    options = unit.options if unit.options is not None else shard.options
-    options = options or SimOptions()
-    engines: Dict[Tuple[int, int], Any] = {}
-    outcomes: List[UnitOutcome] = []
-    for plan_unit in shard.units:
-        key = (id(plan_unit.scheduled), id(plan_unit.device))
-        engine = engines.get(key)
-        if engine is None:
-            engine = backend._make_engine(plan_unit.scheduled, plan_unit.device, options)
-            engines[key] = engine
-        start = time.perf_counter()
-        result = backend._execute(
-            engine, shard.kind, shard.payload, shard.shots, plan_unit.seed
-        )
-        outcomes.append((result, time.perf_counter() - start))
-    return outcomes
+    return [
+        backend.run_unit(shard.kind, shard.payload, plan_unit, unit.options)
+        for plan_unit in shard.units
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ class Pass:
 
     Subclasses implement :meth:`run`. ``stochastic`` marks passes that draw
     from ``rng``; pipelines containing none are deterministic, which
-    lets backends compile and schedule a task's circuit once and share the
-    cached static coherent accumulation across realizations.
+    lets the compile stage compile and schedule a task's circuit once for
+    all its realizations.
     """
 
     name: str = "pass"

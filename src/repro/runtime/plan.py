@@ -17,12 +17,9 @@ stage out into a shared, backend-agnostic artifact:
 * :class:`PlanCache` is an in-memory, content-addressed cache keyed on
   (circuit fingerprint, pipeline fingerprint, device fingerprint).
   Deterministic pipelines compile and schedule once per distinct content
-  key — across tasks and across ``run()`` calls, not just within one task —
-  and because cache hits return the *same* scheduled-circuit object,
-  backends also share one engine (and, for the trajectory engines, the
-  cached static coherent accumulation) for every realization that hits the
-  same key. Simulation options never enter the key: they do not affect
-  compilation or scheduling; they are applied at engine-construction time.
+  key — across tasks and across ``run()`` calls, not just within one task.
+  Simulation options never enter the key: they do not affect compilation
+  or scheduling; they are applied at engine-construction time.
 
 Caching never changes results: only pipelines whose passes consume no
 randomness are cacheable, and the per-realization sub-seeds are always
@@ -128,11 +125,11 @@ class PlanUnit:
     """One seeded simulation job inside a plan.
 
     Units of a deterministic-pipeline task share one ``scheduled`` object
-    (possibly shared further across tasks via the plan cache); backends key
-    engine reuse on that identity.
+    (possibly shared further across tasks via the plan cache). ``seed``
+    (``None`` for a raw task without its own seed) replaces the run's
+    ``options.seed`` when the unit's engine is built.
     """
 
-    circuit: CircuitLike
     scheduled: ScheduledCircuit
     device: Device
     seed: SeedLike
@@ -143,7 +140,7 @@ class ExecutionPlan:
     """A frozen, backend-agnostic compilation of one task.
 
     Attributes:
-        task: the originating task (name/shots/realizations metadata).
+        task: the originating task (name/realizations metadata).
         kind: ``"expectations"`` or ``"probabilities"``.
         payload: normalized observables (``Pauli`` objects) or bit targets.
         units: the seeded simulation jobs, in realization order.
@@ -191,26 +188,16 @@ class PlanShard:
     Attributes:
         plan_index: position of the originating plan in the batch.
         shard_index: position of this shard within its plan.
-        start: offset of ``units[0]`` in the plan's unit tuple.
         kind: ``"expectations"`` or ``"probabilities"``.
         payload: the plan's normalized measurement payload.
-        shots: the originating task's shot override (``None`` defers to the
-            simulation options, exactly as in local execution).
-        direct: the plan was a raw single-circuit execution.
         units: the seeded simulation jobs, in realization order.
-        options: the options the plan was compiled under (``None`` when the
-            plan recorded none); workers execute under these by default.
     """
 
     plan_index: int
     shard_index: int
-    start: int
     kind: str
     payload: Dict
-    shots: Optional[int]
-    direct: bool
     units: Tuple[PlanUnit, ...]
-    options: Optional[SimOptions] = None
 
 
 def shard_plans(plans: Sequence["ExecutionPlan"], shard_size: int) -> List[PlanShard]:
@@ -239,13 +226,9 @@ def shard_plans(plans: Sequence["ExecutionPlan"], shard_size: int) -> List[PlanS
                 PlanShard(
                     plan_index=plan_index,
                     shard_index=shard_index,
-                    start=start,
                     kind=plan.kind,
                     payload=plan.payload,
-                    shots=plan.task.shots,
-                    direct=plan.direct,
                     units=tuple(units[start : start + shard_size]),
-                    options=plan.options,
                 )
             )
     return shards
@@ -311,10 +294,10 @@ def _as_scheduled(circuit: CircuitLike, device: Device) -> ScheduledCircuit:
 
 
 class PlanCache:
-    """In-memory, content-addressed LRU cache of compiled + scheduled circuits.
+    """In-memory, content-addressed LRU cache of scheduled circuits.
 
     Keys are ``(circuit fingerprint, pipeline fingerprint, device
-    fingerprint)`` strings; values are the ``(compiled, scheduled)`` pair a
+    fingerprint)`` strings; values are the scheduled circuit a
     deterministic pipeline produced for that content. Thread-safe: lookups
     take a lock, compilation happens outside it, and on a race the first
     stored value wins so every caller shares one scheduled object.
@@ -324,10 +307,10 @@ class PlanCache:
 
     Example:
         >>> cache = PlanCache(maxsize=64)
-        >>> entry, hit = cache.get_or_compile("key", lambda: ("c", "s"))
+        >>> entry, hit = cache.get_or_compile("key", lambda: "s")
         >>> hit
         False
-        >>> cache.get_or_compile("key", lambda: ("c", "s"))[1]
+        >>> cache.get_or_compile("key", lambda: "s")[1]
         True
         >>> cache.stats
         {'hits': 1, 'misses': 1, 'entries': 1}
@@ -337,9 +320,7 @@ class PlanCache:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[str, Tuple[CircuitLike, ScheduledCircuit]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[str, ScheduledCircuit]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -360,9 +341,9 @@ class PlanCache:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
 
     def get_or_compile(
-        self, key: str, build: Callable[[], Tuple[CircuitLike, ScheduledCircuit]]
-    ) -> Tuple[Tuple[CircuitLike, ScheduledCircuit], bool]:
-        """Return ``((compiled, scheduled), hit)`` for ``key``.
+        self, key: str, build: Callable[[], ScheduledCircuit]
+    ) -> Tuple[ScheduledCircuit, bool]:
+        """Return ``(scheduled, hit)`` for ``key``.
 
         A miss calls ``build()`` outside the lock; if a racer stored the
         same key meanwhile, its entry wins so every caller shares one
@@ -429,7 +410,7 @@ def _compile_one(
         # content-repeated, so hashing them would only pollute the LRU.
         scheduled = _as_scheduled(task.circuit, task_device)
         return finish(
-            [PlanUnit(task.circuit, scheduled, task_device, task.seed)],
+            [PlanUnit(scheduled, task_device, task.seed)],
             direct=True,
         )
 
@@ -441,34 +422,30 @@ def _compile_one(
         # deterministic pipeline draws nothing from ``rng``, so a cache hit
         # (skipping the compile entirely) leaves the seed stream — and
         # therefore every simulated value — untouched.
-        def build() -> Tuple[CircuitLike, ScheduledCircuit]:
+        def build() -> ScheduledCircuit:
             out = pipeline.compile(task.circuit, task_device, seed=rng)
-            return out, _as_scheduled(out, task_device)
+            return _as_scheduled(out, task_device)
 
         dev_fp = device_fp(task_device) if cache is not None else None
         pipe_fp = pipeline.fingerprint if cache is not None else None
         if cache is not None and pipe_fp is not None and dev_fp is not None:
             key = f"{circuit_fingerprint(task.circuit)}:{pipe_fp}:{dev_fp}"
-            (compiled, scheduled), hit = cache.get_or_compile(key, build)
+            scheduled, hit = cache.get_or_compile(key, build)
             if hit:
                 hits += 1
             else:
                 misses += 1
         else:
-            compiled, scheduled = build()
+            scheduled = build()
         for _ in range(task.realizations):
             sub_seed = int(rng.integers(0, 2**63 - 1))
-            units.append(PlanUnit(compiled, scheduled, task_device, sub_seed))
+            units.append(PlanUnit(scheduled, task_device, sub_seed))
         return finish(units, collapsible=True)
 
     for _ in range(task.realizations):
         compiled = pipeline.compile(task.circuit, task_device, seed=rng)
         sub_seed = int(rng.integers(0, 2**63 - 1))
-        units.append(
-            PlanUnit(
-                compiled, _as_scheduled(compiled, task_device), task_device, sub_seed
-            )
-        )
+        units.append(PlanUnit(_as_scheduled(compiled, task_device), task_device, sub_seed))
     return finish(units)
 
 

@@ -38,9 +38,9 @@ class Task:
 
     Exactly one of ``observables`` / ``bit_targets`` must be given.
     ``observables`` maps names to Pauli labels (or ``Pauli`` objects);
-    ``bit_targets`` maps names to ``{qubit: bit}`` assignments. ``device`` overrides the batch
-    device for this task (e.g. an ideal reference). ``shots`` overrides
-    ``options.shots``.
+    ``bit_targets`` maps names to ``{qubit: bit}`` assignments. ``device``
+    overrides the batch device for this task (e.g. an ideal reference).
+    Shots per realization come from ``options.shots`` alone.
     """
 
     circuit: CircuitLike
@@ -49,7 +49,6 @@ class Task:
     pipeline: PipelineLike = None
     realizations: int = 1
     seed: SeedLike = None
-    shots: Optional[int] = None
     device: Optional[Device] = None
     name: Optional[str] = None
 
@@ -58,8 +57,6 @@ class Task:
             raise ValueError("give exactly one of observables or bit_targets")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1 (or None for options.shots)")
 
 
 @dataclass

@@ -37,7 +37,7 @@ from ..circuits.schedule import ScheduledCircuit
 from ..device.calibration import Device
 from ..pauli.pauli import Pauli
 from .coherent import CoherentAccumulation, accumulate_coherent
-from .executor import SimOptions
+from .executor import SimOptions, SimResult
 from .sampling import build_noise_plan
 from .statevector import _sz_arrays
 from .timeline import MomentTimeline, build_timeline
@@ -290,23 +290,36 @@ class DensityExecutor:
 
     # -- aggregated observables -------------------------------------------------
 
-    def expectations(self, observables: Dict[str, Pauli]) -> Dict[str, float]:
+    def expectations(self, observables: Dict[str, Pauli]) -> SimResult:
+        """Exact ``<P>`` for each named observable (errors 0, 0 shots)."""
         branches = self.run()
-        out = {}
-        for key, pauli in observables.items():
-            out[key] = sum(
-                b.weight * b.state.expectation_pauli(pauli) for b in branches
-            )
-        return out
+        return _exact(
+            {
+                key: sum(b.weight * b.state.expectation_pauli(pauli) for b in branches)
+                for key, pauli in observables.items()
+            }
+        )
 
-    def probabilities(self, targets: Dict[str, Dict[int, int]]) -> Dict[str, float]:
+    def probabilities(self, targets: Dict[str, Dict[int, int]]) -> SimResult:
+        """Exact probability of each named qubit->bit assignment."""
         branches = self.run()
-        out = {}
-        for key, bits in targets.items():
-            out[key] = sum(
-                b.weight * b.state.probability_of_bitstring(bits) for b in branches
-            )
-        return out
+        return _exact(
+            {
+                key: sum(
+                    b.weight * b.state.probability_of_bitstring(bits) for b in branches
+                )
+                for key, bits in targets.items()
+            }
+        )
+
+
+def _exact(values: Dict[str, float]) -> SimResult:
+    """Exact values as a ``SimResult``: zero variance, no shots sampled."""
+    return SimResult(
+        values={k: float(v) for k, v in values.items()},
+        errors={k: 0.0 for k in values},
+        shots=0,
+    )
 
 
 def _apply_slow_noise(

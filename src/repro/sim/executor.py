@@ -43,7 +43,8 @@ from .timeline import MomentTimeline, build_timeline
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Noise-model toggles and sampling configuration."""
+    """Noise-model toggles and sampling configuration (the only source of
+    an engine's shot count and seed)."""
 
     shots: int = 128
     seed: SeedLike = None
@@ -94,7 +95,7 @@ class SimResult:
 
 
 class Executor:
-    """Runs one scheduled circuit many times under sampled noise."""
+    """Runs one scheduled circuit ``options.shots`` times under sampled noise."""
 
     def __init__(
         self,
@@ -110,6 +111,8 @@ class Executor:
         self.scheduled = scheduled
         self.device = device
         self.options = options or SimOptions()
+        if self.options.shots < 1:
+            raise ValueError(f"shots must be >= 1, got {self.options.shots}")
         self._timelines: List[MomentTimeline] = [
             build_timeline(sm.moment, scheduled.num_qubits, sm.duration)
             for sm in scheduled
@@ -211,27 +214,11 @@ class Executor:
 
     # -- aggregated runs -------------------------------------------------------
 
-    def _shot_count(self, shots: Optional[int]) -> int:
-        """``shots``, or ``options.shots`` when it is ``None``; at least 1."""
-        count = self.options.shots if shots is None else shots
-        if count < 1:
-            raise ValueError(f"shots must be >= 1, got {count}")
-        return count
-
-    def expectations(
-        self,
-        observables: Dict[str, Pauli],
-        shots: Optional[int] = None,
-        seed: SeedLike = None,
-    ) -> SimResult:
-        """Average ``<P>`` over trajectories for each named observable.
-
-        ``seed`` overrides ``options.seed`` for this call, so one executor
-        (with its cached static coherent accumulation) can serve many
-        independently seeded runs — the batched runtime relies on this.
-        """
-        rng = as_generator(seed if seed is not None else self.options.seed)
-        count = self._shot_count(shots)
+    def expectations(self, observables: Dict[str, Pauli]) -> SimResult:
+        """Average ``<P>`` over ``options.shots`` trajectories seeded from
+        ``options.seed``, for each named observable."""
+        rng = as_generator(self.options.seed)
+        count = self.options.shots
         samples: Dict[str, List[float]] = {k: [] for k in observables}
         for _ in range(count):
             state, _clbits = self._run_trajectory(rng)
@@ -239,15 +226,10 @@ class Executor:
                 samples[key].append(state.expectation_pauli(pauli))
         return _aggregate(samples, count)
 
-    def probabilities(
-        self,
-        targets: Dict[str, Dict[int, int]],
-        shots: Optional[int] = None,
-        seed: SeedLike = None,
-    ) -> SimResult:
+    def probabilities(self, targets: Dict[str, Dict[int, int]]) -> SimResult:
         """Average probability of each named qubit->bit assignment."""
-        rng = as_generator(seed if seed is not None else self.options.seed)
-        count = self._shot_count(shots)
+        rng = as_generator(self.options.seed)
+        count = self.options.shots
         samples: Dict[str, List[float]] = {k: [] for k in targets}
         for _ in range(count):
             state, _clbits = self._run_trajectory(rng)

@@ -73,7 +73,7 @@ import numpy as np
 from ..circuits.schedule import ScheduledCircuit
 from ..device.calibration import Device
 from ..pauli.pauli import Pauli
-from ..utils.rng import SeedLike, as_generator
+from ..utils.rng import as_generator
 from .executor import Executor, SimOptions, SimResult, _aggregate
 from .sampling import _PAULI_1Q, _PAULI_2Q, NoiseBatch, sample_shot
 from .statevector import _sz_arrays, renormalize
@@ -165,8 +165,7 @@ def _chain_plan(
 class _Workspace:
     """Scratch arrays for one ``(rows, 2**n)`` batch, reused by every step.
 
-    Each :meth:`VectorizedExecutor._evolve_chunk` call owns one, so units
-    sharing an engine on different threads never share a buffer. A step on a
+    Each :meth:`VectorizedExecutor._evolve_chunk` call owns one. A step on a
     smaller row subset of the chunk (a conditioned gate, the no-jump rows of
     a mixed damping batch) gets a fresh one from
     :meth:`VectorizedExecutor._workspace`; ``P(q = 1)`` of a subset uses the
@@ -588,14 +587,14 @@ class VectorizedExecutor(Executor):
             left -= take
         return sizes
 
-    def _run_batched(self, contract, shots: Optional[int], seed: SeedLike) -> SimResult:
+    def _run_batched(self, contract) -> SimResult:
         """Sample, evolve and contract chunk by chunk, then aggregate.
 
         ``contract(psi) -> {key: (rows,) values}`` computes the per-shot
         samples of one evolved chunk.
         """
-        rng = as_generator(seed if seed is not None else self.options.seed)
-        count = self._shot_count(shots)
+        rng = as_generator(self.options.seed)
+        count = self.options.shots
         # Sampling replays the exact RNG stream of `count` sequential scalar
         # trajectories, one row of a chunk's columnar batch per shot.
         results = []
@@ -611,12 +610,7 @@ class VectorizedExecutor(Executor):
         }
         return _aggregate(samples, count)
 
-    def expectations(
-        self,
-        observables: Dict[str, Pauli],
-        shots: Optional[int] = None,
-        seed: SeedLike = None,
-    ) -> SimResult:
+    def expectations(self, observables: Dict[str, Pauli]) -> SimResult:
         """Batched, bit-identical twin of ``Executor.expectations``."""
 
         def contract(psi: np.ndarray) -> Dict[str, np.ndarray]:
@@ -625,14 +619,9 @@ class VectorizedExecutor(Executor):
                 for key, pauli in observables.items()
             }
 
-        return self._run_batched(contract, shots, seed)
+        return self._run_batched(contract)
 
-    def probabilities(
-        self,
-        targets: Dict[str, Dict[int, int]],
-        shots: Optional[int] = None,
-        seed: SeedLike = None,
-    ) -> SimResult:
+    def probabilities(self, targets: Dict[str, Dict[int, int]]) -> SimResult:
         """Batched, bit-identical twin of ``Executor.probabilities``."""
 
         def contract(psi: np.ndarray) -> Dict[str, np.ndarray]:
@@ -641,4 +630,4 @@ class VectorizedExecutor(Executor):
                 for key, bits in targets.items()
             }
 
-        return self._run_batched(contract, shots, seed)
+        return self._run_batched(contract)

@@ -34,11 +34,15 @@ def fit_exponential_decay(
     """Fit ``y = A * r**x (+ B)`` with ``0 <= r <= 1``.
 
     When ``offset`` is given it is held fixed (pass ``0.0`` for decays to
-    zero); otherwise it is fitted. A fit that does not converge raises
-    SciPy's ``RuntimeError``; no initial guess is ever returned as a fit.
+    zero); otherwise it is fitted. The solve is SciPy's bounded
+    trust-region least squares (what ``curve_fit`` runs under bounds),
+    called directly because the parameter covariance ``curve_fit`` adds is
+    never used and cannot be estimated for an exactly determined fit. A fit
+    that does not converge raises ``RuntimeError``; no initial guess is
+    ever returned as a fit.
     """
     # Imported here so that ``import repro`` does not load SciPy.
-    from scipy.optimize import curve_fit
+    from scipy.optimize import least_squares
 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -65,7 +69,16 @@ def fit_exponential_decay(
         p0 = (guess_amp, guess_rate)
         bounds = ([0.0, 0.0], [2.0, 1.0])
 
-    popt, _ = curve_fit(model, x, y, p0=p0, bounds=bounds, maxfev=20000)
+    result = least_squares(
+        lambda params: model(x, *params) - y,
+        np.asarray(p0, dtype=float),
+        bounds=bounds,
+        method="trf",
+        max_nfev=20000,
+    )
+    if not result.success:
+        raise RuntimeError(f"Optimal parameters not found: {result.message}")
+    popt = result.x
     if offset is None:
         amp, rate, off = popt
     else:

@@ -9,6 +9,7 @@ the backend's call to ``shard_plans``.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.runtime import (
 )
 from repro.runtime import distributed as distributed_module
 from repro.runtime.distributed import WorkUnit, execute_work_unit
+from repro.sim import VectorizedExecutor
 
 from conftest import OBS, batch_signature, det_pipeline, layered_circuit, mixed_tasks
 
@@ -87,19 +89,12 @@ class TestShardPlans:
             reassembled = [u for s in mine for u in s.units]
             assert reassembled == list(plan.units)
             assert all(len(s.units) <= 2 for s in mine)
-            assert [s.start for s in mine] == [2 * k for k in range(len(mine))]
 
     def test_shard_size_one_isolates_units(self, chain4):
         plans = self.plans(chain4)
         shards = shard_plans(plans, shard_size=1)
         assert all(len(s.units) == 1 for s in shards)
         assert len(shards) == sum(len(p.units) for p in plans)
-
-    def test_direct_plan_metadata(self, chain4):
-        plans = self.plans(chain4)
-        direct = [s for s in shards_of(plans, 4) if s.direct]
-        assert len(direct) == 1  # mixed_tasks has one raw task
-        assert direct[0].kind == "expectations"
 
     def test_rejects_bad_shard_size(self, chain4):
         with pytest.raises(ValueError, match="shard_size"):
@@ -134,10 +129,6 @@ class TestShardPlans:
         ]
 
 
-def shards_of(plans, size):
-    return shard_plans(plans, shard_size=size)
-
-
 # ---------------------------------------------------------------------------
 # Work units
 # ---------------------------------------------------------------------------
@@ -150,12 +141,10 @@ class TestWorkUnit:
         unit = WorkUnit(shard=shard, options=OPTIONS)
         outcomes = execute_work_unit(pickle.loads(pickle.dumps(unit)))
         assert len(outcomes) == len(shard.units)
-        backend = get_backend("vectorized")
         for plan_unit, (result, seconds) in zip(shard.units, outcomes):
-            engine = backend._make_engine(plan_unit.scheduled, plan_unit.device, OPTIONS)
-            expected = backend._execute(
-                engine, shard.kind, shard.payload, shard.shots, plan_unit.seed
-            )
+            options = replace(OPTIONS, seed=plan_unit.seed)
+            engine = VectorizedExecutor(plan_unit.scheduled, plan_unit.device, options)
+            expected = getattr(engine, shard.kind)(shard.payload)
             assert result.values == expected.values
             assert seconds >= 0.0
 

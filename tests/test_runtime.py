@@ -40,7 +40,7 @@ from repro.runtime import (
     get_backend,
     pipeline_for,
 )
-from repro.sim import DensityExecutor, Executor
+from repro.sim import DensityExecutor, Executor, SimResult, VectorizedExecutor
 from repro.utils.rng import as_generator
 
 
@@ -142,26 +142,18 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match="realizations"):
             Task(circ, observables={"z": "Z"}, realizations=0)
 
-    @pytest.mark.parametrize("shots", [0, -3])
-    def test_rejects_nonpositive_shots(self, shots):
-        with pytest.raises(ValueError, match="shots"):
-            Task(Circuit(1), observables={"z": "Z"}, shots=shots)
-
     @pytest.mark.parametrize("backend", ["trajectory", "vectorized"])
     def test_engine_shot_counts(self, chain4, backend):
-        """``shots=None`` means ``options.shots``; 0 or less is an error,
-        never a silent fallback to the default count."""
-        engine = get_backend(backend)._make_engine(
-            schedule(layered_circuit(), chain4.durations), chain4, SimOptions(shots=5)
-        )
-        obs = {"z": Pauli.from_label("IIIZ")}
-        assert engine.expectations(obs, seed=1).shots == 5
-        assert engine.expectations(obs, shots=3, seed=1).shots == 3
+        """An engine samples ``options.shots``; 0 or less is an error when
+        the engine is built, never a silent fallback to the default count."""
+        engine_cls = get_backend(backend).engine
+        scheduled = schedule(layered_circuit(), chain4.durations)
+        engine = engine_cls(scheduled, chain4, SimOptions(shots=5, seed=1))
+        assert engine.expectations({"z": Pauli.from_label("IIIZ")}).shots == 5
+        assert engine.probabilities({"f": {0: 0}}).shots == 5
         for shots in (0, -3):
             with pytest.raises(ValueError, match="shots"):
-                engine.expectations(obs, shots=shots, seed=1)
-            with pytest.raises(ValueError, match="shots"):
-                engine.probabilities({"f": {0: 0}}, shots=shots, seed=1)
+                engine_cls(scheduled, chain4, SimOptions(shots=shots))
 
     @pytest.mark.parametrize("backend", ["trajectory", "vectorized", "density"])
     @pytest.mark.parametrize(
@@ -256,15 +248,6 @@ class TestBatchedRun:
         with pytest.raises(KeyError):
             batch["missing"]
 
-    def test_shots_override_per_task(self, chain4):
-        circ = layered_circuit()
-        batch = run(
-            Task(circ, observables=OBS, shots=3),
-            chain4,
-            options=SimOptions(shots=64, seed=0),
-        )
-        assert batch[0].shots == 3
-
     def test_density_backend_matches_density_expectations(self, chain2):
         circ = Circuit(2)
         circ.h(0)
@@ -313,6 +296,60 @@ class TestBatchedRun:
         assert all(isinstance(r, TaskResult) for r in batch)
         assert "BatchResult" in repr(batch)
         assert "TaskResult" in repr(batch[0])
+
+
+class TestOneWayToRunAUnit:
+    """Every engine is built from ``(scheduled, device, options)`` and called
+    with the payload alone; every backend builds one engine per unit."""
+
+    ENGINES = {
+        "trajectory": Executor,
+        "vectorized": VectorizedExecutor,
+        "density": DensityExecutor,
+    }
+
+    def test_engines_take_the_payload_alone(self, chain4):
+        scheduled = schedule(layered_circuit(), chain4.durations)
+        options = SimOptions(shots=5, seed=3)
+        obs = {k: Pauli.from_label(v) for k, v in OBS.items()}
+        targets = {"f": {0: 0}, "g": {1: 1, 2: 0}}
+        out = {}
+        for name, engine_cls in self.ENGINES.items():
+            engine = engine_cls(scheduled, chain4, options)
+            out[name] = (engine.expectations(obs), engine.probabilities(targets))
+            for result in out[name]:
+                assert isinstance(result, SimResult)
+        for a, b in zip(out["trajectory"], out["vectorized"]):
+            assert a.values == b.values
+            assert a.errors == b.errors
+            assert a.shots == b.shots == 5
+        for result in out["density"]:
+            assert set(result.errors.values()) == {0.0}
+            assert result.shots == 0
+
+    @pytest.mark.parametrize("backend, built", [
+        ("trajectory", 3), ("vectorized", 3), ("density", 1),
+    ])
+    def test_one_engine_per_unit(self, chain4, monkeypatch, backend, built):
+        """A deterministic pipeline's realizations share one scheduled
+        circuit but each build their own engine; ``density`` collapses
+        them into one exact evolution."""
+        backend_cls = type(get_backend(backend))
+        builds = []
+
+        class Spy(backend_cls.engine):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(backend_cls, "engine", Spy)
+        task = Task(
+            layered_circuit(), observables=OBS, pipeline=Pipeline([CADD(), CAEC()]),
+            realizations=3, seed=0,
+        )
+        result = run(task, chain4, options=SimOptions(shots=2), backend=backend)[0]
+        assert len(builds) == built
+        assert result.realizations == built
 
 
 class TestResultErgonomics:

@@ -238,9 +238,8 @@ class TestSamplingHelpers:
     def test_executor_engines_share_stream(self, chain4):
         """The scalar and batched engines consume one seed identically."""
         scheduled = schedule(layered_circuit(), chain4.durations)
-        options = SimOptions(shots=12)
+        options = SimOptions(shots=12, seed=33)
         scalar = Executor(scheduled, chain4, options)
         batched = VectorizedExecutor(scheduled, chain4, options)
         obs = {"x1": Pauli.from_label("IIXI")}
-        assert scalar.expectations(obs, seed=33).values == \
-            batched.expectations(obs, seed=33).values
+        assert scalar.expectations(obs).values == batched.expectations(obs).values

@@ -1,6 +1,7 @@
 """Tests for rng, linalg, fitting utilities."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,9 +88,11 @@ class TestDecayFit:
         import scipy.optimize
 
         def no_convergence(*args, **kwargs):
-            raise RuntimeError("Optimal parameters not found")
+            return SimpleNamespace(
+                success=False, message="maximum function evaluations exceeded"
+            )
 
-        monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
+        monkeypatch.setattr(scipy.optimize, "least_squares", no_convergence)
         with pytest.raises(RuntimeError, match="Optimal parameters not found"):
             fit_exponential_decay(np.arange(10), 0.9 * 0.8 ** np.arange(10))
 
