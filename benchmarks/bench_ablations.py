@@ -8,6 +8,8 @@
   budget everything above runs on.
 """
 
+import math
+
 from repro.circuits import Circuit, gates as g, schedule
 from repro.compiler import apply_ca_dd, dd_pulse_count
 from repro.compiler.walsh import pulse_count
@@ -43,12 +45,13 @@ def test_coloring_minimizes_pulses(benchmark, once):
 def test_stretched_rzz_vs_two_cnot_cost(benchmark, once):
     """Explicit compensation via pulse stretching retains far more
     polarization than synthesizing each Rzz from two CNOTs."""
-    device = synthetic_device(linear_chain(2), seed=62)
-    theta = 0.1
-    opts = SimOptions(
-        shots=400, seed=5, coherent=False, stochastic=False,
-        dephasing=False, amplitude_damping=False,
+    # Gate errors only: every other noise source is zeroed on the device.
+    device = synthetic_device(linear_chain(2), seed=62).with_params(
+        zz_rate=0.0, stark_on_first=0.0, stark_on_second=0.0, measure_stark=0.0,
+        quasistatic_sigma=0.0, parity_delta=0.0, t1=math.inf, t2=math.inf,
     )
+    theta = 0.1
+    opts = SimOptions(shots=400, seed=5)
 
     def build(use_stretched):
         circ = Circuit(2)

@@ -32,17 +32,13 @@ print(
     f"equivalent CNOTs, CNOT depth {equivalent_cnot_depth(max(STEPS))}"
 )
 
-ideal_options = SimOptions(
-    shots=1, coherent=False, stochastic=False, dephasing=False,
-    amplitude_damping=False, gate_errors=False, seed=0,
-)
 ideal_batch = run(
     [
         Task(heisenberg_circuit(NUM_QUBITS, d), observables=observable)
         for d in STEPS
     ],
     device.ideal(),
-    options=ideal_options,
+    options=SimOptions(shots=1, seed=0),  # noise-free: one shot is exact
 )
 ideal = [point["z"] for point in ideal_batch]
 print("ideal <Z2>:", [round(v, 3) for v in ideal])

@@ -43,10 +43,7 @@ observables = {"<X2>": "IXII", "<X3>": "XIII"}
 # --- 3. the noiseless reference ---------------------------------------------
 ideal = run(
     Task(circuit, observables=observables, device=device.ideal()),
-    options=SimOptions(
-        shots=1, coherent=False, stochastic=False, dephasing=False,
-        amplitude_damping=False, gate_errors=False, seed=0,
-    ),
+    options=SimOptions(shots=1, seed=0),  # a noise-free device needs one shot
 ).results[0]
 print("\nideal:", {k: round(v, 4) for k, v in ideal.items()})
 

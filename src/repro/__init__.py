@@ -93,7 +93,7 @@ from .runtime import (
 )
 from .sim import SimOptions, SimResult
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 __all__ = [
     "Circuit",

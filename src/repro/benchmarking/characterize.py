@@ -81,11 +81,13 @@ def measure_zz_rate(
     accumulates ``2 theta`` relative to ``|10>``), so a linear fit of the
     conditional phase against time yields ``nu``. Short times keep phases
     unwrapped.
+
+    The experiment runs on a private copy of ``device`` without idle decay
+    or gate errors (``t1 = t2 = inf``, ``p1 = p2 = 0``), as a calibration
+    isolates the coupling; its coherent rates and slow detunings act.
     """
-    options = options or SimOptions(
-        shots=64, seed=17, dephasing=False, amplitude_damping=False,
-        gate_errors=False,
-    )
+    options = options or SimOptions(shots=64, seed=17)
+    quiet = device.with_params(t1=math.inf, t2=math.inf, p1=0.0, p2=0.0)
     observables = _phase_observables(device, probe)
     swept = Sweep(
         {"time": list(times), "excited": [False, True]},
@@ -94,7 +96,7 @@ def measure_zz_rate(
             observables=observables,
         ),
         name="zz_conditional_ramsey",
-    ).run(device, options=options)
+    ).run(quiet, options=options)
     diffs = []
     for t in times:
         delta = _phase(swept[(t, True)]) - _phase(swept[(t, False)])

@@ -15,7 +15,7 @@ values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..circuits.schedule import Durations
@@ -171,26 +171,44 @@ class Device:
             pairs[_key(*edge)] = params
         return replace(self, pairs=pairs)
 
+    def with_params(self, **values) -> "Device":
+        """Copy with the given :class:`QubitParams` / :class:`PairParams`
+        fields set on every qubit and every coupled pair.
+
+        This is how a noise source is switched off: ``with_params(p1=0.0,
+        p2=0.0)`` removes gate errors, ``t1=inf, t2=inf`` idle decay.
+        """
+        unknown = set(values) - _QUBIT_FIELDS - _PAIR_FIELDS
+        if unknown:
+            raise TypeError(f"no calibration field named {sorted(unknown)}")
+        qubit_values = {k: v for k, v in values.items() if k in _QUBIT_FIELDS}
+        pair_values = {k: v for k, v in values.items() if k in _PAIR_FIELDS}
+        return replace(
+            self,
+            qubits=[replace(q, **qubit_values) for q in self.qubits],
+            pairs={e: replace(p, **pair_values) for e, p in self.pairs.items()},
+        )
+
     def ideal(self) -> "Device":
         """Noise-free copy (all rates and error probabilities zeroed)."""
-        quiet_q = [
-            replace(
-                q,
-                quasistatic_sigma=0.0,
-                parity_delta=0.0,
-                readout_error=0.0,
-                p1=0.0,
-                t1=float("inf"),
-                t2=float("inf"),
-                measure_stark=0.0,
-            )
-            for q in self.qubits
-        ]
-        quiet_p = {
-            e: replace(p, zz_rate=0.0, stark_on_first=0.0, stark_on_second=0.0, p2=0.0)
-            for e, p in self.pairs.items()
-        }
-        return replace(self, qubits=quiet_q, pairs=quiet_p, nnn_zz={})
+        quiet = self.with_params(
+            quasistatic_sigma=0.0,
+            parity_delta=0.0,
+            readout_error=0.0,
+            p1=0.0,
+            t1=float("inf"),
+            t2=float("inf"),
+            measure_stark=0.0,
+            zz_rate=0.0,
+            stark_on_first=0.0,
+            stark_on_second=0.0,
+            p2=0.0,
+        )
+        return replace(quiet, nnn_zz={})
+
+
+_QUBIT_FIELDS = frozenset(f.name for f in fields(QubitParams))
+_PAIR_FIELDS = frozenset(f.name for f in fields(PairParams))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ def run_stark(
     (frequency resolution is the inverse of the window).
     """
     device = synthetic_device(linear_chain(3), name="fig4a", seed=seed)
-    options = SimOptions(shots=shots, seed=seed, gate_errors=False)
+    device = device.with_params(p1=0.0, p2=0.0)
+    options = SimOptions(shots=shots, seed=seed)
     return measure_stark_shift(device, probe=0, neighbor=1, times=times, options=options)
 
 
@@ -54,18 +55,16 @@ def run_parity(
     Returns the time axis and signal; the beat envelope has frequency
     ``delta`` while the carrier oscillates at the applied frequency.
     """
-    device = synthetic_device(linear_chain(1), name="fig4b", seed=seed)
     # Use an isolated qubit with an artificially visible parity splitting
     # (the effect's size varies between systems; see paper Sec. III C).
-    qubit = replace(
-        device.qubits[0],
+    device = synthetic_device(linear_chain(1), name="fig4b", seed=seed).with_params(
         parity_delta=delta_khz * KHZ,
         quasistatic_sigma=0.0,
         t1=float("inf"),
         t2=float("inf"),
+        p1=0.0,
     )
-    device = replace(device, qubits=[qubit])
-    options = SimOptions(shots=shots, seed=seed, gate_errors=False, amplitude_damping=False)
+    options = SimOptions(shots=shots, seed=seed)
     signal = parity_beating_signal(
         device, probe=0, times=times, applied_frequency=applied_khz * KHZ, options=options
     )

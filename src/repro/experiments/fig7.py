@@ -74,15 +74,6 @@ def run_fig7(
 ) -> Fig7Result:
     device = heisenberg_device(num_qubits, seed=seed)
     observable = {"z": site_z_label(num_qubits, site)}
-    ideal_options = SimOptions(
-        shots=1,
-        coherent=False,
-        stochastic=False,
-        dephasing=False,
-        amplitude_damping=False,
-        gate_errors=False,
-        seed=0,
-    )
     ideal_device = device.ideal()
     ideal_swept = Sweep(
         {"step": list(steps)},
@@ -92,7 +83,7 @@ def run_fig7(
             device=ideal_device,
         ),
         name="fig7/ideal",
-    ).run(options=ideal_options)
+    ).run(options=SimOptions(shots=1, seed=0))
     ideal = ideal_swept.curve("z")
     result = Fig7Result(
         steps=list(steps), ideal=ideal, ideal_sweep=ideal_swept

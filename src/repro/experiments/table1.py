@@ -19,7 +19,7 @@ NNN ZZ                frequency collisions         x              Walsh
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..benchmarking.ramsey import CASE_I, CASE_II, CASE_IV, ramsey_task
@@ -82,25 +82,17 @@ class Table1Result:
         return lines
 
 
-def _clean_device(num_qubits: int, seed: int, **qubit_overrides) -> Device:
+def _clean_device(num_qubits: int, seed: int, parity_delta: float = 0.0) -> Device:
     """Coherent-error-only device for targeted characterization."""
-    device = synthetic_device(linear_chain(num_qubits), seed=seed)
-    qubits = [
-        replace(
-            q,
-            quasistatic_sigma=qubit_overrides.get("quasistatic_sigma", 0.0),
-            parity_delta=qubit_overrides.get("parity_delta", 0.0),
-            t1=float("inf"),
-            t2=float("inf"),
-            p1=0.0,
-            readout_error=0.0,
-        )
-        for q in device.qubits
-    ]
-    pairs = {
-        e: replace(p, p2=0.0) for e, p in device.pairs.items()
-    }
-    return replace(device, qubits=qubits, pairs=pairs)
+    return synthetic_device(linear_chain(num_qubits), seed=seed).with_params(
+        quasistatic_sigma=0.0,
+        parity_delta=parity_delta,
+        t1=float("inf"),
+        t2=float("inf"),
+        p1=0.0,
+        readout_error=0.0,
+        p2=0.0,
+    )
 
 
 def run_table1(depth: int = 8, shots: int = 48, seed: int = 8001) -> Table1Result:

@@ -239,7 +239,7 @@ def plan_options(plans: Sequence["ExecutionPlan"]) -> Optional[SimOptions]:
 
     ``None`` when no plan recorded options. Raises if the plans disagree —
     executing them under any one plan's options would silently change the
-    other plans' noise model (run them separately, or pass options
+    other plans' shot count or seed (run them separately, or pass options
     explicitly).
     """
     recorded = {p.options for p in plans if p.options is not None}

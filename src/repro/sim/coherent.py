@@ -7,19 +7,20 @@ Between every crosstalk pair the always-on interaction
 acts whenever the pair is not engaged in a common (calibrated) two-qubit
 gate, producing the error ``U11 = Rzz(theta) [Rz(-theta) (x) Rz(-theta)]``
 with ``theta = 2 pi nu tau`` (eq. 2). Two-qubit gate drives and readout
-drives add AC Stark Z shifts on neighbors, and per-shot detunings
-(quasi-static + charge parity) add further Z phase. Every term is modulated
-by the qubits' sign trajectories, so echo pulses and DD sequences refocus
-exactly the right contributions.
+drives add AC Stark Z shifts on neighbors. Every term is modulated by the
+qubits' sign trajectories, so echo pulses and DD sequences refocus exactly
+the right contributions.
 
-The same function serves the simulator (full noise) and CA-EC (static part
-only, by passing no detunings).
+This is the static, shot-independent part of the error: the compiler
+(CA-EC) predicts it, and the engines cache it per moment. The per-shot
+detunings (quasi-static + charge parity) are added by the engines on top,
+as ``2 pi * rate * duration * sign_integral(q)`` on each qubit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from ..device.calibration import Device
 from ..utils.units import TWO_PI
@@ -53,18 +54,12 @@ class CoherentAccumulation:
         )
 
 
-def accumulate_coherent(
-    timeline: MomentTimeline,
-    device: Device,
-    detunings: Optional[Sequence[float]] = None,
-) -> CoherentAccumulation:
-    """Coherent error angles of one moment.
+def accumulate_coherent(timeline: MomentTimeline, device: Device) -> CoherentAccumulation:
+    """Static coherent error angles of one moment.
 
     Args:
         timeline: the moment's timing context.
         device: calibration (ZZ rates, Stark shifts).
-        detunings: optional per-qubit additional Z rates in GHz (per-shot
-            noise); ``None`` means zero (the compiler's view).
     """
     acc = CoherentAccumulation()
     duration = timeline.duration
@@ -101,11 +96,4 @@ def accumulate_coherent(
             continue
         for q in device.topology.neighbors(m):
             acc.add_z(q, TWO_PI * rate * duration * timeline.sign_integral(q))
-
-    if detunings is not None:
-        for q, rate in enumerate(detunings):
-            if rate == 0.0:
-                continue
-            acc.add_z(q, TWO_PI * rate * duration * timeline.sign_integral(q))
-
     return acc

@@ -21,7 +21,7 @@ outcome.
 Caveat: the slow-noise average is applied per moment (Markovian), while the
 trajectory executor draws one detuning per shot for the whole circuit
 (temporally correlated). The two agree exactly on single-window circuits
-and whenever quasi-static noise is disabled; on deep circuits the density
+and on devices without quasi-static noise; on deep circuits the density
 model slightly *underestimates* the correlated dephasing.
 """
 
@@ -206,7 +206,8 @@ class DensityExecutor:
     detuning scales come from the same
     :func:`~repro.sim.sampling.build_noise_plan` the trajectory engines
     sample from; this engine applies each site's averaged channel instead
-    of drawing it.
+    of drawing it. It draws nothing, so it takes ``options`` only to share
+    the engines' constructor and reads neither shots nor seed.
     """
 
     def __init__(
@@ -219,20 +220,16 @@ class DensityExecutor:
             raise ValueError("circuit/device size mismatch")
         self.scheduled = scheduled
         self.device = device
-        self.options = options or SimOptions()
         self._timelines = [
             build_timeline(sm.moment, scheduled.num_qubits, sm.duration)
             for sm in scheduled
         ]
         # The coherent phases carry no sampled detuning here, so each
         # moment's accumulation is static and shared by every branch.
-        self._static_acc: List[Optional[CoherentAccumulation]] = [
-            accumulate_coherent(tl, device)
-            if self.options.coherent
-            else None
-            for tl in self._timelines
+        self._static_acc: List[CoherentAccumulation] = [
+            accumulate_coherent(tl, device) for tl in self._timelines
         ]
-        self._plan = build_noise_plan(scheduled, device, self.options)
+        self._plan = build_noise_plan(scheduled, device)
 
     def run(self) -> List[_Branch]:
         detunings = self._plan.detunings
@@ -263,9 +260,8 @@ class DensityExecutor:
             for branch in branches:
                 state = branch.state
                 # 2. coherent phases + averaged slow-noise decoherence.
-                if static_acc is not None:
-                    state.apply_phases(static_acc)
-                if detunings is not None and sm.duration > 0.0:
+                state.apply_phases(static_acc)
+                if sm.duration > 0.0:
                     _apply_slow_noise(state, timeline, sm.duration, detunings)
                 # 3. dephasing / damping.
                 for q, p_z, gamma, _, _ in plan.idles:

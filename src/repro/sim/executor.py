@@ -43,16 +43,16 @@ from .timeline import MomentTimeline, build_timeline
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Noise-model toggles and sampling configuration (the only source of
-    an engine's shot count and seed)."""
+    """Sampling configuration: the only source of an engine's shot count
+    and seed.
+
+    The noise model is the device's alone. A source whose parameters are
+    zero draws nothing, so switching one off is a device edit, e.g.
+    ``device.with_params(p1=0.0, p2=0.0)`` or ``device.ideal()``.
+    """
 
     shots: int = 128
     seed: SeedLike = None
-    coherent: bool = True
-    stochastic: bool = True
-    dephasing: bool = True
-    amplitude_damping: bool = True
-    gate_errors: bool = True
 
 
 @dataclass
@@ -120,15 +120,12 @@ class Executor:
         # Static coherent accumulation is shot-independent; per-shot detuning
         # contributions are added on top of a cached copy.
         self._static_acc: List[CoherentAccumulation] = [
-            accumulate_coherent(tl, device)
-            if self.options.coherent
-            else CoherentAccumulation()
-            for tl in self._timelines
+            accumulate_coherent(tl, device) for tl in self._timelines
         ]
         # Every draw site and its column, in stream order. The vectorized
         # engine samples through the same `sample_shot` and reads the same
         # columns, which is what keeps the two backends seed-for-seed equal.
-        self._plan: NoisePlan = build_noise_plan(scheduled, device, self.options)
+        self._plan: NoisePlan = build_noise_plan(scheduled, device)
 
     # -- single trajectory ---------------------------------------------------
 
@@ -141,11 +138,10 @@ class Executor:
 
     def _evolve(self, noise: NoiseBatch) -> Tuple[StateVector, List[int]]:
         """Evolve one trajectory from row 0 of its pre-sampled noise batch."""
-        opts = self.options
         n = self.scheduled.num_qubits
         state = StateVector(n)
         clbits = [0] * self.scheduled.circuit.num_clbits
-        detunings = None if noise.detunings is None else noise.detunings[0]
+        detunings = noise.detunings[0]
         u = noise.uniforms[0].tolist()
         paulis = noise.paulis[0].tolist()
 
@@ -161,19 +157,18 @@ class Executor:
                 clbits[clbit] = state.measure(qubit, u=u[col])
 
             # 2. coherent phases
-            if opts.coherent:
-                acc = static_acc
-                if detunings is not None and sm.duration > 0.0:
-                    acc = CoherentAccumulation(dict(static_acc.z), dict(static_acc.zz))
-                    for q in range(n):
-                        rate = detunings[q]
-                        if rate != 0.0:
-                            acc.add_z(
-                                q,
-                                2.0 * math.pi * rate * sm.duration
-                                * timeline.sign_integral(q),
-                            )
-                state.apply_phases(acc)
+            acc = static_acc
+            if sm.duration > 0.0:
+                acc = CoherentAccumulation(dict(static_acc.z), dict(static_acc.zz))
+                for q in range(n):
+                    rate = detunings[q]
+                    if rate != 0.0:
+                        acc.add_z(
+                            q,
+                            2.0 * math.pi * rate * sm.duration
+                            * timeline.sign_integral(q),
+                        )
+            state.apply_phases(acc)
 
             # 3. stochastic dephasing / damping (per-qubit interleave)
             for q, p_z, gamma, flip_col, damp_col in plan.idles:

@@ -2,10 +2,11 @@
 
 The Monte-Carlo engines consume their RNG stream in a fixed,
 state-independent order: which draws happen (and how many) depends only on
-the device, the schedule, and the noise toggles — never on the quantum
-state. The state only enters through *comparisons* against already-drawn
-uniforms (measurement collapse, amplitude-damping jumps), each of which
-consumes exactly one draw.
+the device and the schedule — never on the quantum state, and a noise
+source whose device parameters are zero draws nothing. The state only
+enters through *comparisons* against already-drawn uniforms (measurement
+collapse, amplitude-damping jumps), each of which consumes exactly one
+draw.
 
 That property is what makes a batched engine bit-for-bit reproducible: the
 draws of every shot can be materialized up front, in the exact stream order
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -111,7 +112,7 @@ class MomentNoisePlan:
 
 @dataclass(frozen=True, eq=False)
 class NoisePlan:
-    """All draw sites of one scheduled circuit under one set of options.
+    """All draw sites of one scheduled circuit on one device.
 
     ``uniforms`` counts the column uniforms of one shot. ``gate_cols``,
     ``gate_probs`` and ``gate_highs`` list, per gate-error repeat in stream
@@ -120,9 +121,9 @@ class NoisePlan:
     """
 
     num_qubits: int
-    #: per-qubit ``(quasistatic_sigma, parity_delta)``, or ``None`` when
-    #: per-shot detunings are not sampled (stochastic/coherent off).
-    detunings: Optional[Tuple[Tuple[float, float], ...]]
+    #: per-qubit ``(quasistatic_sigma, parity_delta)``; a zero entry draws
+    #: nothing.
+    detunings: Tuple[Tuple[float, float], ...]
     moments: Tuple[MomentNoisePlan, ...]
     uniforms: int
     gate_cols: np.ndarray
@@ -135,15 +136,15 @@ class NoiseBatch:
     """The draws of ``size`` shots, one row per shot.
 
     Attributes:
-        detunings: ``(size, n)`` per-shot detunings, or ``None`` when the
-            plan samples none.
+        detunings: ``(size, n)`` per-shot detunings (zero where the device
+            has no slow noise).
         uniforms: ``(size, plan.uniforms)`` column uniforms.
         paulis: ``(size, len(plan.gate_cols))`` sampled Pauli index per
             gate-error repeat (into ``_PAULI_2Q`` for two-qubit sites,
             ``_PAULI_1Q`` otherwise), ``-1`` for no error.
     """
 
-    detunings: Optional[np.ndarray]
+    detunings: np.ndarray
     uniforms: np.ndarray
     paulis: np.ndarray
 
@@ -151,7 +152,7 @@ class NoiseBatch:
     def empty(cls, plan: NoisePlan, size: int) -> "NoiseBatch":
         """An unsampled batch of ``size`` rows for :func:`sample_shot`."""
         return cls(
-            np.zeros((size, plan.num_qubits)) if plan.detunings is not None else None,
+            np.zeros((size, plan.num_qubits)),
             np.empty((size, plan.uniforms)),
             np.full((size, plan.gate_cols.size), -1, dtype=np.int64),
         )
@@ -162,21 +163,20 @@ class NoiseBatch:
         return self.uniforms.shape[0]
 
 
-def build_noise_plan(
-    scheduled: ScheduledCircuit, device: Device, options
-) -> NoisePlan:
-    """Precompute every draw site of ``scheduled`` under ``options``.
+def build_noise_plan(scheduled: ScheduledCircuit, device: Device) -> NoisePlan:
+    """Precompute every draw site of ``scheduled`` on ``device``.
 
-    The plan is state-free and shot-independent, so one plan serves every
-    trajectory of an executor (and every chunk of a batched engine).
+    The device is the whole noise model: a source with zero parameters
+    (``p1``/``p2``, infinite ``t1``/``t2``, zero ``quasistatic_sigma`` and
+    ``parity_delta``) gets no site and no column. The plan is state-free
+    and shot-independent, so one plan serves every trajectory of an
+    executor (and every chunk of a batched engine).
     """
     n = scheduled.num_qubits
-    detunings = None
-    if options.stochastic and options.coherent:
-        detunings = tuple(
-            (device.qubit(q).quasistatic_sigma, device.qubit(q).parity_delta)
-            for q in range(n)
-        )
+    detunings = tuple(
+        (device.qubit(q).quasistatic_sigma, device.qubit(q).parity_delta)
+        for q in range(n)
+    )
     column = 0
 
     def take() -> int:
@@ -209,41 +209,36 @@ def build_noise_plan(
         if sm.duration > 0.0:
             for q in range(n):
                 params = device.qubit(q)
-                p_z = (
-                    _dephasing_prob(params.t2, params.t1, sm.duration)
-                    if options.dephasing
-                    else 0.0
-                )
+                p_z = _dephasing_prob(params.t2, params.t1, sm.duration)
                 gamma = 0.0
-                if options.amplitude_damping and math.isfinite(params.t1):
+                if math.isfinite(params.t1):
                     gamma = 1.0 - math.exp(-sm.duration / params.t1)
                 if p_z > 0.0 or gamma > 0.0:
                     flip_col = take() if p_z > 0.0 else -1
                     damp_col = take() if gamma > 0.0 else -1
                     idles.append((q, p_z, gamma, flip_col, damp_col))
         sites: List[GateErrorSite] = []
-        if options.gate_errors:
-            for inst in moment:
-                gate = inst.gate
-                if gate.is_measurement or gate.is_delay:
-                    continue
-                if gate.num_qubits == 2:
-                    p2 = device.pair_error(*inst.qubits) * gate.error_scale
-                    if p2 > 0.0:
-                        sites.append(gate_site(inst.qubits, p2, True))
-                elif gate.name == "dd":
-                    p1 = device.qubit(inst.qubits[0]).p1
-                    if p1 > 0.0 and gate.dd_fractions:
-                        sites.append(
-                            gate_site(
-                                inst.qubits[:1], p1, False,
-                                repeats=len(gate.dd_fractions),
-                            )
+        for inst in moment:
+            gate = inst.gate
+            if gate.is_measurement or gate.is_delay:
+                continue
+            if gate.num_qubits == 2:
+                p2 = device.pair_error(*inst.qubits) * gate.error_scale
+                if p2 > 0.0:
+                    sites.append(gate_site(inst.qubits, p2, True))
+            elif gate.name == "dd":
+                p1 = device.qubit(inst.qubits[0]).p1
+                if p1 > 0.0 and gate.dd_fractions:
+                    sites.append(
+                        gate_site(
+                            inst.qubits[:1], p1, False,
+                            repeats=len(gate.dd_fractions),
                         )
-                elif gate.name not in VIRTUAL_GATES:
-                    p1 = device.qubit(inst.qubits[0]).p1
-                    if p1 > 0.0:
-                        sites.append(gate_site(inst.qubits[:1], p1, False))
+                    )
+            elif gate.name not in VIRTUAL_GATES:
+                p1 = device.qubit(inst.qubits[0]).p1
+                if p1 > 0.0:
+                    sites.append(gate_site(inst.qubits[:1], p1, False))
         moments.append(MomentNoisePlan(measured, tuple(idles), tuple(sites)))
     arrays = (
         np.array(gate_cols, dtype=np.int64),
@@ -264,15 +259,14 @@ def sample_shot(
     :meth:`NoiseBatch.empty` leaves it). See the module docstring for the
     stream order and why the bulk draw with rewind reproduces it exactly.
     """
-    if plan.detunings is not None:
-        detunings = batch.detunings[row]
-        for q, (sigma, delta) in enumerate(plan.detunings):
-            value = 0.0
-            if sigma > 0.0:
-                value += rng.normal(0.0, sigma)
-            if delta > 0.0:
-                value += delta * (1 if rng.random() < 0.5 else -1)
-            detunings[q] = value
+    detunings = batch.detunings[row]
+    for q, (sigma, delta) in enumerate(plan.detunings):
+        value = 0.0
+        if sigma > 0.0:
+            value += rng.normal(0.0, sigma)
+        if delta > 0.0:
+            value += delta * (1 if rng.random() < 0.5 else -1)
+        detunings[q] = value
     uniforms = batch.uniforms[row]
     paulis = batch.paulis[row]
     cols, probs = plan.gate_cols, plan.gate_probs

@@ -250,8 +250,6 @@ class VectorizedExecutor(Executor):
         elementwise, so every amplitude gets the bits the full-dimension
         evaluation gives it.
         """
-        if not self.options.coherent:
-            return None
         acc = self._static_acc[m]
         sm = self.scheduled[m]
         timeline = self._timelines[m]
@@ -259,22 +257,18 @@ class VectorizedExecutor(Executor):
         # Qubits whose sampled detuning accumulates phase this moment: a
         # noise source exists and the sign trajectory doesn't refocus it.
         det_sites = []
-        if self._plan.detunings is not None and sm.duration > 0.0:
+        if sm.duration > 0.0:
             det_sites = [
                 q
-                for q in range(n)
-                if (
-                    self._plan.detunings[q][0] > 0.0
-                    or self._plan.detunings[q][1] > 0.0
-                )
-                and timeline.sign_integral(q) != 0.0
+                for q, (sigma, delta) in enumerate(self._plan.detunings)
+                if (sigma > 0.0 or delta > 0.0) and timeline.sign_integral(q) != 0.0
             ]
         if not (det_sites or acc.z or acc.zz):
             return None
         support = tuple(sorted(set(acc.z).union(det_sites, *acc.zz)))
         sz, index = _support(n, support)
         if not det_sites:
-            # No per-shot term survives (noise off, zero duration, or every
+            # No per-shot term survives (no slow noise, zero duration, or every
             # detuning refocused — e.g. fully-decoupled DD moments): one
             # cached diagonal serves every shot, bit-identically.
             exponent = np.zeros(1 << len(support))

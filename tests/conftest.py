@@ -1,5 +1,8 @@
-"""Shared fixtures: small devices, fast simulator configurations, and the
+"""Shared fixtures: small devices, their noise-source-only copies, and the
 reference workload the plan/cache test modules pin bit-identity against."""
+
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +13,7 @@ from repro.sim import SimOptions
 
 # -- shared plan/cache test workload ----------------------------------------
 #
-# Used by tests/test_plan.py and tests/test_plan_disk.py: one definition so
+# Used by tests/test_plan.py and tests/test_distributed.py: one definition so
 # the two suites can never drift apart in what "bit-identical" means.
 
 
@@ -51,6 +54,31 @@ def batch_signature(batch):
     return [(r.values, r.errors, r.shots, r.realizations) for r in batch]
 
 
+#: The calibration values that switch each noise source off (the coherent
+#: source also drops ``nnn_zz``). A zeroed source draws nothing.
+SOURCES = {
+    "coherent": dict(zz_rate=0.0, stark_on_first=0.0, stark_on_second=0.0, measure_stark=0.0),
+    "stochastic": dict(quasistatic_sigma=0.0, parity_delta=0.0),
+    "dephasing": dict(t2=math.inf),
+    "amplitude_damping": dict(t1=math.inf),
+    "gate_errors": dict(p1=0.0, p2=0.0),
+}
+
+
+def keep_only(device, *sources):
+    """``device`` with every noise source not named in ``sources`` zeroed.
+
+    ``"stochastic"`` is the slow (quasi-static and parity) detuning. Without
+    ``"amplitude_damping"`` the dephasing rate is ``1 / t2`` in full.
+    """
+    values = {}
+    for name, off in SOURCES.items():
+        if name not in sources:
+            values.update(off)
+    quiet = device.with_params(**values)
+    return quiet if "coherent" in sources else replace(quiet, nnn_zz={})
+
+
 @pytest.fixture
 def chain2():
     return synthetic_device(linear_chain(2), name="chain2", seed=101)
@@ -77,30 +105,21 @@ def ring6():
 
 
 @pytest.fixture
-def ideal_options():
-    """No noise at all: exercises only the ideal unitaries."""
-    return SimOptions(
-        shots=1,
-        coherent=False,
-        stochastic=False,
-        dephasing=False,
-        amplitude_damping=False,
-        gate_errors=False,
-        seed=0,
-    )
+def ideal2(chain2):
+    """``chain2`` with no noise at all: exercises only the ideal unitaries."""
+    return chain2.ideal()
 
 
 @pytest.fixture
-def coherent_options():
-    """Deterministic: static coherent errors only (single shot suffices)."""
-    return SimOptions(
-        shots=1,
-        stochastic=False,
-        dephasing=False,
-        amplitude_damping=False,
-        gate_errors=False,
-        seed=0,
-    )
+def coherent2(chain2):
+    """``chain2`` with its static coherent errors only (deterministic)."""
+    return keep_only(chain2, "coherent")
+
+
+@pytest.fixture
+def one_shot():
+    """One shot is exact on a device without stochastic noise."""
+    return SimOptions(shots=1, seed=0)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import keep_only
 from repro.apps import (
     bell_dynamic_circuit,
     bell_target_bits,
@@ -40,11 +41,11 @@ class TestIsing:
             ising_circuit(5, 1)
 
     @pytest.mark.parametrize("steps", [0, 1, 2, 3])
-    def test_ideal_alternation(self, steps, ideal_options):
+    def test_ideal_alternation(self, steps, one_shot):
         device = ising_device(6).ideal()
         circ = ising_circuit(6, steps)
         task = Task(circ, observables={"xx": boundary_xx_label(6)})
-        res = run(task, device, options=ideal_options)[0]
+        res = run(task, device, options=one_shot)[0]
         assert res["xx"] == pytest.approx(ideal_boundary_xx(steps), abs=1e-9)
 
     def test_boundary_idles_in_odd_layer(self):
@@ -82,7 +83,7 @@ class TestHeisenberg:
     def test_site_label(self):
         assert site_z_label(6, 2) == "IIIZII"
 
-    def test_trotter_converges_to_exact(self, ideal_options):
+    def test_trotter_converges_to_exact(self, one_shot):
         """Fine Trotter steps approach exp(-iHt) from direct exponentiation."""
         n = 6
         j, total_t = 0.4, 1.0
@@ -115,16 +116,16 @@ class TestHeisenberg:
             circ = heisenberg_circuit(
                 n, steps, coupling=j, dt=total_t / steps, excited=(0, 3)
             )
-            res = run(Task(circ, observables=obs), device, options=ideal_options)[0]
+            res = run(Task(circ, observables=obs), device, options=one_shot)[0]
             errors.append(abs(res["z"] - exact))
         assert errors[1] < errors[0]  # finer Trotter is closer
         assert errors[1] < 0.05
 
-    def test_zero_steps_keeps_excitations(self, ideal_options):
+    def test_zero_steps_keeps_excitations(self, one_shot):
         device = heisenberg_device(12).ideal()
         circ = heisenberg_circuit(12, 0)
         task = Task(circ, observables={"z0": site_z_label(12, 0)})
-        res = run(task, device, options=ideal_options)[0]
+        res = run(task, device, options=one_shot)[0]
         assert res["z0"] == pytest.approx(-1.0)  # site 0 starts excited
 
 
@@ -148,10 +149,7 @@ class TestHeisenbergParams:
 class TestDynamicBell:
     def test_ideal_fidelity_one(self):
         device = dynamic_device().ideal()
-        opts = SimOptions(
-            shots=16, coherent=False, stochastic=False, dephasing=False,
-            amplitude_damping=False, gate_errors=False, seed=1,
-        )
+        opts = SimOptions(shots=16, seed=1)
         task = Task(bell_dynamic_circuit(), bit_targets={"f": bell_target_bits()})
         res = run(task, device, options=opts)[0]
         assert res["f"] == pytest.approx(1.0)
@@ -161,18 +159,14 @@ class TestDynamicBell:
 
     def test_compensation_restores_fidelity(self):
         device = dynamic_device()
-        opts = SimOptions(
-            shots=64, stochastic=False, dephasing=False,
-            amplitude_damping=False, gate_errors=False, seed=2,
-        )
         target = {"f": bell_target_bits()}
         bare, fixed = run(
             [
                 Task(bell_dynamic_circuit(), bit_targets=target),
                 Task(compensated_circuit(device), bit_targets=target),
             ],
-            device,
-            options=opts,
+            keep_only(device, "coherent"),
+            options=SimOptions(shots=64, seed=2),
         )
         assert fixed["f"] > bare["f"] + 0.2
         assert fixed["f"] > 0.95
@@ -195,15 +189,12 @@ class TestDynamicBell:
 
 
 class TestFloquet6:
-    def test_ideal_p00_stays_one(self, ideal_options):
+    def test_ideal_p00_stays_one(self, one_shot):
         device = floquet6_device().ideal()
-        opts = SimOptions(
-            shots=1, coherent=False, stochastic=False, dephasing=False,
-            amplitude_damping=False, gate_errors=False, seed=0,
-        )
         for steps in (0, 1, 3):
             circ = floquet6_circuit(steps)
-            res = run(Task(circ, bit_targets={"p": probe_target_bits()}), device, options=opts)[0]
+            task = Task(circ, bit_targets={"p": probe_target_bits()})
+            res = run(task, device, options=one_shot)[0]
             assert res["p"] == pytest.approx(1.0, abs=1e-9)
 
     def test_contains_both_contexts(self):
@@ -235,18 +226,14 @@ class TestConditionalCompensation:
         )
 
         device = dynamic_device()
-        opts = SimOptions(
-            shots=128, seed=3, stochastic=False, dephasing=False,
-            amplitude_damping=False, gate_errors=False,
-        )
         target = {"f": bell_target_bits()}
         full, cond = run(
             [
                 Task(compensated_circuit(device), bit_targets=target),
                 Task(conditionally_compensated_circuit(device), bit_targets=target),
             ],
-            device,
-            options=opts,
+            keep_only(device, "coherent"),
+            options=SimOptions(shots=128, seed=3),
         )
         assert cond["f"] == pytest.approx(full["f"], abs=0.02)
         assert cond["f"] > 0.99

@@ -51,8 +51,8 @@ class TestRamseyCircuits:
         with pytest.raises(ValueError):
             build_case_circuit(RamseyCase("mystery", 2, (0,)), 1)
 
-    def test_zero_depth_is_perfect(self, chain2, ideal_options):
-        f = run(ramsey_task(CASE_I, chain2, 0, "none"), options=ideal_options)[0]["f"]
+    def test_zero_depth_is_perfect(self, ideal2, one_shot):
+        f = run(ramsey_task(CASE_I, ideal2, 0, "none"), options=one_shot)[0]["f"]
         assert f == pytest.approx(1.0)
 
 
@@ -87,10 +87,7 @@ class TestLayerFidelity:
             "none",
             depths=(1, 2, 3),
             samples=2,
-            options=SimOptions(
-                shots=1, coherent=False, stochastic=False, dephasing=False,
-                amplitude_damping=False, gate_errors=False, seed=0,
-            ),
+            options=SimOptions(shots=1, seed=0),
             seed=5,
         )
         assert result.layer_fidelity == pytest.approx(1.0, abs=1e-3)

@@ -3,6 +3,7 @@
 
 import pytest
 
+from conftest import keep_only
 from repro.circuits import Circuit
 from repro.compiler.ca_ec import apply_ca_ec
 from repro.device import linear_chain, synthetic_device
@@ -11,33 +12,31 @@ from repro.runtime import Task, run
 from repro.sim import SimOptions
 
 
-@pytest.fixture
-def coh():
-    return SimOptions(
-        shots=1, stochastic=False, dephasing=False,
-        amplitude_damping=False, gate_errors=False, seed=0,
-    )
+ONE_SHOT = SimOptions(shots=1, seed=0)
 
 
-@pytest.fixture
-def ideal():
-    return SimOptions(
-        shots=1, coherent=False, stochastic=False, dephasing=False,
-        amplitude_damping=False, gate_errors=False, seed=0,
-    )
+def coherent_run(circ, device, observables):
+    """One exact shot of ``circ`` under ``device``'s static coherent errors alone."""
+    device = keep_only(device, "coherent")
+    return run(Task(circ, observables=observables), device, options=ONE_SHOT)[0]
 
 
-def assert_restores_ideal(circ, device, observables, coh, ideal, atol=1e-7):
+def ideal_run(circ, device, observables):
+    """One exact shot of ``circ`` on the noise-free copy of ``device``."""
+    return run(Task(circ, observables=observables), device.ideal(), options=ONE_SHOT)[0]
+
+
+def assert_restores_ideal(circ, device, observables, atol=1e-7):
     compensated, report = apply_ca_ec(circ, device)
-    want = run(Task(circ, observables=observables), device.ideal(), options=ideal)[0]
-    got = run(Task(compensated, observables=observables), device, options=coh)[0]
+    want = ideal_run(circ, device, observables)
+    got = coherent_run(compensated, device, observables)
     for key in observables:
         assert got[key] == pytest.approx(want[key], abs=atol), key
     return report
 
 
 class TestExactCancellation:
-    def test_idle_pair(self, chain2, coh, ideal):
+    def test_idle_pair(self, chain2):
         circ = Circuit(2)
         circ.h(0)
         circ.h(1)
@@ -45,13 +44,11 @@ class TestExactCancellation:
         circ.delay(500.0, 1)
         circ.h(0, new_moment=True)
         circ.h(1)
-        report = assert_restores_ideal(
-            circ, chain2, {"z0": "IZ", "z1": "ZI"}, coh, ideal
-        )
+        report = assert_restores_ideal(circ, chain2, {"z0": "IZ", "z1": "ZI"})
         assert report.z_compensations > 0
         assert report.zz_explicit + report.zz_absorbed > 0
 
-    def test_absorption_into_canonical(self, chain4, coh, ideal):
+    def test_absorption_into_canonical(self, chain4):
         circ = Circuit(4)
         for q in range(4):
             circ.h(q, new_moment=(q == 0))
@@ -59,12 +56,10 @@ class TestExactCancellation:
         circ.append_moment([])
         circ.can(0.1, 0.5, 0.2, 2, 3, new_moment=True)
         circ.append_moment([])
-        report = assert_restores_ideal(
-            circ, chain4, {"x2": "IXII", "x0": "IIIX"}, coh, ideal
-        )
+        report = assert_restores_ideal(circ, chain4, {"x2": "IXII", "x0": "IIIX"})
         assert report.zz_absorbed >= 2
 
-    def test_absorption_into_rzz(self, chain2, coh, ideal):
+    def test_absorption_into_rzz(self, chain2):
         circ = Circuit(2)
         circ.h(0)
         circ.h(1)
@@ -75,23 +70,23 @@ class TestExactCancellation:
         circ.append_moment([])
         compensated, report = apply_ca_ec(circ, chain2)
         assert report.zz_absorbed >= 1
-        want = run(Task(circ, observables={"x": "IX"}), chain2.ideal(), options=ideal)[0]
-        got = run(Task(compensated, observables={"x": "IX"}), chain2, options=coh)[0]
+        want = ideal_run(circ, chain2, {"x": "IX"})
+        got = coherent_run(compensated, chain2, {"x": "IX"})
         assert got["x"] == pytest.approx(want["x"], abs=1e-7)
 
-    def test_spectator_z_compensated(self, chain3, coh, ideal):
+    def test_spectator_z_compensated(self, chain3):
         circ = Circuit(3)
         circ.h(0)
         for _ in range(3):
             circ.ecr(1, 2, new_moment=True)
             circ.append_moment([])
         circ.h(0, new_moment=True)
-        assert_restores_ideal(circ, chain3, {"z": "IIZ"}, coh, ideal)
+        assert_restores_ideal(circ, chain3, {"z": "IIZ"})
 
 
 class TestTwirlCrossing:
     @pytest.mark.parametrize("seed", range(5))
-    def test_exact_through_twirl(self, chain4, coh, ideal, seed):
+    def test_exact_through_twirl(self, chain4, seed):
         circ = Circuit(4)
         for q in range(4):
             circ.h(q, new_moment=(q == 0))
@@ -101,11 +96,11 @@ class TestTwirlCrossing:
         circ.append_moment([])
         twirled, _record = apply_twirl(circ, seed=seed)
         compensated, _report = apply_ca_ec(twirled, chain4)
-        want = run(Task(circ, observables={"x2": "IXII"}), chain4.ideal(), options=ideal)[0]
-        got = run(Task(compensated, observables={"x2": "IXII"}), chain4, options=coh)[0]
+        want = ideal_run(circ, chain4, {"x2": "IXII"})
+        got = coherent_run(compensated, chain4, {"x2": "IXII"})
         assert got["x2"] == pytest.approx(want["x2"], abs=1e-7)
 
-    def test_sign_flip_through_anticommuting_pauli(self, chain2, coh, ideal):
+    def test_sign_flip_through_anticommuting_pauli(self, chain2):
         """An X between the error and the absorber flips the correction."""
         circ = Circuit(2)
         circ.h(0)
@@ -120,8 +115,8 @@ class TestTwirlCrossing:
         # Both the delay window's ZZ and the X layer's own small ZZ absorb
         # into the rzz, each crossing the anticommuting X pair.
         assert report.zz_absorbed == 2
-        want = run(Task(circ, observables={"x": "IX"}), chain2.ideal(), options=ideal)[0]
-        got = run(Task(compensated, observables={"x": "IX"}), chain2, options=coh)[0]
+        want = ideal_run(circ, chain2, {"x": "IX"})
+        got = coherent_run(compensated, chain2, {"x": "IX"})
         assert got["x"] == pytest.approx(want["x"], abs=1e-7)
 
 
@@ -207,7 +202,7 @@ class TestInsertions:
         assert report.z_compensations == 0
         assert report.zz_total == 0
 
-    def test_overlapping_rzz_packed_into_moments(self, chain4, coh, ideal):
+    def test_overlapping_rzz_packed_into_moments(self, chain4):
         """Two idle pairs sharing no qubit share one compensation moment."""
         circ = Circuit(4)
         circ.append_moment([])
@@ -227,7 +222,7 @@ class TestInsertions:
 
 
 class TestPlannerDurations:
-    def test_wrong_timing_belief_miscompensates(self, chain2, coh, ideal):
+    def test_wrong_timing_belief_miscompensates(self, chain2):
         from dataclasses import replace
 
         circ = Circuit(2, num_clbits=1)
@@ -237,8 +232,8 @@ class TestPlannerDurations:
         right, _ = apply_ca_ec(circ, chain2)
         wrong_durations = replace(chain2.durations, measure=1000.0)
         wrong, _ = apply_ca_ec(circ, chain2, durations=wrong_durations)
-        want = run(Task(circ, observables={"z": "ZI"}), chain2.ideal(), options=ideal)[0]
-        got_right = run(Task(right, observables={"z": "ZI"}), chain2, options=coh)[0]
-        got_wrong = run(Task(wrong, observables={"z": "ZI"}), chain2, options=coh)[0]
+        want = ideal_run(circ, chain2, {"z": "ZI"})
+        got_right = coherent_run(right, chain2, {"z": "ZI"})
+        got_wrong = coherent_run(wrong, chain2, {"z": "ZI"})
         assert got_right["z"] == pytest.approx(want["z"], abs=1e-7)
         assert abs(got_wrong["z"] - want["z"]) > 0.01

@@ -3,6 +3,8 @@
 import math
 from dataclasses import replace
 
+import pytest
+
 from repro.device import (
     NoiseProfile,
     build_crosstalk_graph,
@@ -90,6 +92,22 @@ class TestDeviceQueries:
         assert dev.qubit(0).p1 == 0.0
         assert dev.qubit(0).measure_stark == 0.0
         assert math.isinf(dev.qubit(0).t1)
+
+    def test_with_params_sets_every_qubit_and_pair(self):
+        dev = synthetic_device(linear_chain(3), seed=1)
+        new = dev.with_params(p1=0.0, t1=math.inf, p2=0.5)
+        assert [q.p1 for q in new.qubits] == [0.0] * 3
+        assert all(math.isinf(q.t1) for q in new.qubits)
+        assert [p.p2 for p in new.pairs.values()] == [0.5, 0.5]
+        assert [q.t2 for q in new.qubits] == [q.t2 for q in dev.qubits]
+        assert new.zz_rate(0, 1) == dev.zz_rate(0, 1)
+        assert dev.qubit(0).p1 > 0.0  # the original is untouched
+
+    def test_with_params_rejects_unknown_fields(self):
+        # A single qubit has no pairs, so only the check can catch a typo.
+        dev = synthetic_device(linear_chain(1), seed=1)
+        with pytest.raises(TypeError, match="t_1"):
+            dev.with_params(t_1=0.0)
 
     def test_with_pair_overrides(self):
         from repro.device import PairParams

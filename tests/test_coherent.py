@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.circuits import Circuit, gates as g
+from repro.circuits import Circuit
 from repro.device import linear_chain, synthetic_device
 from repro.sim.coherent import accumulate_coherent
 from repro.sim.timeline import build_timeline
@@ -88,26 +88,6 @@ class TestGateContexts:
         # Neighbor 1's Z includes the coupling part and the readout Stark.
         coupling = -TWO_PI * dev.zz_rate(0, 1) * 4000.0
         assert acc.z[1] == pytest.approx(coupling + expected)
-
-
-class TestDetunings:
-    def test_detuning_adds_z(self, device):
-        circ = Circuit(2)
-        circ.delay(500.0, 0)
-        dev = device.subdevice([0, 1])
-        tl = timeline_for(circ, 2, 500.0)
-        base = accumulate_coherent(tl, dev)
-        shifted = accumulate_coherent(tl, dev, detunings=[1e-5, 0.0])
-        assert shifted.z[0] - base.z[0] == pytest.approx(TWO_PI * 1e-5 * 500.0)
-
-    def test_dd_refocuses_detuning(self, device):
-        circ = Circuit(2)
-        circ.append(g.dd_sequence((0.25, 0.75), duration=500.0), [0])
-        dev = device.subdevice([0, 1])
-        tl = timeline_for(circ, 2, 500.0)
-        with_det = accumulate_coherent(tl, dev, detunings=[1e-5, 0.0])
-        without = accumulate_coherent(tl, dev, detunings=None)
-        assert with_det.z.get(0, 0.0) == pytest.approx(without.z.get(0, 0.0))
 
 
 class TestToggles:

@@ -1,11 +1,12 @@
 """Density-matrix simulator tests, including cross-validation against the
 trajectory executor."""
 
-from dataclasses import fields, replace
+import math
 
 import numpy as np
 import pytest
 
+from conftest import SOURCES, keep_only
 from repro.circuits import Circuit, gates as g
 from repro.device import linear_chain, synthetic_device
 from repro.pauli import Pauli
@@ -100,10 +101,8 @@ class TestCrossValidation:
         circ.delay(800.0, 0, new_moment=True)
         circ.delay(800.0, 1)
         circ.h(0, new_moment=True)
-        opts = SimOptions(
-            shots=1, stochastic=False, dephasing=False,
-            amplitude_damping=False, gate_errors=False, seed=0,
-        )
+        device = keep_only(device, "coherent")
+        opts = SimOptions(shots=1, seed=0)
         obs = {"z0": "IIZ", "x1": "IXI"}
         task = Task(circ, observables=obs)
         traj = run(task, device, options=opts)[0]
@@ -112,17 +111,13 @@ class TestCrossValidation:
             assert dens[key] == pytest.approx(traj[key], abs=1e-10)
 
     def test_dephasing_channel_agreement(self, device):
-        qubits = [replace(q, t2=3000.0, t1=float("inf")) for q in device.qubits]
-        device = replace(device, qubits=qubits)
+        device = keep_only(device, "coherent", "dephasing").with_params(t2=3000.0)
         circ = Circuit(3)
         circ.h(0)
         circ.delay(3000.0, 0, new_moment=True)
-        base = dict(
-            stochastic=False, amplitude_damping=False, gate_errors=False,
-        )
         task = Task(circ, observables={"x": "IIX"})
-        dens = run(task, device, backend="density", options=SimOptions(shots=1, **base))[0]
-        traj = run(task, device, options=SimOptions(shots=3000, seed=5, **base))[0]
+        dens = run(task, device, backend="density", options=SimOptions(shots=1))[0]
+        traj = run(task, device, options=SimOptions(shots=3000, seed=5))[0]
         assert traj["x"] == pytest.approx(dens["x"], abs=0.05)
 
     def test_gate_error_channel_agreement(self, device):
@@ -130,32 +125,23 @@ class TestCrossValidation:
         circ.h(0)
         for _ in range(10):
             circ.ecr(0, 1, new_moment=True)
-        base = dict(
-            coherent=False, stochastic=False, dephasing=False,
-            amplitude_damping=False,
-        )
+        device = keep_only(device, "gate_errors")
         task = Task(circ, observables={"x": "IIX"})
-        dens = run(task, device, backend="density", options=SimOptions(shots=1, **base))[0]
-        traj = run(task, device, options=SimOptions(shots=4000, seed=6, **base))[0]
+        dens = run(task, device, backend="density", options=SimOptions(shots=1))[0]
+        traj = run(task, device, options=SimOptions(shots=4000, seed=6))[0]
         assert traj["x"] == pytest.approx(dens["x"], abs=0.05)
 
     def test_quasistatic_single_window_agreement(self, device):
         """One idle window: the Gaussian average is exact for both."""
-        qubits = [
-            replace(
-                q, quasistatic_sigma=2e-5, parity_delta=0.0,
-                t1=float("inf"), t2=float("inf"),
-            )
-            for q in device.qubits
-        ]
-        device = replace(device, qubits=qubits)
+        device = keep_only(device, "coherent", "stochastic").with_params(
+            quasistatic_sigma=2e-5, parity_delta=0.0
+        )
         circ = Circuit(3)
         circ.h(0)
         circ.delay(5000.0, 0, new_moment=True)
-        base = dict(dephasing=False, amplitude_damping=False, gate_errors=False)
         task = Task(circ, observables={"x": "IIX"})
-        dens = run(task, device, backend="density", options=SimOptions(shots=1, **base))[0]
-        traj = run(task, device, options=SimOptions(shots=4000, seed=7, **base))[0]
+        dens = run(task, device, backend="density", options=SimOptions(shots=1))[0]
+        traj = run(task, device, options=SimOptions(shots=4000, seed=7))[0]
         assert traj["x"] == pytest.approx(dens["x"], abs=0.05)
 
     def test_dynamic_circuit_branching(self, device):
@@ -165,13 +151,10 @@ class TestCrossValidation:
         circ.cx(0, 1, new_moment=True)
         circ.measure(1, 0, new_moment=True)
         circ.x(2, condition=(0, 1), new_moment=True)
-        base = dict(
-            coherent=False, stochastic=False, dephasing=False,
-            amplitude_damping=False, gate_errors=False,
-        )
+        device = device.ideal()
         task = Task(circ, bit_targets={"p": {0: 1, 2: 1}})
-        dens = run(task, device, backend="density", options=SimOptions(shots=1, **base))[0]
-        traj = run(task, device, options=SimOptions(shots=600, seed=8, **base))[0]
+        dens = run(task, device, backend="density", options=SimOptions(shots=1))[0]
+        traj = run(task, device, options=SimOptions(shots=600, seed=8))[0]
         assert dens["p"] == pytest.approx(0.5)
         assert traj["p"] == pytest.approx(0.5, abs=0.06)
 
@@ -186,19 +169,15 @@ class TestCrossValidation:
         circ.delay(600.0, 1)
         circ.append_moment([])
         compensated, _report = apply_ca_ec(circ, device)
-        opts = SimOptions(
-            shots=1, stochastic=False, dephasing=False,
-            amplitude_damping=False, gate_errors=False, seed=0,
-        )
         obs = {"x0": "IIX", "x1": "IXI"}
         ideal, fixed = run(
             [
                 Task(circ, observables=obs, device=device.ideal()),
                 Task(compensated, observables=obs),
             ],
-            device,
+            keep_only(device, "coherent"),
             backend="density",
-            options=opts,
+            options=SimOptions(shots=1, seed=0),
         )
         for key in obs:
             assert fixed[key] == pytest.approx(ideal[key], abs=1e-9)
@@ -211,13 +190,11 @@ def _per_moment_run(eng):
     and the static coherent phases
     re-accumulated per branch and moment. Kept as the reference the plan-
     driven loop must match bit for bit."""
-    import math
-
     from repro.sim.coherent import accumulate_coherent
     from repro.sim.density import _Branch
     from repro.sim.sampling import _dephasing_prob
 
-    opts, device, n = eng.options, eng.device, eng.scheduled.num_qubits
+    device, n = eng.device, eng.scheduled.num_qubits
     branches = [
         _Branch(1.0, DensityMatrix(n), (0,) * eng.scheduled.circuit.num_clbits)
     ]
@@ -239,9 +216,8 @@ def _per_moment_run(eng):
             branches = new_branches
         for branch in branches:
             state = branch.state
-            if opts.coherent:
-                state.apply_phases(accumulate_coherent(timeline, device))
-            if opts.coherent and opts.stochastic and sm.duration > 0.0:
+            state.apply_phases(accumulate_coherent(timeline, device))
+            if sm.duration > 0.0:
                 for q in range(n):
                     f = timeline.sign_integral(q)
                     if f == 0.0:
@@ -261,11 +237,10 @@ def _per_moment_run(eng):
             if sm.duration > 0.0:
                 for q in range(n):
                     params = device.qubit(q)
-                    if opts.dephasing:
-                        state.apply_dephasing(
-                            q, _dephasing_prob(params.t2, params.t1, sm.duration)
-                        )
-                    if opts.amplitude_damping and math.isfinite(params.t1):
+                    state.apply_dephasing(
+                        q, _dephasing_prob(params.t2, params.t1, sm.duration)
+                    )
+                    if math.isfinite(params.t1):
                         state.apply_amplitude_damping(
                             q, 1.0 - math.exp(-sm.duration / params.t1)
                         )
@@ -279,8 +254,6 @@ def _per_moment_run(eng):
                         continue
                 if gate.matrix is not None:
                     state.apply_unitary(gate.matrix, inst.qubits)
-            if not opts.gate_errors:
-                continue
             for inst in moment:
                 gate = inst.gate
                 if gate.is_measurement or gate.is_delay:
@@ -325,10 +298,7 @@ class TestNoisePlanDriven:
         from repro.circuits.schedule import schedule
         from repro.sim import DensityExecutor
 
-        options = SimOptions(
-            shots=1, coherent=True, stochastic=True, dephasing=True,
-            amplitude_damping=True, gate_errors=True,
-        )
+        options = SimOptions(shots=1)
         engine = DensityExecutor(
             schedule(self._circuit(), device.durations), device, options
         )
@@ -345,11 +315,11 @@ class TestNoisePlanDriven:
 
 
 class TestReadsEveryOption:
-    """Every noise toggle of ``SimOptions`` reaches the density engine."""
+    """Every noise source of the device reaches the density engine: switching
+    one off on the device (its ``SOURCES`` values) changes the value."""
 
     @staticmethod
-    def _p00(options):
-        device = synthetic_device(linear_chain(2), seed=88)
+    def _p00(device):
         circ = Circuit(2)
         circ.h(0)
         circ.h(1)
@@ -359,17 +329,12 @@ class TestReadsEveryOption:
         circ.h(0, new_moment=True)
         circ.h(1)
         task = Task(circ, bit_targets={"p00": {0: 0, 1: 0}})
-        return run(task, device, backend="density", options=options)[0]["p00"]
+        return run(task, device, backend="density", options=SimOptions(shots=1))[0]["p00"]
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            f.name
-            for f in fields(SimOptions)
-            if isinstance(getattr(SimOptions(), f.name), bool)
-        ],
-    )
+    @pytest.mark.parametrize("name", sorted(SOURCES))
     def test_flipping_a_toggle_changes_the_value(self, name):
-        default = SimOptions(shots=1)
-        flipped = replace(default, **{name: not getattr(default, name)})
-        assert self._p00(flipped) != self._p00(default)
+        device = synthetic_device(linear_chain(2), seed=88)
+        if name == "amplitude_damping":
+            # T1 also sets the dephasing rate; without T2 it sets only damping.
+            device = device.with_params(t2=math.inf)
+        assert self._p00(device.with_params(**SOURCES[name])) != self._p00(device)

@@ -1,28 +1,30 @@
 """Statistical grid: the vectorized engine against exact density-matrix physics.
 
 Every named strategy compiles a few fixed-seed 4-qubit circuits (no
-mid-circuit measurement). Each compiled circuit then runs under one noise
-toggle at a time, and under all of them together, on the ``vectorized``
-engine and on the exact ``density`` engine. The sampled mean must lie
-within ``K`` of its own reported standard error of the exact value.
-Noise-free-shot cells (coherent phases alone) have zero spread, so there
-the two agree to the ``FLOOR``.
+mid-circuit measurement) against the full device. Each compiled circuit
+then runs on a copy of that device that keeps one noise source (the rest
+zeroed, see ``SOURCES`` in ``conftest.py``), and on the full device, on the
+``vectorized`` engine and on the exact ``density`` engine. The sampled mean
+must lie within ``K`` of its own reported standard error of the exact
+value. Noise-free-shot cells (coherent phases alone) have zero spread, so
+there the two agree to the ``FLOOR``.
 
-Quasi-static detuning only acts through the coherent phases, so its cell
-turns both on. The density engine averages it per moment, which is exact
-only when a single moment carries time (its module caveat); those cells
-run the single-window circuits on a device whose single-qubit layers take
-no time, so the delay window is the circuit's only timed moment.
+The density engine averages the slow (quasi-static and parity) detuning
+per moment, which is exact only when a single moment carries time (its
+module caveat); the cells with slow noise run the single-window circuits on
+a device whose single-qubit layers take no time, so the delay window is the
+circuit's only timed moment.
 
 The device's noise is scaled up well past the paper's calibrations, so a
 channel that is applied wrong moves values by many standard errors.
 """
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import SOURCES, keep_only
 from repro.circuits import Circuit, gates as g
 from repro.device import NoiseProfile, linear_chain, synthetic_device
 from repro.runtime import STRATEGIES, Task, pipeline_for, run
@@ -49,13 +51,8 @@ DEVICE = synthetic_device(
 WINDOW_DEVICE = replace(DEVICE, durations=replace(DEVICE.durations, oneq=0.0))
 PAIRS = ((0, 1), (1, 2), (2, 3))
 
-TOGGLES = [f.name for f in fields(SimOptions) if isinstance(getattr(SimOptions(), f.name), bool)]
-ALL_OFF = {name: False for name in TOGGLES}
-OPTIONS = {
-    **{name: SimOptions(shots=SHOTS, **{**ALL_OFF, name: True}) for name in TOGGLES},
-    "stochastic": SimOptions(shots=SHOTS, **{**ALL_OFF, "coherent": True, "stochastic": True}),
-    "all": SimOptions(shots=SHOTS),
-}
+#: The noise sources each cell's device keeps.
+CELLS = {**{name: (name,) for name in SOURCES}, "all": tuple(SOURCES)}
 
 
 def _random_layer(circ, rng, new_moment):
@@ -113,7 +110,8 @@ CIRCUITS = [(deep_circuit, s, DEVICE) for s in (1, 2)] + [
 
 
 def _tasks(device, slow_noise):
-    """Every named recipe's compile of every circuit this device runs."""
+    """Every named recipe's compile, against the full ``device``, of every
+    circuit this device runs."""
     tasks = []
     for build, seed, circuit_device in CIRCUITS:
         if circuit_device is not device or (slow_noise and build is deep_circuit):
@@ -131,22 +129,23 @@ def _tasks(device, slow_noise):
     return tasks
 
 
-@pytest.mark.parametrize("toggle", sorted(OPTIONS))
-def test_vectorized_mean_matches_density(toggle):
-    options = OPTIONS[toggle]
-    slow_noise = options.coherent and options.stochastic
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_vectorized_mean_matches_density(cell):
+    sources = CELLS[cell]
+    options = SimOptions(shots=SHOTS)
     checked = 0
     for device in (DEVICE, WINDOW_DEVICE):
-        tasks = _tasks(device, slow_noise)
+        tasks = _tasks(device, slow_noise="stochastic" in sources)
         if not tasks:
             continue
-        exact = run(tasks, device, backend="density", options=options)
-        sampled = run(tasks, device, backend="vectorized", options=options)
+        noisy = keep_only(device, *sources)
+        exact = run(tasks, noisy, backend="density", options=options)
+        sampled = run(tasks, noisy, backend="vectorized", options=options)
         for task, want, got in zip(tasks, exact, sampled):
             for key in task.observables:
                 bound = K * got.errors[key] + FLOOR
                 assert abs(got[key] - want[key]) <= bound, (
-                    f"{task.name} under {toggle}: {key} sampled {got[key]:+.6f} "
+                    f"{task.name} under {cell}: {key} sampled {got[key]:+.6f} "
                     f"± {got.errors[key]:.2e}, exact {want[key]:+.6f}"
                 )
                 checked += 1

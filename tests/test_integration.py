@@ -12,6 +12,7 @@ These encode the paper's central claims as testable orderings:
 import numpy as np
 import pytest
 
+from conftest import keep_only
 from repro.benchmarking import CASE_I, CASE_IV, ramsey_task
 from repro.circuits import Circuit
 from repro.device import linear_chain, synthetic_device
@@ -19,23 +20,13 @@ from repro.runtime import Task, pipeline_for, run
 from repro.sim import SimOptions
 
 
-@pytest.fixture
-def coherent_only():
-    return SimOptions(
-        shots=1, stochastic=False, dephasing=False, amplitude_damping=False,
-        gate_errors=False, seed=0,
-    )
-
-
 class TestCaseOrderings:
-    def test_aligned_dd_fails_on_idle_pair(self, chain2, coherent_only):
+    def test_aligned_dd_fails_on_idle_pair(self, coherent2, one_shot):
         """Fig. 3c: at a depth where the ZZ phase is large, aligned DD is no
         better than nothing while staggered DD and CA-EC stay near 1."""
         depth = 12
         f = {
-            name: run(
-                ramsey_task(CASE_I, chain2, depth, name), options=coherent_only
-            )[0]["f"]
+            name: run(ramsey_task(CASE_I, coherent2, depth, name), options=one_shot)[0]["f"]
             for name in ("none", "dd", "staggered_dd", "ca_ec")
         }
         assert f["staggered_dd"] > 0.98
@@ -54,30 +45,24 @@ class TestCaseOrderings:
         )[0]["f"]
         assert combo == pytest.approx(staggered, abs=0.06)
 
-    def test_case4_only_ec_helps(self, coherent_only):
-        device = synthetic_device(linear_chain(4), seed=55)
+    def test_case4_only_ec_helps(self):
+        device = keep_only(synthetic_device(linear_chain(4), seed=55), "coherent")
         depth = 10
         bare = run(
             ramsey_task(
                 CASE_IV, device, depth, "none", twirl=True, realizations=8, seed=3
             ),
-            options=SimOptions(
-                shots=4, stochastic=False, dephasing=False,
-                amplitude_damping=False, gate_errors=False,
-            ),
+            options=SimOptions(shots=4),
         )[0]["f"]
         ec = run(
             ramsey_task(
                 CASE_IV, device, depth, "ca_ec", twirl=True, realizations=8, seed=3
             ),
-            options=SimOptions(
-                shots=4, stochastic=False, dephasing=False,
-                amplitude_damping=False, gate_errors=False,
-            ),
+            options=SimOptions(shots=4),
         )[0]["f"]
         assert ec > bare + 0.02
 
-    def test_gate_echo_protects_spectator_zz_for_free(self, chain3, coherent_only):
+    def test_gate_echo_protects_spectator_zz_for_free(self, chain3, one_shot):
         """Cases II/III: without any suppression, the spectator's ZZ with the
         gated neighbor refocuses; the residual is a pure Z drift."""
         circ = Circuit(3)
@@ -90,17 +75,17 @@ class TestCaseOrderings:
         # the Bloch vector instead. Check the equatorial polarization is
         # preserved (up to the tiny ZZ of the short 1q prep layer).
         task = Task(circ, observables={"y0": "IIY", "x0": "IIX"})
-        res = run(task, chain3, options=coherent_only)[0]
+        res = run(task, keep_only(chain3, "coherent"), options=one_shot)[0]
         length = np.hypot(res["y0"], res["x0"])
         assert length == pytest.approx(1.0, abs=1e-3)
         assert abs(res["y0"]) > 0.05  # the Z drift itself is visible
 
 
 class TestStrategyHierarchy:
-    def test_mixed_workload_ordering(self, coherent_only):
+    def test_mixed_workload_ordering(self, one_shot):
         """On a circuit with can gates and idle pairs, the suppression
         hierarchy none < ca_dd <= ca_ec holds for static coherent noise."""
-        device = synthetic_device(linear_chain(4), seed=5)
+        device = keep_only(synthetic_device(linear_chain(4), seed=5), "coherent")
         circ = Circuit(4)
         for q in range(4):
             circ.h(q, new_moment=(q == 0))
@@ -110,18 +95,11 @@ class TestStrategyHierarchy:
             circ.can(0.1, 0.5, 0.2, 2, 3, new_moment=True)
             circ.append_moment([])
         obs = {"x2": "IXII", "x3": "XIII"}
-        ideal = run(
-            Task(circ, observables=obs),
-            device.ideal(),
-            options=SimOptions(
-                shots=1, coherent=False, stochastic=False, dephasing=False,
-                amplitude_damping=False, gate_errors=False, seed=0,
-            ),
-        )[0]
+        ideal = run(Task(circ, observables=obs), device.ideal(), options=one_shot)[0]
 
         def err(strategy):
             task = Task(circ, observables=obs, pipeline=strategy, realizations=24, seed=11)
-            res = run(task, device, options=coherent_only)[0]
+            res = run(task, device, options=one_shot)[0]
             return sum(abs(res[k] - ideal[k]) for k in obs)
 
         e_none = err("none")
@@ -133,23 +111,13 @@ class TestStrategyHierarchy:
 
     def test_ca_ec_cannot_fix_slow_noise_dd_can(self):
         """Table I row 5 as an ordering on the same circuit."""
-        from dataclasses import replace
-
         from repro.utils.units import KHZ
 
-        device = synthetic_device(linear_chain(2), seed=6)
-        qubits = [
-            replace(
-                q, quasistatic_sigma=20.0 * KHZ, parity_delta=0.0,
-                t1=float("inf"), t2=float("inf"), p1=0.0,
-            )
-            for q in device.qubits
-        ]
-        device = replace(device, qubits=qubits)
-        opts = SimOptions(
-            shots=200, dephasing=False, amplitude_damping=False,
-            gate_errors=False, seed=12,
+        device = synthetic_device(linear_chain(2), seed=6).with_params(
+            quasistatic_sigma=20.0 * KHZ, parity_delta=0.0,
+            t1=float("inf"), t2=float("inf"), p1=0.0, p2=0.0,
         )
+        opts = SimOptions(shots=200, seed=12)
         depth = 10
         ec = run(ramsey_task(CASE_I, device, depth, "ca_ec"), options=opts)[0]["f"]
         dd = run(ramsey_task(CASE_I, device, depth, "staggered_dd"), options=opts)[0]["f"]

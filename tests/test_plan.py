@@ -100,15 +100,15 @@ class TestCompileTasks:
                 chain4)
 
     def test_plans_with_conflicting_options_rejected(self, chain4):
-        """Executing plans compiled under different noise models would
-        silently apply one model to the other's circuits — refuse instead."""
+        """Executing plans compiled under different options would silently
+        run one's shots and seed for the other's circuits — refuse instead."""
         a = compile_tasks(
             [Task(layered_circuit(), observables=OBS, seed=1)], chain4,
             options=SimOptions(shots=4),
         )
         b = compile_tasks(
             [Task(layered_circuit(), observables=OBS, seed=1)], chain4,
-            options=SimOptions(shots=4, gate_errors=False),
+            options=SimOptions(shots=8),
         )
         with pytest.raises(ValueError, match="different options"):
             run(a + b)

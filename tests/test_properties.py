@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import keep_only
 from repro.circuits import Circuit, schedule
 from repro.compiler import (
     apply_aligned_dd,
@@ -113,10 +114,7 @@ class TestCAECExactness:
         compensated, report = apply_ca_ec(circ, device)
         if report.blocked:
             return  # nothing to assert when compensation was impossible
-        options = SimOptions(
-            shots=1, stochastic=False, dephasing=False,
-            amplitude_damping=False, gate_errors=False, seed=0,
-        )
+        options = SimOptions(shots=1, seed=0)
         observables = {
             f"x{q}": "".join(
                 "X" if i == NUM_QUBITS - 1 - q else "I"
@@ -129,7 +127,7 @@ class TestCAECExactness:
                 Task(circ, observables=observables, device=device.ideal()),
                 Task(compensated, observables=observables),
             ],
-            device,
+            keep_only(device, "coherent"),
             options=options,
         )
         # Explicit insertions are exact too (zero wall-clock stretch model);

@@ -56,14 +56,12 @@ def oracle_shot(plan, rng):
     It also checks the plan's column layout: every uniform's column is the
     position of its draw in the shot's stream after the detunings.
     """
-    detunings = None
-    if plan.detunings is not None:
-        detunings = np.zeros(plan.num_qubits)
-        for q, (sigma, delta) in enumerate(plan.detunings):
-            if sigma > 0.0:
-                detunings[q] += rng.normal(0.0, sigma)
-            if delta > 0.0:
-                detunings[q] += delta * (1 if rng.random() < 0.5 else -1)
+    detunings = np.zeros(plan.num_qubits)
+    for q, (sigma, delta) in enumerate(plan.detunings):
+        if sigma > 0.0:
+            detunings[q] += rng.normal(0.0, sigma)
+        if delta > 0.0:
+            detunings[q] += delta * (1 if rng.random() < 0.5 else -1)
     uniforms = []
     paulis = []
 
@@ -128,22 +126,17 @@ def _plans():
         device4,
         SimOptions(shots=1),
     )[0].units
+    layered = schedule(layered_circuit(), device4.durations)
+    # The degenerate plans run on copies with one noise source zeroed.
     return {
-        "layered": (schedule(layered_circuit(), device4.durations), device4, {}),
-        "dd_repeats": (dd_units[0].scheduled, device4, {}),
-        "measured": (schedule(measured_circuit(), device2.durations), device2, {}),
-        "no_gate_sites": (
-            schedule(layered_circuit(), device4.durations), device4,
-            {"gate_errors": False},
-        ),
+        "layered": (layered, device4),
+        "dd_repeats": (dd_units[0].scheduled, device4),
+        "measured": (schedule(measured_circuit(), device2.durations), device2),
+        "no_gate_sites": (layered, device4.with_params(p1=0.0, p2=0.0)),
         "no_detunings": (
-            schedule(layered_circuit(), device4.durations), device4,
-            {"stochastic": False},
+            layered, device4.with_params(quasistatic_sigma=0.0, parity_delta=0.0)
         ),
-        "no_idles": (
-            schedule(layered_circuit(), device4.durations), device4,
-            {"dephasing": False, "amplitude_damping": False},
-        ),
+        "no_idles": (layered, device4.with_params(t1=float("inf"), t2=float("inf"))),
     }
 
 
@@ -151,8 +144,8 @@ PLANS = _plans()
 
 
 def build(name, prob):
-    scheduled, device, off = PLANS[name]
-    return with_gate_prob(build_noise_plan(scheduled, device, SimOptions(**off)), prob)
+    scheduled, device = PLANS[name]
+    return with_gate_prob(build_noise_plan(scheduled, device), prob)
 
 
 class TestPlanLayout:
@@ -184,7 +177,15 @@ class TestPlanLayout:
         if empty == "gate_cols":
             assert plan.gate_cols.size == 0
         elif empty == "detunings":
-            assert plan.detunings is None
+            assert all(scale == (0.0, 0.0) for scale in plan.detunings)
+            batch = NoiseBatch.empty(plan, 1)
+            rng = as_generator(5)
+            state = rng.bit_generator.state
+            sample_shot(plan, rng, batch, 0)
+            assert not batch.detunings.any()
+            # No detuning draw: the first column uniform starts the stream.
+            rng.bit_generator.state = state
+            assert batch.uniforms[0, 0] == rng.random()
         else:
             assert all(not mp.idles for mp in plan.moments)
 
@@ -206,12 +207,9 @@ class TestBulkSamplerMatchesOracle:
         for row in range(shots):
             sample_shot(plan, fast, batch, row)
             detunings, uniforms, paulis = oracle_shot(plan, slow)
-            if detunings is None:
-                assert batch.detunings is None
-            else:
-                np.testing.assert_array_equal(
-                    batch.detunings[row].view(np.uint64), detunings.view(np.uint64)
-                )
+            np.testing.assert_array_equal(
+                batch.detunings[row].view(np.uint64), detunings.view(np.uint64)
+            )
             np.testing.assert_array_equal(
                 batch.uniforms[row].view(np.uint64),
                 np.array(uniforms, dtype=np.float64).view(np.uint64),
@@ -226,7 +224,7 @@ class TestSamplingHelpers:
     def test_plan_is_state_free_and_reusable(self, chain4):
         """Two generators with the same seed draw identical batches."""
         scheduled = schedule(layered_circuit(), chain4.durations)
-        plan = build_noise_plan(scheduled, chain4, SimOptions(shots=1))
+        plan = build_noise_plan(scheduled, chain4)
         a = NoiseBatch.empty(plan, 1)
         b = NoiseBatch.empty(plan, 1)
         sample_shot(plan, as_generator(7), a, 0)

@@ -122,7 +122,7 @@ class TestMaterialization:
 
 
 class TestStatisticalScrambling:
-    def test_twirl_averages_coherent_error_to_decay(self, chain2, coherent_options):
+    def test_twirl_averages_coherent_error_to_decay(self, coherent2, one_shot):
         """Averaged over twirls, a coherent ZZ error damps rather than
         rotates the signal: the mean over realizations of <X0> lies strictly
         between the extremes of the untwirled oscillation."""
@@ -138,8 +138,6 @@ class TestStatisticalScrambling:
         values = []
         for seed in range(12):
             twirled, _ = apply_twirl(circ, seed=seed)
-            res = run(
-                Task(twirled, observables={"x1": "XI"}), chain2, options=coherent_options
-            )[0]
+            res = run(Task(twirled, observables={"x1": "XI"}), coherent2, options=one_shot)[0]
             values.append(res.values["x1"])
         assert np.std(values) > 0.0  # different twirls genuinely differ

@@ -24,6 +24,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import SOURCES, keep_only
 from repro import Circuit, SimOptions, Task, VectorizedBackend, run, schedule
 from repro.circuits import gates as g
 from repro.circuits.gates import Gate
@@ -116,12 +117,13 @@ class TestBitForBitParity:
 
     @pytest.mark.parametrize(
         "off",
-        ["coherent", "stochastic", "dephasing", "amplitude_damping", "gate_errors"],
+        sorted(SOURCES),
     )
     def test_noise_toggle_combinations(self, chain4, off):
-        options = SimOptions(shots=8, **{off: False})
+        """Each noise source switched off on the device, one at a time."""
         task = Task(layered_circuit(), observables=OBS, seed=4)
-        assert_identical(*both(task, chain4, options))
+        device = chain4.with_params(**SOURCES[off])
+        assert_identical(*both(task, device, SimOptions(shots=8)))
 
     def test_nine_qubit_register_with_damping(self):
         """Damping and gates on every qubit up to ``q = n - 1``, where the
@@ -142,7 +144,6 @@ class TestBitForBitParity:
             "zz": "ZZ" + "I" * (n - 2),
         }
         options = SimOptions(shots=12)
-        assert options.amplitude_damping
         for pipeline in (None, "ca_ec+dd"):
             task = Task(circ, observables=observables, pipeline=pipeline, seed=13)
             assert_identical(*both(task, device, options))
@@ -301,7 +302,7 @@ class TestJumpDecision:
         (P computed, no jump), rows 2 and 3 ``u < gamma * P`` (jump), row 2
         above ``gamma / 2``. T1 = 1 ns makes every ``gamma == 1``, where
         ``2 * gamma > u`` and every row computes P."""
-        device = self._device(t1)
+        device = keep_only(self._device(t1), "amplitude_damping")
         circuit = Circuit(4)
         theta = 2.0 * math.asin(math.sqrt(0.8))
         for q in range(4):
@@ -309,7 +310,7 @@ class TestJumpDecision:
         for q in range(4):
             circuit.delay(400.0, q, new_moment=(q == 0))
         scheduled = schedule(circuit, device.durations)
-        options = SimOptions(coherent=False, dephasing=False, gate_errors=False)
+        options = SimOptions()
         engine = VectorizedExecutor(scheduled, device, options)
         batch = NoiseBatch.empty(engine._plan, 4)
         rng = as_generator(3)
@@ -327,7 +328,8 @@ class TestJumpDecision:
         psi, _clbits = engine._evolve_chunk(batch)
         scalar = Executor(scheduled, device, options)
         for row in range(4):
-            one = NoiseBatch(None, batch.uniforms[row : row + 1], batch.paulis[row : row + 1])
+            rows = slice(row, row + 1)
+            one = NoiseBatch(batch.detunings[rows], batch.uniforms[rows], batch.paulis[rows])
             state, _ = scalar._evolve(one)
             assert _bits(psi[row]).tolist() == _bits(state.vector).tolist()
         assert sizes == [4 if t1 == 1.0 else 3] * 8
@@ -465,11 +467,7 @@ class TestSupportReducedPhases:
     def _program(self, engine, z, zz, detuned):
         engine._static_acc[0] = CoherentAccumulation(dict(z), dict(zz))
         plan = engine._plan
-        sigmas = None
-        if detuned:
-            sigmas = tuple(
-                (1e-3, 0.0) if q in detuned else (0.0, 0.0) for q in range(self.N)
-            )
+        sigmas = tuple((1e-3, 0.0) if q in detuned else (0.0, 0.0) for q in range(self.N))
         engine._plan = type(plan)(
             plan.num_qubits, sigmas, plan.moments, plan.uniforms,
             plan.gate_cols, plan.gate_probs, plan.gate_highs,
@@ -483,14 +481,13 @@ class TestSupportReducedPhases:
         out = []
         for b, row in enumerate(rows):
             acc = CoherentAccumulation(dict(static.z), dict(static.zz))
-            if detunings is not None:
-                for q in range(self.N):
-                    rate = detunings[b, q]
-                    if rate != 0.0:
-                        acc.add_z(
-                            q,
-                            2.0 * math.pi * rate * sm.duration * timeline.sign_integral(q),
-                        )
+            for q in range(self.N):
+                rate = detunings[b, q]
+                if rate != 0.0:
+                    acc.add_z(
+                        q,
+                        2.0 * math.pi * rate * sm.duration * timeline.sign_integral(q),
+                    )
             state = StateVector(self.N)
             state.vector = row.copy()
             state.apply_phases(acc)
