@@ -14,6 +14,7 @@ keeps the sampled labels per 2q layer for CA-EC's sign bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -117,7 +118,6 @@ def _compose_into_layer(
     ``position="pre"`` means the Pauli executes at the *end* of that layer
     (just before the following 2q layer); ``"post"`` at the *start*.
     """
-    pauli_matrix = g.PAULI_MATRICES[label]
     if not 0 <= index < len(circuit.moments):
         raise ValueError(f"no layer at index {index} to host a twirl Pauli")
     moment = circuit.moments[index]
@@ -131,17 +131,35 @@ def _compose_into_layer(
         return
     if existing.gate.matrix is None:
         raise ValueError(f"cannot fuse twirl into {existing.gate.name}")
-    if position == "pre":
-        fused = pauli_matrix @ existing.gate.matrix
-    else:
-        fused = existing.gate.matrix @ pauli_matrix
-    angles = euler_angles(fused)
+    matrix = np.asarray(existing.gate.matrix)
     moment.replace(
         existing,
         Instruction(
-            g.u(angles.theta, angles.phi, angles.lam),
+            _fused_gate(matrix.dtype, matrix.shape, matrix.tobytes(), label, position),
             (qubit,),
             condition=existing.condition,
             tag="twirl",
         ),
     )
+
+
+@lru_cache(maxsize=4096)
+def _fused_gate(
+    dtype: np.dtype, shape: Tuple[int, ...], data: bytes, label: str, position: str
+) -> g.Gate:
+    """The ``u`` gate fusing Pauli ``label`` into a 1q gate's matrix.
+
+    Memoized on the matrix bytes: a sweep fuses a few distinct (gate, Pauli)
+    pairs hundreds of times per pass. The returned gate and its matrix are
+    shared, and the matrix is read-only.
+    """
+    matrix = np.frombuffer(data, dtype=dtype).reshape(shape)
+    pauli_matrix = g.PAULI_MATRICES[label]
+    if position == "pre":
+        fused = pauli_matrix @ matrix
+    else:
+        fused = matrix @ pauli_matrix
+    angles = euler_angles(fused)
+    gate = g.u(angles.theta, angles.phi, angles.lam)
+    gate.matrix.setflags(write=False)
+    return gate

@@ -37,7 +37,7 @@ from .sampling import (
     build_noise_plan,
     sample_shot,
 )
-from .statevector import StateVector, renormalize, vector_norm
+from .statevector import StateVector, exact_pauli, renormalize, vector_norm
 from .timeline import MomentTimeline, build_timeline
 
 
@@ -126,6 +126,17 @@ class Executor:
         # engine samples through the same `sample_shot` and reads the same
         # columns, which is what keeps the two backends seed-for-seed equal.
         self._plan: NoisePlan = build_noise_plan(scheduled, device)
+        self._gates = [_moment_gates(sm.moment) for sm in scheduled]
+        #: ``(qubit, gamma) -> no_jump_diagonal(...)``, built on first use.
+        self._no_jump_diagonals: Dict[Tuple[int, float], np.ndarray] = {}
+
+    def _no_jump_diagonal(self, qubit: int, gamma: float) -> np.ndarray:
+        key = (qubit, gamma)
+        diagonal = self._no_jump_diagonals.get(key)
+        if diagonal is None:
+            diagonal = no_jump_diagonal(self.scheduled.num_qubits, qubit, gamma)
+            self._no_jump_diagonals[key] = diagonal
+        return diagonal
 
     # -- single trajectory ---------------------------------------------------
 
@@ -148,7 +159,6 @@ class Executor:
         for m, (sm, timeline, static_acc) in enumerate(
             zip(self.scheduled, self._timelines, self._static_acc)
         ):
-            moment = sm.moment
             plan = self._plan.moments[m]
             # 1. measurements collapse first; idle neighbors then accumulate
             # (conditional) phase with the collapsed qubit for the rest of
@@ -179,31 +189,25 @@ class Executor:
                     if u[damp_col] < p_jump:
                         _apply_decay_jump(state, q)
                     else:
-                        _apply_no_jump(state, q, gamma)
+                        _apply_no_jump(state, q, gamma, self._no_jump_diagonal(q, gamma))
 
-            # 4. ideal unitaries
-            for inst in moment:
-                gate = inst.gate
-                if gate.is_measurement or gate.is_delay:
+            # 4. ideal unitaries, exact Paulis as in-place flips
+            for condition, label, matrix, qubits in self._gates[m]:
+                if condition is not None and clbits[condition[0]] != condition[1]:
                     continue
-                if inst.condition is not None:
-                    clbit, value = inst.condition
-                    if clbits[clbit] != value:
-                        continue
-                if gate.matrix is not None:
-                    state.apply_gate(gate.matrix, inst.qubits)
+                if label is None:
+                    state.apply_gate(matrix, qubits)
+                else:
+                    state.apply_pauli(label, qubits[0])
 
             # 5. gate errors
             for site in plan.gate_errors:
                 for code in paulis[site.slot : site.slot + site.repeats]:
                     if code < 0:
                         continue
-                    if site.two_qubit:
-                        pa, pb = _PAULI_2Q[code]
-                        state.apply_pauli(pa, site.qubits[0])
-                        state.apply_pauli(pb, site.qubits[1])
-                    else:
-                        state.apply_pauli(_PAULI_1Q[code], site.qubits[0])
+                    labels = _PAULI_2Q[code] if site.two_qubit else (_PAULI_1Q[code],)
+                    for label, qubit in zip(labels, site.qubits):
+                        state.apply_pauli(label, qubit)
 
         return state, clbits
 
@@ -252,11 +256,46 @@ def _apply_decay_jump(state: StateVector, qubit: int) -> None:
     state.vector = lowered / norm
 
 
-def _apply_no_jump(state: StateVector, qubit: int, gamma: float) -> None:
-    """No-jump Kraus ``diag(1, sqrt(1-gamma))`` with renormalization."""
-    idx = np.arange(state.vector.size)
-    one = ((idx >> qubit) & 1) == 1
-    scaled = np.where(one, state.vector * math.sqrt(1.0 - gamma), state.vector)
+def _moment_gates(moment) -> List[Tuple]:
+    """A moment's unitaries in order, as ``(condition, label, matrix, qubits)``.
+
+    ``label`` is the Pauli an unconditioned gate's matrix equals exactly
+    (:func:`~repro.sim.statevector.exact_pauli`), applied as an in-place
+    flip, or ``None`` for a dense gate; exact identities are dropped.
+    """
+    gates = []
+    for inst in moment:
+        gate = inst.gate
+        if gate.matrix is None or gate.is_measurement or gate.is_delay:
+            continue
+        label = None
+        if inst.condition is None and gate.num_qubits == 1:
+            label = exact_pauli(gate.matrix)
+        if label != "I":
+            gates.append((inst.condition, label, gate.matrix, tuple(inst.qubits)))
+    return gates
+
+
+def no_jump_diagonal(num_qubits: int, qubit: int, gamma: float) -> np.ndarray:
+    """The no-jump Kraus ``diag(1, sqrt(1-gamma))`` on ``qubit``, as the
+    ``(2 * 2**n,)`` diagonal of a state's ``float64`` (re, im) view."""
+    diagonal = np.ones(2 << num_qubits)
+    diagonal.reshape(-1, 2, 2 << qubit)[:, 1] = math.sqrt(1.0 - gamma)
+    return diagonal
+
+
+def _apply_no_jump(
+    state: StateVector, qubit: int, gamma: float, diagonal: Optional[np.ndarray] = None
+) -> None:
+    """No-jump Kraus ``diag(1, sqrt(1-gamma))`` with renormalization.
+
+    One contiguous multiply of the ``float64`` view by ``diagonal``
+    (:func:`no_jump_diagonal`, built here when not given): each amplitude
+    gets the bits of ``amp * sqrt(1-gamma)`` up to the sign of an exact zero.
+    """
+    if diagonal is None:
+        diagonal = no_jump_diagonal(state.num_qubits, qubit, gamma)
+    scaled = (state.vector.view(np.float64) * diagonal).view(complex)
     norm = vector_norm(scaled)
     if norm <= 0.0:
         # gamma ~ 1 with all population in |1>: the no-jump branch carries

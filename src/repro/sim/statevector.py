@@ -13,6 +13,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..circuits.gates import PAULI_MATRICES
 from ..pauli.pauli import Pauli
 from .coherent import CoherentAccumulation
 
@@ -50,6 +51,64 @@ def renormalize(vectors: np.ndarray, norms) -> None:
     scale = 1.0 / np.asarray(norms, dtype=np.float64)
     flat = vectors.view(np.float64)
     flat *= scale[..., None]
+
+
+def exact_pauli(matrix: np.ndarray) -> Optional[str]:
+    """``"I"``, ``"X"``, ``"Y"`` or ``"Z"`` if ``matrix`` equals that Pauli
+    exactly (``0.0 == -0.0``), else ``None``.
+
+    Memoized on the matrix bytes: the twirl and DD passes reuse a few
+    matrices across every gate of a sweep.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.shape != (2, 2):
+        return None
+    return _exact_pauli(matrix.dtype, matrix.tobytes())
+
+
+@lru_cache(maxsize=4096)
+def _exact_pauli(dtype: np.dtype, data: bytes) -> Optional[str]:
+    matrix = np.frombuffer(data, dtype=dtype).reshape(2, 2)
+    for label, pauli in PAULI_MATRICES.items():
+        if np.array_equal(matrix, pauli):
+            return label
+    return None
+
+
+def flip_pauli(
+    array: np.ndarray, label: str, low: int, scratch: Optional[np.ndarray] = None
+) -> None:
+    """Apply a single-qubit Pauli in place to the C-contiguous ``array``.
+
+    The qubit is the tensor axis with ``low`` amplitudes after it: ``2**q``
+    for qubit ``q`` of a state or of a ``(rows, 2**n)`` batch in canonical
+    order. X swaps the axis' halves, Z negates the ``|1>`` half, and Y swaps
+    them with the products ``|1> * -1j`` and ``|0> * 1j``. Each amplitude gets
+    the bits of the matching ``apply_gate`` product up to the sign of an
+    exact zero; the engines apply every Pauli (gate, gate error, observable)
+    through this one kernel, which keeps them bit-identical. ``scratch`` is
+    an optional complex buffer of at least ``array.size // 2`` amplitudes.
+    """
+    if label == "I":
+        return
+    halves = array.reshape(-1, 2, low)
+    zero, one = halves[:, 0], halves[:, 1]
+    if label == "Z":
+        one *= -1
+        return
+    if label not in ("X", "Y"):
+        raise ValueError(f"bad Pauli label {label!r}")
+    if scratch is None:
+        saved = one.copy()
+    else:
+        saved = scratch.reshape(-1)[: one.size].reshape(one.shape)
+        np.copyto(saved, one)
+    if label == "X":
+        np.copyto(one, zero)
+        np.copyto(zero, saved)
+    else:
+        np.multiply(zero, 1j, out=one)
+        np.multiply(saved, -1j, out=zero)
 
 
 class StateVector:
@@ -95,30 +154,8 @@ class StateVector:
         self.vector *= np.exp(-1j * exponent)
 
     def apply_pauli(self, label: str, qubit: int) -> None:
-        """Apply a single-qubit Pauli in place (fast path for noise)."""
-        if label == "I":
-            return
-        n = self.num_qubits
-        psi = self.vector.reshape([2] * n)
-        axis = n - 1 - qubit
-        if label == "X":
-            psi = np.flip(psi, axis=axis)
-        elif label == "Y":
-            psi = np.flip(psi, axis=axis)
-            slicer = [slice(None)] * n
-            slicer[axis] = 0
-            psi = psi.copy()
-            psi[tuple(slicer)] *= -1j
-            slicer[axis] = 1
-            psi[tuple(slicer)] *= 1j
-        elif label == "Z":
-            psi = psi.copy()
-            slicer = [slice(None)] * n
-            slicer[axis] = 1
-            psi[tuple(slicer)] *= -1
-        else:
-            raise ValueError(f"bad Pauli label {label!r}")
-        self.vector = np.ascontiguousarray(psi).reshape(-1)
+        """Apply a single-qubit Pauli in place (see :func:`flip_pauli`)."""
+        flip_pauli(self.vector, label, 1 << qubit)
 
     # -- measurement -----------------------------------------------------------
 

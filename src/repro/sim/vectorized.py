@@ -41,19 +41,38 @@ property each, pinned by ``tests/test_vectorized.py``:
   column the same bits wherever that column sits in a contiguous operand.
   A conditioned gate runs alone on its row subset.
 
-Idle amplitude damping works in place. The amplitudes where qubit ``q`` is
-1 form a strided view ``psi.reshape(rows, -1, 2, 2**q)[:, :, 1, :]`` of the
-C-contiguous batch: the no-jump branch scales that view and renormalizes
-the rows without a copy, and ``P(q = 1)`` sums ``|psi|**2`` of the same view,
-written into contiguous scratch in basis-index order like the scalar
-engine's boolean mask. The draws come first: a row jumps only if its draw
-``u < gamma * P(q = 1)``, and the computed ``P`` of a unit-norm row is below
-2, so ``P`` is computed only for rows with ``u < 2 * gamma``; a step where
-no row qualifies goes straight to the no-jump branch. Only ``gamma == 1``
-keeps a copy of the unscaled batch, for rows whose whole weight is in
-``|1>`` and which must jump from the unscaled state as in the scalar
-engine. Idle dephasing negates the same
-view in place, and each chunk reuses one set of scratch buffers for
+Both engines skip the arithmetic of steps whose result is exact:
+
+* **Exact gates.** At engine build (``Executor._gates``), an unconditioned
+  gate whose matrix is exactly I, X, Y or Z (twirl Paulis, DD nets, fused
+  twirls that cancel) is classified once, memoized on its matrix bytes.
+  Identities are dropped. A Pauli is a
+  :func:`~repro.sim.statevector.flip_pauli` at its place in the chain, in
+  whatever layout the state is in: X swaps its qubit's halves, Z negates
+  the ``|1>`` half, Y swaps them with ``|1> * -1j`` and ``|0> * 1j``. Gate
+  errors and observables flip through the same kernel.
+* **Contiguous no-jump scale.** The no-jump branch of idle damping
+  multiplies the batch's ``float64`` view by a ``(2 * 2**n,)`` diagonal of
+  1.0 and ``sqrt(1 - gamma)``, built once per engine and ``(qubit, gamma)``,
+  instead of scaling a strided complex view of the ``|1>`` half.
+
+A dense product, or a complex scaling, gives the same values up to the
+sign of an exact zero (pinned against ``apply_gate`` by
+``tests/test_vectorized.py``); the scalar engine takes the same paths, so
+the two stay bit-identical.
+
+Idle amplitude damping works in place. The no-jump branch scales and
+renormalizes the rows without a copy, and ``P(q = 1)`` sums ``|psi|**2``
+of the strided view ``psi.reshape(rows, -1, 2, 2**q)[:, :, 1, :]`` of the
+amplitudes where qubit ``q`` is 1, written into contiguous scratch in
+basis-index order like the scalar engine's boolean mask. The draws come
+first: a row jumps only if its draw ``u < gamma * P(q = 1)``, and the
+computed ``P`` of a unit-norm row is below 2, so ``P`` is computed only for
+rows with ``u < 2 * gamma``; a step where no row qualifies goes straight to
+the no-jump branch. Only ``gamma == 1`` keeps a copy of the unscaled batch,
+for rows whose whole weight is in ``|1>`` and which must jump from the
+unscaled state as in the scalar engine. Idle dephasing negates the same
+strided view in place, and each chunk reuses one set of scratch buffers for
 ``|psi|**2``, ``P(q = 1)``, gathered phases and the gate chain.
 
 The shot axis is cut into bounded-memory chunks of at most
@@ -76,7 +95,7 @@ from ..pauli.pauli import Pauli
 from ..utils.rng import as_generator
 from .executor import Executor, SimOptions, SimResult, _aggregate
 from .sampling import _PAULI_1Q, _PAULI_2Q, NoiseBatch, sample_shot
-from .statevector import _sz_arrays, renormalize
+from .statevector import _sz_arrays, flip_pauli, renormalize
 
 #: Chunk budget: ~32 MiB of complex amplitudes per chunk.
 _CHUNK_AMPLITUDES = 1 << 21
@@ -140,26 +159,36 @@ def _support(
 
 @lru_cache(maxsize=4096)
 def _chain_plan(
-    num_qubits: int, gates: Tuple[Tuple[int, ...], ...]
-) -> Tuple[Tuple[Tuple[Tuple[int, ...], int], ...], Tuple[int, ...]]:
-    """How to apply gates on ``gates``' qubits in order as one layout chain.
+    num_qubits: int, ops: Tuple[Tuple[Tuple[int, ...], bool], ...]
+) -> Tuple[Tuple[Tuple, ...], Optional[Tuple[int, ...]]]:
+    """How to apply ``ops`` in order as one layout chain.
 
-    A gate's layout puts its qubits' tensor axes first in listed order and
-    the rest in canonical order (qubit ``n - 1`` first, as in a reshaped
-    C-contiguous state). Returns, per gate, the transpose that takes a
-    ``(rows, 2, ..., 2)`` batch from the previous gate's layout (canonical
-    for the first) to this gate's, with the gate's dimension ``2**k``; and
-    the transpose from the last gate's layout back to canonical order.
+    Each op is ``(qubits, dense)``: a dense gate, or a Pauli flip on one
+    qubit. A dense gate's layout puts its qubits' tensor axes first in listed
+    order and the rest in canonical order (qubit ``n - 1`` first, as in a
+    reshaped C-contiguous state); a flip works in whatever layout the state
+    is in. Returns, per op, ``(transpose, 2**k)`` for a dense gate (the
+    transpose takes a ``(rows, 2, ..., 2)`` batch from the previous gate's
+    layout, canonical for the first, to this gate's) or ``(low,)`` for a
+    flip (the amplitudes after its qubit's axis, see
+    :func:`~repro.sim.statevector.flip_pauli`); and the transpose from the
+    last dense gate's layout back to canonical order, ``None`` when there
+    is no dense gate and the state never left it.
     """
     canonical = tuple(range(num_qubits - 1, -1, -1))
-    layouts = [canonical]
-    layouts += [qubits + tuple(q for q in canonical if q not in qubits) for qubits in gates]
-    layouts.append(canonical)
-    moves = [
-        (0,) + tuple(1 + src.index(q) for q in dst) for src, dst in zip(layouts, layouts[1:])
-    ]
-    steps = tuple((move, 1 << len(qubits)) for move, qubits in zip(moves, gates))
-    return steps, moves[-1]
+    layout = canonical
+    steps: List[Tuple] = []
+    moved = False
+    for qubits, dense in ops:
+        if not dense:
+            steps.append((1 << (num_qubits - 1 - layout.index(qubits[0])),))
+            continue
+        target = qubits + tuple(q for q in canonical if q not in qubits)
+        steps.append(((0,) + tuple(1 + layout.index(q) for q in target), 1 << len(qubits)))
+        layout = target
+        moved = True
+    home = (0,) + tuple(1 + layout.index(q) for q in canonical) if moved else None
+    return tuple(steps), home
 
 
 class _Workspace:
@@ -208,30 +237,29 @@ class VectorizedExecutor(Executor):
         self._phase_programs = [
             self._build_phase_program(m) for m in range(len(self._timelines))
         ]
-        self._unitaries = [self._gate_runs(sm.moment) for sm in scheduled]
+        self._unitaries = [self._gate_runs(gates) for gates in self._gates]
 
-    def _gate_runs(self, moment) -> List[Tuple]:
-        """Moment's unitaries in order, as ``(condition, matrices, chain)`` runs.
+    def _gate_runs(self, gates: Sequence[Tuple]) -> List[Tuple]:
+        """A moment's unitaries in order, as ``(condition, ops, chain)`` runs.
 
-        Consecutive unconditioned gates share one run, which
-        :meth:`_apply_gate_chain` applies without returning to canonical
-        order in between; each conditioned gate is a run of its own. ``chain``
-        is the run's :func:`_chain_plan`.
+        ``gates`` is the moment's ``Executor._gates`` entry. Consecutive
+        unconditioned gates share one run, which :meth:`_apply_gate_chain`
+        applies without returning to canonical order in between; each
+        conditioned gate is a run of its own. An op is a dense gate's matrix
+        or an exact Pauli's label, and ``chain`` is the run's
+        :func:`_chain_plan`.
         """
-        runs: List[Tuple] = []  # (condition, matrices, qubits)
-        for inst in moment:
-            gate = inst.gate
-            if gate.matrix is None or gate.is_measurement or gate.is_delay:
-                continue
-            if inst.condition is None and runs and runs[-1][0] is None:
+        runs: List[Tuple] = []  # (condition, ops, chain keys)
+        for condition, label, matrix, qubits in gates:
+            if condition is None and runs and runs[-1][0] is None:
                 run = runs[-1]
             else:
-                run = (inst.condition, [], [])
+                run = (condition, [], [])
                 runs.append(run)
-            run[1].append(np.asarray(gate.matrix))
-            run[2].append(tuple(inst.qubits))
+            run[1].append(np.asarray(matrix) if label is None else label)
+            run[2].append((qubits, label is None))
         n = self.scheduled.num_qubits
-        return [(cond, mats, _chain_plan(n, tuple(qs))) for cond, mats, qs in runs]
+        return [(cond, ops, _chain_plan(n, tuple(keys))) for cond, ops, keys in runs]
 
     # -- per-moment coherent-phase programs -----------------------------------
 
@@ -325,53 +353,35 @@ class VectorizedExecutor(Executor):
     def _apply_gate_chain(
         self,
         psi: np.ndarray,
-        matrices: Sequence[np.ndarray],
+        ops: Sequence,
         chain: Tuple,
         work: Optional[_Workspace] = None,
     ) -> None:
         """Apply one run of :meth:`_gate_runs` to the batch ``psi``, in place.
 
-        Each gate copies the state once into its own layout (its qubits'
-        tensor axes first) in the workspace's front buffer and multiplies
-        into the back buffer; the state returns to canonical order only
-        after the last gate. ``np.matmul`` gives each output column the same
-        bits wherever the column sits, so this matches one gate at a time.
+        Each dense gate copies the state once into its own layout (its
+        qubits' tensor axes first) in the workspace's front buffer and
+        multiplies into the back buffer; the state returns to canonical order
+        only after the last gate. ``np.matmul`` gives each output column the
+        same bits wherever the column sits, so this matches one gate at a
+        time. A Pauli flips the state in place in its current layout, with
+        the free front buffer as scratch.
         """
         rows = psi.shape[0]
         work = self._workspace(work, rows)
         front, back = work.front, work.back
         steps, home = chain
         state = psi.reshape(front.shape)
-        for matrix, (transpose, width) in zip(matrices, steps):
+        for op, step in zip(ops, steps):
+            if isinstance(op, str):
+                flip_pauli(state, op, step[0], front)
+                continue
+            transpose, width = step
             np.copyto(front, state.transpose(transpose))
-            np.matmul(matrix, front.reshape(rows, width, -1), out=back.reshape(rows, width, -1))
+            np.matmul(op, front.reshape(rows, width, -1), out=back.reshape(rows, width, -1))
             state = back
-        np.copyto(psi.reshape(front.shape), state.transpose(home))
-
-    def _apply_pauli_rows(self, sub: np.ndarray, label: str, qubit: int) -> np.ndarray:
-        if label == "I":
-            return sub
-        rows = sub.shape[0]
-        n = self.scheduled.num_qubits
-        psi = sub.reshape((rows,) + (2,) * n)
-        axis = 1 + (n - 1 - qubit)
-        if label == "X":
-            psi = np.flip(psi, axis=axis)
-        elif label == "Y":
-            psi = np.flip(psi, axis=axis).copy()
-            slicer: List = [slice(None)] * (n + 1)
-            slicer[axis] = 0
-            psi[tuple(slicer)] *= -1j
-            slicer[axis] = 1
-            psi[tuple(slicer)] *= 1j
-        elif label == "Z":
-            psi = psi.copy()
-            slicer = [slice(None)] * (n + 1)
-            slicer[axis] = 1
-            psi[tuple(slicer)] *= -1
-        else:
-            raise ValueError(f"bad Pauli label {label!r}")
-        return np.ascontiguousarray(psi).reshape(rows, -1)
+        if home is not None:
+            np.copyto(psi.reshape(front.shape), state.transpose(home))
 
     def _prob_one_rows(
         self, psi: np.ndarray, qubit: int, work: Optional[_Workspace] = None
@@ -430,8 +440,8 @@ class VectorizedExecutor(Executor):
         # engine then jumps from the *unscaled* row: keep a copy.
         work = self._workspace(work, psi.shape[0])
         unscaled = psi.copy() if gamma >= 1.0 else None
-        ones = _one_half(psi, qubit)
-        ones *= math.sqrt(1.0 - gamma)
+        flat = psi.view(np.float64)
+        flat *= self._no_jump_diagonal(qubit, gamma)
         norms = _batch_norms(psi, out=work.norm_terms)
         if unscaled is None:
             renormalize(psi, norms)
@@ -516,16 +526,16 @@ class VectorizedExecutor(Executor):
                         stay = ~jump
                         psi[stay] = self._no_jump_rows(psi[stay], q, gamma, work)
 
-            # 4. ideal unitaries
-            for condition, matrices, chain in self._unitaries[m]:
+            # 4. ideal unitaries, exact Paulis as in-place flips
+            for condition, ops, chain in self._unitaries[m]:
                 if condition is None:
-                    self._apply_gate_chain(psi, matrices, chain, work)
+                    self._apply_gate_chain(psi, ops, chain, work)
                 else:
                     clbit, value = condition
                     rows = clbits[:, clbit] == value
                     if rows.any():
                         sub = psi[rows]
-                        self._apply_gate_chain(sub, matrices, chain, work)
+                        self._apply_gate_chain(sub, ops, chain, work)
                         psi[rows] = sub
 
             # 5. gate errors
@@ -538,22 +548,19 @@ class VectorizedExecutor(Executor):
                         if code < 0:
                             continue
                         rows = column == code
-                        if site.two_qubit:
-                            pa, pb = _PAULI_2Q[code]
-                            sub = self._apply_pauli_rows(psi[rows], pa, site.qubits[0])
-                            psi[rows] = self._apply_pauli_rows(sub, pb, site.qubits[1])
-                        else:
-                            psi[rows] = self._apply_pauli_rows(
-                                psi[rows], _PAULI_1Q[code], site.qubits[0]
-                            )
+                        labels = _PAULI_2Q[code] if site.two_qubit else (_PAULI_1Q[code],)
+                        sub = psi[rows]
+                        for label, qubit in zip(labels, site.qubits):
+                            flip_pauli(sub, label, 1 << qubit, work.front)
+                        psi[rows] = sub
         return psi, clbits
 
     # -- per-shot payload contraction ------------------------------------------
 
     def _expectation_rows(self, psi: np.ndarray, pauli: Pauli) -> np.ndarray:
-        work = psi
+        work = psi.copy()
         for qubit in range(self.scheduled.num_qubits):
-            work = self._apply_pauli_rows(work, pauli.factor(qubit), qubit)
+            flip_pauli(work, pauli.factor(qubit), 1 << qubit)
         phase = 1j ** pauli.phase
         values = np.empty(psi.shape[0])
         for b in range(psi.shape[0]):

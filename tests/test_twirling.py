@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, gates as g
+from repro.circuits.euler import euler_angles
 from repro.pauli import apply_twirl
 from repro.pauli.twirling import sample_layer_twirl
 from repro.utils.linalg import allclose_up_to_global_phase
@@ -113,6 +114,33 @@ class TestMaterialization:
         assert allclose_up_to_global_phase(
             twirled.unitary(), circ.unitary(), atol=1e-7
         )
+
+    def test_fused_gates_are_memoized(self):
+        """Fusing the same (gate, Pauli, position) returns one shared ``u``
+        gate with a read-only matrix, with the bits of fusing afresh."""
+        circ = Circuit(2)
+        circ.h(0)
+        circ.append(g.u(0.3, 0.2, 0.1), [1])
+        circ.ecr(0, 1, new_moment=True)
+        circ.append_moment([])
+        fused = 0
+        for seed in range(6):
+            first, record = apply_twirl(circ, seed=seed)
+            again, _record = apply_twirl(circ, seed=seed)
+            for qubit, host in enumerate(circ.moments[0]):
+                gate = first.moments[0].instruction_on(qubit).gate
+                pre = record.pre_label(1, qubit)
+                if pre == "I":
+                    assert gate is host.gate
+                    continue
+                fused += 1
+                assert gate is again.moments[0].instruction_on(qubit).gate
+                assert not gate.matrix.flags.writeable
+                angles = euler_angles(g.PAULI_MATRICES[pre] @ host.gate.matrix)
+                fresh = g.u(angles.theta, angles.phi, angles.lam)
+                assert gate.params == fresh.params
+                assert gate.matrix.tobytes() == fresh.matrix.tobytes()
+        assert fused > 0
 
     def test_missing_host_layer_raises(self):
         circ = Circuit(2)

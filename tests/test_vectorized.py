@@ -11,9 +11,10 @@ The load-bearing guarantees:
   sizes are forced by shrinking the module's ``_CHUNK_AMPLITUDES`` budget;
 * the engine is selected by name through ``run()``/``configure()`` like
   any other backend;
-* its two shortcuts, support-reduced phases and the per-moment gate-layout
-  chain, give the bits of the full-dimension, one-gate-at-a-time path, and
-  the ``np.matmul`` property the chain rests on is pinned directly.
+* its shortcuts, support-reduced phases, the per-moment gate-layout chain,
+  exact Paulis as in-place flips and the contiguous no-jump scale, give the
+  bits of the full-dimension, one-gate-at-a-time dense path, and the
+  ``np.matmul`` and flip properties they rest on are pinned directly.
 
 Every equality below is exact ``==`` on floats, deliberately: the batched
 engine is designed to reproduce the scalar bits, and any drift is a bug.
@@ -37,6 +38,7 @@ from repro.sim import vectorized as vectorized_module
 from repro.sim.coherent import CoherentAccumulation
 from repro.sim.executor import _apply_no_jump
 from repro.sim.sampling import sample_shot
+from repro.sim.statevector import exact_pauli, flip_pauli
 from repro.sim.vectorized import _support
 from repro.utils.rng import as_generator
 from repro.utils.units import US
@@ -233,6 +235,30 @@ class TestInPlaceNoJump:
             # gamma = 1 decays the excited row to |0> on this qubit.
             if gamma == 1.0:
                 assert engine._prob_one_rows(out, qubit)[1] == 0.0
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.37])
+    @pytest.mark.parametrize("qubit", [0, 1, 2, 11])
+    def test_twelve_qubits(self, qubit, gamma):
+        """The contiguous ``float64`` scale at the register size where the
+        old strided view was slowest (low qubits) and fastest (the top)."""
+        engine = _engine(12)
+        rows = self._rows(qubit, n=12)
+        expected = []
+        for row in rows:
+            state = StateVector(12)
+            state.vector = row.copy()
+            _apply_no_jump(state, qubit, gamma)
+            expected.append(state.vector)
+        psi = rows.copy()
+        out = engine._no_jump_rows(psi, qubit, gamma)
+        assert np.shares_memory(out, psi)
+        np.testing.assert_array_equal(_bits(out), _bits(np.array(expected)))
+        # The |0> half is untouched; the |1> half is scaled, then both renormalized.
+        one = ((np.arange(1 << 12) >> qubit) & 1) == 1
+        scaled = np.where(one, rows * math.sqrt(1.0 - gamma), rows)
+        if gamma < 1.0:
+            norms = np.linalg.norm(scaled, axis=1)
+            np.testing.assert_allclose(out, scaled / norms[:, None], rtol=1e-12, atol=1e-15)
 
     def test_prob_one_matches_scalar(self, chain4):
         engine = VectorizedExecutor(schedule(layered_circuit(), chain4.durations), chain4)
@@ -619,3 +645,151 @@ class TestMatmulLayoutPin:
                 out = np.empty_like(permuted)
                 np.matmul(matrix, permuted, out=out)
                 np.testing.assert_array_equal(_bits(out), _bits(canonical[:, :, perm]))
+
+
+class TestExactGates:
+    """Gates whose matrix is exactly I, X, Y or Z skip the dense product:
+    identities are dropped and Paulis flip the state in place, in both
+    engines, at their place in the moment's instruction order."""
+
+    def test_classification(self):
+        for label, matrix in g.PAULI_MATRICES.items():
+            assert exact_pauli(matrix) == label
+            assert exact_pauli(np.asfortranarray(matrix)) == label
+        assert exact_pauli(g.u(0.0, 0.0, 0.0).matrix) == "I"
+        assert exact_pauli(np.array([[1, -0.0], [-0.0, 1]], dtype=complex)) == "I"
+        near_x = g.X_MAT * np.nextafter(1.0, 2.0)
+        for matrix in (g.H_MAT, -g.X_MAT, 1j * g.Y_MAT, g.S_MAT, g.CX_MAT, near_x):
+            assert exact_pauli(matrix) is None
+        assert exact_pauli(g.X_MAT + 1e-300) is None
+
+    def circuit(self):
+        """Explicit x/y/z/id, an identity ``u``, DD nets (identity and X)
+        and a conditioned X, between dense gates."""
+        circ = Circuit(4, num_clbits=1)
+        for q in range(4):
+            circ.h(q, new_moment=(q == 0))
+        circ.x(0, new_moment=True)
+        circ.y(1)
+        circ.append(g.Z, [2])
+        circ.append(g.u(0.3, 0.1, -0.2), [3])
+        circ.append(g.I, [0], new_moment=True)
+        circ.append(g.u(0.0, 0.0, 0.0), [1])
+        circ.append(g.u(0.4, -0.3, 0.2), [2])
+        circ.y(3)
+        circ.cx(0, 1, new_moment=True)
+        circ.append(g.dd_sequence((0.25, 0.75)), [2])
+        circ.append(g.dd_sequence((0.5,)), [3])
+        circ.measure(2, 0, new_moment=True)
+        circ.x(1, condition=(0, 1), new_moment=True)
+        circ.h(0, new_moment=True)
+        circ.append(g.Z, [1])
+        circ.x(3)
+        return circ
+
+    def test_no_dense_run(self, chain4):
+        engine = VectorizedExecutor(schedule(self.circuit(), chain4.durations), chain4)
+        runs = [
+            (cond, [op if isinstance(op, str) else "dense" for op in ops])
+            for moment in engine._unitaries
+            for cond, ops, _chain in moment
+        ]
+        assert runs == [
+            (None, ["dense"] * 4),  # h
+            (None, ["X", "Y", "Z", "dense"]),
+            (None, ["dense", "Y"]),  # id and the identity u dropped
+            (None, ["dense", "X"]),  # cx; the identity DD net dropped
+            ((0, 1), ["dense"]),  # conditioned X stays a dense run
+            (None, ["dense", "Z", "X"]),
+        ]
+        # The scalar engine classifies the same gates the same way.
+        labels = [[label for _c, label, _m, _q in gates] for gates in engine._gates]
+        assert labels == [
+            [None] * 4,
+            ["X", "Y", "Z", None],
+            [None, "Y"],
+            [None, "X"],
+            [],
+            [None],
+            [None, "Z", "X"],
+        ]
+
+    def test_engine_parity(self, chain4):
+        observables = {"z": "ZZZZ", "x": "IXIX", "y": "YIYI", "zz": "IIZZ"}
+        task = Task(self.circuit(), observables=observables, seed=6)
+        assert_identical(*both(task, chain4, SimOptions(shots=64)))
+        task = Task(self.circuit(), bit_targets={"f": {0: 1, 3: 0}, "g": {1: 1}}, seed=7)
+        assert_identical(*both(task, chain4, SimOptions(shots=32)))
+        # Twirled and decoupled circuits are mostly exact gates.
+        task = Task(
+            layered_circuit(), observables=OBS, pipeline="ca_ec+dd",
+            realizations=3, seed=8,
+        )
+        assert_identical(*both(task, chain4, SimOptions(shots=16)))
+
+    def test_flips_match_dense_runs(self, chain4):
+        """The chain with flips against the same moments applied densely,
+        one gate at a time, on random rows with exact zeros."""
+        circ = self.circuit()
+        engine = VectorizedExecutor(schedule(circ, chain4.durations), chain4)
+        psi = _random_rows(5, 4, seed=9)
+        psi[:, ::3] = 0.0
+        psi[1::2, 1::4] *= -0.0
+        for sm, moment in zip(engine.scheduled, engine._unitaries):
+            for cond, ops, chain in moment:
+                if cond is not None:
+                    continue
+                expected = psi.copy()
+                for inst in sm.moment:
+                    if inst.condition is None and inst.gate.matrix is not None:
+                        expected = _per_gate_rows(expected, inst.gate.matrix, inst.qubits, 4)
+                engine._apply_gate_chain(psi, ops, chain)
+                assert np.array_equal(psi, expected)
+
+
+class TestFlipPin:
+    """The flip premise: an in-place flip gives the values of the dense
+    product by the Pauli's matrix, ``np.array_equal`` (which reads
+    ``0.0 == -0.0``: the product may differ in the sign of an exact zero),
+    on states with signed-zero entries."""
+
+    @staticmethod
+    def _rows(rows, num_qubits):
+        psi = _random_rows(rows, num_qubits, seed=rows + num_qubits)
+        psi.real[:, ::5] = 0.0
+        psi.imag[:, 1::7] = -0.0
+        psi[:, 2::11] = -0.0
+        return psi
+
+    @pytest.mark.parametrize("num_qubits", range(2, 13))
+    def test_flip_equals_dense_gate(self, num_qubits):
+        for rows in (1, 4, 32):
+            batch = self._rows(rows, num_qubits)
+            for qubit in sorted({0, 1, num_qubits // 2, num_qubits - 1}):
+                for label in "XYZ":
+                    flipped = batch.copy()
+                    flip_pauli(flipped, label, 1 << qubit)
+                    matrix = g.PAULI_MATRICES[label]
+                    dense = _per_gate_rows(batch, matrix, (qubit,), num_qubits)
+                    assert np.array_equal(flipped, dense), (rows, qubit, label)
+                    if rows == 1:
+                        state = StateVector(num_qubits)
+                        state.vector = batch[0].copy()
+                        state.apply_gate(matrix, [qubit])
+                        assert np.array_equal(flipped[0], state.vector)
+
+    def test_scratch_and_layout(self):
+        """A flip inside the chain works on a gate layout's axis with the
+        front buffer as scratch; it must match the canonical-order flip."""
+        n, rows = 5, 3
+        batch = self._rows(rows, n)
+        for label in "XYZ":
+            for axis in range(n):
+                tensor = batch.reshape((rows,) + (2,) * n)
+                # Move the qubit axis to position 1 + axis of a permuted layout.
+                moved = np.moveaxis(tensor, 1 + (n - 1 - 2), 1 + axis).copy()
+                flip_pauli(moved, label, 1 << (n - 1 - axis), np.empty(moved.size, complex))
+                back = np.moveaxis(moved, 1 + axis, 1 + (n - 1 - 2)).reshape(rows, -1)
+                reference = batch.copy()
+                flip_pauli(reference, label, 1 << 2)
+                np.testing.assert_array_equal(_bits(back), _bits(reference))
