@@ -8,17 +8,14 @@ picks another file):
   acceptance workload for the vectorized engine's >=3x throughput target;
 * layered CX chains across qubit counts and shot counts, showing how the
   speedup scales with state size and batch size;
-* a cold-vs-warm plan-cache sweep (the same deterministic-pipeline grid
-  compiled twice) measuring the compile-stage speedup of the
-  content-addressed cache — the plan/execute split's acceptance workload;
 * a distributed-vs-in-process scaling entry: a realization-heavy twirled
   batch sharded across ``backend="distributed"`` worker processes,
   cross-checked bit-identical against both in-process engines
   (informational ratios, gated bit-identity).
 
-Every run also cross-checks bit-identity (trajectory vs vectorized, cold
-vs warm cache, in-process vs distributed), so the benchmark doubles as an
-end-to-end parity check. ``--check-against BASELINE`` compares the
+Every run also cross-checks bit-identity (trajectory vs vectorized,
+in-process vs distributed), so the benchmark doubles as an end-to-end
+parity check. ``--check-against BASELINE`` compares the
 measured speedups to a previously committed JSON and fails on a >25%
 regression — speedups are ratios of timings on the same machine, so the
 gate is robust to absolute machine speed. Under ``--check-against`` every
@@ -50,11 +47,11 @@ import sys
 import time
 from typing import Dict, List
 
-from repro import Circuit, SimOptions, Sweep, Task, run
+from repro import Circuit, SimOptions, Task, run
 from repro.benchmarking.ramsey import CASE_I, ramsey_task
 from repro.device.calibration import synthetic_device
 from repro.device.topology import linear_chain
-from repro.runtime import PLAN_CACHE, configure, default_dist_workers
+from repro.runtime import configure, default_dist_workers
 
 BACKENDS = ("trajectory", "vectorized")
 
@@ -86,9 +83,6 @@ def time_backends(task: Task, device, options: SimOptions, repeats: int = 2) -> 
     values: Dict[str, Dict[str, float]] = {}
     for _ in range(repeats):
         for backend in BACKENDS:
-            # Same cache temperature for both engines: a run would
-            # otherwise warm the plan cache for the next and bias the ratio.
-            PLAN_CACHE.clear()
             start = time.perf_counter()
             result = run(task, device, options=options, backend=backend)[0]
             timings[backend] = min(
@@ -132,60 +126,6 @@ def bench_layered(num_qubits: int, shots: int) -> Dict:
     return entry
 
 
-def _cache_sweep_batch(device, options):
-    """The deterministic (strategy x depth) grid every cache bench reuses."""
-    return Sweep(
-        {
-            "strategy": ("dd", "staggered_dd", "ca_ec", "ca_ec+dd"),
-            "depth": (8, 16, 24, 32, 40),
-        },
-        lambda strategy, depth: ramsey_task(
-            CASE_I, device, depth, strategy, twirl=False, seed=1
-        ),
-        name="bench_cache",
-    ).run(options=options, backend="vectorized")
-
-
-def bench_compile_cache() -> Dict:
-    """Cold-vs-warm compile of a repeated deterministic-pipeline sweep.
-
-    The same (strategy x depth) Ramsey grid is compiled twice; the second
-    pass hits the content-addressed plan cache for every point, so the
-    compile-stage wall time collapses while every value stays bit-equal.
-    The workload is identical in quick and full modes so the committed
-    baseline's speedup is comparable from CI.
-    """
-    device = synthetic_device(
-        linear_chain(CASE_I.num_qubits), name="bench_cache", seed=1007
-    )
-    options = SimOptions(shots=8)
-
-    def sweep_batch():
-        return _cache_sweep_batch(device, options)
-
-    values = lambda swept: [dict(r.values) for _c, r in swept]  # noqa: E731
-    # Best-of-3 cold/warm cycles: warm compiles are milliseconds, so a
-    # single sample would be far noisier than the CI regression tolerance.
-    cold_s = warm_s = float("inf")
-    bit_identical = True
-    for _ in range(3):
-        PLAN_CACHE.clear()
-        cold = sweep_batch()
-        assert PLAN_CACHE.misses > 0 and PLAN_CACHE.hits == 0
-        warm = sweep_batch()
-        cold_s = min(cold_s, cold.batch.compile_time)
-        warm_s = min(warm_s, warm.batch.compile_time)
-        bit_identical = bit_identical and values(cold) == values(warm)
-    return {
-        "workload": "compile_cache",
-        "points": len(cold),
-        "compile_seconds": {"cold": round(cold_s, 4), "warm": round(warm_s, 4)},
-        "speedup": round(cold_s / warm_s, 2),
-        "cache": dict(PLAN_CACHE.stats),
-        "bit_identical": bit_identical,
-    }
-
-
 def bench_distributed(workers: int = 2) -> Dict:
     """Distributed-vs-in-process scaling on a realization-heavy batch.
 
@@ -219,7 +159,6 @@ def bench_distributed(workers: int = 2) -> Dict:
     try:
         for _ in range(2):
             for name in engines:
-                PLAN_CACHE.clear()
                 start = time.perf_counter()
                 batch = run(tasks(), device, options=options, backend=name)
                 timings[name] = min(timings[name], time.perf_counter() - start)
@@ -245,14 +184,6 @@ def bench_distributed(workers: int = 2) -> Dict:
 
 
 def _print_entry(entry: Dict) -> None:
-    if entry["workload"] == "compile_cache":
-        seconds = entry["compile_seconds"]
-        print(
-            f"{entry['workload']:>22s}: {entry['speedup']}x compile-stage speedup "
-            f"({seconds['cold']:.3f}s cold vs {seconds['warm']:.3f}s warm, "
-            f"bit_identical={entry['bit_identical']})"
-        )
-        return
     if entry["workload"] == "distributed_scaling":
         seconds = entry["seconds"]
         print(
@@ -365,7 +296,6 @@ def main(argv=None) -> int:
 
     gated = [lambda: bench_fig3_ramsey(ramsey_shots)]
     gated += [lambda n=n, s=s: bench_layered(n, s) for n, s in sweep]
-    gated.append(bench_compile_cache)
     # Whole rounds, so a slow spell on the host lands on one sample of each
     # entry rather than on every sample of one entry.
     rounds = CHECK_SAMPLES if baseline is not None else 1

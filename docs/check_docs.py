@@ -12,7 +12,7 @@ trip over — with nothing beyond the standard library and docutils:
 3. every ``automodule``/``autoclass``/``autofunction`` target imports;
 4. every ``literalinclude`` path resolves;
 5. the public runtime surface (``run``, ``compile_tasks``, ``Sweep``,
-   ``Backend``, ``PlanCache``, ``configure``) carries real
+   ``Backend``, ``ExecutionPlan``, ``configure``) carries real
    docstrings with documented arguments.
 
 Run directly (``python docs/check_docs.py``) or via the test suite
@@ -39,7 +39,7 @@ PUBLIC_SURFACE = [
     ("repro.runtime.run", "run"),
     ("repro.runtime.run", "configure"),
     ("repro.runtime.plan", "compile_tasks"),
-    ("repro.runtime.plan", "PlanCache"),
+    ("repro.runtime.plan", "ExecutionPlan"),
     ("repro.runtime.sweep", "Sweep"),
     ("repro.runtime.sweep", "SweepResult"),
     ("repro.runtime.backends", "Backend"),

@@ -77,7 +77,6 @@ from .runtime import (
     Orient,
     Pass,
     Pipeline,
-    PlanCache,
     StaggeredDD,
     Sweep,
     SweepResult,
@@ -93,7 +92,7 @@ from .runtime import (
 )
 from .sim import SimOptions, SimResult
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "Circuit",
@@ -123,7 +122,6 @@ __all__ = [
     "ExecutionPlan",
     "Pass",
     "Pipeline",
-    "PlanCache",
     "Sweep",
     "SweepResult",
     "Task",

@@ -40,7 +40,9 @@ def fit_global_depolarizing(
     """Fit ``measured = A * lambda^d * ideal`` by least squares.
 
     For fixed ``lambda`` the optimal ``A`` is a closed-form projection, so
-    only ``lambda`` is optimized numerically over ``(0, 1]``.
+    only ``lambda`` is optimized numerically over ``(0, 1]``. Non-finite
+    input raises ``ValueError``, and a search that does not converge raises
+    ``RuntimeError``; no search probe is ever returned as a fit.
     """
     # Imported here so that ``import repro`` does not load SciPy.
     from scipy.optimize import minimize_scalar
@@ -50,6 +52,8 @@ def fit_global_depolarizing(
     ideal = np.asarray(ideal, dtype=float)
     if not (len(depths) == len(measured) == len(ideal)):
         raise ValueError("length mismatch")
+    if not all(np.isfinite(v).all() for v in (depths, measured, ideal)):
+        raise ValueError("depths, measured and ideal must all be finite")
     if np.allclose(ideal, 0.0):
         raise ValueError("ideal signal is identically zero; cannot scale")
 
@@ -65,6 +69,8 @@ def fit_global_depolarizing(
         return float(np.sum((a * rate**depths * ideal - measured) ** 2))
 
     result = minimize_scalar(loss, bounds=(1e-4, 1.0), method="bounded")
+    if not result.success:
+        raise RuntimeError(f"Optimal parameters not found: {result.message}")
     rate = float(result.x)
     amplitude = amplitude_for(rate)
     return DepolarizingFit(amplitude=amplitude, rate=rate)

@@ -91,8 +91,8 @@ def _canonical_matrix(key: bytes) -> np.ndarray:
     yy = np.kron(Y_MAT, Y_MAT)
     zz = np.kron(Z_MAT, Z_MAT)
     generator = alpha * xx + beta * yy + gamma * zz
-    # XX, YY, ZZ commute, and each squares to I, so expm splits exactly; use
-    # eigen-free evaluation via the shared eigenbasis of the magic basis.
+    # XX, YY and ZZ commute and each squares to I, so a closed form exists;
+    # this takes SciPy's general dense matrix exponential of the generator.
     from scipy.linalg import expm
 
     matrix = expm(1j * generator)

@@ -34,7 +34,7 @@ identical to ``trajectory`` for every worker count.
 
 Every flag maps onto one :func:`~repro.runtime.configure` setting. The
 compile stage and the vectorized chunk size have no flags of their own:
-compiling runs serially and caches deterministic pipelines in memory, and
+compiling runs serially, once per task for deterministic pipelines, and
 chunks are sized automatically and evolved one after another.
 """
 

@@ -20,8 +20,8 @@ The pieces fit together like this::
 Under the hood ``run()`` is a plan/execute split: a shared
 :func:`~repro.runtime.plan.compile_tasks` stage produces frozen
 :class:`~repro.runtime.plan.ExecutionPlan` artifacts (compiled serially,
-content-cached in memory for deterministic pipelines), and every backend
-consumes the same plans; ``workers`` fans out only the simulation units.
+once per task for deterministic pipelines), and every backend consumes
+the same plans; ``workers`` fans out only the simulation units.
 Grid-shaped experiments declare a :class:`~repro.runtime.sweep.Sweep`
 instead of hand-rolling task lists.
 
@@ -41,18 +41,15 @@ from .distributed import DistributedBackend, LocalShardExecutor
 from .passes import CADD, CAEC, AlignedDD, Orient, Pass, StaggeredDD, Twirl
 from .pipeline import IDENTITY, STRATEGIES, Pipeline, as_pipeline, pipeline_for
 from .plan import (
-    PLAN_CACHE,
     ExecutionPlan,
-    PlanCache,
     PlanShard,
     PlanUnit,
-    circuit_fingerprint,
     compile_tasks,
-    device_fingerprint,
     plan_options,
     shard_plans,
 )
 from .run import (
+    PLAN_CACHE,
     configure,
     default_backend,
     default_chunk_shots,
@@ -93,12 +90,9 @@ __all__ = [
     "pipeline_for",
     "PLAN_CACHE",
     "ExecutionPlan",
-    "PlanCache",
     "PlanShard",
     "PlanUnit",
-    "circuit_fingerprint",
     "compile_tasks",
-    "device_fingerprint",
     "plan_options",
     "shard_plans",
     "configure",

@@ -13,8 +13,6 @@ the runtime knows realizations differ (and must be recompiled each time).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..circuits.circuit import Circuit
@@ -41,17 +39,6 @@ class Pass:
     def run(self, circuit: Circuit, device: Device, rng: np.random.Generator) -> Circuit:
         raise NotImplementedError
 
-    def fingerprint(self) -> Optional[str]:
-        """Content key for plan caching, or ``None`` if not addressable.
-
-        The built-in passes take no parameters, so their name is the key.
-        Custom passes inherit ``None`` — a safe default that makes any
-        pipeline containing them uncacheable — and should override this
-        once their output is a pure function of the returned key (and the
-        circuit/device).
-        """
-        return None
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -64,9 +51,6 @@ class Orient(Pass):
     def run(self, circuit: Circuit, device: Device, rng: np.random.Generator) -> Circuit:
         return apply_orientation(circuit, device)[0]
 
-    def fingerprint(self) -> Optional[str]:
-        return self.name
-
 
 class Twirl(Pass):
     """Sample a fresh Pauli twirl from ``rng``."""
@@ -77,11 +61,6 @@ class Twirl(Pass):
     def run(self, circuit: Circuit, device: Device, rng: np.random.Generator) -> Circuit:
         return apply_twirl(circuit, rng)[0]
 
-    def fingerprint(self) -> Optional[str]:
-        # Addressable, but never actually cached: stochastic passes make
-        # their pipeline non-deterministic, which disables plan caching.
-        return self.name
-
 
 class AlignedDD(Pass):
     """Context-unaware aligned X2 sequences on all idle windows."""
@@ -90,9 +69,6 @@ class AlignedDD(Pass):
 
     def run(self, circuit: Circuit, device: Device, rng: np.random.Generator) -> Circuit:
         return apply_aligned_dd(circuit, device)
-
-    def fingerprint(self) -> Optional[str]:
-        return self.name
 
 
 class StaggeredDD(Pass):
@@ -103,9 +79,6 @@ class StaggeredDD(Pass):
     def run(self, circuit: Circuit, device: Device, rng: np.random.Generator) -> Circuit:
         return apply_staggered_dd(circuit, device)
 
-    def fingerprint(self) -> Optional[str]:
-        return self.name
-
 
 class CADD(Pass):
     """Context-aware DD: Walsh sequences assigned by coloring (Algorithm 1)."""
@@ -114,9 +87,6 @@ class CADD(Pass):
 
     def run(self, circuit: Circuit, device: Device, rng: np.random.Generator) -> Circuit:
         return apply_ca_dd(circuit, device)[0]
-
-    def fingerprint(self) -> Optional[str]:
-        return self.name
 
 
 class CAEC(Pass):
@@ -127,6 +97,3 @@ class CAEC(Pass):
 
     def run(self, circuit: Circuit, device: Device, rng: np.random.Generator) -> Circuit:
         return apply_ca_ec(circuit, device)[0]
-
-    def fingerprint(self) -> Optional[str]:
-        return self.name

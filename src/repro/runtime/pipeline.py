@@ -41,24 +41,6 @@ class Pipeline:
         """True when no pass consumes randomness (realizations coincide)."""
         return not any(p.stochastic for p in self.passes)
 
-    @property
-    def fingerprint(self) -> Optional[str]:
-        """Content key of the recipe, or ``None`` if not addressable.
-
-        Joins every pass's :meth:`~repro.runtime.passes.Pass.fingerprint`
-        (a built-in pass's name). ``None`` — any pass without a
-        fingerprint — opts the pipeline out of the plan cache. The pipeline
-        *name* deliberately does not participate: two differently named
-        recipes with the same passes produce the same circuits.
-        """
-        parts = []
-        for p in self.passes:
-            fp = p.fingerprint()
-            if fp is None:
-                return None
-            parts.append(fp)
-        return "+".join(parts) if parts else "identity"
-
     def compile(
         self,
         circuit: Circuit,

@@ -14,27 +14,18 @@ stage out into a shared, backend-agnostic artifact:
   in stream order. The compile stage is Python-bound, so threads would
   only contend for the GIL; ``run(workers=)`` fans out the simulation
   units alone.
-* :class:`PlanCache` is an in-memory, content-addressed cache keyed on
-  (circuit fingerprint, pipeline fingerprint, device fingerprint).
-  Deterministic pipelines compile and schedule once per distinct content
-  key — across tasks and across ``run()`` calls, not just within one task.
-  Simulation options never enter the key: they do not affect compilation
-  or scheduling; they are applied at engine-construction time.
-
-Caching never changes results: only pipelines whose passes consume no
-randomness are cacheable, and the per-realization sub-seeds are always
-drawn fresh from the task's own stream, so a warm cache changes nothing
-but wall time.
+* A deterministic pipeline compiles and schedules a task once, and every
+  realization of that task shares the one scheduled circuit. Nothing is
+  kept between tasks or between calls: each call compiles afresh.
+  Simulation options do not affect compilation or scheduling; they are
+  applied at engine-construction time.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.schedule import ScheduledCircuit, schedule
 from ..device.calibration import Device
@@ -46,76 +37,6 @@ from .task import CircuitLike, Task
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints
-# ---------------------------------------------------------------------------
-
-
-def _hasher() -> "hashlib._Hash":
-    return hashlib.blake2b(digest_size=16)
-
-
-def circuit_fingerprint(circuit: CircuitLike) -> str:
-    """Content hash of a circuit (or scheduled circuit).
-
-    Covers everything that determines compilation and simulation: gate
-    identities (name, params, matrix bytes for custom gates), qubit/clbit
-    wiring, classical conditions, tags, and moment structure. Two circuits
-    with equal fingerprints compile and schedule identically on the same
-    device.
-    """
-    h = _hasher()
-    if isinstance(circuit, ScheduledCircuit):
-        h.update(repr(circuit.durations).encode())
-        circuit = circuit.circuit
-    h.update(f"{circuit.num_qubits}/{circuit.num_clbits}".encode())
-    for moment in circuit.moments:
-        h.update(b"|")
-        for inst in moment:
-            gate = inst.gate
-            h.update(
-                repr(
-                    (
-                        gate.name,
-                        gate.num_qubits,
-                        gate.params,
-                        gate.is_measurement,
-                        gate.is_delay,
-                        gate.dd_fractions,
-                        gate.flip_fractions,
-                        gate.duration_override,
-                        gate.error_scale,
-                        inst.qubits,
-                        inst.clbits,
-                        inst.condition,
-                        inst.tag,
-                    )
-                ).encode()
-            )
-            if gate.matrix is not None:
-                h.update(gate.matrix.tobytes())
-    return h.hexdigest()
-
-
-def device_fingerprint(device: Device) -> str:
-    """Content hash of a device's calibration, topology, and timing."""
-    h = _hasher()
-    h.update(
-        repr(
-            (
-                device.name,
-                device.topology.num_qubits,
-                device.topology.edges,
-                device.qubits,
-                sorted(device.pairs.items()),
-                sorted(device.nnn_zz.items()),
-                device.durations,
-            )
-        ).encode()
-    )
-    return h.hexdigest()
-
-
-# ---------------------------------------------------------------------------
 # Plan artifacts
 # ---------------------------------------------------------------------------
 
@@ -124,10 +45,9 @@ def device_fingerprint(device: Device) -> str:
 class PlanUnit:
     """One seeded simulation job inside a plan.
 
-    Units of a deterministic-pipeline task share one ``scheduled`` object
-    (possibly shared further across tasks via the plan cache). ``seed``
-    (``None`` for a raw task without its own seed) replaces the run's
-    ``options.seed`` when the unit's engine is built.
+    Units of a deterministic-pipeline task share one ``scheduled`` object.
+    ``seed`` (``None`` for a raw task without its own seed) replaces the
+    run's ``options.seed`` when the unit's engine is built.
     """
 
     scheduled: ScheduledCircuit
@@ -155,7 +75,6 @@ class ExecutionPlan:
             plan under these options reproduces ``run(tasks, options=...)``
             exactly — ``run(plans)`` defaults to them.
         compile_seconds: wall time spent compiling + scheduling this plan.
-        cache_hits / cache_misses: plan-cache activity while compiling.
     """
 
     task: Task
@@ -166,6 +85,7 @@ class ExecutionPlan:
     collapsible: bool = False
     options: Optional[SimOptions] = None
     compile_seconds: float = 0.0
+    # Always 0 (nothing is cached); perfbench reads both until ROADMAP item 4.
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -289,88 +209,6 @@ def _as_scheduled(circuit: CircuitLike, device: Device) -> ScheduledCircuit:
 
 
 # ---------------------------------------------------------------------------
-# Plan cache
-# ---------------------------------------------------------------------------
-
-
-class PlanCache:
-    """In-memory, content-addressed LRU cache of scheduled circuits.
-
-    Keys are ``(circuit fingerprint, pipeline fingerprint, device
-    fingerprint)`` strings; values are the scheduled circuit a
-    deterministic pipeline produced for that content. Thread-safe: lookups
-    take a lock, compilation happens outside it, and on a race the first
-    stored value wins so every caller shares one scheduled object.
-
-    Args:
-        maxsize: entry bound (LRU eviction beyond it).
-
-    Example:
-        >>> cache = PlanCache(maxsize=64)
-        >>> entry, hit = cache.get_or_compile("key", lambda: "s")
-        >>> hit
-        False
-        >>> cache.get_or_compile("key", lambda: "s")[1]
-        True
-        >>> cache.stats
-        {'hits': 1, 'misses': 1, 'entries': 1}
-    """
-
-    def __init__(self, maxsize: int = 256):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[str, ScheduledCircuit]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss/size counters."""
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
-
-    def get_or_compile(
-        self, key: str, build: Callable[[], ScheduledCircuit]
-    ) -> Tuple[ScheduledCircuit, bool]:
-        """Return ``(scheduled, hit)`` for ``key``.
-
-        A miss calls ``build()`` outside the lock; if a racer stored the
-        same key meanwhile, its entry wins so every caller shares one
-        scheduled object.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry, True
-            self.misses += 1
-        built = build()
-        with self._lock:
-            entry = self._entries.setdefault(key, built)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return entry, False
-
-
-#: Process-wide default cache used by :func:`compile_tasks` (and therefore
-#: by ``run()``). Cleared with ``PLAN_CACHE.clear()``.
-PLAN_CACHE = PlanCache()
-
-
-# ---------------------------------------------------------------------------
 # The shared compile stage
 # ---------------------------------------------------------------------------
 
@@ -379,8 +217,6 @@ def _compile_one(
     task: Task,
     device: Optional[Device],
     options: SimOptions,
-    cache: Optional[PlanCache],
-    device_fp: Callable[[Device], Optional[str]],
     index: int,
 ) -> ExecutionPlan:
     start = time.perf_counter()
@@ -388,7 +224,6 @@ def _compile_one(
     if task_device is None:
         raise ValueError(f"task {index} has no device and no default given")
     kind, payload = _normalize_payload(task)
-    hits = misses = 0
 
     def finish(units, direct=False, collapsible=False):
         return ExecutionPlan(
@@ -400,14 +235,10 @@ def _compile_one(
             collapsible=collapsible,
             options=options,
             compile_seconds=time.perf_counter() - start,
-            cache_hits=hits,
-            cache_misses=misses,
         )
 
     if task.pipeline is None and task.realizations == 1:
         # Raw execution: the circuit runs as-is, seeded directly.
-        # Deliberately uncached: raw circuits are essentially never
-        # content-repeated, so hashing them would only pollute the LRU.
         scheduled = _as_scheduled(task.circuit, task_device)
         return finish(
             [PlanUnit(scheduled, task_device, task.seed)],
@@ -419,24 +250,10 @@ def _compile_one(
     pipeline = as_pipeline(task.pipeline)
     if pipeline.is_deterministic:
         # One compile + one schedule, shared by every realization. The
-        # deterministic pipeline draws nothing from ``rng``, so a cache hit
-        # (skipping the compile entirely) leaves the seed stream — and
-        # therefore every simulated value — untouched.
-        def build() -> ScheduledCircuit:
-            out = pipeline.compile(task.circuit, task_device, seed=rng)
-            return _as_scheduled(out, task_device)
-
-        dev_fp = device_fp(task_device) if cache is not None else None
-        pipe_fp = pipeline.fingerprint if cache is not None else None
-        if cache is not None and pipe_fp is not None and dev_fp is not None:
-            key = f"{circuit_fingerprint(task.circuit)}:{pipe_fp}:{dev_fp}"
-            scheduled, hit = cache.get_or_compile(key, build)
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-        else:
-            scheduled = build()
+        # deterministic pipeline draws nothing from ``rng``, so the
+        # realizations' sub-seeds follow the same stream either way.
+        compiled = pipeline.compile(task.circuit, task_device, seed=rng)
+        scheduled = _as_scheduled(compiled, task_device)
         for _ in range(task.realizations):
             sub_seed = int(rng.integers(0, 2**63 - 1))
             units.append(PlanUnit(scheduled, task_device, sub_seed))
@@ -453,12 +270,12 @@ def compile_tasks(
     tasks: Sequence[Task],
     device: Optional[Device] = None,
     options: Optional[SimOptions] = None,
-    cache: Optional[PlanCache] = PLAN_CACHE,
 ) -> List[ExecutionPlan]:
     """Compile every task, in order, into a frozen :class:`ExecutionPlan`.
 
     Each task compiles from its own RNG stream, and within a task the
-    realizations compile sequentially in stream order.
+    realizations compile sequentially in stream order. Every call compiles
+    afresh: no plan or scheduled circuit is shared between calls.
 
     Args:
         tasks: the :class:`~repro.runtime.task.Task` objects to compile (a
@@ -470,9 +287,6 @@ def compile_tasks(
             ``options.seed`` *now*, at compile time — the plans record
             ``options`` so that executing them (``run(plans)``) defaults to
             the matching configuration.
-        cache: the content-addressed :class:`PlanCache` to use; defaults to
-            the process-wide :data:`PLAN_CACHE`. Pass ``cache=None`` to
-            disable caching for this call only.
 
     Returns:
         One :class:`ExecutionPlan` per task, in task order.
@@ -484,17 +298,7 @@ def compile_tasks(
     if isinstance(tasks, Task):
         tasks = [tasks]
     options = options or SimOptions()
-    # Device fingerprints are content hashes of calibration data; memoize
-    # per distinct object so a 100-point sweep hashes its device once.
-    fp_memo: Dict[int, str] = {}
-
-    def device_fp(dev: Device) -> str:
-        fp = fp_memo.get(id(dev))
-        if fp is None:
-            fp = fp_memo[id(dev)] = device_fingerprint(dev)
-        return fp
-
     return [
-        _compile_one(task, device, options, cache, device_fp, index)
+        _compile_one(task, device, options, index)
         for index, task in enumerate(tasks)
     ]

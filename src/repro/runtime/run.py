@@ -20,11 +20,10 @@ One call schedules, compiles, and simulates any number of tasks::
 ``run()`` is two stages glued together: the shared
 :func:`~repro.runtime.plan.compile_tasks` stage turns tasks into frozen
 :class:`~repro.runtime.plan.ExecutionPlan` artifacts (serially, in task
-order, and content-cached in memory for deterministic pipelines), and the
-backend executes the plans. Only the execute stage fans out: ``workers``
-threads run the simulation units, each on its own derived seed, so
-results are bit-for-bit identical for every ``workers`` count and cache
-temperature — they only change wall time. Pre-built plans can be passed
+order), and the backend executes the plans. Only the execute stage fans
+out: ``workers`` threads run the simulation units, each on its own
+derived seed, so results are bit-for-bit identical for every ``workers``
+count — it only changes wall time. Pre-built plans can be passed
 in place of tasks to skip the compile stage entirely. :func:`configure`
 sets process-wide defaults (the CLI flags map onto it one-to-one).
 """
@@ -32,6 +31,7 @@ sets process-wide defaults (the CLI flags map onto it one-to-one).
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..device.calibration import Device
@@ -60,6 +60,9 @@ FIXED_SETTINGS = {
     "dist_inner": "vectorized",
 }
 
+# Inert: nothing is cached; perfbench calls ``PLAN_CACHE.clear()`` until ROADMAP item 4.
+PLAN_CACHE = SimpleNamespace(clear=lambda: None)
+
 
 def default_chunk_shots() -> None:
     """Always ``None``: vectorized chunks are sized from the amplitude budget."""
@@ -76,8 +79,9 @@ def default_compile_workers() -> None:
     return FIXED_SETTINGS["compile_workers"]
 
 
+# Inert: nothing is cached; perfbench pins ``plan_cache`` until ROADMAP item 4.
 def plan_cache_mode() -> str:
-    """Always ``"memory"``: :data:`~repro.runtime.plan.PLAN_CACHE` is in-memory."""
+    """Always ``"memory"``, the one value ``configure(plan_cache=)`` accepts."""
     return FIXED_SETTINGS["plan_cache"]
 
 
@@ -221,8 +225,8 @@ def run(
         :class:`~repro.runtime.task.TaskResult` per task, in task order,
         plus the compile/execute wall-time split.
 
-    Results are bit-for-bit identical for every (backend × workers × cache
-    temperature) combination — the knobs only change wall time.
+    Results are bit-for-bit identical for every (backend × workers)
+    combination — the knobs only change wall time.
 
     Example:
         >>> batch = run(

@@ -30,8 +30,8 @@ point at a time, which two kinds of builders rely on:
   does not apply to a case).
 
 ``Sweep.run`` is a thin wrapper over :func:`repro.runtime.run`, so points
-compile through the shared plan stage (serial + content-cached). The
-run's backend, worker count and compile/exec wall-time split live on
+compile through the shared, serial plan stage. The run's backend, worker
+count and compile/exec wall-time split live on
 ``result.batch`` (a :class:`~repro.runtime.task.BatchResult`), never in
 ``result.to_json()``, which holds values only.
 """

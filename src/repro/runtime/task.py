@@ -86,8 +86,8 @@ class BatchResult:
 
     ``compile_time`` / ``exec_time`` split the wall time between the shared
     compile stage (task -> :class:`~repro.runtime.plan.ExecutionPlan`) and
-    backend execution, so sweeps can report where the time went (and the
-    benchmarks can measure the plan cache).
+    backend execution, so sweeps and benchmarks can report where the time
+    went.
     """
 
     results: List[TaskResult]

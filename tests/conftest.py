@@ -1,5 +1,6 @@
 """Shared fixtures: small devices, their noise-source-only copies, and the
-reference workload the plan/cache test modules pin bit-identity against."""
+reference workload the plan and distributed test modules pin bit-identity
+against."""
 
 import math
 from dataclasses import replace
@@ -11,7 +12,7 @@ from repro.device import linear_chain, ring, synthetic_device
 from repro.sim import SimOptions
 
 
-# -- shared plan/cache test workload ----------------------------------------
+# -- shared plan test workload ----------------------------------------------
 #
 # Used by tests/test_plan.py and tests/test_distributed.py: one definition so
 # the two suites can never drift apart in what "bit-identical" means.
@@ -33,7 +34,7 @@ OBS = {"x2": "IXII", "x3": "XIII"}
 
 
 def det_pipeline() -> Pipeline:
-    """A deterministic (twirl-free, therefore cacheable) recipe."""
+    """A deterministic (twirl-free) recipe: one compile per task."""
     return Pipeline([CADD(), CAEC()])
 
 

@@ -129,3 +129,20 @@ class TestMitigationFit:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             fit_global_depolarizing([0, 1], [1.0], [1.0, 0.9])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        """Unchecked, a NaN or inf comes back as the amplitude, with the
+        search's first probe (rate 0.382) as the rate."""
+        with pytest.raises(ValueError, match="finite"):
+            fit_global_depolarizing([0, 1, 2], [1.0, bad, 0.5], [1, 1, 1])
+        with pytest.raises(ValueError, match="finite"):
+            fit_global_depolarizing([0, 1, 2], [1.0, 0.7, 0.5], [1, bad, 1])
+        with pytest.raises(ValueError, match="finite"):
+            fit_global_depolarizing([0, bad, 2], [1.0, 0.7, 0.5], [1, 1, 1])
+
+    def test_failed_search_raises(self):
+        """Finite input whose loss overflows to NaN: the search reports
+        failure, which must not be returned as a fit."""
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="NaN"):
+            fit_global_depolarizing([0, 1, 2], [1e300] * 3, [1e300] * 3)

@@ -36,7 +36,6 @@ class TestDocsSite:
             "index.rst",
             "architecture.rst",
             "howto/backends.rst",
-            "howto/caching.rst",
             "howto/reproducibility.rst",
             "api/index.rst",
             "examples/index.rst",

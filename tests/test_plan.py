@@ -1,12 +1,12 @@
-"""Plan/execute split tests: compile_tasks, ExecutionPlan, and the cache.
+"""Plan/execute split tests: compile_tasks and ExecutionPlan.
 
 The load-bearing guarantees:
 
 * results are bit-identical for every (workers x backend) combination —
   parallelism only changes wall time;
-* a warm plan cache changes nothing but wall time;
-* the cache is content-addressed: only deterministic pipelines participate,
-  and any change to circuit, recipe parameters, or device changes the key.
+* a deterministic pipeline compiles a task once for all its realizations,
+  and every compile_tasks call compiles afresh, so no run carries state
+  into the next.
 """
 
 import pickle
@@ -16,36 +16,13 @@ import pytest
 from conftest import OBS, batch_signature, det_pipeline, layered_circuit, mixed_tasks
 from repro import (
     ExecutionPlan,
-    Pipeline,
     SimOptions,
     Task,
     compile_tasks,
     run,
 )
 from repro import runtime
-from repro.runtime import (
-    CADD,
-    CAEC,
-    PLAN_CACHE,
-    AlignedDD,
-    Pass,
-    PlanCache,
-    StaggeredDD,
-    Twirl,
-    circuit_fingerprint,
-    configure,
-    device_fingerprint,
-    get_backend,
-    pipeline_for,
-)
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    """Every test starts (and leaves) the process-wide cache empty."""
-    PLAN_CACHE.clear()
-    yield
-    PLAN_CACHE.clear()
+from repro.runtime import configure, get_backend
 
 
 class TestCompileTasks:
@@ -116,15 +93,6 @@ class TestCompileTasks:
         batch = run(a + b, options=SimOptions(shots=4))
         assert len(batch) == 2
 
-    def test_direct_tasks_stay_out_of_the_cache(self, chain4):
-        """Raw circuits are never content-repeated; hashing them would only
-        pollute the LRU (layer-fidelity pushes 100s of unique circuits)."""
-        compile_tasks(
-            [Task(layered_circuit(), observables=OBS, seed=1)], chain4
-        )
-        assert len(PLAN_CACHE) == 0
-        assert PLAN_CACHE.stats == {"hits": 0, "misses": 0, "entries": 0}
-
     def test_execute_plans_backend_api(self, chain4):
         opts = SimOptions(shots=4)
         plans = compile_tasks(mixed_tasks(), chain4, options=opts)
@@ -149,6 +117,26 @@ class TestCompileTasks:
         )[0]
         assert len({id(u.scheduled) for u in plan.units}) == 1
 
+    def test_each_call_compiles_afresh(self, chain4):
+        """Compiling one deterministic task list twice gives equal plans
+        that share no scheduled circuit, so no run carries state into the
+        next."""
+        tasks = [
+            Task(layered_circuit(), observables=OBS, pipeline=det_pipeline(),
+                 realizations=2, seed=s)
+            for s in (1, 2)
+        ]
+        opts = SimOptions(shots=4)
+        first = compile_tasks(tasks, chain4, options=opts)
+        second = compile_tasks(tasks, chain4, options=opts)
+        for a, b in zip(first, second):
+            assert a.units[0].scheduled is not b.units[0].scheduled
+            assert [(m.start, m.duration) for m in a.units[0].scheduled] == [
+                (m.start, m.duration) for m in b.units[0].scheduled
+            ]
+            assert [u.seed for u in a.units] == [u.seed for u in b.units]
+        assert batch_signature(run(first)) == batch_signature(run(second))
+
     def test_missing_device_raises(self):
         with pytest.raises(ValueError, match="no device"):
             compile_tasks([Task(layered_circuit(), observables=OBS)])
@@ -171,7 +159,6 @@ class TestWorkerInvariance:
         opts = SimOptions(shots=4)
         reference = run(mixed_tasks(), chain4, options=opts, backend=backend, workers=1)
         for workers in (2, 3):
-            PLAN_CACHE.clear()
             batch = run(
                 mixed_tasks(), chain4, options=opts, backend=backend, workers=workers
             )
@@ -192,97 +179,6 @@ class TestWorkerInvariance:
             workers=3,
         )
         assert batch_signature(serial) == batch_signature(threaded)
-
-
-class TestPlanCache:
-    def test_warm_cache_changes_nothing_but_wall_time(self, chain4):
-        """Property: re-running any task list against a warm cache yields
-        bit-identical results, for any worker combination."""
-        opts = SimOptions(shots=4)
-        cold = run(mixed_tasks(), chain4, options=opts)
-        assert PLAN_CACHE.misses > 0
-        for workers in (1, 3):
-            warm = run(mixed_tasks(), chain4, options=opts, workers=workers)
-            assert batch_signature(warm) == batch_signature(cold)
-        assert PLAN_CACHE.hits > 0
-
-    def test_cache_shares_plans_across_tasks_in_one_batch(self, chain4):
-        """Two tasks with the same (circuit, recipe, device) content hit the
-        same cache entry and share one scheduled artifact."""
-        tasks = [
-            Task(layered_circuit(), observables=OBS, pipeline=det_pipeline(),
-                 realizations=2, seed=s)
-            for s in (1, 2)
-        ]
-        plans = compile_tasks(tasks, chain4)
-        assert PLAN_CACHE.misses == 1
-        assert PLAN_CACHE.hits == 1
-        assert id(plans[0].units[0].scheduled) == id(plans[1].units[0].scheduled)
-        # ... while the derived seeds still follow each task's own stream.
-        assert plans[0].units[0].seed != plans[1].units[0].seed
-
-    def test_stochastic_pipelines_bypass_the_cache(self, chain4):
-        tasks = [
-            Task(layered_circuit(), observables=OBS, pipeline="ca_ec+dd",
-                 realizations=2, seed=s)
-            for s in (1, 2)
-        ]
-        compile_tasks(tasks, chain4)
-        assert PLAN_CACHE.hits == 0
-        assert PLAN_CACHE.misses == 0
-
-    def test_unfingerprintable_pass_bypasses_the_cache(self, chain4):
-        class Opaque(Pass):
-            name = "opaque"
-
-            def run(self, circuit, device, rng):
-                return circuit
-
-        pipeline = Pipeline([Opaque()])
-        assert pipeline.is_deterministic
-        assert pipeline.fingerprint is None
-        compile_tasks(
-            [Task(layered_circuit(), observables=OBS, pipeline=pipeline, seed=0,
-                  realizations=2)],
-            chain4,
-        )
-        assert len(PLAN_CACHE) == 0
-
-    def test_cache_disabled_with_none(self, chain4):
-        compile_tasks(
-            [Task(layered_circuit(), observables=OBS, pipeline=det_pipeline(),
-                  seed=0)],
-            chain4,
-            cache=None,
-        )
-        assert len(PLAN_CACHE) == 0
-
-    def test_explicit_cache_argument_still_wins(self, chain4):
-        cache = PlanCache()
-        compile_tasks(
-            [Task(layered_circuit(), observables=OBS, pipeline=det_pipeline(),
-                  seed=1)],
-            chain4,
-            cache=cache,
-        )
-        assert len(cache) > 0
-        assert len(PLAN_CACHE) == 0
-
-    def test_lru_eviction(self, chain4):
-        cache = PlanCache(maxsize=2)
-        for layers in (1, 2, 3):
-            compile_tasks(
-                [Task(layered_circuit(layers=layers), observables=OBS,
-                      pipeline=det_pipeline(), seed=0)],
-                chain4,
-                cache=cache,
-            )
-        assert len(cache) == 2
-        assert cache.stats == {"hits": 0, "misses": 3, "entries": 2}
-
-    def test_rejects_bad_maxsize(self):
-        with pytest.raises(ValueError, match="maxsize"):
-            PlanCache(maxsize=0)
 
 
 class TestFixedCompileSettings:
@@ -331,50 +227,6 @@ class TestFixedCompileSettings:
         with pytest.raises(ValueError, match="was removed"):
             configure(workers=before["workers"] + 1, **kwargs)
         assert self.snapshot() == before
-
-
-class TestFingerprints:
-    def test_circuit_fingerprint_is_content_addressed(self):
-        a, b = layered_circuit(), layered_circuit()
-        assert circuit_fingerprint(a) == circuit_fingerprint(b)
-        b.h(0)
-        assert circuit_fingerprint(a) != circuit_fingerprint(b)
-
-    def test_circuit_fingerprint_sees_params_and_tags(self):
-        base = layered_circuit()
-        rotated = layered_circuit()
-        rotated.rz(0.1, 0)
-        other_angle = layered_circuit()
-        other_angle.rz(0.2, 0)
-        assert circuit_fingerprint(rotated) != circuit_fingerprint(other_angle)
-        tagged = layered_circuit()
-        tagged.moments[0] = type(tagged.moments[0])(
-            [inst.with_tag("dd") for inst in tagged.moments[0]]
-        )
-        assert circuit_fingerprint(base) != circuit_fingerprint(tagged)
-
-    def test_device_fingerprint_sees_calibration(self, chain4, chain2):
-        assert device_fingerprint(chain4) == device_fingerprint(chain4)
-        assert device_fingerprint(chain4) != device_fingerprint(chain2)
-
-    def test_pipeline_fingerprint_sees_pass_parameters(self):
-        assert (
-            Pipeline([AlignedDD()]).fingerprint
-            != Pipeline([StaggeredDD()]).fingerprint
-        )
-        assert Pipeline([CADD(), CAEC()]).fingerprint == Pipeline(
-            [CADD(), CAEC()]
-        ).fingerprint
-        assert Pipeline(()).fingerprint == "identity"
-
-    def test_named_recipes_have_fingerprints(self):
-        for name in ("none", "dd", "staggered_dd", "ca_dd", "ca_ec", "ca_ec+dd"):
-            assert pipeline_for(name).fingerprint is not None
-
-    def test_twirl_makes_pipeline_uncacheable_but_fingerprintable(self):
-        pipeline = Pipeline([Twirl(), CADD()])
-        assert pipeline.fingerprint is not None
-        assert not pipeline.is_deterministic
 
 
 class TestBatchTiming:
