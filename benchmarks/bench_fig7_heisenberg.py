@@ -5,6 +5,13 @@ and CA-DD recover them, while context-unaware DD does not noticeably help.
 The overhead of global-depolarizing mitigation shrinks accordingly (paper:
 >3.5x over none, >2.75x over DD; our simulator reproduces the ordering and
 multi-x reductions, not the absolute factors).
+
+The nightly run asserts the claims on the driver's default seed. Worst-case
+margins (how far the tightest assert is from failing) over driver seeds
+4001-4005, the default and the next four: CA-EC's total error beats
+uniform DD's by at least 0.276 and none's by at least 0.378, CA-DD's beats
+DD's by at least 0.388, and both overhead reductions exceed 1 by at least
+0.26. Every assert passes at every seed.
 """
 
 import numpy as np

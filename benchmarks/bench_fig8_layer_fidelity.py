@@ -4,6 +4,12 @@ Paper reference: LF 0.648 (bare) -> 0.743 (DD) -> 0.822 (CA-DD) -> 0.881
 (CA-EC); gamma = LF**-2: 2.38 -> 1.81 -> 1.48 -> 1.29; ~7x / ~30x overhead
 reduction over 10 layers. The synthetic device reproduces the ordering and
 the multi-x reductions.
+
+The nightly run asserts the claims on the driver's default seed. Worst-case
+margins over driver seeds 5001-5005, the default and the next four:
+``ca_ec + 0.02 - ca_dd`` is at least 0.0275, so CA-EC beats CA-DD outright
+at every seed, and the 10-layer overhead reduction exceeds 2 by at least
+3.7. Every assert passes at every seed.
 """
 
 from repro.experiments import run_fig8

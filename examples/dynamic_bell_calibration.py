@@ -6,7 +6,8 @@ window the data qubits pick up large coherent ZZ / Stark-Z phases; CA-EC
 cancels them — but the compensation angle depends on the *assumed* timing.
 Sweeping the compiler's feedforward-time estimate traces a calibration
 curve that peaks at the true hardware value. The bare baseline plus the
-whole sweep execute as one batched, multi-threaded runtime call.
+whole sweep execute as one batched runtime call, fanned out across worker
+processes.
 
 Run:  python examples/dynamic_bell_calibration.py
 """

@@ -3,8 +3,8 @@
 Simulates <Z2> dynamics of a 12-spin Heisenberg ring (3 canonical-gate
 layers per Trotter step on the heavy-hex embedding) and estimates how much
 error-mitigation sampling overhead each suppression strategy saves via the
-global depolarizing model. All strategy curves execute as one batched,
-multi-threaded runtime call.
+global depolarizing model. All strategy curves execute as one batched
+runtime call, fanned out across worker processes.
 
 Run:  python examples/heisenberg_ring.py
 """

@@ -5,7 +5,7 @@ Floquet step. Idle periods at the chain boundary accumulate coherent Z/ZZ
 errors that wash the signal out; CA-EC and CA-DD recover it.
 
 Every (strategy, step) point is one runtime Task; the whole table is a
-single batched, multi-threaded run().
+single batched run(), fanned out across worker processes.
 
 Run:  python examples/ising_floquet.py
 """

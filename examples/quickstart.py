@@ -6,7 +6,7 @@ the uncompensated result against each compilation strategy from the paper
 using the batched runtime: one ``run()`` call executes every strategy on
 the vectorized backend (all shots of a task evolve as one batched array —
 bit-for-bit identical to the scalar ``trajectory`` backend, just faster),
-fanned out across worker threads, with seed-for-seed deterministic results.
+fanned out across worker processes, with seed-for-seed deterministic results.
 
 Run:  python examples/quickstart.py
 """

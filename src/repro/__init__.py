@@ -24,7 +24,7 @@ Quickstart::
         ],
         device,
         backend="trajectory",   # or "density" for exact small systems
-        workers=4,              # unit threads, seed-for-seed deterministic
+        workers=4,              # worker processes, seed-for-seed deterministic
     )
     suppressed, baseline = batch[0]["z0"], batch[1]["z0"]
 

@@ -11,26 +11,21 @@ The drivers' defaults are the full-size figure: a full run calls each
 driver with no arguments. ``--quick`` runs it with the overrides in
 :data:`QUICK` instead, which shrink shot counts and sweeps so each
 experiment finishes in seconds (useful for smoke-checking an install).
-``--workers N`` runs each batch's simulation units on N threads
-(compilation stays serial) and ``--backend`` selects
-the simulation engine (``vectorized`` batches all shots of a task through
-whole-array NumPy ops; results are identical to ``trajectory`` for any
-backend/worker choice, only the wall time changes). ``--json PATH`` writes every
-requested experiment's result — including the full per-point Sweep
-serialization — as one JSON document.
+``--workers N`` runs each batch's simulation units on a pool of N worker
+processes (compilation stays serial; the default is one per CPU this
+process may run on, and ``--workers 1`` runs everything in process) and
+``--backend`` selects the simulation engine (``vectorized`` batches all
+shots of a task through whole-array NumPy ops; its results are identical
+to ``trajectory`` for any worker count, only the wall time changes).
+``--json PATH`` writes every requested experiment's result — including
+the full per-point Sweep serialization — as one JSON document.
 
 Results are values only: stdout carries just the report, and the
 ``--json`` file holds no backend, worker count or timing, so two runs
-that differ only in ``--backend``/``--workers`` (or the ``distributed``
-flags) write byte-identical files — compare them with ``cmp``. Each
-figure's wall time and the ``wrote PATH`` line go to stderr; the per-run
-backend, worker count and compile/exec split stay on
-:class:`~repro.runtime.task.BatchResult`.
-
-``--backend distributed`` shards each batch's realizations across a local
-pool of worker *processes* that run ``vectorized``: ``--dist-workers N``
-sets the pool size, and shards are sized from it. Results are bit-for-bit
-identical to ``trajectory`` for every worker count.
+that differ only in ``--backend``/``--workers`` write byte-identical
+files — compare them with ``cmp``. Each figure's wall time and the
+``wrote PATH`` line go to stderr; the per-run backend, worker count and
+compile/exec split stay on :class:`~repro.runtime.task.BatchResult`.
 
 Every flag maps onto one :func:`~repro.runtime.configure` setting. The
 compile stage and the vectorized chunk size have no flags of their own:
@@ -42,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Callable, Dict
@@ -90,6 +86,14 @@ QUICK: Dict[str, Dict] = {
 }
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: the default ``--workers``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -106,10 +110,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=_cpu_count(),
         metavar="N",
-        help="threads that run each batch's simulation units; compilation "
-        "is serial (deterministic for any N)",
+        help="worker processes that run each batch's simulation units; "
+        "compilation is serial, 1 runs everything in process "
+        "(default: one per available CPU; deterministic for any N)",
     )
     parser.add_argument(
         "--backend",
@@ -117,8 +122,8 @@ def main(argv=None) -> int:
         metavar="NAME",
         help="simulation backend: vectorized (default; batched), "
         "trajectory (scalar reference, bit-identical), density (exact), "
-        "or distributed (shards realizations across vectorized worker "
-        "processes, bit-identical)",
+        "or distributed (vectorized, always through the worker-process "
+        "pool; bit-identical)",
     )
     parser.add_argument(
         "--json",
@@ -126,34 +131,16 @@ def main(argv=None) -> int:
         metavar="PATH",
         help="write the full results (per-point Sweep serialization) as JSON",
     )
-    parser.add_argument(
-        "--dist-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="distributed backend: worker-process count "
-        "(default: the simulation --workers)",
-    )
     args = parser.parse_args(argv)
 
     # One configure() call: it validates every setting before changing any,
     # so a rejected flag leaves all runtime defaults as they were.
-    settings = {
-        name: value
-        for name, value in (
-            ("workers", args.workers),
-            ("backend", args.backend),
-            ("dist_workers", args.dist_workers),
-        )
-        if value is not None
-    }
-    if settings:
-        from ..runtime import configure
+    from ..runtime import configure
 
-        try:
-            configure(**settings)
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        configure(workers=args.workers, backend=args.backend)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):

@@ -14,14 +14,14 @@ The pieces fit together like this::
         for k, circ in enumerate(circuits)
     ]
 
-    # 3. one batched, backend-agnostic run; `workers` threads run the units
+    # 3. one batched, backend-agnostic run; `workers` processes run the units
     batch = run(tasks, device, backend="trajectory", workers=4)
 
 Under the hood ``run()`` is a plan/execute split: a shared
 :func:`~repro.runtime.plan.compile_tasks` stage produces frozen
 :class:`~repro.runtime.plan.ExecutionPlan` artifacts (compiled serially,
 once per task for deterministic pipelines), and every backend consumes
-the same plans; ``workers`` fans out only the simulation units.
+the same plans; ``workers`` processes fan out only the simulation units.
 Grid-shaped experiments declare a :class:`~repro.runtime.sweep.Sweep`
 instead of hand-rolling task lists.
 

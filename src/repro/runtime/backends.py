@@ -1,45 +1,34 @@
 """Execution backends, selected by name.
 
-A :class:`Backend` turns a list of :class:`~repro.runtime.task.Task`
-objects into :class:`~repro.runtime.task.TaskResult` objects. Four
-ship with the library; :data:`BACKENDS` lists their names:
+A :class:`Backend` turns frozen :class:`~repro.runtime.plan.ExecutionPlan`
+artifacts (from the shared :func:`~repro.runtime.plan.compile_tasks`
+stage) into :class:`~repro.runtime.task.TaskResult` objects. Four ship
+with the library; :data:`BACKENDS` lists their names:
 
-* ``"trajectory"`` — the Monte-Carlo trajectory executor
-  (:class:`repro.sim.Executor`), the readable reference engine;
-  statistical errors shrink with ``shots``.
-* ``"vectorized"`` — the default: the batched trajectory engine
-  (:class:`repro.sim.VectorizedExecutor`): all shots evolve together along
-  the leading axis of one ``(shots, 2**n)`` array, in bounded-memory
-  chunks; bit-for-bit equal to ``"trajectory"`` for any seed and any
-  worker count.
-* ``"density"`` — the exact density-matrix simulator
-  (:class:`repro.sim.DensityExecutor`); zero-variance values for small
-  systems (``shots`` is ignored and reported as 0).
-* ``"distributed"`` — shards compiled plans across a local pool of worker
-  processes that run ``"vectorized"`` and merges the partial results
-  (:class:`repro.runtime.distributed.DistributedBackend`); bit-for-bit
-  identical to ``"vectorized"`` for every worker count.
+* ``"trajectory"`` — :class:`repro.sim.Executor`, the readable reference
+  Monte-Carlo engine; statistical errors shrink with ``shots``.
+* ``"vectorized"`` — the default: :class:`repro.sim.VectorizedExecutor`
+  evolves all shots together, bit-for-bit equal to ``"trajectory"``.
+* ``"density"`` — :class:`repro.sim.DensityExecutor`, exact and
+  zero-variance for small systems (``shots`` is reported as 0).
+* ``"distributed"`` — ``"vectorized"`` that always runs through the
+  process pool (:class:`repro.runtime.distributed.DistributedBackend`).
 
 Backends take no constructor arguments: the process-wide settings live in
-:func:`~repro.runtime.run.configure` alone.
-
-Backends compile nothing: the shared
-:func:`~repro.runtime.plan.compile_tasks` stage produces frozen
-:class:`~repro.runtime.plan.ExecutionPlan` artifacts (scheduled circuits,
-normalized payloads, derived seeds) and :meth:`Backend.execute_plans` turns
-plans into results. Every unit runs the same way on every backend: the
-backend's :attr:`Backend.engine` is built from the unit's scheduled
-circuit, its device and the run's options (with the unit's seed folded
-in), then called with the measurement payload alone. Simulations are
-independently seeded, so fanning the units out across ``workers``
-threads (the runtime's one thread pool) never changes a value.
+:func:`~repro.runtime.run.configure` alone. Every unit runs the same way
+on every backend: the backend's :attr:`Backend.engine` is built from the
+unit's scheduled circuit, its device and the run's options (with the
+unit's seed folded in), then called with the measurement payload alone.
+Simulations are independently seeded, so fanning the units out across
+``workers`` worker processes (:mod:`repro.runtime.distributed`) never
+changes a value.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,6 +43,8 @@ from .task import Task, TaskResult
 #: One executed unit: the simulation result and its wall time.
 UnitOutcome = Tuple[SimResult, float]
 
+log = logging.getLogger("repro")
+
 
 class Backend:
     """Common interface: ``execute_plans(plans, ...) -> list[TaskResult]``.
@@ -63,7 +54,7 @@ class Backend:
     :class:`~repro.runtime.task.TaskResult` objects
     (:meth:`execute_plans`); :func:`~repro.runtime.run.run` compiles the
     plans and selects the backend by name. A backend names its simulation
-    :attr:`engine` class and inherits batching, worker fan-out and
+    :attr:`engine` class and inherits batching, the process fan-out and
     realization aggregation.
     """
 
@@ -76,6 +67,9 @@ class Backend:
     #: executor then collapses a deterministic pipeline's realizations into
     #: one simulation instead of repeating identical exact evolutions.
     seed_sensitive: bool = True
+
+    #: Failure-injection hook for the pool (see ``distributed.WorkUnit``); tests only.
+    _crash_token: Optional[str] = None
 
     # -- execution -------------------------------------------------------------
 
@@ -106,35 +100,34 @@ class Backend:
         Exact backends (``seed_sensitive = False``) run only the first unit
         of a collapsible plan — repeating identical exact evolutions is pure
         waste. ``options=None`` reuses the options the plans were compiled
-        under; ``workers > 1`` runs the units on that many threads.
+        under. ``workers > 1`` runs the units on that many worker processes
+        (:mod:`repro.runtime.distributed`); 1 runs them in this process.
         """
         if options is None:
             options = plan_options(plans)
         options = options or SimOptions()
-        jobs: List[Tuple[int, PlanUnit]] = []
-        for index, plan in enumerate(plans):
-            units = plan.units
-            if plan.collapsible and not self.seed_sensitive:
-                units = units[:1]
-            jobs.extend((index, unit) for unit in units)
-
-        def job(entry: Tuple[int, PlanUnit]) -> UnitOutcome:
-            index, unit = entry
-            return self.run_unit(plans[index].kind, plans[index].payload, unit, options)
-
-        if workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(job, jobs))
+        if not self.seed_sensitive:
+            plans = [replace(p, units=p.units[:1]) if p.collapsible else p for p in plans]
+        units = sum(len(plan.units) for plan in plans)
+        pool = self._pool_size(workers, units)
+        if pool is None:
+            log.debug("execute_plans: %d units serially in process", units)
+            outcomes = [
+                [self.run_unit(plan.kind, plan.payload, unit, options) for unit in plan.units]
+                for plan in plans
+            ]
         else:
-            outcomes = [job(entry) for entry in jobs]
+            from . import distributed  # local: distributed.py imports us
 
-        per_plan: List[List[UnitOutcome]] = [[] for _ in plans]
-        for (index, _unit), outcome in zip(jobs, outcomes):
-            per_plan[index].append(outcome)
+            outcomes = distributed.execute_pooled(self, plans, options, pool)
         return [
             self._aggregate(plan.task, results, plan.direct)
-            for plan, results in zip(plans, per_plan)
+            for plan, results in zip(plans, outcomes)
         ]
+
+    def _pool_size(self, workers: int, units: int) -> Optional[int]:
+        """Worker processes for a batch of ``units`` units (``None``: run in process)."""
+        return workers if workers > 1 and units > 1 else None
 
     # -- aggregation -----------------------------------------------------------
 

@@ -1,33 +1,28 @@
-"""Distributed plan execution: shard plans across worker processes.
+"""The runtime's one fan-out: plan shards on a pool of worker processes.
 
-The paper's headline numbers average thousands of independently-seeded
-noise realizations per circuit — an embarrassingly parallel workload whose
-natural shipping unit already exists: the frozen, picklable
-:class:`~repro.runtime.plan.ExecutionPlan`. This module splits compiled
-plans into self-contained :class:`~repro.runtime.plan.PlanShard` work
-units, executes them on a ``ProcessPoolExecutor``, and merges the partial
-results with the runtime's existing associative aggregation::
+Independently seeded realizations share no state, so with ``workers > 1``
+:meth:`~repro.runtime.backends.Backend.execute_plans` hands its plans to
+:func:`execute_pooled`, which cuts them into self-contained
+:class:`~repro.runtime.plan.PlanShard` work units, runs them on a
+``ProcessPoolExecutor`` (each worker runs the backend's own
+:meth:`~repro.runtime.backends.Backend.run_unit`) and reassembles the
+outcomes in realization order for the backend's aggregation::
 
-    batch = run(tasks, device, backend="distributed", workers=4)
+    batch = run(tasks, device, backend="density", workers=4)
 
 Worker-process crashes are recovered by re-queueing the lost shards onto a
 fresh pool (and, as a last resort, executing them inline), so a run always
-completes.
-
-Workers execute shards on the ``"vectorized"`` engine, and results are
-bit-for-bit identical to ``backend="vectorized"`` (and so to
-``"trajectory"``) for every worker count and failure/recovery history.
-Plans are cut into shards automatically. Per-realization seeds are
-derived from the plan at compile time — never from the worker — and the
-coordinator reassembles shard results in realization order before
-aggregating, so scheduling can only ever change wall time. Each unit's
-timing covers its engine build and its simulation, as in-process
-execution's does, so ``TaskResult.wall_time`` means the same on every
-backend.
+completes; each re-queue is logged at WARNING on the ``"repro"`` logger.
+Per-realization seeds are derived from the plan at compile time — never
+from the worker — so results are bit-for-bit identical to serial execution
+for every worker count and failure/recovery history. The
+``"distributed"`` backend is ``"vectorized"`` that always runs through the
+pool, even at one worker.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -35,28 +30,37 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.executor import SimOptions
-from .backends import UnitOutcome, VectorizedBackend
-from .plan import ExecutionPlan, PlanShard, plan_options, shard_plans
+from .backends import Backend, UnitOutcome, VectorizedBackend
+from .plan import ExecutionPlan, PlanShard, shard_plans
+from .run import default_dist_workers
 from .task import TaskResult
 
 #: ``(plan_index, shard_index)`` — how shard results are keyed and merged.
 ShardKey = Tuple[int, int]
 
+#: Shard sizing targets this many shards per worker: small enough to
+#: load-balance stragglers and cheap re-queues, large enough that
+#: per-shard pickling overhead stays amortized.
+SHARDS_PER_WORKER = 4
+
+log = logging.getLogger("repro")
+
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """A shard plus the simulation options a worker runs it under.
+    """A shard plus the backend class and options a worker runs it under.
 
-    ``options`` are the batch-level options, exactly as in-process
-    execution uses them. ``crash_token`` is a failure-injection hook for
-    the recovery tests: the first *worker* that picks the unit up creates
-    the token file and dies abruptly (``os._exit``), so the shard exercises
-    the re-queue path exactly once and then executes normally. Inline
-    (coordinator-side) execution ignores it.
+    ``backend`` is a :class:`~repro.runtime.backends.Backend` class (classes
+    pickle by reference); ``options`` are the batch-level options.
+    ``crash_token`` is a failure-injection hook for the recovery tests: the
+    first *worker* that picks the unit up creates the token file and dies
+    abruptly (``os._exit``), so the shard takes the re-queue path once and
+    then executes normally. Inline (coordinator-side) execution ignores it.
     """
 
     shard: PlanShard
     options: SimOptions
+    backend: type
     crash_token: Optional[str] = None
 
     @property
@@ -65,7 +69,7 @@ class WorkUnit:
 
 
 def execute_work_unit(unit: WorkUnit, in_worker: bool = True) -> List[UnitOutcome]:
-    """Run every simulation unit of one shard on the vectorized engine.
+    """Run every simulation unit of one shard on the unit's backend.
 
     This is the kernel pool workers run (and the coordinator's inline
     drain, with ``in_worker=False`` so the crash hook cannot kill the
@@ -81,7 +85,7 @@ def execute_work_unit(unit: WorkUnit, in_worker: bool = True) -> List[UnitOutcom
         else:
             os.close(fd)
             os._exit(17)
-    backend = VectorizedBackend()
+    backend = unit.backend()
     shard = unit.shard
     return [
         backend.run_unit(shard.kind, shard.payload, plan_unit, unit.options)
@@ -117,10 +121,20 @@ class LocalShardExecutor:
     def run(self, units: Sequence[WorkUnit]) -> Dict[ShardKey, List[UnitOutcome]]:
         results: Dict[ShardKey, List[UnitOutcome]] = {}
         pending = list(units)
-        for _attempt in range(self.MAX_RETRIES + 1):
+        for attempt in range(self.MAX_RETRIES + 1):
             if not pending:
                 break
+            if attempt:
+                log.warning(
+                    "a worker process died: re-queueing %d lost shard(s) on a fresh pool "
+                    "(retry %d of %d)", len(pending), attempt, self.MAX_RETRIES,
+                )
             pending = self._round(pending, results)
+        if pending:
+            log.warning(
+                "a worker process died: running %d lost shard(s) inline after %d retries",
+                len(pending), self.MAX_RETRIES,
+            )
         for unit in pending:  # last resort: always completes (or raises)
             results[unit.key] = execute_work_unit(unit, in_worker=False)
         return results
@@ -142,26 +156,47 @@ class LocalShardExecutor:
         return crashed
 
 
+def execute_pooled(
+    backend: Backend, plans: Sequence[ExecutionPlan], options: SimOptions, workers: int
+) -> List[List[UnitOutcome]]:
+    """Run the plans' units on ``workers`` processes; outcomes per plan.
+
+    Shards are sized for :data:`SHARDS_PER_WORKER` per worker, and their
+    outcomes come back in realization order, the order serial execution
+    produces, so the caller's aggregation sees the same lists.
+    """
+    total_units = sum(len(plan.units) for plan in plans)
+    shard_size = max(1, -(-total_units // (workers * SHARDS_PER_WORKER)))
+    shards = shard_plans(plans, shard_size)
+    log.debug(
+        "execute_plans: %d units on a pool of %d worker processes, %d shards of up to %d units",
+        total_units, workers, len(shards), shard_size,
+    )
+    units = [
+        WorkUnit(shard, options, type(backend), backend._crash_token) for shard in shards
+    ]
+    outcomes = LocalShardExecutor(workers).run(units)
+
+    # Shards are sorted by (plan_index, shard_index), so a plain ordered
+    # walk reproduces exactly the unit order serial execution uses.
+    per_plan: List[List[UnitOutcome]] = [[] for _ in plans]
+    for shard in shards:
+        per_plan[shard.plan_index].extend(outcomes[(shard.plan_index, shard.shard_index)])
+    return per_plan
+
+
 # ---------------------------------------------------------------------------
 # The backend
 # ---------------------------------------------------------------------------
 
 
 class DistributedBackend(VectorizedBackend):
-    """Shard compiled plans across worker processes and merge results.
+    """``"vectorized"`` that always runs through the process pool.
 
-    The compile stage is untouched — plans come from the shared
-    :func:`~repro.runtime.plan.compile_tasks` path like every other
-    backend. Execution splits each plan's units into
-    :class:`~repro.runtime.plan.PlanShard` blocks of about
-    :data:`SHARDS_PER_WORKER` shards per worker, ships them to a
-    :class:`LocalShardExecutor` process pool whose workers run the
-    vectorized engine, and merges the partial results with the same
-    associative aggregation the in-process backends use — after reordering
-    them into realization order, which is what makes the output bit-for-bit
-    identical to ``"vectorized"`` run locally, for every worker count and
-    across worker crashes. ``configure(dist_workers=n)`` sets the pool
-    size; unset, it follows the run's ``workers``.
+    Every batch goes to :func:`execute_pooled`, even at one worker, so the
+    shard, pickle and pool path can be timed on its own.
+    ``configure(dist_workers=n)`` sets the pool size; unset, it follows the
+    run's ``workers``.
 
     Example:
         >>> run(tasks, device, backend="distributed", workers=4)  # doctest: +SKIP
@@ -169,44 +204,15 @@ class DistributedBackend(VectorizedBackend):
 
     name = "distributed"
 
-    #: Shard sizing targets this many shards per worker: small enough to
-    #: load-balance stragglers and cheap re-queues, large enough that
-    #: per-shard pickling overhead stays amortized.
-    SHARDS_PER_WORKER = 4
-
-    #: Failure-injection hook (see :class:`WorkUnit`); tests only.
-    _crash_token: Optional[str] = None
-
     def execute_plans(
         self,
         plans: Sequence[ExecutionPlan],
         options: Optional[SimOptions] = None,
         workers: int = 1,
     ) -> List[TaskResult]:
-        """Shard the plans, execute them distributed, merge the results."""
-        from .run import default_dist_workers  # local: run.py imports us
+        """Shard the plans, execute them on the pool, merge the results."""
+        # Defined here rather than inherited: perfbench wraps each class's own.
+        return super().execute_plans(plans, options, workers)
 
-        if options is None:
-            options = plan_options(plans)
-        options = options or SimOptions()
-        count = default_dist_workers() or max(workers, 1)
-        total_units = sum(len(plan.units) for plan in plans)
-        shard_size = max(1, -(-total_units // (count * self.SHARDS_PER_WORKER)))
-        shards = shard_plans(plans, shard_size)
-        units = [
-            WorkUnit(shard=shard, options=options, crash_token=self._crash_token)
-            for shard in shards
-        ]
-        outcomes = LocalShardExecutor(count).run(units)
-
-        # Reassemble in realization order before aggregating: shards are
-        # already sorted by (plan_index, shard_index), so a plain ordered
-        # walk reproduces exactly the unit order local execution uses.
-        per_plan: List[List[UnitOutcome]] = [[] for _ in plans]
-        for shard in shards:
-            key = (shard.plan_index, shard.shard_index)
-            per_plan[shard.plan_index].extend(outcomes[key])
-        return [
-            self._aggregate(plan.task, results, plan.direct)
-            for plan, results in zip(plans, per_plan)
-        ]
+    def _pool_size(self, workers: int, units: int) -> int:
+        return default_dist_workers() or max(workers, 1)

@@ -94,7 +94,7 @@ class ExecutionPlan:
 class PlanShard:
     """A self-contained slice of one plan's simulation units.
 
-    Shards are the shipping unit of distributed execution
+    Shards are the shipping unit of the process fan-out
     (:mod:`repro.runtime.distributed`): everything a worker needs to run a
     contiguous block of realizations — scheduled circuits, devices, derived
     seeds, the normalized payload — and nothing it doesn't. In particular a

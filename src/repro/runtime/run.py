@@ -21,10 +21,10 @@ One call schedules, compiles, and simulates any number of tasks::
 :func:`~repro.runtime.plan.compile_tasks` stage turns tasks into frozen
 :class:`~repro.runtime.plan.ExecutionPlan` artifacts (serially, in task
 order), and the backend executes the plans. Only the execute stage fans
-out: ``workers`` threads run the simulation units, each on its own
-derived seed, so results are bit-for-bit identical for every ``workers``
-count — it only changes wall time. Pre-built plans can be passed
-in place of tasks to skip the compile stage entirely. :func:`configure`
+out: ``workers`` worker processes run the simulation units, each on its
+own derived seed, so results are bit-for-bit identical for every
+``workers`` count. Pre-built plans can be passed in place of tasks to skip
+the compile stage entirely. :func:`configure`
 sets process-wide defaults (the CLI flags map onto it one-to-one).
 """
 
@@ -120,13 +120,14 @@ def configure(
 ) -> None:
     """Set process-wide runtime defaults (used when ``run(...=None)``).
 
-    The CLI's flags (``--workers``, ``--backend``, ``--dist-workers``) call
-    this so every experiment driver inherits the parallelism and engine
-    choice without plumbing parameters through.
+    The CLI's flags (``--workers``, ``--backend``) call this so every
+    experiment driver inherits the parallelism and engine choice without
+    plumbing parameters through.
 
     Args:
-        workers: default simulation-thread count for ``run()`` (threads
-            fan out the simulation units; compilation is serial).
+        workers: default worker-process count for ``run()``; the library
+            default of 1 runs everything in this process (the CLI defaults
+            to one worker per available CPU).
         backend: default backend name, one of
             :data:`~repro.runtime.backends.BACKENDS` (validated immediately).
         dist_workers: worker-process count for the ``"distributed"``
@@ -211,22 +212,22 @@ def run(
             two-stage path reproduce the one-stage one exactly
             (realization sub-seeds were already derived at compile time).
         device: default device for tasks that don't carry their own.
-        backend: a name from :data:`~repro.runtime.backends.BACKENDS`
-            (``"trajectory"``, ``"vectorized"``, ``"density"``,
-            ``"distributed"``); ``None`` uses the configured default.
+        backend: a name from :data:`~repro.runtime.backends.BACKENDS`;
+            ``None`` uses the configured default.
         options: :class:`~repro.sim.SimOptions` noise/sampling
             configuration (``None`` = defaults, or the plans' recorded
             options when executing plans).
-        workers: threads that run the simulation units (compilation is
-            serial). ``None`` uses the configured default.
+        workers: worker processes that run the simulation units
+            (compilation is serial; 1 runs them in this process). ``None``
+            uses the configured default.
 
     Returns:
         A :class:`~repro.runtime.task.BatchResult` with one
         :class:`~repro.runtime.task.TaskResult` per task, in task order,
         plus the compile/execute wall-time split.
 
-    Results are bit-for-bit identical for every (backend × workers)
-    combination — the knobs only change wall time.
+    Results are bit-for-bit identical for every ``workers`` count, and
+    between the two trajectory engines: those knobs only change wall time.
 
     Example:
         >>> batch = run(

@@ -130,12 +130,11 @@ class Sweep:
             device: default device for tasks without their own.
             options: simulation options shared by every grid point.
             backend: backend name (``None`` = configured default).
-                ``"distributed"`` shards every grid point's realizations
-                across worker processes, bit-identical to ``"trajectory"``.
-            workers: threads that run the simulation units; compilation
-                is serial (the ``"distributed"`` backend reads it as its
-                worker-process count unless ``configure(dist_workers=...)``
-                overrides). It never changes a value.
+            workers: worker processes that run the simulation units on
+                any backend; compilation is serial, and 1 runs everything
+                in this process (the ``"distributed"`` backend always uses
+                the pool, sized by ``configure(dist_workers=...)`` if set).
+                It never changes a value.
 
         Returns:
             A :class:`SweepResult` keying each grid point's

@@ -80,6 +80,21 @@ def keep_only(device, *sources):
     return quiet if "coherent" in sources else replace(quiet, nnn_zz={})
 
 
+@pytest.fixture(autouse=True)
+def restore_defaults():
+    """Put every settable runtime default back after each test.
+
+    A CLI call configures ``workers`` to the CPU count (``--workers``'
+    default); without this, later tests would run on the process pool.
+    """
+    import repro.runtime as rt
+
+    settings = ("workers", "backend", "dist_workers")
+    before = {name: getattr(rt, f"default_{name}")() for name in settings}
+    yield
+    rt.configure(**before)
+
+
 @pytest.fixture
 def chain2():
     return synthetic_device(linear_chain(2), name="chain2", seed=101)

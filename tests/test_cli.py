@@ -1,6 +1,7 @@
 """CLI runner tests."""
 
 import inspect
+import os
 
 import pytest
 
@@ -55,7 +56,6 @@ class TestCLI:
         "bad",
         [
             ["--workers", "0"],
-            ["--dist-workers", "0"],
             ["--backend", "warp-drive"],
             ["--chunk-shots", "-4"],
             ["--dist-shard-size", "0"],
@@ -67,10 +67,20 @@ class TestCLI:
 
         getters = [getattr(rt, name) for name in rt.__all__ if name.startswith("default_")]
         before = [get() for get in getters]
-        good = "--workers 3 --backend trajectory --dist-workers 2".split()
+        good = "--workers 3 --backend trajectory".split()
         with pytest.raises(SystemExit):
             main(["list", *good, *bad])
         assert [get() for get in getters] == before
+
+    def test_default_workers_is_the_cpu_count(self):
+        """Without ``--workers`` the CLI runs one worker process per CPU it may use."""
+        from repro.runtime import default_workers
+
+        assert main(["list"]) == 0
+        if hasattr(os, "sched_getaffinity"):
+            assert default_workers() == len(os.sched_getaffinity(0))
+        else:
+            assert default_workers() == os.cpu_count()
 
 
 class _Recorded:
@@ -113,17 +123,6 @@ class TestDriverContract:
             assert set(QUICK["fig4"][panel]) <= set(inspect.signature(driver).parameters)
 
 
-@pytest.fixture
-def restore_defaults():
-    """Put every runtime default back after a test that passes CLI flags."""
-    import repro.runtime as rt
-
-    settings = ("workers", "backend", "dist_workers")
-    before = {name: getattr(rt, f"default_{name}")() for name in settings}
-    yield
-    rt.configure(**before)
-
-
 class TestResultsAreValues:
     """The --json file is a function of the seeds and inputs alone."""
 
@@ -140,9 +139,7 @@ class TestResultsAreValues:
         ],
         ids=["workers", "backend"],
     )
-    def test_fig9_json_byte_identical(
-        self, tmp_path, restore_defaults, first, second
-    ):
+    def test_fig9_json_byte_identical(self, tmp_path, first, second):
         assert self._fig9_json(tmp_path, *first) == self._fig9_json(
             tmp_path, *second
         )

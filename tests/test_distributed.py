@@ -1,13 +1,14 @@
-"""Distributed backend: sharding, the process pool, failure recovery, parity.
+"""The process fan-out: sharding, the pool, failure recovery, parity.
 
-The contract under test: ``run(tasks, device, backend="distributed")`` is
-bit-for-bit identical to ``backend="trajectory"`` for every (shard size ×
-worker count) combination — including after a simulated worker crash — because
-per-realization seeds are derived from the plan, never from the worker.
-Shard sizes are not a setting, so the parity grid forces them by wrapping
-the backend's call to ``shard_plans``.
+The contract under test: ``run(tasks, device, workers=n)`` on any backend,
+and ``backend="distributed"``, are bit-for-bit identical to serial
+execution for every (shard size × worker count) combination — including
+after a simulated worker crash — because per-realization seeds are derived
+from the plan, never from the worker. Shard sizes are not a setting, so
+the parity grid forces them by wrapping the pool's call to ``shard_plans``.
 """
 
+import logging
 import pickle
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from repro.runtime import (
     BACKENDS,
     DistributedBackend,
     LocalShardExecutor,
+    VectorizedBackend,
     configure,
     default_backend,
     default_dist_shard_size,
@@ -32,14 +34,6 @@ from repro.sim import VectorizedExecutor
 from conftest import OBS, batch_signature, det_pipeline, layered_circuit, mixed_tasks
 
 OPTIONS = SimOptions(shots=8, seed=5)
-
-
-@pytest.fixture(autouse=True)
-def _reset_dist_defaults():
-    """Every test starts (and leaves) the process-wide dist knobs pristine."""
-    backend = default_backend()
-    yield
-    configure(backend=backend, dist_workers=None)
 
 
 def reference(device, backend="trajectory"):
@@ -138,7 +132,7 @@ class TestWorkUnit:
     def test_execute_matches_backend_hooks(self, chain4):
         plans = compile_tasks(mixed_tasks(), device=chain4, options=OPTIONS)
         shard = shard_plans(plans, shard_size=3)[0]
-        unit = WorkUnit(shard=shard, options=OPTIONS)
+        unit = WorkUnit(shard=shard, options=OPTIONS, backend=VectorizedBackend)
         outcomes = execute_work_unit(pickle.loads(pickle.dumps(unit)))
         assert len(outcomes) == len(shard.units)
         for plan_unit, (result, seconds) in zip(shard.units, outcomes):
@@ -152,7 +146,9 @@ class TestWorkUnit:
         plans = compile_tasks(mixed_tasks(), device=chain4, options=OPTIONS)
         shard = shard_plans(plans, shard_size=2)[0]
         token = tmp_path / "crash"
-        unit = WorkUnit(shard=shard, options=OPTIONS, crash_token=str(token))
+        unit = WorkUnit(
+            shard=shard, options=OPTIONS, backend=VectorizedBackend, crash_token=str(token)
+        )
         # in_worker=False is the coordinator's inline drain: it must never
         # trip the injected crash (os._exit would kill the test process).
         outcomes = execute_work_unit(unit, in_worker=False)
@@ -194,20 +190,57 @@ class TestLocalParity:
         ]
 
 
+class TestFanOut:
+    """``workers > 1`` sends every backend's units through the one pool."""
+
+    @pytest.mark.parametrize("backend", ["trajectory", "vectorized", "density"])
+    def test_workers_start_one_pool(self, chain4, monkeypatch, caplog, backend):
+        sizes = record_pool_sizes(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            serial = run(mixed_tasks(), chain4, options=OPTIONS, backend=backend, workers=1)
+            assert sizes == []
+            pooled = run(mixed_tasks(), chain4, options=OPTIONS, backend=backend, workers=2)
+        assert sizes == [2]
+        assert batch_signature(pooled) == batch_signature(serial)
+        assert "units serially in process" in caplog.text
+        assert "on a pool of 2 worker processes" in caplog.text
+
+    def test_collapsible_density_plan_ships_one_unit(self, chain4, monkeypatch):
+        shipped = []
+
+        def recording(plans, size):
+            shards = shard_plans(plans, size)
+            shipped.extend(shards)
+            return shards
+
+        monkeypatch.setattr(distributed_module, "shard_plans", recording)
+        tasks = [
+            Task(layered_circuit(), observables=OBS, pipeline=det_pipeline(),
+                 realizations=3, seed=seed)
+            for seed in (1, 2)
+        ]
+        batch = run(tasks, chain4, options=OPTIONS, backend="density", workers=2)
+        assert [len(shard.units) for shard in shipped] == [1, 1]
+        assert [result.realizations for result in batch] == [1, 1]
+
+
 # ---------------------------------------------------------------------------
 # Worker-failure paths: crashes re-queue, runs complete, bits don't move
 # ---------------------------------------------------------------------------
 
 
 class TestFailureRecovery:
-    def test_local_pool_survives_worker_crash(self, chain4, tmp_path, monkeypatch):
+    def test_local_pool_survives_worker_crash(self, chain4, tmp_path, monkeypatch, caplog):
         token = tmp_path / "crash-local"
         monkeypatch.setattr(DistributedBackend, "_crash_token", str(token))
         force_shard_size(monkeypatch, 1)
-        assert distributed(chain4, dist_workers=2) == reference(chain4)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert distributed(chain4, dist_workers=2) == reference(chain4)
         assert token.exists()  # the crash really happened
+        requeues = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert requeues and "re-queueing" in requeues[0] and "retry 1 of 2" in requeues[0]
 
-    def test_local_executor_inline_fallback(self, chain4, tmp_path, monkeypatch):
+    def test_local_executor_inline_fallback(self, chain4, tmp_path, monkeypatch, caplog):
         # MAX_RETRIES=0: the only pool generation crashes, so the shard
         # must complete via the coordinator's inline fallback.
         plans = compile_tasks(
@@ -218,10 +251,16 @@ class TestFailureRecovery:
         )
         shard = shard_plans(plans, shard_size=1)[0]
         token = tmp_path / "always"
-        unit = WorkUnit(shard=shard, options=OPTIONS, crash_token=str(token))
+        unit = WorkUnit(
+            shard=shard, options=OPTIONS, backend=VectorizedBackend, crash_token=str(token)
+        )
         monkeypatch.setattr(LocalShardExecutor, "MAX_RETRIES", 0)
-        results = LocalShardExecutor(workers=1).run([unit])
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            results = LocalShardExecutor(workers=1).run([unit])
         assert unit.key in results and len(results[unit.key]) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "a worker process died: running 1 lost shard(s) inline after 0 retries"
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +309,10 @@ class TestConfiguration:
     def test_cli_flags_configure_the_runtime(self):
         from repro.experiments.__main__ import main
 
-        assert (
-            main(
-                [
-                    "list",
-                    "--backend",
-                    "distributed",
-                    "--dist-workers",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        assert default_dist_workers() == 2
+        assert main(["list", "--backend", "distributed"]) == 0
         assert default_backend() == "distributed"
         # The pinned knobs have no flags: argparse rejects them.
         for flag in ("--chunk-shots", "--dist-shard-size"):
             with pytest.raises(SystemExit) as exc:
                 main(["list", flag, "4"])
             assert exc.value.code == 2
-
-    def test_cli_rejects_bad_counts(self, capsys):
-        from repro.experiments.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["list", "--dist-workers", "0"])

@@ -173,12 +173,12 @@ class TestWorkerInvariance:
         serial = engine.execute_plans(
             compile_tasks(mixed_tasks(), chain4, options=opts), options=opts
         )
-        threaded = engine.execute_plans(
+        pooled = engine.execute_plans(
             compile_tasks(mixed_tasks(), chain4, options=opts),
             options=opts,
             workers=3,
         )
-        assert batch_signature(serial) == batch_signature(threaded)
+        assert batch_signature(serial) == batch_signature(pooled)
 
 
 class TestFixedCompileSettings:

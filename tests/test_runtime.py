@@ -193,9 +193,9 @@ class TestBatchedRun:
             for s in range(4)
         ]
         serial = run(tasks, chain4, options=opts, workers=1)
-        threaded = run(tasks, chain4, options=opts, workers=2)
-        assert serial.backend == threaded.backend == "vectorized"
-        for a, b in zip(serial, threaded):
+        pooled = run(tasks, chain4, options=opts, workers=2)
+        assert serial.backend == pooled.backend == "vectorized"
+        for a, b in zip(serial, pooled):
             assert a.values == b.values
             assert a.errors == b.errors
             assert a.shots == b.shots
