@@ -10,6 +10,16 @@ outcomes in realization order for the backend's aggregation::
 
     batch = run(tasks, device, backend="density", workers=4)
 
+The interpreter keeps one pool. The first pooled batch starts it, later
+batches of the same size reuse it (its workers keep their warm caches),
+and a batch of another size replaces it. Workers therefore see module
+state as of the pool's start: a setting patched into a module afterwards
+reaches them only once the pool is replaced or dropped
+(:func:`drop_pool`). Their CPU affinity follows the caller's at every
+batch, as a fresh fork's would. The pool shuts down when the interpreter
+exits, and a forked child never uses its parent's pool. A batch ships
+whole shards in at most ``workers * SHARDS_PER_WORKER`` futures.
+
 Worker-process crashes are recovered by re-queueing the lost shards onto a
 fresh pool (and, as a last resort, executing them inline), so a run always
 completes; each re-queue is logged at WARNING on the ``"repro"`` logger.
@@ -22,12 +32,15 @@ pool, even at one worker.
 
 from __future__ import annotations
 
+import atexit
+import heapq
 import logging
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.executor import SimOptions
 from .backends import Backend, UnitOutcome, VectorizedBackend
@@ -38,10 +51,11 @@ from .task import TaskResult
 #: ``(plan_index, shard_index)`` — how shard results are keyed and merged.
 ShardKey = Tuple[int, int]
 
-#: Shard sizing targets this many shards per worker: small enough to
-#: load-balance stragglers and cheap re-queues, large enough that
-#: per-shard pickling overhead stays amortized.
-SHARDS_PER_WORKER = 4
+#: A batch targets this many futures per worker: shards are cut to about
+#: that many, and whole shards are bundled so that no more ship. Enough to
+#: balance uneven shards, few enough that per-future round trips stay
+#: amortized.
+SHARDS_PER_WORKER = 8
 
 log = logging.getLogger("repro")
 
@@ -94,20 +108,106 @@ def execute_work_unit(unit: WorkUnit, in_worker: bool = True) -> List[UnitOutcom
 
 
 # ---------------------------------------------------------------------------
-# Executor: a process pool with crash recovery
+# Executor: the interpreter's process pool, with crash recovery
 # ---------------------------------------------------------------------------
+
+#: The interpreter's one pool, its size and the pid of the process that
+#: started it (a forked child inherits the handle but must not use it).
+#: The lock makes choosing the pool and submitting to it one step, so a
+#: thread that replaces the pool never shuts it under another's submits.
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_workers = 0
+_pool_owner = 0
+_pool_lock = threading.Lock()
+
+
+def _shared_pool(workers: int) -> Tuple[ProcessPoolExecutor, str]:
+    """The pool of ``workers`` processes, started or replaced as needed.
+
+    The caller holds ``_pool_lock``. Returns the pool and what was done to
+    get it, for the decision log. A replaced pool finishes the futures
+    already submitted to it before it shuts down.
+    """
+    global _pool, _pool_workers, _pool_owner
+    if _pool is not None and _pool_owner != os.getpid():
+        _pool = None  # the parent's pool, inherited across a fork
+    if _pool is not None and _pool_workers == workers:
+        return _pool, f"reusing the pool of {workers} worker processes"
+    if _pool is None:
+        action = f"starting a pool of {workers} worker processes"
+    else:
+        action = f"replacing the pool of {_pool_workers} worker processes with {workers}"
+        old, _pool = _pool, None
+        old.shutdown(wait=True)
+    _pool = ProcessPoolExecutor(max_workers=workers)
+    _pool_workers, _pool_owner = workers, os.getpid()
+    return _pool, action
+
+
+def drop_pool(pool: Optional[ProcessPoolExecutor] = None) -> None:
+    """Shut down the interpreter's pool; the next pooled batch starts a new one.
+
+    Given ``pool``, only while that is still the interpreter's pool. Runs
+    at interpreter exit. In a forked child it only forgets the parent's
+    pool.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or (pool is not None and pool is not _pool):
+            return
+        old, _pool = _pool, None
+        if _pool_owner == os.getpid():
+            old.shutdown(wait=True)
+
+
+atexit.register(drop_pool)
+
+
+def _bundles(units: Sequence[WorkUnit], count: int) -> List[List[WorkUnit]]:
+    """Whole shards grouped into at most ``count`` bundles, heaviest first.
+
+    A shard's cost is estimated as one per realization plus the
+    realizations' moments. Each shard, heaviest first, joins the lightest
+    bundle so far, so no shard is paired while there are no more shards
+    than ``count``; shipping the heaviest bundle first keeps the batch's
+    last future short.
+    """
+    costs = [sum(1 + len(u.scheduled) for u in unit.shard.units) for unit in units]
+    count = min(count, len(units))
+    bundles: List[List[WorkUnit]] = [[] for _ in range(count)]
+    loads = [(0, b) for b in range(count)]  # a heap of (cost so far, bundle)
+    for i in sorted(range(len(units)), key=lambda i: -costs[i]):
+        load, b = loads[0]
+        bundles[b].append(units[i])
+        heapq.heapreplace(loads, (load + costs[i], b))
+    return [bundles[b] for _load, b in sorted(loads, reverse=True) if bundles[b]]
+
+
+def _execute_bundle(
+    units: Sequence[WorkUnit], cpus: Optional[Set[int]]
+) -> List[List[UnitOutcome]]:
+    """The pool workers' kernel: every shard of one future, in order.
+
+    ``cpus`` is the caller's CPU affinity as of the batch. A fresh fork
+    inherits it; a reused worker takes it up here, so that it runs where
+    the caller may run now, not where it could when the pool started.
+    """
+    if cpus is not None and os.sched_getaffinity(0) != cpus:
+        os.sched_setaffinity(0, cpus)
+    return [execute_work_unit(unit) for unit in units]
 
 
 class LocalShardExecutor:
-    """Execute work units on a ``ProcessPoolExecutor``, surviving crashes.
+    """Execute work units on the interpreter's process pool, surviving crashes.
 
     A worker process that dies mid-shard breaks the whole pool (that is how
     ``concurrent.futures`` reports it), taking every in-flight future with
     it. Recovery is simple because shards are idempotent — seeds come from
-    the plan, so re-running one reproduces the same bits: unfinished shards
-    are re-submitted to a fresh pool up to :attr:`MAX_RETRIES` times, and
-    whatever still remains executes inline in the coordinator, where a
-    genuine (deterministic) error finally surfaces with a clean traceback.
+    the plan, so re-running one reproduces the same bits: the broken pool
+    is dropped, unfinished shards are re-submitted to a fresh pool up to
+    :attr:`MAX_RETRIES` times, and whatever still remains executes inline
+    in the coordinator, where a genuine (deterministic) error finally
+    surfaces with a clean traceback.
     """
 
     #: Fresh pools tried after the first one breaks, before the inline drain.
@@ -144,15 +244,32 @@ class LocalShardExecutor:
         units: List[WorkUnit],
         results: Dict[ShardKey, List[UnitOutcome]],
     ) -> List[WorkUnit]:
-        """One pool generation; returns the units lost to a crash."""
+        """One submission to the pool; returns the units lost to a crash."""
+        bundles = _bundles(units, self.workers * SHARDS_PER_WORKER)
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         crashed: List[WorkUnit] = []
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(units))) as pool:
-            futures = [(unit, pool.submit(execute_work_unit, unit)) for unit in units]
-            for unit, future in futures:
+        futures = []
+        with _pool_lock:
+            pool, action = _shared_pool(self.workers)
+            log.debug(
+                "%s: %d futures of up to %d shards",
+                action, len(bundles), max(len(bundle) for bundle in bundles),
+            )
+            for bundle in bundles:
                 try:
-                    results[unit.key] = future.result()
-                except BrokenProcessPool:
-                    crashed.append(unit)
+                    futures.append((bundle, pool.submit(_execute_bundle, bundle, cpus)))
+                except BrokenProcessPool:  # a worker died before this submit
+                    crashed.extend(bundle)
+        for bundle, future in futures:
+            try:
+                outcomes = future.result()
+            except BrokenProcessPool:
+                crashed.extend(bundle)
+            else:
+                for unit, outcome in zip(bundle, outcomes):
+                    results[unit.key] = outcome
+        if crashed:
+            drop_pool(pool)
         return crashed
 
 

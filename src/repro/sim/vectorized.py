@@ -83,6 +83,7 @@ changes wall time and peak memory.
 
 from __future__ import annotations
 
+import logging
 import math
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -99,6 +100,8 @@ from .statevector import _sz_arrays, flip_pauli, renormalize
 
 #: Chunk budget: ~32 MiB of complex amplitudes per chunk.
 _CHUNK_AMPLITUDES = 1 << 21
+
+log = logging.getLogger("repro")
 
 
 def _batch_norms(psi: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -596,10 +599,15 @@ class VectorizedExecutor(Executor):
         """
         rng = as_generator(self.options.seed)
         count = self.options.shots
+        sizes = self._chunk_sizes(count)
+        log.debug(
+            "vectorized run: %d shots in %d chunk(s) of up to %d rows",
+            count, len(sizes), max(sizes, default=0),
+        )
         # Sampling replays the exact RNG stream of `count` sequential scalar
         # trajectories, one row of a chunk's columnar batch per shot.
         results = []
-        for size in self._chunk_sizes(count):
+        for size in sizes:
             batch = NoiseBatch.empty(self._plan, size)
             for row in range(size):
                 sample_shot(self._plan, rng, batch, row)

@@ -95,6 +95,20 @@ def restore_defaults():
     rt.configure(**before)
 
 
+@pytest.fixture(autouse=True)
+def drop_worker_pool():
+    """Shut the interpreter's process pool down after each test.
+
+    Pool workers see module state as of the pool's start, so a pool kept
+    across tests would run later tests' units under the monkeypatches of
+    the test that started it.
+    """
+    yield
+    from repro.runtime import distributed
+
+    distributed.drop_pool()
+
+
 @pytest.fixture
 def chain2():
     return synthetic_device(linear_chain(2), name="chain2", seed=101)

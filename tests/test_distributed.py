@@ -6,11 +6,19 @@ execution for every (shard size × worker count) combination — including
 after a simulated worker crash — because per-realization seeds are derived
 from the plan, never from the worker. Shard sizes are not a setting, so
 the parity grid forces them by wrapping the pool's call to ``shard_plans``.
+The interpreter keeps one pool across batches; ``conftest.py`` drops it
+after every test.
 """
 
 import logging
+import os
 import pickle
+import subprocess
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -52,17 +60,23 @@ def force_shard_size(monkeypatch, size):
     )
 
 
-def record_pool_sizes(monkeypatch):
-    """Record the worker count of every process pool the backend starts."""
-    sizes = []
+def record_pools(monkeypatch):
+    """Record every OS process pool the runtime starts, and count its futures."""
+    pools = []
 
-    class Recording(LocalShardExecutor):
-        def __init__(self, workers):
-            sizes.append(workers)
-            super().__init__(workers)
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.size = max_workers
+            self.futures = 0
+            pools.append(self)
 
-    monkeypatch.setattr(distributed_module, "LocalShardExecutor", Recording)
-    return sizes
+        def submit(self, fn, *args, **kwargs):
+            self.futures += 1
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(distributed_module, "ProcessPoolExecutor", Recording)
+    return pools
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +209,12 @@ class TestFanOut:
 
     @pytest.mark.parametrize("backend", ["trajectory", "vectorized", "density"])
     def test_workers_start_one_pool(self, chain4, monkeypatch, caplog, backend):
-        sizes = record_pool_sizes(monkeypatch)
+        pools = record_pools(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="repro"):
             serial = run(mixed_tasks(), chain4, options=OPTIONS, backend=backend, workers=1)
-            assert sizes == []
+            assert pools == []
             pooled = run(mixed_tasks(), chain4, options=OPTIONS, backend=backend, workers=2)
-        assert sizes == [2]
+        assert [pool.size for pool in pools] == [2]
         assert batch_signature(pooled) == batch_signature(serial)
         assert "units serially in process" in caplog.text
         assert "on a pool of 2 worker processes" in caplog.text
@@ -225,6 +239,159 @@ class TestFanOut:
 
 
 # ---------------------------------------------------------------------------
+# The pool's lifetime: one per interpreter, a few futures per worker
+# ---------------------------------------------------------------------------
+
+#: Runs a pooled batch, forks a child that runs one on a pool of its own,
+#: runs a second batch on the first pool, and prints its live workers' pids.
+_EXIT_SCRIPT = """
+import multiprocessing, os, signal
+from repro import SimOptions, run
+from repro.device import linear_chain, synthetic_device
+from repro.runtime import distributed
+from conftest import batch_signature, mixed_tasks
+
+device = synthetic_device(linear_chain(4), name="chain4", seed=103)
+def batch():
+    return batch_signature(run(mixed_tasks(), device, options=SimOptions(shots=8, seed=5), workers=2))
+first = batch()
+pool = distributed._pool
+child = os.fork()
+if child == 0:
+    signal.alarm(60)  # a child that reused its parent's pool would hang
+    same = batch() == first and distributed._pool is not pool
+    distributed.drop_pool()
+    os._exit(0 if same else 1)
+assert os.waitpid(child, 0)[1] == 0, "the forked child's batch failed"
+assert batch() == first and distributed._pool is pool
+print(*[worker.pid for worker in multiprocessing.active_children()])
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+class TestPoolLifetime:
+    """One OS pool per interpreter: reused, replaced on a size change, shut at exit."""
+
+    def test_consecutive_batches_share_one_pool(self, chain4, monkeypatch, caplog):
+        pools = record_pools(monkeypatch)
+        serial = batch_signature(run(mixed_tasks(), chain4, options=OPTIONS, workers=1))
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            first = run(mixed_tasks(), chain4, options=OPTIONS, workers=2)
+            second = run(mixed_tasks(), chain4, options=OPTIONS, workers=2)
+        assert [pool.size for pool in pools] == [2]
+        assert batch_signature(first) == batch_signature(second) == serial
+        assert "starting a pool of 2 worker processes" in caplog.text
+        assert "reusing the pool of 2 worker processes" in caplog.text
+
+    def test_a_size_change_replaces_the_pool(self, chain4, monkeypatch, caplog):
+        pools = record_pools(monkeypatch)
+        run(mixed_tasks(), chain4, options=OPTIONS, workers=2)
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            got = run(mixed_tasks(), chain4, options=OPTIONS, workers=3)
+        assert [pool.size for pool in pools] == [2, 3]
+        assert "replacing the pool of 2 worker processes with 3" in caplog.text
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pools[0].submit(int)  # the old pool was shut down
+        assert batch_signature(got) == reference(chain4)
+
+    def test_many_one_unit_plans_ship_few_futures(self, chain4, monkeypatch):
+        pools = record_pools(monkeypatch)
+        tasks = [Task(layered_circuit(), observables=OBS, seed=seed) for seed in range(30)]
+        pooled = run(tasks, chain4, options=OPTIONS, workers=2)
+        assert 0 < pools[0].futures <= 2 * distributed_module.SHARDS_PER_WORKER
+        serial = run(tasks, chain4, options=OPTIONS, workers=1)
+        assert batch_signature(pooled) == batch_signature(serial)
+
+    def test_bundles_partition_the_shards_heaviest_first(self, chain4):
+        plans = compile_tasks(mixed_tasks(), device=chain4, options=OPTIONS)
+        units = [
+            WorkUnit(shard, OPTIONS, VectorizedBackend) for shard in shard_plans(plans, 1)
+        ]
+
+        def cost(bundle):
+            return sum(1 + len(u.scheduled) for unit in bundle for u in unit.shard.units)
+
+        alone = distributed_module._bundles(units, len(units))
+        assert sorted(unit.key for [unit] in alone) == sorted(unit.key for unit in units)
+        pairs = distributed_module._bundles(units, 3)
+        assert len(pairs) == 3
+        assert sorted(unit.key for bundle in pairs for unit in bundle) == sorted(
+            unit.key for unit in units
+        )
+        assert [cost(b) for b in pairs] == sorted((cost(b) for b in pairs), reverse=True)
+
+    def test_threads_share_and_replace_the_pool_safely(self, chain4):
+        serial = reference(chain4, backend="vectorized")
+        got = {}
+
+        def batch(index):
+            # Two sizes, so threads also replace the pool under each other.
+            workers = 2 + index % 2
+            got[index] = batch_signature(
+                run(mixed_tasks(), chain4, options=OPTIONS, workers=workers)
+            )
+
+        threads = [threading.Thread(target=batch, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {i: serial for i in range(6)}
+
+    def test_reused_workers_follow_the_callers_cpu_affinity(
+        self, chain4, tmp_path, monkeypatch
+    ):
+        if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs CPU affinity and two CPUs")
+        seen = tmp_path / "affinity"
+        run_unit = VectorizedBackend.run_unit
+
+        def recording(self, *args):
+            with open(seen, "a") as out:
+                out.write(f"{sorted(os.sched_getaffinity(0))}\n")
+            return run_unit(self, *args)
+
+        monkeypatch.setattr(VectorizedBackend, "run_unit", recording)
+        cpus = os.sched_getaffinity(0)
+        run(mixed_tasks(), chain4, options=OPTIONS, workers=2)  # forks the workers
+        seen.unlink()
+        one = {min(cpus)}
+        os.sched_setaffinity(0, one)
+        try:
+            run(mixed_tasks(), chain4, options=OPTIONS, workers=2)
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert set(seen.read_text().splitlines()) == {str(sorted(one))}
+
+    def test_exit_and_fork_leave_no_worker_behind(self):
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        path = (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH"))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+        done = subprocess.run(
+            [sys.executable, "-c", _EXIT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        workers = [int(pid) for pid in done.stdout.split()]
+        assert len(workers) == 2  # the pool outlived its batches
+        assert not [pid for pid in workers if _alive(pid)]
+
+
+# ---------------------------------------------------------------------------
 # Worker-failure paths: crashes re-queue, runs complete, bits don't move
 # ---------------------------------------------------------------------------
 
@@ -239,6 +406,24 @@ class TestFailureRecovery:
         assert token.exists()  # the crash really happened
         requeues = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert requeues and "re-queueing" in requeues[0] and "retry 1 of 2" in requeues[0]
+
+    def test_crash_requeues_then_the_next_batch_gets_a_fresh_pool(
+        self, chain4, tmp_path, monkeypatch, caplog
+    ):
+        pools = record_pools(monkeypatch)
+        token = tmp_path / "crash-reuse"
+        monkeypatch.setattr(VectorizedBackend, "_crash_token", str(token))
+        serial = reference(chain4, backend="vectorized")
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            crashed = run(mixed_tasks(), chain4, options=OPTIONS, workers=2)
+        assert token.exists()  # the crash really happened
+        assert batch_signature(crashed) == serial
+        requeues = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert requeues and "re-queueing" in requeues[0]
+        assert len(pools) == 2  # the broken pool, then its replacement
+        again = run(mixed_tasks(), chain4, options=OPTIONS, workers=2)
+        assert batch_signature(again) == serial
+        assert len(pools) == 2 and pools[1].futures > 0  # not the broken pool
 
     def test_local_executor_inline_fallback(self, chain4, tmp_path, monkeypatch, caplog):
         # MAX_RETRIES=0: the only pool generation crashes, so the shard
@@ -294,17 +479,17 @@ class TestConfiguration:
         assert default_dist_workers() is None
 
     def test_configured_defaults_reach_the_backend(self, chain4, monkeypatch):
-        sizes = record_pool_sizes(monkeypatch)
+        pools = record_pools(monkeypatch)
         configure(dist_workers=2)
         assert batch_signature(
             run(mixed_tasks(), chain4, options=OPTIONS, backend="distributed", workers=3)
         ) == reference(chain4)
-        assert sizes == [2]
+        assert [pool.size for pool in pools] == [2]
 
     def test_run_workers_feed_the_fleet_size(self, chain4, monkeypatch):
-        sizes = record_pool_sizes(monkeypatch)
+        pools = record_pools(monkeypatch)
         run(mixed_tasks(), chain4, options=OPTIONS, backend="distributed", workers=3)
-        assert sizes == [3]
+        assert [pool.size for pool in pools] == [3]
 
     def test_cli_flags_configure_the_runtime(self):
         from repro.experiments.__main__ import main
