@@ -1,17 +1,21 @@
 """Exact density-matrix simulator.
 
-For small systems (<= ~7 qubits) this evolves the full density matrix with
-the *averaged* noise channels instead of Monte-Carlo trajectories:
+Evolves the full density matrix with the *averaged* noise channels instead
+of Monte-Carlo trajectories:
 
-* coherent Z/ZZ phases apply as unitaries (same accumulation model as the
-  trajectory executor);
-* pure dephasing and amplitude damping apply as exact Kraus channels;
-* gate depolarizing applies as the exact mixing channel;
+* coherent Z/ZZ phases apply as one diagonal (same accumulation model as
+  the trajectory executor);
+* pure dephasing, amplitude damping and gate depolarizing apply as their
+  exact channels, in closed form on the matrix's per-qubit blocks;
 * quasi-static detuning and charge parity average to an exact per-moment
   dephasing factor: a Gaussian detuning of width ``sigma`` over an interval
   with sign integral ``F`` multiplies coherences by
   ``exp(-(2 pi sigma T F)^2 / 2)``, and a random-sign parity ``delta``
   multiplies them by ``cos(2 pi delta T F)``.
+
+Each step costs O(4^n) on the ``2^n x 2^n`` matrix, and a k-qubit unitary
+O(2^k 4^n) through the statevector kernel: no step builds a full-size
+operator. Systems are capped at 10 qubits (16 MiB per matrix).
 
 This gives zero-variance expectation values and serves as ground truth for
 the trajectory executor (see ``tests/test_density.py``). Mid-circuit
@@ -29,18 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.schedule import ScheduledCircuit
-from ..device.calibration import Device
 from ..pauli.pauli import Pauli
-from .coherent import CoherentAccumulation, accumulate_coherent
-from .executor import SimOptions, SimResult
-from .sampling import build_noise_plan
-from .statevector import _sz_arrays
-from .timeline import MomentTimeline, build_timeline
+from .coherent import CoherentAccumulation
+from .executor import Executor, SimResult
+from .statevector import StateVector, _sz_arrays, flip_pauli
+from .timeline import MomentTimeline
 
 
 class DensityMatrix:
@@ -64,16 +65,33 @@ class DensityMatrix:
         out.matrix = self.matrix.copy()
         return out
 
+    def _blocks(self, qubit: int) -> np.ndarray:
+        """``matrix`` as ``(high, row bit, low, high, column bit, low)``, with
+        ``low = 2**qubit``: ``[:, a, :, :, b]`` is the qubit's ``|a><b|`` block.
+
+        A view whatever ``matrix``'s layout (each axis is only split), so
+        channels write through it in place.
+        """
+        low = 1 << qubit
+        high = self.dim >> (qubit + 1)
+        return self.matrix.reshape(high, 2, low, high, 2, low)
+
     # -- unitaries -----------------------------------------------------------
 
-    def _full_matrix(self, small: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-        from ..circuits.circuit import _embed
-
-        return _embed(small, tuple(qubits), self.num_qubits)
-
     def apply_unitary(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
-        u = self._full_matrix(np.asarray(matrix), qubits)
-        self.matrix = u @ self.matrix @ u.conj().T
+        """``rho -> U rho U^dagger``.
+
+        Reads ``rho`` as the 2n-qubit state whose amplitude ``i * dim + j``
+        is ``rho[i, j]``: ``U`` acts on the row qubits ``q + n`` and
+        ``conj(U)`` on the column qubits ``q``.
+        """
+        n = self.num_qubits
+        work = StateVector.__new__(StateVector)
+        work.num_qubits = 2 * n
+        work.vector = self.matrix.reshape(-1)
+        work.apply_gate(matrix, [q + n for q in qubits])
+        work.apply_gate(np.conj(matrix), qubits)
+        self.matrix = work.vector.reshape(self.dim, self.dim)
 
     def apply_phases(self, acc: CoherentAccumulation) -> None:
         if not acc.z and not acc.zz:
@@ -89,57 +107,48 @@ class DensityMatrix:
 
     # -- channels --------------------------------------------------------------
 
-    def apply_kraus(self, operators: Sequence[np.ndarray], qubits: Sequence[int]) -> None:
-        total = np.zeros_like(self.matrix)
-        for k in operators:
-            full = self._full_matrix(np.asarray(k), qubits)
-            total += full @ self.matrix @ full.conj().T
-        self.matrix = total
-
     def apply_dephasing(self, qubit: int, probability: float) -> None:
-        """Phase-flip channel: ``rho -> (1-p) rho + p Z rho Z``."""
+        """Phase-flip channel: ``rho -> (1-p) rho + p Z rho Z``, which scales
+        the qubit's coherences by ``1 - 2p``."""
         if probability <= 0.0:
             return
-        z = np.diag([1.0, -1.0]).astype(complex)
-        self.apply_kraus(
-            [math.sqrt(1 - probability) * np.eye(2), math.sqrt(probability) * z],
-            [qubit],
-        )
+        self.apply_coherence_factor(qubit, 1.0 - 2.0 * probability)
 
     def apply_amplitude_damping(self, qubit: int, gamma: float) -> None:
+        """Kraus ``diag(1, sqrt(1-gamma))`` and ``sqrt(gamma) |0><1|``: adds
+        ``gamma * rho_11`` into ``rho_00``, then scales the row-1 and
+        column-1 blocks by ``sqrt(1-gamma)``."""
         if gamma <= 0.0:
             return
-        k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
-        k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-        self.apply_kraus([k0, k1], [qubit])
+        blocks = self._blocks(qubit)
+        blocks[:, 0, :, :, 0] += gamma * blocks[:, 1, :, :, 1]
+        keep = math.sqrt(1.0 - gamma)
+        blocks[:, 1] *= keep
+        blocks[:, :, :, :, 1] *= keep
 
     def apply_depolarizing(self, qubits: Sequence[int], probability: float) -> None:
         """With probability ``p`` replace by a uniformly random non-identity
-        Pauli on the listed qubits (matches the trajectory executor)."""
+        Pauli on the listed qubits (matches the trajectory executor).
+
+        On the ``k`` qubits ``Q``, the ``4^k - 1`` error Paulis sum to
+        ``sum_{P != I} P rho P^dagger = 2^k (Tr_Q rho (x) I_Q) - rho``, and
+        ``Tr_Q rho (x) I_Q`` is one "trace out and replace by I" step per
+        qubit of ``Q``. With ``c = p / (4^k - 1)`` the channel is
+        ``(1 - p - c) rho + c 2^k (Tr_Q rho (x) I_Q)``.
+        """
         if probability <= 0.0:
             return
-        from ..circuits.gates import PAULI_MATRICES
-
-        labels = ["I", "X", "Y", "Z"]
-        paulis = []
+        traced = self.copy()
+        for q in qubits:
+            blocks = traced._blocks(q)
+            blocks[:, 0, :, :, 0] += blocks[:, 1, :, :, 1]
+            blocks[:, 1, :, :, 1] = blocks[:, 0, :, :, 0]
+            traced.apply_coherence_factor(q, 0.0)
         k = len(qubits)
-        for index in range(1, 4**k):
-            ops = []
-            rest = index
-            for _ in range(k):
-                ops.append(labels[rest % 4])
-                rest //= 4
-            small = np.array([[1.0 + 0j]])
-            for ch in ops:
-                small = np.kron(small, PAULI_MATRICES[ch])
-            paulis.append(small)
-        original = self.matrix.copy()
-        mixed = np.zeros_like(original)
-        for small in paulis:
-            full = self._full_matrix(small, qubits)
-            mixed += full @ original @ full.conj().T
-        count = len(paulis)
-        self.matrix = (1 - probability) * original + (probability / count) * mixed
+        c = probability / (4**k - 1)
+        traced.matrix *= c * (1 << k)
+        self.matrix *= 1.0 - probability - c
+        self.matrix += traced.matrix
 
     def apply_coherence_factor(self, qubit: int, factor: float) -> None:
         """Scale the qubit's off-diagonal coherences by ``factor``.
@@ -149,9 +158,9 @@ class DensityMatrix:
         """
         if factor >= 1.0:
             return
-        sz = _sz_arrays(self.num_qubits)[qubit]
-        differs = sz[:, None] != sz[None, :]
-        self.matrix = np.where(differs, self.matrix * factor, self.matrix)
+        blocks = self._blocks(qubit)
+        blocks[:, 0, :, :, 1] *= factor
+        blocks[:, 1, :, :, 0] *= factor
 
     # -- measurement ------------------------------------------------------------
 
@@ -172,8 +181,13 @@ class DensityMatrix:
     # -- observables -------------------------------------------------------------
 
     def expectation_pauli(self, pauli: Pauli) -> float:
-        full = pauli.matrix()
-        return float(np.trace(full @ self.matrix).real)
+        """``Tr(P rho)``: each factor flips the row qubits of a copy."""
+        if pauli.num_qubits != self.num_qubits:
+            raise ValueError("observable size mismatch")
+        work = self.matrix.copy()
+        for qubit in range(self.num_qubits):
+            flip_pauli(work, pauli.factor(qubit), self.dim << qubit)
+        return float((np.trace(work) * (1j**pauli.phase)).real)
 
     def probability_of_bitstring(self, bits: Dict[int, int]) -> float:
         idx = np.arange(self.dim)
@@ -184,7 +198,8 @@ class DensityMatrix:
 
     @property
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        """``Tr(rho^2)``, which is ``sum |rho_ij|^2`` for Hermitian ``rho``."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     @property
     def trace(self) -> float:
@@ -198,48 +213,21 @@ class _Branch:
     clbits: Tuple[int, ...]
 
 
-class DensityExecutor:
+class DensityExecutor(Executor):
     """Evolve a scheduled circuit exactly under the averaged noise model.
 
-    Which idles dephase or damp, with what ``p_z``/``gamma``, which gates
+    Builds what the trajectory engines build (:class:`Executor`'s timelines,
+    static coherent phases and :func:`~repro.sim.sampling.build_noise_plan`):
+    which idles dephase or damp, with what ``p_z``/``gamma``, which gates
     carry depolarizing errors, and each qubit's quasi-static and parity
-    detuning scales come from the same
-    :func:`~repro.sim.sampling.build_noise_plan` the trajectory engines
-    sample from; this engine applies each site's averaged channel instead
-    of drawing it. It draws nothing, so it takes ``options`` only to share
-    the engines' constructor and reads neither shots nor seed.
+    detuning scales. This engine applies each site's averaged channel
+    instead of drawing it, so it reads neither shots nor seed.
     """
-
-    def __init__(
-        self,
-        scheduled: ScheduledCircuit,
-        device: Device,
-        options: Optional[SimOptions] = None,
-    ):
-        if scheduled.num_qubits != device.num_qubits:
-            raise ValueError("circuit/device size mismatch")
-        self.scheduled = scheduled
-        self.device = device
-        self._timelines = [
-            build_timeline(sm.moment, scheduled.num_qubits, sm.duration)
-            for sm in scheduled
-        ]
-        # The coherent phases carry no sampled detuning here, so each
-        # moment's accumulation is static and shared by every branch.
-        self._static_acc: List[CoherentAccumulation] = [
-            accumulate_coherent(tl, device) for tl in self._timelines
-        ]
-        self._plan = build_noise_plan(scheduled, device)
 
     def run(self) -> List[_Branch]:
         detunings = self._plan.detunings
-        branches = [
-            _Branch(
-                1.0,
-                DensityMatrix(self.scheduled.num_qubits),
-                (0,) * self.scheduled.circuit.num_clbits,
-            )
-        ]
+        start = DensityMatrix(self.scheduled.num_qubits)
+        branches = [_Branch(1.0, start, (0,) * self.scheduled.circuit.num_clbits)]
 
         for sm, timeline, static_acc, plan in zip(
             self.scheduled, self._timelines, self._static_acc, self._plan.moments
@@ -288,34 +276,21 @@ class DensityExecutor:
 
     def expectations(self, observables: Dict[str, Pauli]) -> SimResult:
         """Exact ``<P>`` for each named observable (errors 0, 0 shots)."""
-        branches = self.run()
-        return _exact(
-            {
-                key: sum(b.weight * b.state.expectation_pauli(pauli) for b in branches)
-                for key, pauli in observables.items()
-            }
-        )
+        return self._exact(DensityMatrix.expectation_pauli, observables)
 
     def probabilities(self, targets: Dict[str, Dict[int, int]]) -> SimResult:
         """Exact probability of each named qubit->bit assignment."""
+        return self._exact(DensityMatrix.probability_of_bitstring, targets)
+
+    def _exact(self, measure, requests: Dict) -> SimResult:
+        """``measure(state, request)`` averaged over the branches, as a
+        ``SimResult``: zero variance, no shots sampled."""
         branches = self.run()
-        return _exact(
-            {
-                key: sum(
-                    b.weight * b.state.probability_of_bitstring(bits) for b in branches
-                )
-                for key, bits in targets.items()
-            }
-        )
-
-
-def _exact(values: Dict[str, float]) -> SimResult:
-    """Exact values as a ``SimResult``: zero variance, no shots sampled."""
-    return SimResult(
-        values={k: float(v) for k, v in values.items()},
-        errors={k: 0.0 for k in values},
-        shots=0,
-    )
+        values = {
+            key: float(sum(b.weight * measure(b.state, arg) for b in branches))
+            for key, arg in requests.items()
+        }
+        return SimResult(values=values, errors=dict.fromkeys(values, 0.0), shots=0)
 
 
 def _apply_slow_noise(

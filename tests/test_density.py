@@ -1,6 +1,7 @@
 """Density-matrix simulator tests, including cross-validation against the
 trajectory executor."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import SOURCES, keep_only
 from repro.circuits import Circuit, gates as g
+from repro.circuits.circuit import _embed
 from repro.device import linear_chain, synthetic_device
 from repro.pauli import Pauli
 from repro.runtime import Task, run
@@ -85,6 +87,135 @@ class TestDensityMatrix:
             assert prob == pytest.approx(0.5)
             # Bell state: collapse is perfectly correlated.
             assert state.probability_of_bitstring({1: outcome}) == pytest.approx(1.0)
+
+
+def _random_state(seed, n=3):
+    """A random full-rank mixed state on ``n`` qubits."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    rho = DensityMatrix(n)
+    rho.matrix = a @ a.conj().T / np.trace(a @ a.conj().T)
+    return rho
+
+
+def _random_unitary(seed, k):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _pauli_on(n, qubits, labels):
+    chars = ["I"] * n
+    for q, ch in zip(qubits, labels):
+        chars[n - 1 - q] = ch
+    return Pauli.from_label("".join(chars)).matrix()
+
+
+def _kraus(rho, operators, qubits):
+    """Textbook ``sum_k E_k rho E_k^dagger`` with dense embedded operators."""
+    full = [_embed(np.asarray(k, dtype=complex), tuple(qubits), 3) for k in operators]
+    return sum(e @ rho @ e.conj().T for e in full)
+
+
+def _close(got, want):
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+class TestClosedFormsMatchDenseOracles:
+    """Each block kernel against its dense textbook form on random mixed
+    3-qubit states, on every qubit position and in both qubit orders."""
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_dephasing(self, qubit):
+        rho = _random_state(1)
+        p = 0.3
+        want = _kraus(
+            rho.matrix,
+            [math.sqrt(1 - p) * np.eye(2), math.sqrt(p) * g.PAULI_MATRICES["Z"]],
+            [qubit],
+        )
+        rho.apply_dephasing(qubit, p)
+        _close(rho.matrix, want)
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    @pytest.mark.parametrize("gamma", [0.35, 1.0])
+    def test_amplitude_damping(self, qubit, gamma):
+        rho = _random_state(2)
+        k0 = [[1.0, 0.0], [0.0, math.sqrt(1 - gamma)]]
+        k1 = [[0.0, math.sqrt(gamma)], [0.0, 0.0]]
+        want = _kraus(rho.matrix, [k0, k1], [qubit])
+        rho.apply_amplitude_damping(qubit, gamma)
+        _close(rho.matrix, want)
+
+    @pytest.mark.parametrize(
+        "qubits", [(0,), (1,), (2,), (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
+    )
+    def test_depolarizing(self, qubits):
+        """The 3- or 15-term Pauli sum, each Pauli from ``Pauli.matrix()``."""
+        rho = _random_state(3)
+        p = 0.2
+        errors = [
+            _pauli_on(3, qubits, labels)
+            for labels in itertools.product("IXYZ", repeat=len(qubits))
+            if set(labels) != {"I"}
+        ]
+        mixed = sum(e @ rho.matrix @ e.conj().T for e in errors)
+        want = (1 - p) * rho.matrix + (p / len(errors)) * mixed
+        rho.apply_depolarizing(list(qubits), p)
+        _close(rho.matrix, want)
+
+    @pytest.mark.parametrize(
+        "qubits", [(0,), (1,), (2,), (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
+    )
+    def test_unitary(self, qubits):
+        rho = _random_state(4)
+        u = _random_unitary(5, len(qubits))
+        want = _kraus(rho.matrix, [u], qubits)
+        rho.apply_unitary(u, list(qubits))
+        _close(rho.matrix, want)
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_coherence_factor(self, qubit):
+        rho = _random_state(6)
+        f = -0.4
+        z = _embed(g.PAULI_MATRICES["Z"], (qubit,), 3)
+        want = (1 + f) / 2 * rho.matrix + (1 - f) / 2 * (z @ rho.matrix @ z)
+        rho.apply_coherence_factor(qubit, f)
+        _close(rho.matrix, want)
+
+    @pytest.mark.parametrize("label", ["ZII", "IXI", "IIY", "XYZ", "YZX", "III"])
+    @pytest.mark.parametrize("phase", [0, 1, 2])
+    def test_expectation_pauli(self, label, phase):
+        rho = _random_state(7)
+        pauli = Pauli.from_label(label, phase)
+        want = np.trace(pauli.matrix() @ rho.matrix).real
+        assert abs(rho.expectation_pauli(pauli) - want) < 1e-13
+
+    def test_purity(self):
+        rho = _random_state(8)
+        want = np.trace(rho.matrix @ rho.matrix).real
+        assert abs(rho.purity - want) < 1e-13
+        assert rho.purity < 1.0
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_blocks_write_into_any_layout(self, layout):
+        """``_blocks`` is a view even of a non-contiguous ``matrix``, so a
+        channel written through it lands in ``matrix`` and not in a copy."""
+        contiguous = _random_state(9)
+        rho = contiguous.copy()
+        if layout == "fortran":
+            rho.matrix = np.asfortranarray(rho.matrix)
+        else:
+            padded = np.zeros((16, 16), dtype=complex)
+            padded[::2, ::2] = rho.matrix
+            rho.matrix = padded[::2, ::2]
+        assert not rho.matrix.flags.c_contiguous
+        for qubit in range(3):
+            assert np.shares_memory(rho._blocks(qubit), rho.matrix)
+            rho.apply_amplitude_damping(qubit, 0.3)
+            contiguous.apply_amplitude_damping(qubit, 0.3)
+        _close(rho.matrix, contiguous.matrix)
 
 
 class TestCrossValidation:
